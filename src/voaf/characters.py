@@ -7,11 +7,12 @@ propagates the smallest cutoff involved.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fock import Sector, basis_at_degree
 from .labels import ModuleLabel
+from .scalars import rational_sqrt
 
 _GRID = Fraction(1, 48)
 
@@ -139,33 +140,41 @@ class QSeries:
         return [[str(e), str(self.coeffs[e])] for e in sorted(self.coeffs)]
 
 
-def _inverse_factor(step_exponent: Fraction, cutoff: Fraction) -> Iterable[QSeries]:
-    """Factors 1/(1-q^e) for e = step_exponent, 2*step, ... up to cutoff."""
-    e = step_exponent
-    while e <= cutoff:
-        geom: Dict[Fraction, Fraction] = {}
-        k = Fraction(0)
-        while k <= cutoff:
-            geom[k] = Fraction(1)
-            k += e
-        yield QSeries(geom, cutoff)
-        e += step_exponent
+def _partition_counts(twisted: bool, n_half: int, parity: Optional[int]) -> List[int]:
+    """Number of Fock basis partitions of each degree j/2, j = 0..n_half.
+
+    Parts are the depths of the sector (half-odd when twisted, positive
+    integers otherwise) and may repeat; parity 0 or 1 keeps only the
+    partitions of that length parity, None keeps all of them.
+    """
+    even = [int(j == 0) for j in range(n_half + 1)]
+    odd = [0] * (n_half + 1)
+    for part in range(1 if twisted else 2, n_half + 1, 2):
+        for j in range(part, n_half + 1):
+            even[j] += odd[j - part]
+            odd[j] += even[j - part]
+    if parity is None:
+        return [e + o for e, o in zip(even, odd)]
+    return odd if parity else even
 
 
 def eta_inverse(cutoff=Fraction(20)) -> QSeries:
     """1/eta(q) = q^{-1/24} * sum_n p(n) q^n, to the cutoff."""
     cutoff = Fraction(cutoff)
-    # exact partition-number generating function by dynamic programming
     n_max = int(cutoff + 1)
-    counts = [Fraction(0)] * (n_max + 1)
-    counts[0] = Fraction(1)
-    for part in range(1, n_max + 1):
-        for n in range(part, n_max + 1):
-            counts[n] += counts[n - part]
+    counts = _partition_counts(False, 2 * n_max, None)
     series = QSeries(
-        {Fraction(n): counts[n] for n in range(n_max + 1)}, cutoff + 1
+        {Fraction(n): Fraction(counts[2 * n]) for n in range(n_max + 1)}, cutoff + 1
     )
     return series.shift(Fraction(-1, 24)).truncate(cutoff)
+
+
+def _degenerate_index(h: Fraction) -> Optional[int]:
+    """The integer n >= 0 with h = n^2/4, or None when h is not of that form."""
+    root = rational_sqrt(4 * h)
+    if root is None or root.denominator != 1:
+        return None
+    return root.numerator
 
 
 def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
@@ -175,14 +184,7 @@ def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
     if h < 0:
         raise ValueError("weight must be nonnegative")
     inv = eta_inverse(cutoff + 1)
-    four_h = 4 * h
-    n = None
-    if four_h.denominator == 1:
-        r = int(round(four_h.numerator ** 0.5))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand * cand == four_h.numerator:
-                n = cand
-                break
+    n = _degenerate_index(h)
     if n is None:
         out = inv.shift(h)
     else:
@@ -192,29 +194,18 @@ def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
 
 
 def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QSeries:
-    """Character tr q^{L(0)-1/24} by direct basis enumeration."""
+    """Character tr q^{L(0)-1/24}, counting the partition basis of each
+    degree by a parity-tracking partition recursion."""
     cutoff = Fraction(cutoff)
     if isinstance(module, str) and module == "Mtheta":
-        sector = Sector.twisted_sector()
-        parity: Optional[int] = None
-        offset = Fraction(1, 16)
+        twisted, parity, offset = True, None, Fraction(1, 16)
     else:
         if isinstance(module, str):
             module = ModuleLabel.parse(module)
         sector = module.sector()
-        parity = module.parity()
-        offset = sector.weight_offset_rat()
-    coeffs: Dict[Fraction, Fraction] = {}
-    step = Fraction(1, 2) if sector.twisted else Fraction(1)
-    degrees = []
-    d = Fraction(0)
-    while d <= cutoff + 1:
-        degrees.append(d)
-        d += step
-    for deg in degrees:
-        dim = len(basis_at_degree(sector, deg, parity))
-        if dim:
-            coeffs[deg] = Fraction(dim)
+        twisted, parity, offset = sector.twisted, module.parity(), sector.weight_offset_rat()
+    counts = _partition_counts(twisted, math.floor(2 * (cutoff + 1)), parity)
+    coeffs = {Fraction(j, 2): Fraction(c) for j, c in enumerate(counts) if c}
     series = QSeries(coeffs, cutoff + 1)
     return series.shift(offset - Fraction(1, 24)).truncate(cutoff)
 
@@ -251,16 +242,8 @@ def decomposition_weights(module: Union[ModuleLabel, str], hmax) -> List[Tuple[F
             emit(Fraction((8 * p + 5) ** 2, 16))
             p += 1
     else:
-        s = module.s
-        h = s / 2
-        four_h = 4 * h
-        n = None
-        if four_h.denominator == 1:
-            r = int(round(four_h.numerator ** 0.5))
-            for cand in (r - 1, r, r + 1):
-                if cand >= 0 and cand * cand == four_h.numerator:
-                    n = cand
-                    break
+        h = module.s / 2
+        n = _degenerate_index(h)
         if n is None:
             emit(h)
         else:

@@ -2,7 +2,7 @@
 and ad-hoc reduction to descendant coordinates.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 inconclusive (a membership cutoff was exhausted).
+3 inconclusive (no argument decided a fusion rule).
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ def _env_cutoff(default: int) -> int:
 
 # ----------------------------------------------------------------------
 # table of lowest weights and quartic-generator eigenvalues
-
-
-_UPOLY_NAMES = {0: "", 1: "s"}
 
 
 def _upoly_str(coeffs) -> str:
@@ -678,11 +675,7 @@ def _cmd_fusion(args) -> int:
     m = ModuleLabel.parse(args.m)
     n = ModuleLabel.parse(args.n)
     l = ModuleLabel.parse(args.l)
-    try:
-        cert = fusion.decide(m, n, l)
-    except fusion.Inconclusive as exc:
-        print("inconclusive: %s (retry with a larger --cutoff)" % exc, file=sys.stderr)
-        return 3
+    cert = fusion.decide(m, n, l)
     if args.certificate:
         print(cert.to_json())
     else:
@@ -819,7 +812,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except fusion.Inconclusive as exc:
-        print("inconclusive: %s (retry with a larger --cutoff)" % exc, file=sys.stderr)
+        print("inconclusive: %s" % exc, file=sys.stderr)
         return 3
 
 

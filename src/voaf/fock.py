@@ -65,14 +65,6 @@ class Sector:
             return d.denominator == 2
         return d.denominator == 1
 
-    def depths_upto(self, bound: Fraction) -> List[Fraction]:
-        out = []
-        d = Fraction(1, 2) if self.twisted else Fraction(1)
-        while d <= bound:
-            out.append(d)
-            d += Fraction(1) if not self.twisted else Fraction(1)
-        return out
-
     def weight_offset_rat(self) -> Fraction:
         """Conformal weight of the top vector (concrete sectors only)."""
         if self.twisted:

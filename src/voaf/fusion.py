@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +24,7 @@ from . import linalg, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import MultiPoly
-from .scalars import Scalar
+from .scalars import Scalar, rational_sqrt
 from .vertexops import J_state, mode, vacuum
 
 
@@ -37,7 +37,6 @@ class Inconclusive(RuntimeError):
 
 
 _X = MultiPoly.var("x")
-_Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
 _S = MultiPoly.var("s")
 
@@ -212,14 +211,10 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     sector = label.sector()
     v = label.top_vector()
     wt = sector.weight_offset_rat() + v.max_degree()
-    n2 = 4 * wt
-    if n2.denominator != 1:
+    root = rational_sqrt(4 * wt)
+    if root is None or root.denominator != 1:
         return None
-    n = int(n2.numerator) if n2 >= 0 else -1
-    r = int(round(n ** 0.5))
-    if r * r != n:
-        return None
-    level = r + 1
+    level = root.numerator + 1
     words = virasoro.words_at_level(0, level)
     images = [virasoro.L_word(w.ms, v) for w in words]
     mod = sector.scalar_mod()
@@ -337,29 +332,6 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
         system = ConstraintSystem(label, ngens, rows)
     _SYSTEM_CACHE[label] = system
     return system
-
-
-def constraints(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> List[MultiPoly]:
-    """Flattened constraint polynomials for the arrangement (m, n, l).
-
-    Mirror rows are returned with x and y interchanged; their z coordinate
-    refers to b_N rather than b_L.
-    """
-    system = constraint_system(m)
-    out: List[MultiPoly] = []
-    swap = {"x": _Y, "y": _X}
-    for row in system.rows:
-        for poly, sign in zip(row.polys, row.signs):
-            if poly.is_zero():
-                continue
-            if row.mirror:
-                p = poly.subs(swap)
-                if sign != 1:
-                    p = p * sign
-            else:
-                p = poly
-            out.append(p)
-    return out
 
 
 def _evaluate_system(
@@ -707,24 +679,6 @@ def expected_fusion(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> int:
     return 1 if minus % 2 == 0 else 0
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    pn = int(round(x.numerator ** 0.5))
-    pd = int(round(x.denominator ** 0.5))
-    while pn * pn < x.numerator:
-        pn += 1
-    while pn * pn > x.numerator:
-        pn -= 1
-    while pd * pd < x.denominator:
-        pd += 1
-    while pd * pd > x.denominator:
-        pd -= 1
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
     """All squared charges reachable as (sqrt(s1) +- sqrt(s2))^2 inside the
     rationals, starting from the given list."""
@@ -732,7 +686,7 @@ def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
     out = set(base)
     for s1 in base:
         for s2 in base:
-            r = _rational_sqrt(s1 * s2)
+            r = rational_sqrt(s1 * s2)
             if r is None:
                 continue
             for nu in (s1 + s2 + 2 * r, s1 + s2 - 2 * r):

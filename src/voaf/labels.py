@@ -1,7 +1,7 @@
 """Labels for the irreducible modules of the orbifold algebra.
 
 The five families are M+, M- (the theta-eigenspaces of the vacuum Fock
-space), Mlam(s) (the charged Fock space with s = lam^2 != 0, noting the
+space), Mlam(s) (the charged Fock space with s = lam^2 > 0, noting the
 lam <-> -lam isomorphism), and Mtheta+/Mtheta- (eigenspaces of the twisted
 space).  Each label knows its sector, its parity filter on partition
 length, its lowest-weight vector, and the two numerical invariants
@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .fock import FORMAL, FockVector, Partition, Sector, basis_at_degree
 from .multipoly import MultiPoly
-from .scalars import Scalar
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 
@@ -33,8 +32,8 @@ class ModuleLabel:
         if self.kind == "Mlam":
             if self.s is not FORMAL:
                 s = Fraction(self.s)
-                if s == 0:
-                    raise ValueError("Mlam requires nonzero s = lam^2")
+                if s <= 0:
+                    raise ValueError("Mlam requires positive s = lam^2, got %s" % s)
                 object.__setattr__(self, "s", s)
         elif self.s is not None:
             raise ValueError("s only applies to Mlam")
@@ -121,9 +120,6 @@ class ModuleLabel:
         if par is None:
             return True
         return all(len(p) % 2 == par for p in v.terms)
-
-
-ALL_CONCRETE_KINDS = ("M+", "M-", "Mtheta+", "Mtheta-")
 
 
 def mplus() -> ModuleLabel:

@@ -6,31 +6,28 @@ truthiness (nonzero test).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 
 class InconsistentSystem(Exception):
     pass
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence, zero, one) -> Optional[list]:
-    """Solve rows * x = rhs exactly.
+def _rref(a: List[list], ncols: int, one) -> List[int]:
+    """Reduce the rows of `a` in place to reduced row echelon form over the
+    first `ncols` columns and return the pivot columns.
 
-    Returns a solution with free variables set to zero (pivots chosen left
-    to right, so earlier columns are preferred), or raises
-    InconsistentSystem.  `zero` and `one` are the field constants.
+    Pivots are chosen left to right, each pivot row is normalized to one and
+    its column is cleared in every other row; pivot i ends up in row i.
+    Columns past `ncols` (an augmented right-hand side) ride along.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if a[r][col]:
-                sel = r
-                break
+    m = len(a)
+    pivots: List[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if a[r][col]), None)
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
@@ -40,81 +37,46 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, zero, one) -> Optional[list]:
             if r != row and a[r][col]:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n]:
-            raise InconsistentSystem("no exact solution")
+        pivots.append(col)
+    return pivots
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence, zero, one) -> Optional[list]:
+    """Solve rows * x = rhs exactly.
+
+    Returns a solution with free variables set to zero (pivots chosen left
+    to right, so earlier columns are preferred), or raises
+    InconsistentSystem.  `zero` and `one` are the field constants.
+    """
+    n = len(rows[0]) if rows else 0
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _rref(a, n, one)
+    if any(a[r][n] for r in range(len(pivots), len(a))):
+        raise InconsistentSystem("no exact solution")
     x = [zero] * n
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         x[c] = a[r][n]
     return x
 
 
 def rank(rows: Sequence[Sequence], one) -> int:
-    m = len(rows)
-    if not m:
-        return 0
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    rk = 0
-    for col in range(n):
-        sel = None
-        for r in range(rk, m):
-            if a[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rk], a[sel] = a[sel], a[rk]
-        inv = one / a[rk][col]
-        a[rk] = [v * inv for v in a[rk]]
-        for r in range(m):
-            if r != rk and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    n = len(rows[0]) if rows else 0
+    return len(_rref([list(r) for r in rows], n, one))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, zero, one) -> List[list]:
     """Basis of the right kernel of the matrix, free variables normalized
     to one."""
-    m = len(rows)
     a = [list(r) for r in rows]
-    pivots: List[Tuple[int, int]] = []
-    rk = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rk, m):
-            if a[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rk], a[sel] = a[sel], a[rk]
-        inv = one / a[rk][col]
-        a[rk] = [v * inv for v in a[rk]]
-        for r in range(m):
-            if r != rk and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rk])]
-        pivots.append((rk, col))
-        rk += 1
-        if rk == m:
-            break
-    pivot_cols = {c for _, c in pivots}
+    pivots = _rref(a, ncols, one)
+    pivot_cols = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
         vec = [zero] * ncols
         vec[free] = one
-        for r, c in pivots:
+        for r, c in enumerate(pivots):
             vec[c] = zero - a[r][free]
         basis.append(vec)
     return basis

@@ -8,9 +8,7 @@ that do not mention a variable simply have exponent 0 in its slot.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from .scalars import Scalar
+from typing import Dict, List, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
 NVARS = len(VARS)
@@ -167,17 +165,6 @@ class MultiPoly:
             raise ValueError("polynomial %s is not constant" % self)
         return self.terms.get(_ZERO_EXPO, Fraction(0))
 
-    def coeff_in(self, var: str) -> Dict[int, "MultiPoly"]:
-        """View as a univariate polynomial in var with MultiPoly coefficients."""
-        i = _VAR_INDEX[var]
-        out: Dict[int, MultiPoly] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            rest = list(e)
-            rest[i] = 0
-            out.setdefault(k, MultiPoly()).terms[tuple(rest)] = c
-        return out
-
     def evaluate(self, assign: Dict[str, object]):
         """Evaluate with values supporting ring arithmetic (Fraction, Scalar, ...).
 
@@ -271,123 +258,6 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
-
-
-# ----------------------------------------------------------------------
-# conversions with Scalar
-
-
-def scalar_to_poly(sc: Scalar, var: str = "s") -> MultiPoly:
-    """Convert a scalar that is a polynomial even in lam into a polynomial
-    in var = lam**2.  Rational scalars convert to constants."""
-    if sc.is_rational():
-        return MultiPoly.const(sc.as_rat())
-    num, den = sc.even_part_polys()
-    if len(den) != 1:
-        raise ValueError("scalar %s is not polynomial in lam^2" % sc)
-    v = MultiPoly.var(var)
-    acc = MultiPoly()
-    for k, c in enumerate(num):
-        acc = acc + MultiPoly.const(c / den[0]) * v**k
-    return acc
-
-
-def scalar_to_poly_fraction(sc: Scalar, var: str = "s") -> Tuple[MultiPoly, MultiPoly]:
-    """Convert a scalar even in lam into (num, den) polynomials in var = lam**2."""
-    num, den = sc.even_part_polys()
-    v = MultiPoly.var(var)
-
-    def build(p):
-        acc = MultiPoly()
-        for k, c in enumerate(p):
-            acc = acc + MultiPoly.const(c) * v**k
-        return acc
-
-    return build(num), build(den)
-
-
-# ----------------------------------------------------------------------
-# resultants and rational roots
-
-
-def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Resultant of p and q with respect to var."""
-    import sympy
-
-    syms = {v: sympy.Symbol(v) for v in VARS}
-
-    def to_sympy(poly: MultiPoly):
-        acc = sympy.Integer(0)
-        for e, c in poly.terms.items():
-            t = sympy.Rational(c.numerator, c.denominator)
-            for i, k in enumerate(e):
-                if k:
-                    t *= syms[VARS[i]] ** k
-            acc += t
-        return acc
-
-    res = sympy.resultant(to_sympy(p), to_sympy(q), syms[var])
-    res = sympy.expand(res)
-    out = MultiPoly()
-    poly = sympy.Poly(res, *[syms[v] for v in VARS])
-    for monom, coeff in poly.terms():
-        out.terms[tuple(monom)] = Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
-    out.terms = {e: c for e, c in out.terms.items() if c}
-    return out
-
-
-def rational_roots(p: MultiPoly) -> List[Fraction]:
-    """All rational roots (with multiplicity ignored) of a univariate polynomial."""
-    vs = p.variables()
-    if len(vs) > 1:
-        raise ValueError("polynomial %s is not univariate" % p)
-    if not vs:
-        if p.is_zero():
-            raise ValueError("zero polynomial has every root")
-        return []
-    var = vs[0]
-    coeffs = p.coeff_in(var)
-    degs = sorted(coeffs)
-    # clear denominators to integer coefficients
-    lcm = 1
-    for k in degs:
-        c = coeffs[k].constant()
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = {k: int(coeffs[k].constant() * lcm) for k in degs}
-    low = min(k for k in degs if ints[k])
-    high = max(degs)
-    if low == high:
-        return [Fraction(0)] if low > 0 else []
-    a0 = abs(ints[low])
-    an = abs(ints[high])
-    roots = set()
-    if low > 0:
-        roots.add(Fraction(0))
-    for pdiv in _divisors(a0):
-        for qdiv in _divisors(an):
-            for cand in (Fraction(pdiv, qdiv), Fraction(-pdiv, qdiv)):
-                if p.evaluate({var: cand}) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ empty tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -95,6 +96,18 @@ def _peval(a: UPoly, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of x, or None when x is negative
+    or not the square of a rational."""
+    x = Fraction(x)
+    if x < 0:
+        return None
+    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if pn * pn == x.numerator and pd * pd == x.denominator:
+        return Fraction(pn, pd)
+    return None
 
 
 # ----------------------------------------------------------------------

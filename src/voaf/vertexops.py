@@ -194,10 +194,6 @@ def _product_coeff_term(
     return out
 
 
-def _grid(sector: Sector, upto: Fraction) -> List[Fraction]:
-    return sector.depths_upto(upto)
-
-
 def _exp_coeff(parts: Tuple[Fraction, ...], lam_a: Scalar, negative: bool) -> Scalar:
     """Multinomial coefficient of a creation/annihilation multiset in
     exp(+-sum lam h(-+n)/n z^{+-n})."""

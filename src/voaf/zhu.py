@@ -21,7 +21,6 @@ both sides, via the rewrite
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,7 +30,7 @@ from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel
 from .multipoly import MultiPoly
 from .scalars import Phase, Scalar
-from .vertexops import gen_binom, mode, o_apply, weight
+from .vertexops import gen_binom, mode, weight
 
 
 def star_left(a: FockVector, u: FockVector) -> FockVector:

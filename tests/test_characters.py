@@ -7,6 +7,7 @@ import pytest
 
 from voaf.characters import (
     QSeries,
+    _partition_counts,
     char_virasoro_c1,
     decomposition_weights,
     eta_inverse,
@@ -15,6 +16,8 @@ from voaf.characters import (
     twisted_character_identity,
     verify_decomposition,
 )
+from voaf.fock import Sector, basis_at_degree
+from voaf.labels import ModuleLabel
 
 F = Fraction
 
@@ -132,6 +135,28 @@ class TestModuleCharacters:
             (F(4), 1),
             (F(9), 1),
         ]
+
+    def test_degenerate_weight_beyond_float_range(self):
+        # s = n^2/2 gives the degenerate weight n^2/4, whose singular
+        # submodule starts at (n+2)^2/4
+        n = 3**70 + 12345
+        h2 = F((n + 2) ** 2, 4)
+        assert decomposition_weights(ModuleLabel("Mlam", F(n * n, 2)), h2) == [
+            (F(n * n, 4), 1),
+            (h2, 1),
+        ]
+
+    def test_partition_counts_match_enumeration(self):
+        for mod in ["M+", "M-", "M(s=2)", "Mtheta+", "Mtheta-", "Mtheta"]:
+            if mod == "Mtheta":
+                sector, parity = Sector.twisted_sector(), None
+            else:
+                label = ModuleLabel.parse(mod)
+                sector, parity = label.sector(), label.parity()
+            counts = _partition_counts(sector.twisted, 20, parity)
+            assert len(counts) == 21
+            for j, c in enumerate(counts):
+                assert c == len(basis_at_degree(sector, F(j, 2), parity)), (mod, j)
 
     def test_mismatch_reported(self):
         ok, report = verify_decomposition("M+", [(F(0), 1)], 6)

@@ -87,6 +87,17 @@ class TestFusion:
         assert code == 2
         assert "error" in err
 
+    def test_nonpositive_charge_exit_2(self, capsys):
+        for argv in (
+            ["fusion", "--m", "M(s=-2)", "--n", "M(s=-2)", "--l", "M+"],
+            ["fusion", "--m", "M(s=0)", "--n", "M+", "--l", "M(s=0)"],
+            ["fusion-table", "--lambda-squares=-1,2"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_argument_exit_2(self, capsys):
         code, _, _ = run(capsys, "fusion", "--m", "M+")
         assert code == 2
@@ -100,6 +111,12 @@ class TestFusionTable:
         assert out1 == out2
         header = out1.splitlines()[0]
         assert "verdict" in header
+
+    def test_square_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "fusion-table", "--lambda-squares",
+                             "1e400,4")
+        assert code == 0, err
+        assert out.splitlines()[0].startswith("m,")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "fusion-table", "--lambda-squares", "2",

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voaf import linalg
-from voaf.multipoly import (
-    MultiPoly,
-    QuadExtPoint,
-    quadext_eval,
-    rational_roots,
-    resultant,
-)
-from voaf.scalars import Phase, Scalar
+from voaf.multipoly import MultiPoly, QuadExtPoint, quadext_eval
+from voaf.scalars import Phase, Scalar, rational_sqrt
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -117,26 +111,6 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             MultiPoly.var("x").constant()
 
-    @given(rationals, rationals, rationals, rationals)
-    @settings(max_examples=40, deadline=None)
-    def test_resultant_vanishes_iff_common_root(self, a, b, c, d):
-        # (x-a)(x-b) and (x-c)(x-d) share a root iff {a,b} meets {c,d}
-        x = MultiPoly.var("x")
-        p = (x - a) * (x - b)
-        q = (x - c) * (x - d)
-        r = resultant(p, q, "x")
-        shares = bool({a, b} & {c, d})
-        assert r.is_zero() == shares
-
-    def test_rational_roots(self):
-        x = MultiPoly.var("x")
-        p = (x * 2 - 1) * (x + 3) * (x * 3 - 2)
-        assert sorted(rational_roots(p)) == [
-            Fraction(-3),
-            Fraction(1, 2),
-            Fraction(2, 3),
-        ]
-
     def test_quadratic_extension_point(self):
         # w^2 = alpha w - beta with alpha = 5, beta = 6 : w in {2, 3}
         alpha, beta = Fraction(5), Fraction(6)
@@ -188,3 +162,37 @@ class TestLinalg:
         for vec in basis:
             dot = sum((rows[0][j] * vec[j] for j in range(3)), zero)
             assert dot.is_zero()
+
+    def test_empty_matrix(self):
+        zero, one = Fraction(0), Fraction(1)
+        assert linalg.rank([], one) == 0
+        assert linalg.solve([], [], zero, one) == []
+        assert linalg.nullspace([], 2, zero, one) == [[one, zero], [zero, one]]
+
+    def test_more_columns_than_rows(self):
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[Fraction(v) for v in r] for r in ([1, 2, 3, 4], [2, 4, 7, 9])]
+        assert linalg.rank(rows, one) == 2
+        # pivots in columns 0 and 2; free columns 1 and 3, in that order
+        assert linalg.nullspace(rows, 4, zero, one) == [[-2, 1, 0, 0], [-1, 0, -1, 1]]
+        assert linalg.solve(rows, [Fraction(1), Fraction(3)], zero, one) == [-2, 0, 1, 0]
+
+
+class TestRationalSqrt:
+    def test_zero(self):
+        assert rational_sqrt(Fraction(0)) == 0
+
+    def test_negative(self):
+        assert rational_sqrt(Fraction(-4)) is None
+        assert rational_sqrt(Fraction(-1, 9)) is None
+
+    def test_squares_and_non_squares(self):
+        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert rational_sqrt(Fraction(2)) is None
+        assert rational_sqrt(Fraction(4, 3)) is None
+
+    def test_beyond_float_range(self):
+        assert rational_sqrt(Fraction(10) ** 400) == Fraction(10) ** 200
+        assert rational_sqrt(Fraction(10) ** 400 + 1) is None
+        n = 3**70 + 12345
+        assert rational_sqrt(Fraction(n * n, 4)) == Fraction(n, 2)

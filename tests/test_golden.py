@@ -1,0 +1,38 @@
+"""Byte-for-byte replay of committed CLI outputs.
+
+Each file under tests/golden/ is the stdout of one `voaf` command, recorded
+before the exact-arithmetic routines were consolidated.  Any refactor must
+reproduce every byte; a change that alters an output on purpose records the
+new file and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from voaf import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+STD_GRID = "1/3,1/2,2,9/2,8,5"
+
+GOLDENS = {
+    "fusion_table.csv": ["fusion-table", "--lambda-squares", STD_GRID],
+    "fusion_table.json": ["fusion-table", "--lambda-squares", STD_GRID, "--format", "json"],
+    "table41.txt": ["table41"],
+    "table41.json": ["table41", "--json"],
+    "char_Mplus.json": ["char", "--module", "M+", "--cutoff", "20", "--json"],
+    "char_Mminus.json": ["char", "--module", "M-", "--cutoff", "20", "--json"],
+    "char_Ms1_3.json": ["char", "--module", "M(s=1/3)", "--cutoff", "20", "--json"],
+    "char_Mthetaplus.json": ["char", "--module", "Mtheta+", "--cutoff", "20", "--json"],
+    "char_Mthetaminus.json": ["char", "--module", "Mtheta-", "--cutoff", "20", "--json"],
+    "char_Mtheta.json": ["char", "--module", "Mtheta", "--cutoff", "20", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden_output(name, capsys):
+    code = cli.main(list(GOLDENS[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")

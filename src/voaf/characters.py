@@ -49,10 +49,6 @@ class QSeries:
     def one(cutoff=Fraction(20)) -> "QSeries":
         return QSeries({Fraction(0): Fraction(1)}, cutoff)
 
-    @staticmethod
-    def monomial(e, c=1, cutoff=Fraction(20)) -> "QSeries":
-        return QSeries({Fraction(e): Fraction(c)}, cutoff)
-
     # -- arithmetic -------------------------------------------------------
 
     def _align(self, other: "QSeries") -> Fraction:

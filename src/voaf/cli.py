@@ -17,52 +17,31 @@ from typing import Callable, List, Optional, Tuple
 from . import characters, fusion, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
-from .scalars import Scalar
-from .vertexops import J_state, cmn_table, omega, vertex_op_coeff
+from .multipoly import NVARS, MultiPoly
+from .scalars import Scalar, upoly_str
+from .vertexops import J_state, cmn_table, gen_binom, omega, vertex_op_coeff
 
 Check = Tuple[str, bool, str]
 
 
-def _env_cutoff(default: int) -> int:
-    raw = os.environ.get("VOAF_CUTOFF")
-    if raw is None:
-        return default
-    return int(raw)
+def _cutoff(given: Optional[int], default: int) -> int:
+    """The given cutoff, else $VOAF_CUTOFF, else the default.  A negative
+    cutoff is a usage error."""
+    cut = int(given if given is not None else os.environ.get("VOAF_CUTOFF", default))
+    if cut < 0:
+        raise ValueError("cutoff must be nonnegative, got %d" % cut)
+    return cut
 
 
 # ----------------------------------------------------------------------
 # table of lowest weights and quartic-generator eigenvalues
 
 
-def _upoly_str(coeffs) -> str:
-    """Univariate polynomial in s from a low-to-high coefficient list."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mono = "s" if k == 1 else "s^%d" % k
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % (c, mono))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
-
-
 def _formal_eigen(sc) -> str:
     num, den = sc.even_part_polys()
     if list(den) == [Fraction(1)]:
-        return _upoly_str(num)
-    return "(%s)/(%s)" % (_upoly_str(num), _upoly_str(den))
+        return upoly_str(num, "s")
+    return "(%s)/(%s)" % (upoly_str(num, "s"), upoly_str(den, "s"))
 
 
 def _eigenvalue(op: FockVector, v: FockVector):
@@ -194,7 +173,7 @@ def parse_state(text: str, sector: Sector) -> FockVector:
 
 
 def suite_characters(cutoff: Optional[int] = None) -> List[Check]:
-    cut = Fraction(cutoff if cutoff is not None else _env_cutoff(20))
+    cut = Fraction(_cutoff(cutoff, 20))
     checks: List[Check] = []
     checks.append(
         (
@@ -235,31 +214,24 @@ def suite_characters(cutoff: Optional[int] = None) -> List[Check]:
 
 
 def _zhu_ideal_checks() -> List[Check]:
-    import sympy as sp
-
-    x, y, s = sp.symbols("x y s")
-    g1 = (y - 4 * x**2 + x) * (70 * y + 908 * x**2 - 515 * x + 27)
-    g2 = (
-        (y - 4 * x**2 + x)
-        * (x - 1)
-        * (x - sp.Rational(1, 16))
-        * (x - sp.Rational(9, 16))
-    )
+    x, y, s = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("s")
+    g1 = (y - x * x * 4 + x) * (y * 70 + x * x * 908 - x * 515 + 27)
+    g2 = (y - x * x * 4 + x) * (x - 1) * (x - Fraction(1, 16)) * (x - Fraction(9, 16))
     points = [
         ("M+", 0, 0),
         ("M-", 1, -6),
-        ("M(1,lam)", s / 2, s**2 - s / 2),
-        ("Mtheta+", sp.Rational(1, 16), sp.Rational(3, 128)),
-        ("Mtheta-", sp.Rational(9, 16), sp.Rational(-45, 128)),
+        ("M(1,lam)", s * Fraction(1, 2), s * s - s * Fraction(1, 2)),
+        ("Mtheta+", Fraction(1, 16), Fraction(3, 128)),
+        ("Mtheta-", Fraction(9, 16), Fraction(-45, 128)),
     ]
     checks: List[Check] = []
     for gname, g in (("quartic ideal generator", g1), ("sextic ideal generator", g2)):
         for mname, a, b in points:
-            val = sp.expand(g.subs({x: a, y: b}))
+            val = g.subs({"x": a, "y": b})
             checks.append(
                 (
                     "%s vanishes at the %s lowest-weight point" % (gname, mname),
-                    val == 0,
+                    val.is_zero(),
                     "value %s" % val,
                 )
             )
@@ -278,7 +250,7 @@ def relation_element() -> FockVector:
 
 
 def suite_zhu(cutoff: Optional[int] = None) -> List[Check]:
-    cut = cutoff if cutoff is not None else _env_cutoff(6)
+    cut = _cutoff(cutoff, 6)
     checks: List[Check] = []
     rows, ok = table41_rows()
     checks.append(
@@ -451,26 +423,32 @@ def suite_virasoro(max_degree: int = 6) -> List[Check]:
 
 
 def _cmn_taylor_oracle(max_total: int) -> bool:
-    import sympy as sp
+    """Check cmn_table against F = -log((sqrt(1+x) + sqrt(1+y))/2).
 
-    x, y = sp.symbols("x y")
-    f = -sp.log((sp.sqrt(1 + x) + sp.sqrt(1 + y)) / 2)
-    poly = f.series(x, 0, max_total + 1).removeO()
-    poly = sp.expand(
-        sum(
-            sp.series(t, y, 0, max_total + 1).removeO()
-            for t in sp.Add.make_args(poly)
-        )
-    )
+    F has no constant term, and 2 r (sqrt(1+x) + sqrt(1+y)) dF/dv = -1 for
+    (r, v) = (sqrt(1+x), x) and (sqrt(1+y), y).  Modulo total degree
+    max_total these fix every coefficient, and they force r^2 = 1 + v.
+    """
+
+    def mono(m: int, n: int) -> Tuple[int, ...]:
+        return (m, n) + (0,) * (NVARS - 2)
+
     table = cmn_table(max_total)
-    for m in range(max_total + 1):
-        for n in range(max_total + 1 - m):
-            if m + n == 0:
-                continue
-            want = sp.Rational(table.get((m, n), Fraction(0)))
-            got = poly.coeff(x, m).coeff(y, n)
-            if sp.simplify(got - want) != 0:
-                return False
+    if any(m + n == 0 or m + n > max_total for (m, n), c in table.items() if c):
+        return False
+    F = MultiPoly({mono(m, n): c for (m, n), c in table.items()})
+    half = [gen_binom(Fraction(1, 2), k) for k in range(max_total + 1)]
+    rx = MultiPoly({mono(k, 0): c for k, c in enumerate(half)})
+    ry = MultiPoly({mono(0, k): c for k, c in enumerate(half)})
+    for i, r in ((0, rx), (1, ry)):
+        dF = MultiPoly({
+            mono(e[0] - (i == 0), e[1] - (i == 1)): c * e[i]
+            for e, c in F.terms.items()
+            if e[i]
+        })
+        lhs = r * (rx + ry) * dF * 2
+        if {e: c for e, c in lhs.terms.items() if sum(e) < max_total} != {mono(0, 0): -1}:
+            return False
     return True
 
 
@@ -654,7 +632,7 @@ def _cmd_table41(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    cutoff = Fraction(args.cutoff if args.cutoff is not None else _env_cutoff(20))
+    cutoff = Fraction(_cutoff(args.cutoff, 20))
     module = args.module
     if module != "Mtheta":
         module = ModuleLabel.parse(module)

@@ -44,14 +44,6 @@ class MultiPoly:
         e[_VAR_INDEX[name]] = 1
         return MultiPoly({tuple(e): Fraction(1)})
 
-    @staticmethod
-    def monomial(c, **powers) -> "MultiPoly":
-        e = [0] * NVARS
-        for name, k in powers.items():
-            e[_VAR_INDEX[name]] = k
-        c = Fraction(c)
-        return MultiPoly({tuple(e): c}) if c else MultiPoly()
-
     def copy(self) -> "MultiPoly":
         p = MultiPoly()
         p.terms = dict(self.terms)
@@ -153,13 +145,6 @@ class MultiPoly:
                     used[i] = True
         return [VARS[i] for i in range(NVARS) if used[i]]
 
-    def degree(self, var: str) -> int:
-        i = _VAR_INDEX[var]
-        return max((e[i] for e in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def constant(self) -> Fraction:
         if self.terms and any(any(e) for e in self.terms):
             raise ValueError("polynomial %s is not constant" % self)
@@ -258,94 +243,3 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
-
-
-# ----------------------------------------------------------------------
-# quadratic extension points
-
-
-class QuadExtPoint:
-    """Element a + b*w of Q[w]/(w**2 - alpha*w + beta)."""
-
-    __slots__ = ("a", "b", "alpha", "beta")
-
-    def __init__(self, a, b, alpha, beta):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.alpha = Fraction(alpha)
-        self.beta = Fraction(beta)
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExtPoint(other, 0, self.alpha, self.beta)
-        if not isinstance(other, QuadExtPoint):
-            return NotImplemented
-        if (other.alpha, other.beta) != (self.alpha, self.beta):
-            raise ValueError("mixing distinct quadratic extensions")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExtPoint(self.a + other.a, self.b + other.b, self.alpha, self.beta)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtPoint(-self.a, -self.b, self.alpha, self.beta)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # (a1 + b1 w)(a2 + b2 w), w^2 = alpha*w - beta
-        a = self.a * other.a - self.beta * self.b * other.b
-        b = self.a * other.b + self.b * other.a + self.alpha * self.b * other.b
-        return QuadExtPoint(a, b, self.alpha, self.beta)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __str__(self):
-        return "%s + %s*w" % (self.a, self.b)
-
-
-def quadext_eval(p: MultiPoly, assign: Dict[str, object], alpha, beta):
-    """Evaluate p with some variables set to quadratic-extension points.
-
-    Rational values in assign are promoted to the extension automatically.
-    """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    full = {}
-    for k, v in assign.items():
-        if isinstance(v, QuadExtPoint):
-            full[k] = v
-        else:
-            full[k] = QuadExtPoint(v, 0, alpha, beta)
-    acc = QuadExtPoint(0, 0, alpha, beta)
-    for e, c in p.terms.items():
-        term = QuadExtPoint(c, 0, alpha, beta)
-        for i, kk in enumerate(e):
-            for _ in range(kk):
-                term = term * full[VARS[i]]
-        acc = acc + term
-    return acc

@@ -91,11 +91,25 @@ def _pgcd(a: UPoly, b: UPoly) -> UPoly:
     return a
 
 
-def _peval(a: UPoly, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def upoly_str(p: UPoly, var: str) -> str:
+    """A univariate polynomial in `var`, lowest degree first, e.g. 1/2*s - s^2."""
+    parts = []
+    for k, c in enumerate(p):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mono = var if k == 1 else "%s^%d" % (var, k)
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append("-" + mono)
+            else:
+                parts.append("%s*%s" % (c, mono))
+    if not parts:
+        return "0"
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -281,14 +295,6 @@ class Scalar:
             raise ValueError("scalar %s is not rational" % self)
         return self.num[0] if self.num else Fraction(0)
 
-    def lam_parts(self) -> Tuple[Fraction, Fraction]:
-        """Return (c0, c1) for a scalar of the form c0 + c1*lam."""
-        if self.den != (Fraction(1),) or len(self.num) > 2:
-            raise ValueError("scalar %s is not linear in lam" % self)
-        c0 = self.num[0] if len(self.num) >= 1 else Fraction(0)
-        c1 = self.num[1] if len(self.num) >= 2 else Fraction(0)
-        return c0, c1
-
     def even_part_polys(self) -> Tuple[UPoly, UPoly]:
         """Rewrite a scalar even in lam as a rational function of s = lam**2.
 
@@ -313,40 +319,15 @@ class Scalar:
         new_den = _padd(_pmul(de, de), _pneg(_pmul((Fraction(0),) + do, do)))
         return new_num_even, new_den
 
-    def substitute(self, value):
-        """Evaluate at lam = value (value supports field arithmetic)."""
-        n = _peval(self.num, value)
-        d = _peval(self.den, value)
-        return n / d
-
     # ------------------------------------------------------------------
 
     def __repr__(self):
         return "Scalar(%s)" % self
 
     def __str__(self):
-        def fmt(p: UPoly) -> str:
-            if not p:
-                return "0"
-            parts = []
-            for k, c in enumerate(p):
-                if c == 0:
-                    continue
-                if k == 0:
-                    parts.append(str(c))
-                else:
-                    mono = "lam" if k == 1 else "lam^%d" % k
-                    if c == 1:
-                        parts.append(mono)
-                    elif c == -1:
-                        parts.append("-" + mono)
-                    else:
-                        parts.append("%s*%s" % (c, mono))
-            return " + ".join(parts).replace("+ -", "- ")
-
         if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return "(%s)/(%s)" % (fmt(self.num), fmt(self.den))
+            return upoly_str(self.num, "lam")
+        return "(%s)/(%s)" % (upoly_str(self.num, "lam"), upoly_str(self.den, "lam"))
 
 
 @dataclass(frozen=True)
@@ -361,14 +342,8 @@ class Phase:
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.r + other.r)
 
-    def inverse(self) -> "Phase":
-        return Phase(-self.r)
-
     def __pow__(self, k: int) -> "Phase":
         return Phase(self.r * k)
-
-    def is_one(self) -> bool:
-        return self.r == 0
 
     def is_real(self) -> bool:
         return self.r.denominator == 1

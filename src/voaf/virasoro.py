@@ -73,9 +73,6 @@ class DescendantWord:
     gen: int
     ms: Tuple[int, ...]
 
-    def level(self) -> int:
-        return sum(self.ms)
-
     def __str__(self):
         w = "".join("L(-%d)" % m for m in self.ms)
         return "%sg%d" % (w, self.gen)

@@ -65,6 +65,12 @@ class TestChar:
         assert code == 0 and code5 == 0
         assert len(json.loads(out5)["terms"]) > len(json.loads(out3)["terms"])
 
+    def test_negative_cutoff_exit_2(self, capsys):
+        code, out, err = run(capsys, "char", "--module", "M+", "--cutoff", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFusion:
     def test_verdict_line(self, capsys):
@@ -183,3 +189,28 @@ class TestVerify:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    def test_negative_env_cutoff_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("VOAF_CUTOFF", "-3")
+        code, out, err = run(capsys, "verify", "--suite", "characters")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestCmnTaylorOracle:
+    @pytest.mark.parametrize(
+        "key, delta",
+        [((3, 2), F(1, 1000)), ((0, 0), F(1, 7)), ((5, 4), F(1))],
+        ids=["perturbed-coefficient", "constant-term", "past-total-degree"],
+    )
+    def test_rejects_a_wrong_table(self, monkeypatch, key, delta):
+        good = cli.cmn_table
+
+        def bad(max_total):
+            table = dict(good(max_total))
+            table[key] = table.get(key, F(0)) + delta
+            return table
+
+        monkeypatch.setattr(cli, "cmn_table", bad)
+        assert not cli._cmn_taylor_oracle(8)

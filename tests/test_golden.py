@@ -1,9 +1,9 @@
 """Byte-for-byte replay of committed CLI outputs.
 
 Each file under tests/golden/ is the stdout of one `voaf` command, recorded
-before the exact-arithmetic routines were consolidated.  Any refactor must
-reproduce every byte; a change that alters an output on purpose records the
-new file and says why.
+before the refactor that first had to keep it.  Any refactor must reproduce
+every byte; a change that alters an output on purpose records the new file
+and says why.
 """
 
 from pathlib import Path
@@ -27,11 +27,15 @@ GOLDENS = {
     "char_Mthetaplus.json": ["char", "--module", "Mtheta+", "--cutoff", "20", "--json"],
     "char_Mthetaminus.json": ["char", "--module", "Mtheta-", "--cutoff", "20", "--json"],
     "char_Mtheta.json": ["char", "--module", "Mtheta", "--cutoff", "20", "--json"],
+    "verify_twisted.txt": ["verify", "--suite", "twisted", "--verbose"],
+    "verify_zhu.txt": ["verify", "--suite", "zhu", "--verbose"],
+    "verify_step3.txt": ["verify", "--suite", "step3", "--verbose"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_output(name, capsys):
+def test_golden_output(name, capsys, monkeypatch):
+    monkeypatch.delenv("VOAF_CUTOFF", raising=False)  # sets the zhu cutoff
     code = cli.main(list(GOLDENS[name]))
     out = capsys.readouterr().out
     assert code == 0

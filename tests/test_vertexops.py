@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
 import sympy as sp
 
 from voaf.fock import FockVector, Sector, basis_at_degree
 from voaf.labels import mminus, mtheta_minus, mtheta_plus
+from voaf.scalars import Scalar
 from voaf.vertexops import (
     J_state,
     cmn_table,
@@ -136,8 +136,7 @@ class TestTwistedIntertwiner:
         hv = FockVector.basis(TW, (Fraction(1, 2),))
         low = vertex_op_coeff(a, hv, Fraction(-1, 2))
         assert list(low.terms) == [()]
-        c0, c1 = low.terms[()].lam_parts()
-        assert (c0, c1) == (Fraction(0), Fraction(-1))
+        assert low.terms[()] == -Scalar.lam(Fraction(2))
 
     def test_both_parities_hit(self):
         sec = Sector.untwisted(Fraction(1, 3))

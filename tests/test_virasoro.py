@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from voaf import virasoro
 from voaf.fock import FockVector, Sector, basis_at_degree
 from voaf.labels import mlam, mminus, mtheta_minus, mtheta_plus
 from voaf.virasoro import (

@@ -2,14 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-
 from voaf import virasoro, zhu
 from voaf.cli import relation_element
 from voaf.fock import FockVector, Sector
 from voaf.labels import mminus, mplus, mtheta_plus
 from voaf.multipoly import MultiPoly
-from voaf.vertexops import J_state, omega
+from voaf.vertexops import omega
 from voaf.virasoro import L_word, express_in_descendants
 
 UNT = Sector.untwisted(None)

@@ -205,9 +205,27 @@ def _star_row_polys(label: ModuleLabel) -> Tuple[List[MultiPoly], Tuple[int, ...
     return cols, signs
 
 
+def _lam_parts(c: Scalar) -> Tuple[Fraction, Fraction]:
+    """The rational pair (c0, c1) with c = c0 + c1*lam.
+
+    In a charged sector lam**2 = s is not a rational square, so the pair is
+    unique; in the vacuum sector every coefficient must be rational.
+    """
+    if c.mod is None:
+        return c.as_rat(), Fraction(0)
+    c0, c1 = c.num + (Fraction(0),) * (2 - len(c.num))
+    return c0, c1
+
+
 def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     """Contraction polynomial of the Virasoro singular-vector relation on
-    the top vector, when the top weight is a quarter-square n^2/4."""
+    the top vector, when the top weight is a quarter-square n^2/4.
+
+    At c = 1 and h = n^2/4 the singular vector has rational coefficients,
+    while lam = n/sqrt(2) is irrational, so a rational combination of the
+    word images vanishes exactly when its lam^0 and lam^1 parts do: the
+    kernel is found over Q from those two matrices stacked.
+    """
     sector = label.sector()
     v = label.top_vector()
     wt = sector.weight_offset_rat() + v.max_degree()
@@ -217,26 +235,23 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     level = root.numerator + 1
     words = virasoro.words_at_level(0, level)
     images = [virasoro.L_word(w.ms, v) for w in words]
-    mod = sector.scalar_mod()
-    zero, one = Scalar.zero(mod), Scalar.one(mod)
+    zero = Fraction(0)
+    split = [{p: _lam_parts(c) for p, c in img.terms.items()} for img in images]
     parts = sorted({p for img in images for p in img.terms})
-    rows = [[img.terms.get(p, zero) for img in images] for p in parts]
-    kernel = linalg.nullspace(rows, len(words), zero, one)
+    rows = [
+        [cs.get(p, (zero, zero))[i] for cs in split] for i in (0, 1) for p in parts
+    ]
+    kernel = linalg.nullspace(rows, len(words), zero, Fraction(1))
     if len(kernel) != 1:
         return None
     poly = MultiPoly()
     for w, c in zip(words, kernel[0]):
-        if c.is_zero():
-            continue
-        try:
-            rat = c.as_rat()
-        except (ValueError, ArithmeticError):
-            return None
-        poly = poly + zhu.descendant_to_poly(w.ms, wt) * rat
+        if c:
+            poly = poly + zhu.descendant_to_poly(w.ms, wt) * c
     # the combination must actually annihilate the top vector
     check = FockVector.zero(sector)
-    for w, c in zip(words, kernel[0]):
-        check = check + virasoro.L_word(w.ms, v).scale(c)
+    for img, c in zip(images, kernel[0]):
+        check = check + img.scale(c)
     if not check.is_zero():
         return None
     return poly

@@ -55,13 +55,6 @@ def L_word(ms: Sequence, v: FockVector) -> FockVector:
     return v
 
 
-def is_lowest_weight(v: FockVector, weight: Fraction, nmax: int = 4) -> bool:
-    """Check L(0) v = weight*v and L(n) v = 0 for 1 <= n <= nmax."""
-    if (L(0, v) - v.scale(weight)).terms:
-        return False
-    return all(L(n, v).is_zero() for n in range(1, nmax + 1))
-
-
 # ----------------------------------------------------------------------
 # descendant coordinates
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from voaf import fusion
-from voaf.fock import FORMAL
+from voaf import fusion, linalg, virasoro, zhu
+from voaf.fock import FORMAL, FockVector
 from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
+from voaf.multipoly import MultiPoly
+from voaf.scalars import Scalar, rational_sqrt
 
 F = Fraction
 
@@ -166,3 +168,65 @@ class TestTable:
             assert cert.verdict == fusion.expected_fusion(
                 cert.m, cert.n, cert.l
             ), (cert.m, cert.n, cert.l)
+
+
+def _reference_singular_row_poly(label):
+    """The singular-vector row by elimination over Scalar in Q(sqrt(s)): the
+    route `fusion._singular_row_poly` took before it solved over Q."""
+    sector = label.sector()
+    v = label.top_vector()
+    wt = sector.weight_offset_rat() + v.max_degree()
+    root = rational_sqrt(4 * wt)
+    if root is None or root.denominator != 1:
+        return None
+    words = virasoro.words_at_level(0, root.numerator + 1)
+    images = [virasoro.L_word(w.ms, v) for w in words]
+    mod = sector.scalar_mod()
+    zero, one = Scalar.zero(mod), Scalar.one(mod)
+    parts = sorted({p for img in images for p in img.terms})
+    rows = [[img.terms.get(p, zero) for img in images] for p in parts]
+    kernel = linalg.nullspace(rows, len(words), zero, one)
+    if len(kernel) != 1:
+        return None
+    poly = MultiPoly()
+    for w, c in zip(words, kernel[0]):
+        if not c.is_zero():
+            poly = poly + zhu.descendant_to_poly(w.ms, wt) * c.as_rat()
+    check = FockVector.zero(sector)
+    for img, c in zip(images, kernel[0]):
+        check = check + img.scale(c)
+    assert check.is_zero()
+    return poly
+
+
+class TestSingularRow:
+    """The singular-vector relation solved over Q matches the elimination
+    over Q(sqrt(s)) in the vacuum sector and at the ladder charges n^2/2."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [mplus(), mminus()] + [mlam(F(n * n, 2)) for n in range(1, 7)],
+        ids=str,
+    )
+    def test_matches_quadratic_extension_elimination(self, label):
+        ref = _reference_singular_row_poly(label)
+        assert ref is not None
+        got = fusion._singular_row_poly(label)
+        assert got == ref
+        assert str(got) == str(ref)
+
+    def test_no_row_off_the_ladder(self):
+        for label in (mtheta_plus(), mtheta_minus(), mlam(F(1, 3))):
+            assert fusion._singular_row_poly(label) is None
+
+    def test_irrational_vacuum_entry_raises(self, monkeypatch):
+        real = virasoro.L_word
+
+        def tainted(ms, v):
+            img = real(ms, v)
+            part = next(iter(img.terms))
+            return img + FockVector(img.sector, {part: Scalar.lam(None)})
+
+        monkeypatch.setattr(virasoro, "L_word", tainted)
+        with pytest.raises(ValueError):
+            fusion._singular_row_poly(mminus())

@@ -12,7 +12,6 @@ from voaf.virasoro import (
     L_word,
     NotInSpan,
     express_in_descendants,
-    is_lowest_weight,
     reconstruct,
     singular_vector_image,
     words_at_level,
@@ -57,10 +56,16 @@ class TestVirasoroAction:
         assert L(0, e) == e.scale(Fraction(3, 2))
 
     def test_lowest_weight_tops(self):
-        assert is_lowest_weight(mminus().top_vector(), Fraction(1))
-        assert is_lowest_weight(mtheta_plus().top_vector(), Fraction(1, 16))
-        assert is_lowest_weight(mtheta_minus().top_vector(), Fraction(9, 16))
-        assert is_lowest_weight(mlam(Fraction(2)).top_vector(), Fraction(1))
+        for label, weight in [
+            (mminus(), Fraction(1)),
+            (mtheta_plus(), Fraction(1, 16)),
+            (mtheta_minus(), Fraction(9, 16)),
+            (mlam(Fraction(2)), Fraction(1)),
+        ]:
+            v = label.top_vector()
+            assert L(0, v) == v.scale(weight), label
+            for n in range(1, 5):
+                assert L(n, v).is_zero(), (label, n)
 
 
 class TestDescendants:

@@ -18,7 +18,7 @@ from . import characters, fusion, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import NVARS, MultiPoly
-from .scalars import Scalar, upoly_str
+from .scalars import Scalar, parse_rational, upoly_str
 from .vertexops import J_state, cmn_table, gen_binom, omega, vertex_op_coeff
 
 Check = Tuple[str, bool, str]
@@ -141,11 +141,11 @@ def parse_state(text: str, sector: Sector) -> FockVector:
         while i < len(tokens) and terminal is None:
             kind, val = tokens[i]
             if kind == "rat":
-                coeff = coeff * Scalar.of(Fraction(val), mod)
+                coeff = coeff * Scalar.of(parse_rational(val), mod)
             elif kind == "lam":
                 coeff = coeff * Scalar.lam(mod)
             elif kind == "mode":
-                parts.append(Fraction(val))
+                parts.append(parse_rational(val))
             elif kind == "terminal":
                 terminal = val
             elif kind == "op" and val == "*":
@@ -163,7 +163,7 @@ def parse_state(text: str, sector: Sector) -> FockVector:
         for k in parts:
             if not sector.depth_ok(k):
                 raise ValueError("mode depth %s is not legal in this sector" % k)
-        v = FockVector.basis(sector, tuple(sorted(parts, reverse=True)))
+        v = FockVector.basis(sector, parts)
         total = total + v.scale(coeff)
     return total
 
@@ -497,9 +497,7 @@ def suite_twisted() -> List[Check]:
     lam = Scalar.lam(Fraction(2))
 
     def is_single(vec: FockVector, part, scalar: Scalar) -> bool:
-        return list(vec.terms) == [tuple(Fraction(p) for p in part)] and vec.terms[
-            tuple(Fraction(p) for p in part)
-        ] == scalar
+        return vec == FockVector.basis(vec.sector, part, scalar)
 
     lead0 = vertex_op_coeff(a, tv, Fraction(0))
     checks.append(
@@ -662,7 +660,7 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_fusion_table(args) -> int:
-    squares = [Fraction(s) for s in args.lambda_squares.split(",") if s.strip()]
+    squares = [parse_rational(s) for s in args.lambda_squares.split(",") if s.strip()]
     certs = fusion.full_table(squares)
     if args.format == "json":
         print(fusion.table_to_json(certs))
@@ -694,20 +692,20 @@ def _cmd_reduce(args) -> int:
             )
     offset = sector.weight_offset_rat()
     base_weights = [offset + g.max_degree() for g in gens]
-    order = sorted(coords, key=lambda w: (w.gen, sum(w.ms), w.ms))
-    print("coordinates:")
-    for w in order:
-        name = "".join("L(-%d)" % m for m in w.ms) if w.ms else "1"
-        print("  gen%d %s: %s" % (w.gen, name, coords[w]))
     pairs = zhu.coords_to_polys(coords, base_weights, len(gens))
-    print("contraction polynomials:")
+    lines = ["coordinates:"]
+    for w in sorted(coords, key=lambda w: (w.gen, sum(w.ms), w.ms)):
+        name = "".join("L(-%d)" % m for m in w.ms) if w.ms else "1"
+        lines.append("  gen%d %s: %s" % (w.gen, name, coords[w]))
+    lines.append("contraction polynomials:")
     for i, (num, den) in enumerate(pairs):
         try:
             c = den.constant()
             poly = num * (Fraction(1) / c)
-            print("  gen%d: %s" % (i, poly))
+            lines.append("  gen%d: %s" % (i, poly))
         except ValueError:
-            print("  gen%d: (%s) / (%s)" % (i, num, den))
+            lines.append("  gen%d: (%s) / (%s)" % (i, num, den))
+    print("\n".join(lines))
     return 0
 
 

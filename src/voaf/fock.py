@@ -6,10 +6,14 @@ vector e^lam with h(0)-eigenvalue lam (lam = 0 gives the vacuum module);
 twisted sectors have positive half-odd-integer depths and conformal-weight
 offset 1/16.
 
-A monomial is stored as its depth partition: a tuple of Fractions sorted in
-decreasing order.  Coefficients are Scalars; in a sector with concrete
-lam**2 = s they carry modulus s, in the formal-lam sector they are rational
-functions of lam.
+A monomial is keyed by its doubled depths: the tuple of ints 2*n1 >= ...
+>= 2*nk, even in untwisted sectors and odd in the twisted one.  Doubling is
+monotone, so keys sort as the depth partitions do.  Natural depths (ints or
+Fractions) are converted only where they enter or leave: FockVector(...),
+basis, coefficient, apply_mode's mode index, degrees, printing, and the
+partitions returned by partitions_of and basis_at_degree.  Coefficients are
+Scalars; in a sector with concrete lam**2 = s they carry modulus s, in the
+formal-lam sector they are rational functions of lam.
 """
 
 from __future__ import annotations
@@ -21,7 +25,25 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .scalars import Scalar
 
-Partition = Tuple[Fraction, ...]
+Partition = Tuple[Fraction, ...]  # natural depths, decreasing
+Key = Tuple[int, ...]  # doubled depths, decreasing
+
+
+def double(x) -> int:
+    """2*x as an int, for a natural depth, mode index or degree x."""
+    if type(x) is int:
+        return 2 * x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    k, r = divmod(2 * x.numerator, x.denominator)
+    if r:
+        raise ValueError("%s is not a multiple of 1/2" % x)
+    return k
+
+
+def halve(k: int):
+    """The natural value k/2 of a doubled int: an int when k is even."""
+    return k >> 1 if k & 1 == 0 else Fraction(k, 2)
 
 
 class _Formal:
@@ -58,12 +80,17 @@ class Sector:
             return Scalar.zero(self.scalar_mod())
         return Scalar.lam(self.scalar_mod())
 
-    def depth_ok(self, d: Fraction) -> bool:
-        if d <= 0:
+    def depth_parity(self) -> int:
+        """Parity of every doubled depth and nonzero mode index: 1 in the
+        twisted sector (half-odd depths), 0 in untwisted ones."""
+        return 1 if self.twisted else 0
+
+    def depth_ok(self, d) -> bool:
+        try:
+            k = double(d)
+        except ValueError:
             return False
-        if self.twisted:
-            return d.denominator == 2
-        return d.denominator == 1
+        return k > 0 and k % 2 == self.depth_parity()
 
     def weight_offset_rat(self) -> Fraction:
         """Conformal weight of the top vector (concrete sectors only)."""
@@ -90,21 +117,31 @@ class Sector:
         return "untwisted(lam^2=%s)" % self.s
 
 
-def _sorted_partition(parts: Iterable[Fraction]) -> Partition:
-    return tuple(sorted((Fraction(p) for p in parts), reverse=True))
+def _key(sector: Sector, parts: Iterable) -> Key:
+    """The key of a natural depth partition, checked against the sector."""
+    key = []
+    for d in parts:
+        if not sector.depth_ok(d):
+            raise ValueError("depth %s not allowed in sector %s" % (d, sector))
+        key.append(double(d))
+    return tuple(sorted(key, reverse=True))
 
 
 class FockVector:
+    """A finite combination of monomials: `terms` maps keys (doubled depth
+    tuples, see the module docstring) to nonzero Scalars."""
+
     __slots__ = ("sector", "terms")
 
-    def __init__(self, sector: Sector, terms: Optional[Dict[Partition, Scalar]] = None):
+    def __init__(self, sector: Sector, terms: Optional[Dict[Tuple, object]] = None):
+        """`terms` maps natural depth partitions to coefficients."""
         self.sector = sector
-        self.terms: Dict[Partition, Scalar] = {}
+        self.terms: Dict[Key, Scalar] = {}
         if terms:
             for part, c in terms.items():
                 c = sector.coeff(c)
                 if not c.is_zero():
-                    self.terms[_sorted_partition(part)] = c
+                    self.terms[_key(sector, part)] = c
 
     # ------------------------------------------------------------------
 
@@ -114,11 +151,7 @@ class FockVector:
 
     @staticmethod
     def basis(sector: Sector, parts: Iterable = (), coeff=1) -> "FockVector":
-        parts = _sorted_partition(Fraction(p) for p in parts)
-        for d in parts:
-            if not sector.depth_ok(d):
-                raise ValueError("depth %s not allowed in sector %s" % (d, sector))
-        return FockVector(sector, {parts: sector.coeff(coeff)})
+        return FockVector(sector, {tuple(parts): coeff})
 
     def copy(self) -> "FockVector":
         v = FockVector(self.sector)
@@ -171,21 +204,22 @@ class FockVector:
     # ------------------------------------------------------------------
 
     def max_degree(self) -> Fraction:
-        return max((sum(p, Fraction(0)) for p in self.terms), default=Fraction(0))
+        return Fraction(max((sum(p) for p in self.terms), default=0), 2)
 
     def degrees(self) -> List[Fraction]:
-        return sorted({sum(p, Fraction(0)) for p in self.terms})
+        return [Fraction(k, 2) for k in sorted({sum(p) for p in self.terms})]
 
     def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
+        return len({sum(p) for p in self.terms}) <= 1
 
-    def homogeneous_component(self, deg: Fraction) -> "FockVector":
+    def homogeneous_component(self, deg) -> "FockVector":
+        k = double(deg)
         res = FockVector(self.sector)
-        res.terms = {p: c for p, c in self.terms.items() if sum(p, Fraction(0)) == deg}
+        res.terms = {p: c for p, c in self.terms.items() if sum(p) == k}
         return res
 
     def coefficient(self, parts: Iterable) -> Scalar:
-        key = _sorted_partition(Fraction(p) for p in parts)
+        key = tuple(sorted(map(double, parts), reverse=True))
         return self.terms.get(key, Scalar.zero(self.sector.scalar_mod()))
 
     # ------------------------------------------------------------------
@@ -193,9 +227,9 @@ class FockVector:
     def apply_mode(self, n) -> "FockVector":
         """Apply the Heisenberg mode h(n): n < 0 creates depth -n, n > 0
         annihilates via [h(n), h(-n)] = n, n = 0 multiplies by lam."""
-        n = Fraction(n)
+        k = double(n)
         res = FockVector(self.sector)
-        if n == 0:
+        if k == 0:
             if self.sector.twisted:
                 raise ValueError("h(0) does not exist in the twisted sector")
             lam = self.sector.lam_scalar()
@@ -203,31 +237,27 @@ class FockVector:
                 return res
             res.terms = {p: c * lam for p, c in self.terms.items()}
             return res
-        if not self.sector.depth_ok(abs(n)):
+        if k % 2 != self.sector.depth_parity():
             raise ValueError("mode %s not allowed in sector %s" % (n, self.sector))
-        out: Dict[Partition, Scalar] = {}
-        for part, c in self.terms.items():
-            if n < 0:
-                key = _sorted_partition(part + (-n,))
-                new = c
-            else:
-                mult = part.count(n)
-                if not mult:
-                    continue
-                lst = list(part)
-                lst.remove(n)
-                key = tuple(lst)
-                new = c * (n * mult)
-            v = out.get(key)
-            v = new if v is None else v + new
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+        # Adding or removing one part maps distinct keys to distinct keys, so
+        # no two terms collide.
+        out: Dict[Key, Scalar] = {}
+        if k < 0:
+            for p, c in self.terms.items():
+                if not c.is_zero():
+                    out[tuple(sorted(p + (-k,), reverse=True))] = c
+        else:
+            for p, c in self.terms.items():
+                mult = p.count(k)
+                if mult:
+                    c = c * halve(k * mult)
+                    if not c.is_zero():
+                        i = p.index(k)
+                        out[p[:i] + p[i + 1 :]] = c
         res.terms = out
         return res
 
-    def apply_modes(self, modes: Iterable[Fraction]) -> "FockVector":
+    def apply_modes(self, modes: Iterable) -> "FockVector":
         v = self
         for n in modes:
             if v.is_zero():
@@ -244,12 +274,15 @@ class FockVector:
     def change_sector(self, sector: Sector) -> "FockVector":
         """Reinterpret the same partitions over another sector (used by the
         charge-shift operator of lattice vertex operators)."""
+        par = sector.depth_parity()
+        for p in self.terms:
+            for k in p:
+                if k % 2 != par:
+                    raise ValueError(
+                        "depth %s not allowed in sector %s" % (halve(k), sector)
+                    )
         res = FockVector(sector)
-        for p, c in self.terms.items():
-            for d in p:
-                if not sector.depth_ok(d):
-                    raise ValueError("depth %s not allowed in sector %s" % (d, sector))
-            res.terms[p] = c
+        res.terms = dict(self.terms)
         return res
 
     # ------------------------------------------------------------------
@@ -259,9 +292,9 @@ class FockVector:
             return "0"
         parts = []
         top = "1_tw" if self.sector.twisted else ("|0>" if self.sector.s is None else "e^lam")
-        for p in sorted(self.terms, key=lambda q: (sum(q, Fraction(0)), q)):
+        for p in sorted(self.terms, key=lambda q: (sum(q), q)):
             c = self.terms[p]
-            word = "".join("h(-%s)" % d for d in p)
+            word = "".join("h(-%s)" % halve(k) for k in p)
             parts.append("(%s) %s%s" % (c, word, top))
         return " + ".join(parts)
 
@@ -273,38 +306,40 @@ class FockVector:
 # bases and forms
 
 
-def partitions_of(total: Fraction, sector: Sector, max_part: Optional[Fraction] = None) -> List[Partition]:
+def partition_keys(total: int, sector: Sector) -> List[Key]:
+    """All keys of the sector with doubled degree `total`, largest parts
+    first."""
+    parity = sector.depth_parity()
+
+    def rec(total: int, top: int) -> List[Key]:
+        if total == 0:
+            return [()]
+        out: List[Key] = []
+        d = min(top, total)
+        if d % 2 != parity:
+            d -= 1
+        while d > 0:
+            for rest in rec(total - d, d):
+                out.append((d,) + rest)
+            d -= 2
+        return out
+
+    return rec(total, total) if total >= 0 else []
+
+
+def partitions_of(total, sector: Sector) -> List[Partition]:
     """All depth partitions of the given total allowed in the sector."""
-    total = Fraction(total)
-    if total < 0:
+    try:
+        k = double(total)
+    except ValueError:
         return []
-    if total == 0:
-        return [()]
-    if max_part is None:
-        max_part = total
-    out: List[Partition] = []
-    d = min(max_part, total)
-    step = Fraction(1)
-    # largest allowed depth <= d
-    if sector.twisted:
-        # depths are k/2 with k odd
-        k = math.floor(d * 2)
-        if k % 2 == 0:
-            k -= 1
-        d = Fraction(k, 2)
-    else:
-        d = Fraction(math.floor(d))
-    while d > 0:
-        for rest in partitions_of(total - d, sector, d):
-            out.append((d,) + rest)
-        d -= step
-    return out
+    return [tuple(Fraction(d, 2) for d in p) for p in partition_keys(k, sector)]
 
 
-def basis_at_degree(sector: Sector, degree: Fraction, parity: Optional[int] = None) -> List[Partition]:
+def basis_at_degree(sector: Sector, degree, parity: Optional[int] = None) -> List[Partition]:
     """Partitions of the given degree, optionally filtered by length parity
     (0 for theta-even, 1 for theta-odd)."""
-    parts = partitions_of(Fraction(degree), sector)
+    parts = partitions_of(degree, sector)
     if parity is not None:
         parts = [p for p in parts if len(p) % 2 == parity]
     return sorted(parts)
@@ -320,8 +355,8 @@ def contravariant_form(v: FockVector, w: FockVector) -> Scalar:
         if d is None:
             continue
         norm = Fraction(1)
-        for depth in set(part):
-            p = part.count(depth)
-            norm *= depth**p * math.factorial(p)
+        for k in set(part):
+            p = part.count(k)
+            norm *= Fraction(k, 2) ** p * math.factorial(p)
         acc = acc + c * d * norm
     return acc

@@ -17,6 +17,7 @@ from typing import List, Optional, Union
 
 from .fock import FORMAL, FockVector, Partition, Sector, basis_at_degree
 from .multipoly import MultiPoly
+from .scalars import parse_rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 
@@ -49,7 +50,7 @@ class ModuleLabel:
             return ModuleLabel(text)
         m = re.fullmatch(r"M\(\s*s\s*=\s*(-?\d+(?:/\d+)?)\s*\)", text)
         if m:
-            return ModuleLabel("Mlam", Fraction(m.group(1)))
+            return ModuleLabel("Mlam", parse_rational(m.group(1)))
         raise ValueError("cannot parse module label %r" % text)
 
     def __str__(self):

@@ -22,11 +22,17 @@ from typing import Optional, Tuple, Union
 Rat = Fraction
 UPoly = Tuple[Fraction, ...]
 
+_ONE: UPoly = (Fraction(1),)
+
 RatLike = Union[int, Fraction]
 
 
 # ----------------------------------------------------------------------
 # univariate polynomial helpers
+
+
+def _rat(c) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def _pnorm(cs) -> UPoly:
@@ -112,6 +118,14 @@ def upoly_str(p: UPoly, var: str) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), reporting a zero denominator as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """The nonnegative rational square root of x, or None when x is negative
     or not the square of a rational."""
@@ -132,9 +146,9 @@ class Scalar:
 
     __slots__ = ("num", "den", "mod")
 
-    def __init__(self, num, den=(Fraction(1),), mod: Optional[Fraction] = None):
-        num = _pnorm(Fraction(c) for c in num)
-        den = _pnorm(Fraction(c) for c in den)
+    def __init__(self, num, den=_ONE, mod: Optional[Fraction] = None):
+        num = _pnorm(_rat(c) for c in num)
+        den = _pnorm(_rat(c) for c in den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if mod is not None:
@@ -150,17 +164,19 @@ class Scalar:
                     raise ZeroDivisionError(
                         "denominator is a zero divisor modulo lam^2 - %s" % mod
                     )
-            num = _pscale(num, 1 / den[0])
-            den = (Fraction(1),)
-        else:
+        elif len(den) > 1:
             g = _pgcd(num, den)
-            if g and g != (Fraction(1),):
+            if g and g != _ONE:
                 num = _pdivmod(num, g)[0]
                 den = _pdivmod(den, g)[0]
-            if den and den[-1] != 1:
+            if den[-1] != 1:
                 lead = den[-1]
                 num = _pscale(num, 1 / lead)
                 den = _pscale(den, 1 / lead)
+        # a constant denominator divides out to lowest terms with no gcd
+        if len(den) == 1 and den[0] != 1:
+            num = _pscale(num, 1 / den[0])
+            den = _ONE
         self.num = num
         self.den = den
         self.mod = mod
@@ -288,7 +304,7 @@ class Scalar:
     # ------------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and self.den == _ONE
 
     def as_rat(self) -> Fraction:
         if not self.is_rational():
@@ -325,7 +341,7 @@ class Scalar:
         return "Scalar(%s)" % self
 
     def __str__(self):
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return upoly_str(self.num, "lam")
         return "(%s)/(%s)" % (upoly_str(self.num, "lam"), upoly_str(self.den, "lam"))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .fock import FockVector, Sector, partitions_of
+from .fock import FockVector, Key, Sector, double, halve, partition_keys
 from .scalars import Scalar
 
 
@@ -75,29 +75,29 @@ def cmn_table(max_total: int = 12) -> Dict[Tuple[int, int], Fraction]:
     return {e: c for e, c in acc.items() if c}
 
 
-def delta_apply(a: FockVector, max_total: int = 12) -> Dict[Fraction, FockVector]:
+def delta_apply(a: FockVector, max_total: int = 12) -> Dict[int, FockVector]:
     """e^{Delta_z} a as a dict {j: component with z^{-j} attached}."""
     table = cmn_table(max_total)
 
-    def delta_once(comp: FockVector) -> Dict[Fraction, FockVector]:
-        out: Dict[Fraction, FockVector] = {}
+    def delta_once(comp: FockVector) -> Dict[int, FockVector]:
+        out: Dict[int, FockVector] = {}
         deg = comp.max_degree()
         for (m, n), c in table.items():
             if m + n == 0 or m + n > deg:
                 continue
             w = comp.apply_mode(n).apply_mode(m).scale(c)
             if not w.is_zero():
-                j = Fraction(m + n)
+                j = m + n
                 out[j] = out.get(j, FockVector.zero(comp.sector)) + w
         return out
 
     # e^Delta a = sum_k Delta^k a / k!, with frontier_k = Delta^k a / k!
-    result: Dict[Fraction, FockVector] = {Fraction(0): a}
-    frontier: Dict[Fraction, FockVector] = {Fraction(0): a}
+    result: Dict[int, FockVector] = {0: a}
+    frontier: Dict[int, FockVector] = {0: a}
     k = 0
     while frontier:
         k += 1
-        new: Dict[Fraction, FockVector] = {}
+        new: Dict[int, FockVector] = {}
         for j0, comp in frontier.items():
             for j1, w in delta_once(comp).items():
                 j = j0 + j1
@@ -113,94 +113,86 @@ def delta_apply(a: FockVector, max_total: int = 12) -> Dict[Fraction, FockVector
 
 # ----------------------------------------------------------------------
 # core coefficient extraction
+#
+# Degrees, depths and mode indices below are doubled ints, as in the keys
+# of FockVector.terms: an int x stands for x/2.
 
 
-def _mode_values(sector: Sector, lo: Fraction, hi: Fraction, allow_zero: bool) -> List[Fraction]:
-    """Legal mode indices of the sector in [lo, hi]."""
-    out = []
-    if sector.twisted:
-        k = Fraction(1, 2) + math.ceil(lo - Fraction(1, 2))
-        while k <= hi:
-            out.append(k)
-            k += 1
-    else:
-        k = Fraction(math.ceil(lo))
-        while k <= hi:
-            if k != 0 or allow_zero:
-                out.append(k)
-            k += 1
-    return out
+def _mode_values(sector: Sector, lo: int, hi: int, allow_zero: bool) -> List[int]:
+    """Legal doubled mode indices of the sector in [lo, hi]."""
+    k = lo if lo % 2 == sector.depth_parity() else lo + 1
+    return [m for m in range(k, hi + 1, 2) if m != 0 or allow_zero]
 
 
 def _product_coeff_term(
-    ns: Tuple[Fraction, ...],
+    ns: Key,
     lam_a: Scalar,
-    part: Tuple[Fraction, ...],
+    part: Key,
     cu: Scalar,
-    E: Fraction,
+    E: int,
     sector_u: Sector,
     out_sector: Sector,
 ) -> FockVector:
-    """Coefficient of z^E (relative to the charge/prefactor power) of the
+    """Coefficient of z^{E/2} (relative to the charge/prefactor power) of the
     normal-ordered product of the derivative fields for depths ns and the
     exponential pair E(lam_a, z), applied to the monomial (part, cu)."""
     out = FockVector.zero(out_sector)
-    du = sum(part, Fraction(0))
-    N = sum(ns, Fraction(0))
+    du = sum(part)
+    N = sum(ns)
     k = len(ns)
     deg_out = du + E + N
     if deg_out < 0:
         return out
+    if cu.is_zero():  # a zero divisor when lam^2 is a rational square
+        return out
     lam_zero = lam_a.is_zero()
-    base = FockVector(sector_u, {part: cu})
+    base = FockVector(sector_u)
+    base.terms = {part: cu}
     # annihilation totals for the negative exponential (any lattice value)
-    step = Fraction(1, 2) if sector_u.twisted else Fraction(1)
-    sA_values = [Fraction(0)]
-    if not lam_zero:
-        t = step
-        while t <= du:
-            sA_values.append(t)
-            t += step
+    step = 1 if sector_u.twisted else 2
+    sA_values = [0] if lam_zero else range(0, du + 1, step)
     for sA in sA_values:
-        for A in partitions_of(sA, sector_u):
-            vA = base.apply_modes(sorted(A, reverse=True))
+        for A in partition_keys(sA, sector_u):
+            vA = base.apply_modes([halve(d) for d in A])
             if vA.is_zero():
                 continue
             coefA = _exp_coeff(A, lam_a, negative=True)
             dA = du - sA
             # mode tuples for the k derivative-field factors
             for ms in _mode_tuples(sector_u, k, dA, deg_out, lam_zero, E + sA + N):
-                sB = E + sA + sum(ms, Fraction(0)) + N
+                sB = E + sA + sum(ms) + N
                 if sB < 0 or (lam_zero and sB != 0):
                     continue
                 vM = vA
                 for m in sorted(ms, reverse=True):
-                    vM = vM.apply_mode(m)
+                    vM = vM.apply_mode(halve(m))
                     if vM.is_zero():
                         break
                 if vM.is_zero():
                     continue
                 coefM = Fraction(1)
                 for m, n in zip(ms, ns):
-                    coefM *= (-1) ** (int(n) - 1) * gen_binom(m + n - 1, int(n) - 1)
+                    j = n // 2 - 1  # the natural depth n/2, less one
+                    coefM *= (-1) ** j * gen_binom(Fraction(m + n - 2, 2), j)
                 if coefM == 0:
                     continue
-                for B in partitions_of(sB, out_sector):
+                if vM.sector != out_sector:
+                    vM = vM.change_sector(out_sector)
+                for B in partition_keys(sB, out_sector):
                     coefB = _exp_coeff(B, lam_a, negative=False)
-                    w = vM if vM.sector == out_sector else vM.change_sector(out_sector)
-                    w = w.apply_modes([-b for b in B])
+                    w = vM.apply_modes([-halve(b) for b in B])
                     w = w.scale(coefA * coefM * coefB)
                     out = out + w
     return out
 
 
-def _exp_coeff(parts: Tuple[Fraction, ...], lam_a: Scalar, negative: bool) -> Scalar:
+def _exp_coeff(parts: Key, lam_a: Scalar, negative: bool) -> Scalar:
     """Multinomial coefficient of a creation/annihilation multiset in
     exp(+-sum lam h(-+n)/n z^{+-n})."""
     acc = Scalar.one(lam_a.mod)
     for d in set(parts):
         p = parts.count(d)
-        c = (lam_a / d) ** p
+        c = (lam_a / Fraction(d, 2)) ** p
         if negative and p % 2 == 1:
             c = -c
         acc = acc * c * Fraction(1, math.factorial(p))
@@ -210,11 +202,11 @@ def _exp_coeff(parts: Tuple[Fraction, ...], lam_a: Scalar, negative: bool) -> Sc
 def _mode_tuples(
     sector: Sector,
     k: int,
-    dA: Fraction,
-    deg_out: Fraction,
+    dA: int,
+    deg_out: int,
     fixed_sum: bool,
-    target: Fraction,
-) -> Iterable[Tuple[Fraction, ...]]:
+    target: int,
+) -> Iterable[Tuple[int, ...]]:
     """Tuples (m_1..m_k) of legal mode indices: annihilation total bounded by
     dA, each creation depth bounded by deg_out.  If fixed_sum, the total must
     equal -target; otherwise the total must be >= -target (so that the
@@ -222,7 +214,7 @@ def _mode_tuples(
     allow_zero = not sector.twisted
     values = _mode_values(sector, -deg_out, dA, allow_zero)
 
-    def rec(i: int, pos_used: Fraction, total: Fraction):
+    def rec(i: int, pos_used: int, total: int):
         if i == k:
             if fixed_sum and total != -target:
                 return
@@ -243,7 +235,7 @@ def _mode_tuples(
             for rest in rec(i + 1, pos_used + (m if m > 0 else 0), t):
                 yield (m,) + rest
 
-    return rec(0, Fraction(0), Fraction(0))
+    return rec(0, 0, 0)
 
 
 def vertex_op_coeff(
@@ -254,10 +246,11 @@ def vertex_op_coeff(
 ) -> FockVector:
     """Coefficient of z^{base + offset} of the (inter)twining operator for a
     acting on u.  The base power is <lam_a, lam_u> for untwisted u and
-    -lam_a^2/2 for twisted u; both are tracked implicitly.
+    -lam_a^2/2 for twisted u; both are tracked implicitly.  The offset is a
+    multiple of 1/2.
 
     For twisted u the correction e^{Delta_z} is applied to a first."""
-    offset = Fraction(offset)
+    offset = double(offset)
     if u.sector.twisted:
         out_sector = Sector.twisted_sector()
         pieces = delta_apply(a)
@@ -267,11 +260,11 @@ def vertex_op_coeff(
                 out_sector = u.sector
             else:
                 raise ValueError("charged operator on untwisted module needs an explicit output sector")
-        pieces = {Fraction(0): a}
+        pieces = {0: a}
     lam_a = a.sector.lam_scalar()
     acc = FockVector.zero(out_sector)
     for j, comp in pieces.items():
-        E = offset + j
+        E = offset + 2 * j
         for part, ca in comp.terms.items():
             for upart, cu in u.terms.items():
                 contrib = _product_coeff_term(
@@ -286,7 +279,6 @@ def mode(a: FockVector, n, u: FockVector) -> FockVector:
     sector): the coefficient of z^{-n-1}."""
     if not a.sector.lam_scalar().is_zero() or a.sector.twisted:
         raise ValueError("mode() requires a in the vacuum charge sector")
-    n = Fraction(n)
     return vertex_op_coeff(a, u, -n - 1)
 
 

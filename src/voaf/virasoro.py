@@ -12,36 +12,33 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fock import FockVector
+from .fock import FockVector, halve
 from .scalars import Scalar
 
 
 def L(n, v: FockVector) -> FockVector:
     """Apply L(n) to v."""
-    n = Fraction(n)
+    if type(n) is not int:
+        n = Fraction(n)
+        if n.denominator != 1:
+            raise ValueError("L(n) needs an integer n, got %s" % n)
+        n = n.numerator
     sector = v.sector
     if v.is_zero():
         return v
     out = FockVector.zero(sector)
-    maxdeg = v.max_degree()
-    # off-diagonal pairs (n-k, k) with k > n/2; h(k) first keeps the product
-    # normal ordered.  Positive k beyond the deepest term annihilates v.
-    step = Fraction(1)
-    if sector.twisted:
-        k = Fraction(1, 2) + (n - Fraction(1)) // 2  # largest half-odd <= n/2
-        while k <= n / 2:
-            k += step
-    else:
-        k = n // 2
-        while k <= n / 2:
-            k += step
+    # k is a doubled mode index and maxdeg a doubled degree.  Off-diagonal
+    # pairs (n-k/2, k/2) with k/2 > n/2; h(k/2) first keeps the product
+    # normal ordered.  Positive k/2 beyond the deepest term annihilates v.
+    maxdeg = max(sum(p) for p in v.terms)
+    par = sector.depth_parity()
+    k = n + 1 if (n + 1) % 2 == par else n + 2
     while k <= maxdeg or k <= 0:
-        out = out + v.apply_mode(k).apply_mode(n - k)
-        k += step
-    # diagonal term k = n/2 when that is a legal mode index
-    half = n / 2
-    legal = (half.denominator == 2) if sector.twisted else (half.denominator == 1 and not (half == 0 and sector.s is None))
-    if legal:
+        out = out + v.apply_mode(halve(k)).apply_mode(halve(2 * n - k))
+        k += 2
+    # diagonal term k = n when n/2 is a legal mode index
+    if n % 2 == par and not (n == 0 and sector.s is None):
+        half = halve(n)
         out = out + v.apply_mode(half).apply_mode(half).scale(Fraction(1, 2))
     if sector.twisted and n == 0:
         out = out + v.scale(Fraction(1, 16))
@@ -50,7 +47,7 @@ def L(n, v: FockVector) -> FockVector:
 
 def L_word(ms: Sequence, v: FockVector) -> FockVector:
     """Apply L(-m_1) L(-m_2) ... L(-m_k) to v (leftmost applied last)."""
-    for m in reversed([Fraction(m) for m in ms]):
+    for m in reversed(ms):
         v = L(-m, v)
     return v
 

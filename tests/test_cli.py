@@ -108,6 +108,18 @@ class TestFusion:
         code, _, _ = run(capsys, "fusion", "--m", "M+")
         assert code == 2
 
+    def test_zero_denominator_exit_2(self, capsys):
+        for argv in (
+            ["fusion", "--m", "M(s=1/0)", "--n", "M+", "--l", "M+"],
+            ["fusion-table", "--lambda-squares", "1/0"],
+            ["reduce", "--module", "M+", "--expr", "h(-1/0)|0>"],
+            ["reduce", "--module", "M+", "--expr", "1/0 h(-1)h(-1)|0>"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFusionTable:
     def test_csv_deterministic(self, capsys):
@@ -150,6 +162,14 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--module", "M+",
                            "--expr", "h(-1)h(")
         assert code == 2
+
+    def test_failure_prints_no_partial_output(self, capsys):
+        # the coordinates exist, but one is irrational in lam
+        code, out, err = run(capsys, "reduce", "--module", "M(s=2)",
+                             "--expr", "h(-2)e^lam")
+        assert code == 2
+        assert out == ""
+        assert err == "error: non-rational descendant coordinate 2/3*lam\n"
 
 
 class TestParseState:

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from voaf import linalg
 from voaf.multipoly import MultiPoly
-from voaf.scalars import Phase, Scalar, rational_sqrt
+from voaf.scalars import (
+    Phase,
+    Scalar,
+    _pdivmod,
+    _pgcd,
+    _pnorm,
+    _pscale,
+    rational_sqrt,
+    upoly_str,
+)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -19,6 +28,20 @@ def _scalar(mod=None):
     return st.tuples(rationals, rationals).map(
         lambda ab: Scalar.of(ab[0], mod) + Scalar.lam(mod) * Scalar.of(ab[1], mod)
     )
+
+
+def _gcd_route(num, den):
+    """The canonical form of num/den over Q(lam) by the polynomial gcd."""
+    num, den = _pnorm(num), _pnorm(den)
+    g = _pgcd(num, den)
+    if g and g != (Fraction(1),):
+        num = _pdivmod(num, g)[0]
+        den = _pdivmod(den, g)[0]
+    if den[-1] != 1:
+        lead = den[-1]
+        num = _pscale(num, 1 / lead)
+        den = _pscale(den, 1 / lead)
+    return num, den
 
 
 class TestScalar:
@@ -63,6 +86,19 @@ class TestScalar:
     def test_even_part_rejects_odd(self):
         with pytest.raises(ValueError):
             Scalar.lam(None).even_part_polys()
+
+    @given(st.lists(rationals, max_size=5), rationals.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_constant_denominator_matches_gcd_route(self, num, d):
+        # a Q(lam) numerator over a constant denominator skips the gcd
+        sc = Scalar(num, (d,))
+        ref_num, ref_den = _gcd_route(tuple(num), (d,))
+        assert sc.num == ref_num and sc.den == ref_den
+        assert all(type(c) is Fraction for c in sc.num + sc.den)
+        ref = upoly_str(ref_num, "lam")
+        if ref_den != (Fraction(1),):
+            ref = "(%s)/(%s)" % (ref, upoly_str(ref_den, "lam"))
+        assert str(sc) == ref
 
     def test_phase_group(self):
         p = Phase(Fraction(1, 16))

@@ -14,6 +14,8 @@ from voaf.fock import (
     contravariant_form,
     partitions_of,
 )
+from voaf.vertexops import delta_apply, omega, vertex_op_coeff
+from voaf.virasoro import L
 
 UNT = Sector.untwisted(None)
 TW = Sector.twisted_sector()
@@ -148,3 +150,95 @@ class TestContravariantForm:
         lhs = contravariant_form(u.apply_mode(m), v)
         rhs = contravariant_form(u, v.apply_mode(-m))
         assert lhs == rhs
+
+
+def _assert_int_keys(v: FockVector):
+    """Every key is a decreasing tuple of doubled depths: positive ints, even
+    in untwisted sectors and odd in the twisted one."""
+    par = 1 if v.sector.twisted else 0
+    for key in v.terms:
+        assert type(key) is tuple
+        assert all(type(k) is int and k > 0 and k % 2 == par for k in key), key
+        assert list(key) == sorted(key, reverse=True)
+
+
+class TestIntKeys:
+    SECTORS = [UNT, Sector.untwisted(Fraction(2)), TW, Sector.untwisted(FORMAL)]
+
+    @staticmethod
+    def _sample(sector):
+        """h(-1)h(-2)top + h(-3)top, shifted to half-odd depths when twisted."""
+        half = Fraction(1, 2) if sector.twisted else 0
+        top = FockVector.basis(sector)
+        return top.apply_mode(-2 + half).apply_mode(-1 + half) + top.apply_mode(-3 + half)
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_apply_mode_and_L(self, sector):
+        v = self._sample(sector)
+        assert not v.is_zero()
+        modes = [Fraction(k, 2) for k in range(-7, 8, 2)] if sector.twisted else range(-3, 4)
+        for m in modes:
+            _assert_int_keys(v.apply_mode(m))
+        for n in range(-3, 4):
+            _assert_int_keys(L(n, v))
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_vertex_op_coeff(self, sector):
+        v = self._sample(sector)
+        for offset in (-3, -2, -1, 0):
+            if sector.twisted:
+                offset += Fraction(1, 2)
+            _assert_int_keys(vertex_op_coeff(omega(), v, offset))
+        w = vertex_op_coeff(omega(), v, -2)  # o(omega) = L(0)
+        assert w == L(0, v)
+
+    def test_delta_apply(self):
+        a = FockVector.basis(UNT, (2, 1)) + omega()
+        comps = delta_apply(a)
+        assert all(type(j) is int for j in comps)
+        for w in comps.values():
+            _assert_int_keys(w)
+
+    def test_natural_depths_at_the_boundary(self):
+        v = FockVector.basis(TW, (Fraction(1, 2), Fraction(5, 2)), 3)
+        assert list(v.terms) == [(5, 1)]
+        assert v.coefficient([Fraction(5, 2), Fraction(1, 2)]) == 3
+        assert str(v) == "(3) h(-5/2)h(-1/2)1_tw"
+        assert v.max_degree() == 3 and v.degrees() == [3]
+        u = FockVector(UNT, {(1, 3): 2})
+        assert list(u.terms) == [(6, 2)]
+        assert str(u) == "(2) h(-3)h(-1)|0>"
+        with pytest.raises(ValueError):
+            FockVector(UNT, {(Fraction(1, 2),): 1})
+        with pytest.raises(ValueError):
+            FockVector.basis(TW, (1,))
+
+
+_odd_depths = st.lists(st.sampled_from([1, 3, 5, 7]), max_size=4)  # doubled
+_half_odd_modes = st.sampled_from([Fraction(k, 2) for k in range(-7, 8, 2)])
+
+
+@given(_odd_depths, _half_odd_modes, _half_odd_modes)
+@settings(max_examples=60, deadline=None)
+def test_twisted_heisenberg_commutator_property(parts, m, n):
+    # [h(m), h(n)] = m delta_{m+n,0} on a random twisted monomial
+    w = FockVector.basis(TW, [Fraction(k, 2) for k in parts])
+    lhs = w.apply_mode(n).apply_mode(m) - w.apply_mode(m).apply_mode(n)
+    rhs = w.scale(m) if m + n == 0 else FockVector.zero(TW)
+    assert lhs == rhs
+
+
+@given(
+    _odd_depths,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_twisted_virasoro_commutator_property(parts, m, n):
+    # [L(m), L(n)] = (m - n) L(m + n) + (m^3 - m)/12 delta_{m+n,0}, c = 1
+    w = FockVector.basis(TW, [Fraction(k, 2) for k in parts])
+    lhs = L(m, L(n, w)) - L(n, L(m, w))
+    rhs = L(m + n, w).scale(Fraction(m - n))
+    if m + n == 0:
+        rhs = rhs + w.scale(Fraction(m**3 - m, 12))
+    assert lhs == rhs

@@ -30,12 +30,23 @@ GOLDENS = {
     "verify_twisted.txt": ["verify", "--suite", "twisted", "--verbose"],
     "verify_zhu.txt": ["verify", "--suite", "zhu", "--verbose"],
     "verify_step3.txt": ["verify", "--suite", "step3", "--verbose"],
+    "verify_virasoro.txt": ["verify", "--suite", "virasoro", "--verbose"],
+    "verify_characters.txt": ["verify", "--suite", "characters", "--verbose"],
+    "verify_fusion.txt": ["verify", "--suite", "fusion", "--verbose"],
+    # parse_state and the depth conversion in all four sector kinds
+    "reduce_Mplus.txt": ["reduce", "--module", "M+", "--expr", "h(-1)h(-1)|0>"],
+    "reduce_Mminus.txt": ["reduce", "--module", "M-", "--expr", "h(-1)h(-1)h(-1)|0>"],
+    "reduce_Ms2.txt": [
+        "reduce", "--module", "M(s=2)", "--expr", "h(-1)h(-1)e^lam + lam*h(-2)e^lam"
+    ],
+    "reduce_Mthetaplus.txt": ["reduce", "--module", "Mtheta+", "--expr", "h(-3/2)h(-1/2)1theta"],
+    "reduce_Mthetaminus.txt": ["reduce", "--module", "Mtheta-", "--expr", "h(-5/2)1theta"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden_output(name, capsys, monkeypatch):
-    monkeypatch.delenv("VOAF_CUTOFF", raising=False)  # sets the zhu cutoff
+    monkeypatch.delenv("VOAF_CUTOFF", raising=False)  # sets the zhu and characters cutoffs
     code = cli.main(list(GOLDENS[name]))
     out = capsys.readouterr().out
     assert code == 0

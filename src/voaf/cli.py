@@ -125,6 +125,8 @@ def parse_state(text: str, sector: Sector) -> FockVector:
         else:
             tokens.append(("rat", tok))
         pos = m.end()
+    if not tokens:
+        raise ValueError("empty state expression (the grammar needs at least one term)")
     mod = sector.scalar_mod()
     want = "1theta" if sector.twisted else ("|0>" if sector.s is None else "e^lam")
     total = FockVector.zero(sector)

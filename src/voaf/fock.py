@@ -190,7 +190,11 @@ class FockVector:
         c = self.sector.coeff(c)
         res = FockVector(self.sector)
         if not c.is_zero():
-            res.terms = {p: v * c for p, v in self.terms.items()}
+            # Q(sqrt(s)) has zero divisors when s is a rational square
+            for p, v in self.terms.items():
+                w = v * c
+                if not w.is_zero():
+                    res.terms[p] = w
         return res
 
     def is_zero(self) -> bool:

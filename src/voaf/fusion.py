@@ -363,11 +363,7 @@ def _evaluate_system(
         else:
             point = {"x": aL, "y": aN, "z": bL}
             signs = (1,) * len(row.polys)
-        vals = [
-            Fraction(p.evaluate(point)) * sign if not p.is_zero() else Fraction(0)
-            for p, sign in zip(row.polys, signs)
-        ]
-        matrix.append(vals)
+        matrix.append([p.evaluate(point) * sign for p, sign in zip(row.polys, signs)])
         names.append(row.name)
     return matrix, names
 

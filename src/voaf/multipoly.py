@@ -7,8 +7,9 @@ that do not mention a variable simply have exponent 0 in its slot.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
 NVARS = len(VARS)
@@ -137,37 +138,53 @@ class MultiPoly:
 
     # ------------------------------------------------------------------
 
-    def variables(self) -> List[str]:
-        used = [False] * NVARS
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
-        return [VARS[i] for i in range(NVARS) if used[i]]
-
     def constant(self) -> Fraction:
         if self.terms and any(any(e) for e in self.terms):
             raise ValueError("polynomial %s is not constant" % self)
         return self.terms.get(_ZERO_EXPO, Fraction(0))
 
     def evaluate(self, assign: Dict[str, object]):
-        """Evaluate with values supporting ring arithmetic (Fraction, Scalar, ...).
+        """Evaluate exactly, on integers where the point is rational.
 
-        Every variable occurring in the polynomial must be assigned.
+        With D the common denominator of the coefficients and v = n/m the
+        value of a variable of degree d, the term c * v^k becomes the integer
+        (c*D) * n^k * m^(d-k); the sum over all terms is divided by
+        D * prod(m^d) once.  A value that is not an int or a Fraction (a
+        Scalar in Q(sqrt(s)) or Q(lam)) enters the same loop as n = v, m = 1.
+        Every variable occurring in the polynomial must be assigned; other
+        assigned variables are ignored.  The result is a Fraction unless a
+        non-rational value occurs with positive degree.
         """
-        missing = [v for v in self.variables() if v not in assign]
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        degs = list(map(max, zip(*terms)))
+        missing = [VARS[i] for i, d in enumerate(degs) if d and VARS[i] not in assign]
         if missing:
             raise ValueError("unassigned variables %s" % missing)
-        acc = None
-        for e, c in sorted(self.terms.items()):
-            term = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * assign[VARS[i]]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0)
-        return acc
+        coeff_den = math.lcm(*[c.denominator for c in terms.values()])
+        den = coeff_den
+        tables = []
+        for i, d in enumerate(degs):
+            if not d:
+                continue
+            v = assign[VARS[i]]
+            n, m = (v.numerator, v.denominator) if isinstance(v, (int, Fraction)) else (v, 1)
+            n_pows, m_pows = [1], [1]
+            for _ in range(d):
+                n_pows.append(n_pows[-1] * n)
+                m_pows.append(m_pows[-1] * m)
+            tables.append((i, [n_pows[k] * m_pows[d - k] for k in range(d + 1)]))
+            den *= m_pows[d]
+        acc = 0
+        for e, c in terms.items():
+            term = c.numerator * (coeff_den // c.denominator)
+            for i, table in tables:
+                term = term * table[e[i]]
+            acc = acc + term
+        if type(acc) is int:
+            return Fraction(acc, den)
+        return acc * Fraction(1, den)
 
     def subs(self, assign: Dict[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials (or constants) for variables."""

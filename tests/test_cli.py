@@ -171,6 +171,19 @@ class TestReduce:
         assert out == ""
         assert err == "error: non-rational descendant coordinate 2/3*lam\n"
 
+    @pytest.mark.parametrize("expr", ["", " "])
+    def test_empty_expression_exit_2(self, capsys, expr):
+        code, out, err = run(capsys, "reduce", "--module", "M+", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cancelling_sum_is_valid(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--module", "M+",
+                           "--expr", "h(-1)h(-1)|0> - h(-1)h(-1)|0>")
+        assert code == 0
+        assert "gen0: 0" in out
+
 
 class TestParseState:
     def test_descendant(self):

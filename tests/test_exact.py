@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voaf import linalg
-from voaf.multipoly import MultiPoly
+from voaf.fock import FORMAL, Sector
+from voaf.multipoly import VARS, MultiPoly
 from voaf.scalars import (
     Phase,
     Scalar,
@@ -22,6 +23,35 @@ from voaf.scalars import (
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
+
+
+# zero, negative, integer and large-denominator values
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    rationals,
+    st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**25)),
+)
+
+
+def _multipoly(nvars, max_degree, coeffs=wide_rationals):
+    expo = st.tuples(*[st.integers(0, max_degree)] * nvars).map(
+        lambda e: e + (0,) * (len(VARS) - nvars)
+    )
+    return st.dictionaries(expo, coeffs, max_size=8).map(MultiPoly)
+
+
+def _evaluate_reference(p: MultiPoly, assign):
+    """MultiPoly.evaluate as a term-by-term loop: each power of each value
+    is rebuilt by repeated multiplication."""
+    acc = None
+    for e, c in sorted(p.terms.items()):
+        term = c
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * assign[VARS[i]]
+        acc = term if acc is None else acc + term
+    return Fraction(0) if acc is None else acc
 
 
 def _scalar(mod=None):
@@ -162,6 +192,44 @@ class TestMultiPoly:
         assert (x * y - beta).evaluate({"x": w, "y": cow}) == 0
         assert (x + y - alpha).evaluate({"x": cow, "y": w}) == 0
         assert (x - y).evaluate({"x": w, "y": cow}) == lam
+
+    @given(
+        _multipoly(len(VARS), 4),
+        st.fixed_dictionaries({v: wide_rationals for v in VARS}),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_matches_reference(self, p, point):
+        got = p.evaluate(point)
+        assert type(got) is Fraction
+        assert got == _evaluate_reference(p, point)
+
+    @pytest.mark.parametrize(
+        "sector", [Sector.untwisted(Fraction(2)), Sector.untwisted(FORMAL)], ids=str
+    )
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_evaluate_scalar_point_matches_reference(self, sector, data):
+        """x is a Scalar in Q(sqrt(2)) or in Q(lam); y stays rational."""
+        mod = sector.scalar_mod()
+        p = data.draw(_multipoly(2, 3, rationals))
+        xv = data.draw(_scalar(mod))
+        if mod is None:
+            xv = xv / (Scalar.lam() + data.draw(rationals))
+        point = {"x": xv, "y": data.draw(wide_rationals)}
+        assert p.evaluate(point) == _evaluate_reference(p, point)
+
+    def test_evaluate_zero_polynomial(self):
+        got = MultiPoly().evaluate({})
+        assert type(got) is Fraction and got == 0
+
+    def test_evaluate_unassigned_variable_raises(self):
+        p = MultiPoly.var("x") + MultiPoly.var("z")
+        with pytest.raises(ValueError, match="unassigned"):
+            p.evaluate({"x": Fraction(1)})
+
+    def test_evaluate_ignores_extra_variables(self):
+        p = MultiPoly.var("x") * 2 + 1
+        assert p.evaluate({"x": Fraction(1, 2), "u": object()}) == 2
 
 
 class TestLinalg:

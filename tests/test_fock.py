@@ -115,6 +115,25 @@ class TestTheta:
         assert u.theta() == u.scale(Fraction(-1))
 
 
+class TestScale:
+    @pytest.mark.parametrize("root", [2, 3])
+    def test_zero_divisor_product_is_dropped(self, root):
+        """For s = root^2, (lam - root)(lam + root) = s - root^2 = 0 in Q(sqrt(s))."""
+        sec = Sector.untwisted(Fraction(root * root))
+        lam = sec.lam_scalar()
+        v = FockVector.basis(sec, (1,), lam - root).scale(lam + root)
+        assert v.terms == {}
+        assert v.is_zero()
+        assert v == FockVector.zero(sec)
+
+    def test_nonzero_terms_kept(self):
+        sec = Sector.untwisted(Fraction(4))
+        lam = sec.lam_scalar()
+        v = FockVector.basis(sec, (1,), lam - 2) + FockVector.basis(sec, (2,))
+        w = v.scale(lam + 2)
+        assert w == FockVector.basis(sec, (2,), lam + 2)
+
+
 class TestContravariantForm:
     def test_gram_diagonal_positive_untwisted(self):
         for deg in range(5):

@@ -15,10 +15,16 @@ from voaf import cli
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 STD_GRID = "1/3,1/2,2,9/2,8,5"
+# four generic charges: 445 of the 768 verdicts quote the value of a
+# constraint row evaluated at non-integral top weights
+GENERIC_GRID = "3,5/4,22/9,13/7"
 
 GOLDENS = {
     "fusion_table.csv": ["fusion-table", "--lambda-squares", STD_GRID],
     "fusion_table.json": ["fusion-table", "--lambda-squares", STD_GRID, "--format", "json"],
+    "fusion_table_generic.json": [
+        "fusion-table", "--lambda-squares", GENERIC_GRID, "--format", "json"
+    ],
     "table41.txt": ["table41"],
     "table41.json": ["table41", "--json"],
     "char_Mplus.json": ["char", "--module", "M+", "--cutoff", "20", "--json"],

@@ -232,32 +232,20 @@ class FockVector:
         """Apply the Heisenberg mode h(n): n < 0 creates depth -n, n > 0
         annihilates via [h(n), h(-n)] = n, n = 0 multiplies by lam."""
         k = double(n)
-        res = FockVector(self.sector)
         if k == 0:
             if self.sector.twisted:
                 raise ValueError("h(0) does not exist in the twisted sector")
-            lam = self.sector.lam_scalar()
-            if lam.is_zero():
-                return res
-            res.terms = {p: c * lam for p, c in self.terms.items()}
-            return res
-        if k % 2 != self.sector.depth_parity():
+        elif k % 2 != self.sector.depth_parity():
             raise ValueError("mode %s not allowed in sector %s" % (n, self.sector))
+        lam = self.sector.lam_scalar() if k == 0 else None
         # Adding or removing one part maps distinct keys to distinct keys, so
         # no two terms collide.
         out: Dict[Key, Scalar] = {}
-        if k < 0:
-            for p, c in self.terms.items():
-                if not c.is_zero():
-                    out[tuple(sorted(p + (-k,), reverse=True))] = c
-        else:
-            for p, c in self.terms.items():
-                mult = p.count(k)
-                if mult:
-                    c = c * halve(k * mult)
-                    if not c.is_zero():
-                        i = p.index(k)
-                        out[p[:i] + p[i + 1 :]] = c
+        for p, c in self.terms.items():
+            t = mode_term(k, p, c, lam)
+            if t is not None:
+                out[t[0]] = t[1]
+        res = FockVector(self.sector)
         res.terms = out
         return res
 
@@ -304,6 +292,29 @@ class FockVector:
 
     def __repr__(self):
         return "FockVector(%s)" % self
+
+
+def mode_term(
+    k: int, p: Key, c: Scalar, lam: Optional[Scalar]
+) -> Optional[Tuple[Key, Scalar]]:
+    """h(k/2) applied to the monomial c*p, for a doubled mode index k legal
+    in p's sector: (key, coefficient), or None when the result is zero.
+    k < 0 creates the part -k, k > 0 annihilates one part k with factor
+    (k/2)*multiplicity, and k = 0 multiplies by lam, the sector's top charge
+    (unused for k != 0).  The one Heisenberg rule of the package."""
+    if k < 0:
+        return tuple(sorted(p + (-k,), reverse=True)), c
+    if k == 0:
+        c = c * lam
+        return (p, c) if c else None
+    mult = p.count(k)
+    if not mult:
+        return None
+    c = c * halve(k * mult)
+    if not c:
+        return None
+    i = p.index(k)
+    return p[:i] + p[i + 1 :], c
 
 
 # ----------------------------------------------------------------------

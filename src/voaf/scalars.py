@@ -10,6 +10,20 @@ a modulus scalars form the rational function field Q(lam).
 Univariate polynomials over Q are represented as tuples of Fractions in
 increasing degree order with no trailing zeros; the zero polynomial is the
 empty tuple.
+
+Every Scalar is in canonical form, and ``Scalar.__init__`` is the one place
+that puts it there:
+
+- with a modulus, ``den == (1,)`` and ``num`` has at most two terms;
+- without one, ``den`` is monic and coprime to ``num`` (so a constant
+  denominator is ``(1,)`` and zero is ``((), (1,))``).
+
+Canonical forms are unique, so equality with a common modulus compares
+``(num, den)``.  The arithmetic relies on the invariant: when both operands
+have ``den == (1,)`` (always so in Q and Q(sqrt(s))) it computes the
+canonical result directly and builds it with ``Scalar._make``, which skips
+normalisation.  Only Q(lam) operands with a nonconstant denominator go back
+through ``__init__``.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ Rat = Fraction
 UPoly = Tuple[Fraction, ...]
 
 _ONE: UPoly = (Fraction(1),)
+_ZERO = Fraction(0)
+_new = object.__new__
 
 RatLike = Union[int, Fraction]
 
@@ -35,22 +51,40 @@ def _rat(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
 
-def _pnorm(cs) -> UPoly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
+def _modulus(mod) -> Optional[Fraction]:
+    return None if mod is None else _rat(mod)
+
+
+def _trim(cs: list) -> UPoly:
+    """The list `cs` without trailing zeros, as a tuple (pops in place)."""
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
+def _pnorm(cs) -> UPoly:
+    return _trim(list(cs))
+
+
 def _padd(a: UPoly, b: UPoly) -> UPoly:
-    n = max(len(a), len(b))
-    return _pnorm(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _psub(a: UPoly, b: UPoly) -> UPoly:
+    out = list(a)
+    out.extend([_ZERO] * (len(b) - len(a)))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
 
 
 def _pneg(a: UPoly) -> UPoly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def _pmul(a: UPoly, b: UPoly) -> UPoly:
@@ -65,9 +99,9 @@ def _pmul(a: UPoly, b: UPoly) -> UPoly:
 
 
 def _pscale(a: UPoly, c: Fraction) -> UPoly:
-    if c == 0:
+    if not c:
         return ()
-    return tuple(x * c for x in a)
+    return tuple([x * c for x in a])
 
 
 def _pdivmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
@@ -155,6 +189,10 @@ class Scalar:
             mod = Fraction(mod)
             num = self._fold(num, mod)
             den = self._fold(den, mod)
+            if not den:
+                raise ZeroDivisionError(
+                    "denominator is a zero divisor modulo lam^2 - %s" % mod
+                )
             # rationalize: 1/(a + b*lam) = (a - b*lam)/(a^2 - b^2*s)
             if len(den) == 2:
                 conj = (den[0], -den[1])
@@ -182,6 +220,15 @@ class Scalar:
         self.mod = mod
 
     @staticmethod
+    def _make(num: UPoly, den: UPoly, mod: Optional[Fraction]) -> "Scalar":
+        """A Scalar from parts already in canonical form, not normalised."""
+        sc = _new(Scalar)
+        sc.num = num
+        sc.den = den
+        sc.mod = mod
+        return sc
+
+    @staticmethod
     def _fold(p: UPoly, mod: Fraction) -> UPoly:
         # reduce lam^k for k >= 2 using lam^2 = mod
         out = [Fraction(0), Fraction(0)]
@@ -193,19 +240,20 @@ class Scalar:
 
     @staticmethod
     def of(value: RatLike, mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar((Fraction(value),), mod=mod)
+        value = _rat(value)
+        return Scalar._make((value,) if value else (), _ONE, _modulus(mod))
 
     @staticmethod
     def zero(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar((), mod=mod)
+        return Scalar._make((), _ONE, _modulus(mod))
 
     @staticmethod
     def one(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar((Fraction(1),), mod=mod)
+        return Scalar._make(_ONE, _ONE, _modulus(mod))
 
     @staticmethod
     def lam(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar((Fraction(0), Fraction(1)), mod=mod)
+        return Scalar._make((Fraction(0), Fraction(1)), _ONE, _modulus(mod))
 
     # ------------------------------------------------------------------
 
@@ -225,23 +273,30 @@ class Scalar:
             return self.mod
         raise ValueError("scalar modulus mismatch: %r vs %r" % (self.mod, other.mod))
 
+    # With both denominators (1,) the canonical result is computed directly;
+    # otherwise (Q(lam) fractions) it is normalised by __init__.
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         mod = self._check(other)
+        if len(self.den) == 1 and len(other.den) == 1:
+            return Scalar._make(_padd(self.num, other.num), _ONE, mod)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Scalar(num, _pmul(self.den, other.den), mod=mod)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self.num), self.den, mod=self.mod)
+        return Scalar._make(_pneg(self.num), self.den, self.mod)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self.den) == 1 and len(other.den) == 1:
+            return Scalar._make(_psub(self.num, other.num), _ONE, self._check(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -252,7 +307,18 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         mod = self._check(other)
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den), mod=mod)
+        a, b = self.num, other.num
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(a) == 1:
+                return Scalar._make(_pscale(b, a[0]), _ONE, mod)
+            if len(b) == 1:
+                return Scalar._make(_pscale(a, b[0]), _ONE, mod)
+            if mod is None or not a or not b:
+                return Scalar._make(_pmul(a, b), _ONE, mod)
+            (a0, a1), (b0, b1) = a, b
+            num = _trim([a0 * b0 + a1 * b1 * mod, a0 * b1 + a1 * b0])
+            return Scalar._make(num, _ONE, mod)
+        return Scalar(_pmul(a, b), _pmul(self.den, other.den), mod=mod)
 
     __rmul__ = __mul__
 
@@ -261,9 +327,24 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         mod = self._check(other)
-        if not other.num:
+        b = other.num
+        if not b:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num), mod=mod)
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(b) == 1:
+                return Scalar._make(_pscale(self.num, 1 / b[0]), _ONE, mod)
+            if mod is not None:
+                # (a0 + a1*lam)/(b0 + b1*lam) = (a0 + a1*lam)(b0 - b1*lam)/norm
+                b0, b1 = b
+                norm = b0 * b0 - b1 * b1 * mod
+                if not norm:
+                    raise ZeroDivisionError(
+                        "denominator is a zero divisor modulo lam^2 - %s" % mod
+                    )
+                a0, a1 = (self.num + (_ZERO, _ZERO))[:2]
+                num = _trim([(a0 * b0 - a1 * b1 * mod) / norm, (a1 * b0 - a0 * b1) / norm])
+                return Scalar._make(num, _ONE, mod)
+        return Scalar(_pmul(self.num, other.den), _pmul(self.den, b), mod=mod)
 
     def __rtruediv__(self, other):
         return Scalar.of(other, mod=self.mod) / self
@@ -288,9 +369,12 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other, mod=self.mod)
+            return self.is_rational() and self.as_rat() == other
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.mod == other.mod:
+            # canonical forms are unique
+            return self.num == other.num and self.den == other.den
         try:
             return (self - other).is_zero()
         except ValueError:
@@ -304,7 +388,7 @@ class Scalar:
     # ------------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == _ONE
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_rat(self) -> Fraction:
         if not self.is_rational():

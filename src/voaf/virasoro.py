@@ -12,12 +12,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fock import FockVector, halve
+from .fock import FockVector, Key, mode_term
 from .scalars import Scalar
 
 
+_HALF = Fraction(1, 2)
+_TWISTED_OFFSET = Fraction(1, 16)
+
+
 def L(n, v: FockVector) -> FockVector:
-    """Apply L(n) to v."""
+    """Apply L(n) to v in one pass over its monomials."""
     if type(n) is not int:
         n = Fraction(n)
         if n.denominator != 1:
@@ -26,23 +30,47 @@ def L(n, v: FockVector) -> FockVector:
     sector = v.sector
     if v.is_zero():
         return v
-    out = FockVector.zero(sector)
-    # k is a doubled mode index and maxdeg a doubled degree.  Off-diagonal
-    # pairs (n-k/2, k/2) with k/2 > n/2; h(k/2) first keeps the product
-    # normal ordered.  Positive k/2 beyond the deepest term annihilates v.
-    maxdeg = max(sum(p) for p in v.terms)
+    # Doubled mode indices: the off-diagonal pairs h(n - k/2) h(k/2) with
+    # k > n, h(k/2) applied first so the product is normal ordered.  Only
+    # k <= 0 and the parts of a monomial give a nonzero h(k/2).
     par = sector.depth_parity()
-    k = n + 1 if (n + 1) % 2 == par else n + 2
-    while k <= maxdeg or k <= 0:
-        out = out + v.apply_mode(halve(k)).apply_mode(halve(2 * n - k))
-        k += 2
-    # diagonal term k = n when n/2 is a legal mode index
-    if n % 2 == par and not (n == 0 and sector.s is None):
-        half = halve(n)
-        out = out + v.apply_mode(half).apply_mode(half).scale(Fraction(1, 2))
-    if sector.twisted and n == 0:
-        out = out + v.scale(Fraction(1, 16))
-    return out
+    lam = None if sector.twisted else sector.lam_scalar()
+    first = n + 1 if (n + 1) % 2 == par else n + 2
+    low = range(first, 1, 2)
+    # the diagonal (1/2) h(n/2)^2 when n/2 is a legal mode index
+    diagonal = n % 2 == par and not (n == 0 and sector.s is None)
+    offset = _TWISTED_OFFSET if sector.twisted and n == 0 else None
+    out: Dict[Key, Scalar] = {}
+
+    def add(p, c):
+        prev = out.get(p)
+        out[p] = c if prev is None else prev + c
+
+    def pair(k, p, c):
+        # h(n - k/2) h(k/2) c*p
+        t = mode_term(k, p, c, lam)
+        if t is not None:
+            t = mode_term(2 * n - k, t[0], t[1], lam)
+            if t is not None:
+                add(t[0], t[1])
+
+    for p, c in v.terms.items():
+        prev_part = None
+        for k in p:
+            if k <= n:
+                break
+            if k != prev_part:
+                prev_part = k
+                pair(k, p, c)
+        for k in low:
+            pair(k, p, c)
+        if diagonal:
+            pair(n, p, c * _HALF)
+        if offset is not None:
+            add(p, c * offset)
+    res = FockVector(sector)
+    res.terms = {p: c for p, c in out.items() if c}
+    return res
 
 
 def L_word(ms: Sequence, v: FockVector) -> FockVector:

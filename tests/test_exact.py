@@ -74,6 +74,192 @@ def _gcd_route(num, den):
     return num, den
 
 
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    return out
+
+
+def _reference(op, a, b):
+    """a op b by the normalising route: unreduced num/den through
+    Scalar.__init__, with today's modulus rule."""
+    mod = a._check(b)
+    if op == "+":
+        num, den = _ref_add(_ref_mul(a.num, b.den), _ref_mul(b.num, a.den)), None
+    elif op == "-":
+        num, den = _ref_add(_ref_mul(a.num, b.den), _ref_mul(b.num, a.den), -1), None
+    elif op == "*":
+        num, den = _ref_mul(a.num, b.num), _ref_mul(a.den, b.den)
+    else:
+        if not b.num:
+            raise ZeroDivisionError("scalar division by zero")
+        num, den = _ref_mul(a.num, b.den), _ref_mul(a.den, b.num)
+    if den is None:
+        den = _ref_mul(a.den, b.den)
+    return Scalar(num, den, mod)
+
+
+_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _in_sqrt(mod):
+    """Elements of Q(sqrt(mod)); for a rational square mod they include the
+    zero divisors c*(r +- lam) with r**2 == mod."""
+    generic = st.tuples(small, small).map(lambda ab: Scalar(ab, (1,), mod))
+    r = rational_sqrt(mod)
+    if r is None:
+        return generic
+    divisors = st.tuples(small, st.sampled_from([1, -1])).map(
+        lambda cs: Scalar((cs[0] * r, cs[0] * cs[1]), (1,), mod)
+    )
+    return st.one_of(generic, divisors)
+
+
+_FIELDS = {
+    "Q": st.tuples(small).map(lambda a: Scalar(a)),
+    "Q(sqrt 3)": _in_sqrt(Fraction(3)),
+    "Q(sqrt 4)": _in_sqrt(Fraction(4)),
+    "Q(sqrt 9/4)": _in_sqrt(Fraction(9, 4)),
+    "Q[lam]": st.lists(small, max_size=4).map(lambda a: Scalar(a)),
+    "Q(lam)": st.tuples(
+        st.lists(small, max_size=3), st.lists(small, min_size=1, max_size=3)
+    )
+    .filter(lambda nd: any(nd[1]))
+    .map(lambda nd: Scalar(nd[0], nd[1])),
+}
+
+
+@st.composite
+def _operand_pair(draw):
+    field = draw(st.sampled_from(sorted(_FIELDS)))
+    a, b = draw(_FIELDS[field]), draw(_FIELDS[field])
+    # a rational with no modulus combines with every field
+    mix = draw(st.sampled_from(["same", "left", "right"]))
+    if mix == "left":
+        a = Scalar((draw(small),))
+    elif mix == "right":
+        b = Scalar((draw(small),))
+    return a, b
+
+
+def _same(got, ref):
+    assert (got.num, got.den, got.mod, str(got)) == (ref.num, ref.den, ref.mod, str(ref))
+    assert all(type(c) is Fraction for c in got.num + got.den)
+    assert got.mod is None or type(got.mod) is Fraction
+
+
+class TestScalarArithmetic:
+    """The direct arithmetic against the normalising route."""
+
+    @given(_operand_pair(), st.sampled_from(sorted(_OPS)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_normalising_route(self, pair, op):
+        a, b = pair
+        assert (a == b) is _reference("-", a, b).is_zero()
+        try:
+            ref = _reference(op, a, b)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _OPS[op](a, b)
+            return
+        _same(_OPS[op](a, b), ref)
+
+    @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]), small,
+           st.sampled_from(sorted(_OPS)))
+    @settings(max_examples=50, deadline=None)
+    def test_int_and_fraction_operands(self, a, x, op):
+        for plain in (x, int(x)):
+            xs = Scalar((plain,), (1,), a.mod)
+            for left, right, ref_args in ((a, plain, (a, xs)), (plain, a, (xs, a))):
+                try:
+                    ref = _reference(op, *ref_args)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        _OPS[op](left, right)
+                    continue
+                _same(_OPS[op](left, right), ref)
+
+    @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]))
+    @settings(max_examples=30, deadline=None)
+    def test_negation(self, a):
+        _same(-a, Scalar([-c for c in a.num], a.den, a.mod))
+
+    @pytest.mark.parametrize("mod", [Fraction(4), Fraction(9, 4)])
+    def test_division_by_zero_divisor_raises(self, mod):
+        r = rational_sqrt(mod)
+        lam = Scalar.lam(mod)
+        for divisor in (lam - r, lam + r, (lam + r) * Fraction(-3, 2)):
+            for a in (Scalar.one(mod), Scalar.zero(mod), lam, Scalar.of(5)):
+                with pytest.raises(ZeroDivisionError):
+                    a / divisor
+        with pytest.raises(ZeroDivisionError):
+            lam / Scalar.zero(mod)
+
+    @pytest.mark.parametrize("mod", [Fraction(2), Fraction(4)])
+    def test_denominator_vanishing_modulo_relation_raises(self, mod):
+        # lam^2 - mod folds to the zero polynomial
+        with pytest.raises(ZeroDivisionError):
+            Scalar((1,), (-mod, 0, 1), mod=mod)
+        with pytest.raises(ZeroDivisionError):
+            Scalar((1, 1), (0, 0, 1, 0, -1 / mod), mod=mod)
+
+    def test_equal_numerators_over_different_denominators(self):
+        one_over = [Scalar((1,), den) for den in [(1,), (1, 1), (2, 1), (0, 1)]]
+        for i, a in enumerate(one_over):
+            for j, b in enumerate(one_over):
+                assert (a == b) is (i == j)
+
+    @given(_FIELDS["Q(sqrt 3)"], st.sampled_from(["Q(sqrt 4)", "Q[lam]", "Q(lam)"]),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mismatched_moduli_are_unequal(self, a, other, data):
+        b = data.draw(_FIELDS[other])
+        if a.is_rational() or b.is_rational():
+            return
+        assert not a == b and a != b
+        assert not b == a and b != a
+
+    @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]),
+           _FIELDS["Q(lam)"].filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_implies_equal_hash(self, a, c):
+        same_mod = Scalar.one(a.mod) if a.mod is not None else c
+        candidates = [
+            a * 1,
+            Scalar(a.num, a.den, a.mod),
+            (a + same_mod) - same_mod,
+            (a * same_mod) / same_mod,
+            # 1 + lam is a unit in every field drawn here
+            Scalar(_ref_mul(a.num, (1, 1)), _ref_mul(a.den, (1, 1)), a.mod),
+        ]
+        if a.is_rational():
+            q = a.as_rat()
+            candidates += [q, Scalar.of(q, Fraction(3)), Scalar.of(q, Fraction(4))]
+            if q.denominator == 1:
+                candidates.append(int(q))
+        for b in candidates:
+            assert a == b and b == a, b
+            assert hash(a) == hash(b), b
+
+
 class TestScalar:
     def test_rational_round_trip(self):
         assert Scalar.of(Fraction(3, 7)).as_rat() == Fraction(3, 7)

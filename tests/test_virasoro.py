@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voaf.fock import FockVector, Sector, basis_at_degree
+from voaf.fock import FORMAL, FockVector, Sector, basis_at_degree, halve
 from voaf.labels import mlam, mminus, mtheta_minus, mtheta_plus
 from voaf.virasoro import (
     DescendantWord,
@@ -16,9 +18,68 @@ from voaf.virasoro import (
     singular_vector_image,
     words_at_level,
 )
+from voaf.scalars import Scalar
 
 UNT = Sector.untwisted(None)
 TW = Sector.twisted_sector()
+
+
+def _reference_L(n: int, v: FockVector) -> FockVector:
+    """L(n) as a sum of Heisenberg mode pairs, one FockVector per pair."""
+    sector = v.sector
+    if v.is_zero():
+        return v
+    out = FockVector.zero(sector)
+    # k is a doubled mode index and maxdeg a doubled degree.  Off-diagonal
+    # pairs (n-k/2, k/2) with k/2 > n/2; h(k/2) first keeps the product
+    # normal ordered.  Positive k/2 beyond the deepest term annihilates v.
+    maxdeg = max(sum(p) for p in v.terms)
+    par = sector.depth_parity()
+    k = n + 1 if (n + 1) % 2 == par else n + 2
+    while k <= maxdeg or k <= 0:
+        out = out + v.apply_mode(halve(k)).apply_mode(halve(2 * n - k))
+        k += 2
+    # diagonal term k = n when n/2 is a legal mode index
+    if n % 2 == par and not (n == 0 and sector.s is None):
+        half = halve(n)
+        out = out + v.apply_mode(half).apply_mode(half).scale(Fraction(1, 2))
+    if sector.twisted and n == 0:
+        out = out + v.scale(Fraction(1, 16))
+    return out
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _coefficient(sector):
+    """Random nonzero coefficients in the sector's scalar field."""
+    if sector.s is FORMAL:
+        c = st.tuples(st.lists(_small, min_size=1, max_size=3), _small).map(
+            lambda nc: Scalar(nc[0], (1, nc[1]))
+        )
+    elif sector.scalar_mod() is not None:
+        c = st.tuples(_small, _small).map(lambda ab: Scalar(ab, (1,), sector.s))
+    else:
+        c = _small.map(Scalar.of)
+    return c.filter(bool)
+
+
+def _monomial(sector):
+    depths = (
+        st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
+        if sector.twisted
+        else st.integers(1, 4)
+    )
+    return st.tuples(st.lists(depths, max_size=4), _coefficient(sector))
+
+
+_L_SECTORS = {
+    "vacuum": UNT,
+    "charged s=2": Sector.untwisted(Fraction(2)),
+    "charged s=4": Sector.untwisted(Fraction(4)),
+    "twisted": TW,
+    "formal": Sector.untwisted(FORMAL),
+}
 
 
 def _all_vectors(sector, max_deg):
@@ -31,6 +92,19 @@ def _all_vectors(sector, max_deg):
 
 
 class TestVirasoroAction:
+    @pytest.mark.parametrize("name", sorted(_L_SECTORS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(-6, 6))
+    def test_matches_mode_pair_reference(self, name, data, n):
+        sector = _L_SECTORS[name]
+        terms = data.draw(st.lists(_monomial(sector), min_size=1, max_size=4))
+        v = FockVector.zero(sector)
+        for parts, c in terms:
+            v = v + FockVector.basis(sector, parts, c)
+        got = L(n, v)
+        assert got == _reference_L(n, v)
+        assert all(not c.is_zero() for c in got.terms.values())
+
     @pytest.mark.parametrize("sector", [UNT, TW], ids=["untwisted", "twisted"])
     def test_central_charge_one_commutators(self, sector):
         for w in _all_vectors(sector, 4):

@@ -662,7 +662,10 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_fusion_table(args) -> int:
-    squares = [parse_rational(s) for s in args.lambda_squares.split(",") if s.strip()]
+    entries = args.lambda_squares.split(",")
+    if not all(e.strip() for e in entries):
+        raise ValueError("empty entry in --lambda-squares %r" % args.lambda_squares)
+    squares = [parse_rational(e) for e in entries]
     certs = fusion.full_table(squares)
     if args.format == "json":
         print(fusion.table_to_json(certs))

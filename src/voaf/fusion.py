@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +38,7 @@ class Inconclusive(RuntimeError):
 
 
 _X = MultiPoly.var("x")
+_Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
 _S = MultiPoly.var("s")
 
@@ -205,26 +207,23 @@ def _star_row_polys(label: ModuleLabel) -> Tuple[List[MultiPoly], Tuple[int, ...
     return cols, signs
 
 
-def _lam_parts(c: Scalar) -> Tuple[Fraction, Fraction]:
-    """The rational pair (c0, c1) with c = c0 + c1*lam.
-
-    In a charged sector lam**2 = s is not a rational square, so the pair is
-    unique; in the vacuum sector every coefficient must be rational.
-    """
-    if c.mod is None:
-        return c.as_rat(), Fraction(0)
-    c0, c1 = c.num + (Fraction(0),) * (2 - len(c.num))
-    return c0, c1
-
-
 def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     """Contraction polynomial of the Virasoro singular-vector relation on
     the top vector, when the top weight is a quarter-square n^2/4.
 
-    At c = 1 and h = n^2/4 the singular vector has rational coefficients,
-    while lam = n/sqrt(2) is irrational, so a rational combination of the
-    word images vanishes exactly when its lam^0 and lam^1 parts do: the
-    kernel is found over Q from those two matrices stacked.
+    At c = 1 and h = n^2/4 the singular vector sits at level r = n + 1 and
+    has the Benoit-Saint-Aubin closed form: the sum over compositions
+    k_1 + ... + k_m = r of
+
+        (r-1)!^2 (-1)^(r-m) / prod_{i<m} S_i (r - S_i)  L(-k_1)...L(-k_m)|h>
+
+    with S_i = k_1 + ... + k_i.  The coefficient factors over the cut
+    points, and S (r - S) is symmetric in S and r - S, so the sum is a path
+    over the weight T = 0..r reached by the right-hand factors.  L(-k) at
+    weight w contracts to (-1)^(k-1) (x - k y - w) (zhu.descendant_to_poly),
+    and these signs cancel (-1)^(r-m).  The same path on vectors checks
+    that the relation holds in this module: the row is returned only when
+    the combination annihilates the top vector.
     """
     sector = label.sector()
     v = label.top_vector()
@@ -232,29 +231,26 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     root = rational_sqrt(4 * wt)
     if root is None or root.denominator != 1:
         return None
-    level = root.numerator + 1
-    words = virasoro.words_at_level(0, level)
-    images = [virasoro.L_word(w.ms, v) for w in words]
-    zero = Fraction(0)
-    split = [{p: _lam_parts(c) for p, c in img.terms.items()} for img in images]
-    parts = sorted({p for img in images for p in img.terms})
-    rows = [
-        [cs.get(p, (zero, zero))[i] for cs in split] for i in (0, 1) for p in parts
-    ]
-    kernel = linalg.nullspace(rows, len(words), zero, Fraction(1))
-    if len(kernel) != 1:
+    r = root.numerator + 1
+    polys = [MultiPoly.const(1)]
+    vecs = [v]
+    for t in range(1, r + 1):
+        if t < r:
+            cut = Fraction(1, t * (r - t))
+        else:
+            cut = Fraction(math.factorial(r - 1) ** 2)
+        poly = MultiPoly()
+        vec = FockVector.zero(sector)
+        for k in range(1, t + 1):
+            below = t - k
+            poly = poly + polys[below] * (_X - _Y * k - (wt + below))
+            img = virasoro.L(-k, vecs[below])
+            vec = vec + img if k % 2 else vec - img
+        polys.append(poly * cut)
+        vecs.append(vec.scale(cut))
+    if not vecs[r].is_zero():
         return None
-    poly = MultiPoly()
-    for w, c in zip(words, kernel[0]):
-        if c:
-            poly = poly + zhu.descendant_to_poly(w.ms, wt) * c
-    # the combination must actually annihilate the top vector
-    check = FockVector.zero(sector)
-    for img, c in zip(images, kernel[0]):
-        check = check + img.scale(c)
-    if not check.is_zero():
-        return None
-    return poly
+    return polys[r]
 
 
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:

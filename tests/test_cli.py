@@ -120,6 +120,13 @@ class TestFusion:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", ["", ",", "2,,3", " ", "2,"])
+    def test_empty_lambda_square_entry_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "fusion-table", "--lambda-squares", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFusionTable:
     def test_csv_deterministic(self, capsys):

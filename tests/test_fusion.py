@@ -1,6 +1,9 @@
 """Fusion decision procedure: constraint systems, witnesses, certificates."""
 
+import ast
+import inspect
 import json
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -170,28 +173,33 @@ class TestTable:
             ), (cert.m, cert.n, cert.l)
 
 
-def _reference_singular_row_poly(label):
-    """The singular-vector row by elimination over Scalar in Q(sqrt(s)): the
-    route `fusion._singular_row_poly` took before it solved over Q."""
-    sector = label.sector()
-    v = label.top_vector()
-    wt = sector.weight_offset_rat() + v.max_degree()
+def _ladder_level(label):
+    """The singular-vector level n + 1 when the top weight is n^2/4."""
+    wt = label.sector().weight_offset_rat() + label.top_vector().max_degree()
     root = rational_sqrt(4 * wt)
     if root is None or root.denominator != 1:
         return None
-    words = virasoro.words_at_level(0, root.numerator + 1)
-    images = [virasoro.L_word(w.ms, v) for w in words]
-    mod = sector.scalar_mod()
-    zero, one = Scalar.zero(mod), Scalar.one(mod)
-    parts = sorted({p for img in images for p in img.terms})
-    rows = [[img.terms.get(p, zero) for img in images] for p in parts]
-    kernel = linalg.nullspace(rows, len(words), zero, one)
+    return root.numerator + 1
+
+
+def _word_images(label):
+    """Every PBW word at the singular level and its image of the top vector."""
+    words = virasoro.words_at_level(0, _ladder_level(label))
+    v = label.top_vector()
+    return words, [virasoro.L_word(w.ms, v) for w in words]
+
+
+def _row_from_kernel(label, words, images, kernel, rational):
+    """The contraction polynomial of a one-dimensional kernel, after checking
+    that the combination annihilates the top vector."""
     if len(kernel) != 1:
         return None
+    sector = label.sector()
+    wt = sector.weight_offset_rat() + label.top_vector().max_degree()
     poly = MultiPoly()
     for w, c in zip(words, kernel[0]):
-        if not c.is_zero():
-            poly = poly + zhu.descendant_to_poly(w.ms, wt) * c.as_rat()
+        if c:
+            poly = poly + zhu.descendant_to_poly(w.ms, wt) * rational(c)
     check = FockVector.zero(sector)
     for img, c in zip(images, kernel[0]):
         check = check + img.scale(c)
@@ -199,15 +207,49 @@ def _reference_singular_row_poly(label):
     return poly
 
 
-class TestSingularRow:
-    """The singular-vector relation solved over Q matches the elimination
-    over Q(sqrt(s)) in the vacuum sector and at the ladder charges n^2/2."""
+def _reference_singular_row_poly(label):
+    """The singular-vector row by elimination over Scalar in Q(sqrt(s)) of
+    the images of every PBW word at the singular level."""
+    words, images = _word_images(label)
+    mod = label.sector().scalar_mod()
+    zero, one = Scalar.zero(mod), Scalar.one(mod)
+    parts = sorted({p for img in images for p in img.terms})
+    rows = [[img.terms.get(p, zero) for img in images] for p in parts]
+    kernel = linalg.nullspace(rows, len(words), zero, one)
+    return _row_from_kernel(label, words, images, kernel, Scalar.as_rat)
 
-    @pytest.mark.parametrize(
-        "label",
-        [mplus(), mminus()] + [mlam(F(n * n, 2)) for n in range(1, 7)],
-        ids=str,
-    )
+
+def _lam_parts(c):
+    """The rational pair (c0, c1) with c = c0 + c1*lam."""
+    if c.mod is None:
+        return c.as_rat(), F(0)
+    c0, c1 = c.num + (F(0),) * (2 - len(c.num))
+    return c0, c1
+
+
+def _rational_reference_singular_row_poly(label):
+    """The singular-vector row by a rational nullspace: at c = 1, h = n^2/4
+    the singular vector is rational while lam = n/sqrt(2) is not, so the
+    word images' lam^0 and lam^1 parts are stacked and eliminated over Q."""
+    words, images = _word_images(label)
+    zero = F(0)
+    split = [{p: _lam_parts(c) for p, c in img.terms.items()} for img in images]
+    parts = sorted({p for img in images for p in img.terms})
+    rows = [
+        [cs.get(p, (zero, zero))[i] for cs in split] for i in (0, 1) for p in parts
+    ]
+    kernel = linalg.nullspace(rows, len(words), zero, F(1))
+    return _row_from_kernel(label, words, images, kernel, F)
+
+
+LADDER = [mplus(), mminus()] + [mlam(F(n * n, 2)) for n in range(1, 9)]
+
+
+class TestSingularRow:
+    """The closed-form (Benoit-Saint-Aubin) singular-vector row matches two
+    eliminations over the PBW word images: over Q(sqrt(s)) and over Q."""
+
+    @pytest.mark.parametrize("label", LADDER, ids=str)
     def test_matches_quadratic_extension_elimination(self, label):
         ref = _reference_singular_row_poly(label)
         assert ref is not None
@@ -215,16 +257,41 @@ class TestSingularRow:
         assert got == ref
         assert str(got) == str(ref)
 
+    @pytest.mark.parametrize("label", LADDER, ids=str)
+    def test_matches_rational_nullspace(self, label):
+        ref = _rational_reference_singular_row_poly(label)
+        assert ref is not None
+        got = fusion._singular_row_poly(label)
+        assert got == ref
+        assert str(got) == str(ref)
+
+    @pytest.mark.parametrize("s", [F(81, 2), F(50), F(128)], ids=str)
+    def test_high_ladder_row_has_level_n_plus_1(self, s):
+        label = mlam(s)
+        got = fusion._singular_row_poly(label)
+        assert got is not None
+        degree = max(sum(e) for e in got.terms)
+        assert degree == _ladder_level(label) == rational_sqrt(2 * s) + 1
+
     def test_no_row_off_the_ladder(self):
         for label in (mtheta_plus(), mtheta_minus(), mlam(F(1, 3))):
             assert fusion._singular_row_poly(label) is None
 
-    def test_irrational_vacuum_entry_raises(self, monkeypatch):
-        real = virasoro.L_word
+    @pytest.mark.parametrize("label", [mminus(), mlam(F(2)), mlam(F(8))], ids=str)
+    def test_tainted_action_fails_annihilation_check(self, label, monkeypatch):
+        assert fusion._singular_row_poly(label) is not None
+        real = virasoro.L
 
-        def tainted(ms, v):
-            return real(ms, v).scale(Scalar.one(None) + Scalar.lam(None))
+        def tainted(n, v):
+            # scale every image by 1 + lam
+            mod = v.sector.scalar_mod()
+            return real(n, v).scale(Scalar.one(mod) + Scalar.lam(mod))
 
-        monkeypatch.setattr(virasoro, "L_word", tainted)
-        with pytest.raises(ValueError):
-            fusion._singular_row_poly(mminus())
+        monkeypatch.setattr(virasoro, "L", tainted)
+        assert fusion._singular_row_poly(label) is None
+
+    def test_closed_form_uses_no_word_images_or_nullspace(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fusion._singular_row_poly)))
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not names & {"nullspace", "L_word", "words_at_level"}

@@ -26,8 +26,17 @@ Check = Tuple[str, bool, str]
 
 def _cutoff(given: Optional[int], default: int) -> int:
     """The given cutoff, else $VOAF_CUTOFF, else the default.  A negative
-    cutoff is a usage error."""
-    cut = int(given if given is not None else os.environ.get("VOAF_CUTOFF", default))
+    cutoff, or a $VOAF_CUTOFF that is not an integer, is a usage error."""
+    env = os.environ.get("VOAF_CUTOFF")
+    if given is not None:
+        cut = given
+    elif env is None:
+        cut = default
+    else:
+        try:
+            cut = int(env)
+        except ValueError:
+            raise ValueError("VOAF_CUTOFF must be an integer, got %r" % env) from None
     if cut < 0:
         raise ValueError("cutoff must be nonnegative, got %d" % cut)
     return cut

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg, virasoro, zhu
+from . import linalg, step3_cofactors, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
-from .multipoly import MultiPoly
+from .multipoly import VARS, MultiPoly
 from .scalars import Scalar, rational_sqrt
 from .vertexops import J_state, mode, vacuum
 
@@ -746,20 +746,103 @@ class VerificationError(AssertionError):
     """An exact identity of the generic-charge elimination failed."""
 
 
-def _to_sympy(poly: MultiPoly):
-    import sympy
+_T = MultiPoly.var("t")
+_U = MultiPoly.var("u")
+# three charged slots with squared charges s, t, u: the relations of the
+# first slot contract on the top weights x = t/2, y = u/2, z = t^2 - t/2
+_TRI_SUB = {"x": _T * Fraction(1, 2), "y": _U * Fraction(1, 2), "z": _T * _T - _T * Fraction(1, 2)}
+# vanishes exactly at matched charges, u = (sqrt(s) +- sqrt(t))^2
+_SYM3 = _S * _S + _T * _T + _U * _U - _S * _T * 2 - _S * _U * 2 - _T * _U * 2
+_SLOT_PERMS = ("stu", "sut", "tsu", "tus", "ust", "uts")
 
-    from .multipoly import VARS
+Closure = Tuple[str, str, Tuple[str, str], List[MultiPoly], MultiPoly]
 
-    syms = {v: sympy.Symbol(v) for v in VARS}
-    acc = sympy.Integer(0)
-    for e, c in poly.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for i, k in enumerate(e):
-            if k:
-                t *= syms[VARS[i]] ** k
-        acc += t
-    return acc
+
+def charged_triple_relations() -> Tuple[Optional[MultiPoly], Optional[MultiPoly]]:
+    """(pt, q2) for three charged slots: the star relation divided by the
+    symmetric factor, and the first circle relation divided by the symmetric
+    factor times (t-u).  Either is None when its division is not exact."""
+    f_num, _, g_num, _ = generic_relation_polys()
+    return (
+        f_num.subs(_TRI_SUB).try_divide(_SYM3),
+        g_num.subs(_TRI_SUB).try_divide(_SYM3 * (_T - _U)),
+    )
+
+
+def step3_closures(pt: MultiPoly, q2: MultiPoly) -> List[Closure]:
+    """The six infeasibility closures that end the three-charged-slot
+    elimination, as (check name, detail, variables, generators, D).
+
+    The generators are pt and q2 under the six permutations of the slots
+    (s, t, u), restricted to one subcase: the charge sum u = -5-s-t that the
+    chains force, the equal pair u = t, or a special charge t in 1/2, 2,
+    9/2, 8.  A special t drops each relation whose first slot holds t when
+    that slot takes a bespoke generator set instead (_SPECIAL_S, and 8 for
+    the circle rows).  D multiplies the factors that are nonzero in the
+    subcase: distinct charges, and for special t also a nonvanishing
+    symmetric factor and nonzero charges.  A closure holds when D vanishes on
+    every common zero of the generators, i.e. D^k lies in their ideal for
+    some k; by Rabinowitsch that is 1 in (generators, wD - 1).
+    """
+    S, T, U = _S, _T, _U
+
+    def gens(images, special: Optional[Fraction] = None) -> List[MultiPoly]:
+        return [
+            p.subs({v: images[c] for v, c in zip("stu", perm)})
+            for p, bespoke in ((pt, _SPECIAL_S), (q2, _SPECIAL_S + (Fraction(8),)))
+            for perm in _SLOT_PERMS
+            if not (perm[0] == "t" and special in bespoke)
+        ]
+
+    u_sum = -5 - S - T
+    out: List[Closure] = [
+        (
+            "groebner-main",
+            "relations + distinctness + charge-sum constraint are infeasible",
+            ("s", "t"),
+            gens({"s": S, "t": T, "u": u_sum}),
+            (S - T) * (S - u_sum) * (T - u_sum),
+        ),
+        (
+            "groebner-equal-pair",
+            "equal-charge subcase (t=u) with nonvanishing symmetric factor is infeasible",
+            ("s", "t"),
+            gens({"s": S, "t": T, "u": T}),
+            S * (S - T * 4) * (S - T),
+        ),
+    ]
+    for tv in (Fraction(1, 2), Fraction(2), Fraction(9, 2), Fraction(8)):
+        tc = MultiPoly.const(tv)
+        out.append(
+            (
+                "groebner-special-t-%s" % tv,
+                "special charge t=%s subcase infeasible" % tv,
+                ("s", "u"),
+                gens({"s": S, "t": tc, "u": U}, tv),
+                (S - tv) * (U - tv) * (S - U) * _SYM3.subs({"t": tc}) * S * U,
+            )
+        )
+    return out
+
+
+def _certifies(cert, variables: Tuple[str, str], gens: List[MultiPoly], dist: MultiPoly) -> bool:
+    """Whether a stored certificate proves its closure: it is made for
+    exactly these generators, k >= 0, and sum(c_i g_i) == D^k exactly."""
+    if cert is None or cert["generators"] != len(gens) or cert["k"] < 0:
+        return False
+    slots = [VARS.index(v) for v in variables]
+    total = MultiPoly()
+    for i, terms in cert["cofactors"].items():
+        if not 0 <= i < len(gens):
+            return False
+        cofactor = {}
+        for expo, coeff in terms.items():
+            e = [0] * len(VARS)
+            for slot, k in zip(slots, expo):
+                e[slot] = k
+            cofactor[tuple(e)] = Fraction(coeff)
+        total = total + MultiPoly(cofactor) * gens[i]
+    return total == dist ** cert["k"]
 
 
 def _step3_check(report: Dict[str, str], name: str, ok: bool, detail: str):
@@ -776,10 +859,8 @@ def verify_step3_generic() -> Dict[str, str]:
     failure aborts with a counterexample.  Returns a report mapping check
     names to human-readable confirmations.
     """
-    import sympy
-
     report: Dict[str, str] = {}
-    S, T, U = _S, MultiPoly.var("t"), MultiPoly.var("u")
+    S, T, U = _S, _T, _U
     one = MultiPoly.const(1)
 
     # --- vacuum-parity slot: symmetrized relation identity -----------------
@@ -907,7 +988,7 @@ def verify_step3_generic() -> Dict[str, str]:
         )
 
     # --- three charged slots: symmetric factor and circle degeneracy -------
-    sym = S * S + T * T + U * U - S * T * 2 - S * U * 2 - T * U * 2
+    sym = _SYM3
     _step3_check(
         report,
         "symmetric-factor-samples",
@@ -916,17 +997,13 @@ def verify_step3_generic() -> Dict[str, str]:
         and sym.evaluate({"s": Fraction(1), "t": Fraction(1), "u": Fraction(1)}) != 0,
         "charge-closure factor vanishes exactly at matched charges",
     )
-    tri_sub = {"x": T * Fraction(1, 2), "y": U * Fraction(1, 2), "z": T * T - T * Fraction(1, 2)}
-    f_tri = f_num.subs(tri_sub)
-    pt = f_tri.try_divide(sym)
+    pt, q2 = charged_triple_relations()
     _step3_check(
         report,
         "trivariate-star-factor",
         pt is not None,
         "star relation in three charges is divisible by the symmetric factor",
     )
-    g_tri = g_num.subs(tri_sub)
-    q2 = g_tri.try_divide(sym * (T - U))
     _step3_check(
         report,
         "trivariate-circle-factor",
@@ -934,7 +1011,7 @@ def verify_step3_generic() -> Dict[str, str]:
         "first circle relation divisible by the symmetric factor times (t-u)",
     )
     h_num, h_den = second_circle_relation_polys()
-    h_tri = h_num.subs(tri_sub)
+    h_tri = h_num.subs(_TRI_SUB)
     r1 = h_tri.try_divide(sym)
     ratio = None
     if r1 is not None:
@@ -991,59 +1068,12 @@ def verify_step3_generic() -> Dict[str, str]:
         "s+t+u=-5 makes 3s+3t+3u-10 = -25, so both chains cannot vanish",
     )
 
-    # --- Groebner-basis infeasibility closures ------------------------------
-    s_, t_, u_, w_ = sympy.symbols("s t u w")
-    sp_pt = _to_sympy(pt)
-    sp_q2 = _to_sympy(q2)
-
-    def sp_perm(p, a, b, c_):
-        return p.subs({s_: a, t_: b, u_: c_}, simultaneous=True)
-
-    perms = [(s_, t_, u_), (s_, u_, t_), (t_, s_, u_), (t_, u_, s_), (u_, s_, t_), (u_, t_, s_)]
-    polys = [sp_perm(p, *pr) for p in (sp_pt, sp_q2) for pr in perms]
-    sum_constraint = s_ + t_ + u_ + 5
-    sat = w_ * (s_ - t_) * (s_ - u_) * (t_ - u_) - 1
-    G = sympy.groebner(
-        [p.subs(u_, -5 - s_ - t_) for p in polys] + [sat.subs(u_, -5 - s_ - t_)],
-        s_, t_, w_, order="grevlex",
-    )
-    _step3_check(
-        report,
-        "groebner-main",
-        list(G.exprs) == [sympy.Integer(1)],
-        "relations + distinctness + charge-sum constraint are infeasible",
-    )
-    polys_tu = [p.subs(u_, t_) for p in polys]
-    G2 = sympy.groebner(
-        polys_tu + [w_ * s_ * (s_ - 4 * t_) * (s_ - t_) - 1], s_, t_, w_, order="grevlex"
-    )
-    _step3_check(
-        report,
-        "groebner-equal-pair",
-        list(G2.exprs) == [sympy.Integer(1)],
-        "equal-charge subcase (t=u) with nonvanishing symmetric factor is infeasible",
-    )
-    sp_sym = _to_sympy(sym)
-    for tv in (sympy.Rational(1, 2), sympy.Integer(2), sympy.Rational(9, 2), sympy.Integer(8)):
-        special = []
-        for p, pr in [(p0, pr0) for p0 in (sp_pt, sp_q2) for pr0 in perms]:
-            # rows are only valid when the first-slot charge avoids the
-            # bespoke values (and 8 for circle rows)
-            first = pr[0]
-            banned = (
-                (sympy.Rational(1, 2), sympy.Integer(2), sympy.Rational(9, 2))
-                if p is sp_pt
-                else (sympy.Rational(1, 2), sympy.Integer(2), sympy.Rational(9, 2), sympy.Integer(8))
-            )
-            if first == t_ and tv in banned:
-                continue
-            special.append(sp_perm(p, *pr).subs(t_, tv))
-        sat_sp = w_ * (s_ - tv) * (u_ - tv) * (s_ - u_) * sp_sym.subs(t_, tv) * s_ * u_ - 1
-        G3 = sympy.groebner(special + [sat_sp], s_, u_, w_, order="grevlex")
+    # --- infeasibility closures: stored ideal-membership certificates ------
+    for name, detail, variables, gens, dist in step3_closures(pt, q2):
         _step3_check(
             report,
-            "groebner-special-t-%s" % tv,
-            list(G3.exprs) == [sympy.Integer(1)],
-            "special charge t=%s subcase infeasible" % tv,
+            name,
+            _certifies(step3_cofactors.CLOSURES.get(name), variables, gens, dist),
+            detail,
         )
     return report

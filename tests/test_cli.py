@@ -230,6 +230,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_env_cutoff_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("VOAF_CUTOFF", value)
+        code, out, err = run(capsys, "char", "--module", "M+")
+        assert code == 2
+        assert out == ""
+        assert err == "error: VOAF_CUTOFF must be an integer, got %r\n" % value
+
     def test_negative_env_cutoff_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("VOAF_CUTOFF", "-3")
         code, out, err = run(capsys, "verify", "--suite", "characters")

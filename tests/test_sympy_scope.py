@@ -1,9 +1,10 @@
-"""Guard: sympy is imported only where a Groebner basis needs it.
+"""Guard: no module under src/voaf imports sympy.
 
 Walks the syntax tree of every module under src/voaf and lists each import of
-sympy with the function that holds it.  Only `fusion._to_sympy` and
-`fusion.verify_step3_generic` may import it; every other exact check runs on
-the engine's own arithmetic.
+sympy with the function that holds it.  Every exact check runs on the
+engine's own arithmetic; the step-3 closures are stored ideal-membership
+certificates checked by `MultiPoly` products.  sympy is a test dependency
+only, as a reference for the engine.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import voaf
 
 SRC = Path(voaf.__file__).parent
-ALLOWED = {"fusion._to_sympy", "fusion.verify_step3_generic"}
+ALLOWED: set = set()
 
 
 def _is_sympy(name: str) -> bool:
@@ -60,7 +61,7 @@ def test_guard_finds_sympy_imports():
     assert scopes == ["fusion", "fusion._to_sympy", "fusion.helper", "fusion.K.m"]
 
 
-def test_sympy_only_in_groebner_closures():
+def test_no_sympy_in_engine():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

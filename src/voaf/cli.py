@@ -689,24 +689,10 @@ def _cmd_reduce(args) -> int:
     v = parse_state(args.expr, sector)
     if not label.contains(v):
         raise ValueError("state does not lie in module %s" % label)
-    gens = fusion.generator_set(label)
     try:
-        coords = virasoro.express_in_descendants(v, gens)
+        coords, pairs = fusion.expand_in_generators(v, fusion.generator_set(label))
     except virasoro.NotInSpan:
-        if len(gens) == 1:
-            raise ValueError(
-                "state is not a Virasoro descendant of the module generators"
-            )
-        gens = [gens[0]] + [g.scale(sector.lam_scalar()) for g in gens[1:]]
-        try:
-            coords = virasoro.express_in_descendants(v, gens)
-        except virasoro.NotInSpan:
-            raise ValueError(
-                "state is not a Virasoro descendant of the module generators"
-            )
-    offset = sector.weight_offset_rat()
-    base_weights = [offset + g.max_degree() for g in gens]
-    pairs = zhu.coords_to_polys(coords, base_weights, len(gens))
+        raise ValueError("state is not a Virasoro descendant of the module generators")
     lines = ["coordinates:"]
     for w in sorted(coords, key=lambda w: (w.gen, sum(w.ms), w.ms)):
         name = "".join("L(-%d)" % m for m in w.ms) if w.ms else "1"

@@ -14,6 +14,7 @@ emits machine-checkable certificates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg, step3_cofactors, virasoro, zhu
+from . import characters, linalg, step3_cofactors, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import VARS, MultiPoly
@@ -42,9 +43,8 @@ _Y = MultiPoly.var("y")
 _Z = MultiPoly.var("z")
 _S = MultiPoly.var("s")
 
-# charge values whose constraint systems are built from bespoke generator
-# sets rather than the generic formal-charge substitution
-_SPECIAL_S = (Fraction(1, 2), Fraction(2), Fraction(9, 2))
+# degree of the relation element h(-3)h(-1)|0> above the vacuum
+_RELATION_DEGREE = 4
 
 
 def _h3h1() -> FockVector:
@@ -90,61 +90,66 @@ def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) ->
     return out
 
 
-def _aux_generator(label: ModuleLabel, degree: Fraction, parity: Optional[int]) -> FockVector:
-    prim = _primary_vectors(label.sector(), degree, parity)
-    if len(prim) != 1:
-        raise RuntimeError(
-            "expected a unique auxiliary generator for %s at degree %s" % (label, degree)
-        )
-    return prim[0]
+def _extra_weights(label: ModuleLabel) -> List[Fraction]:
+    """Lowest weights of the Virasoro primaries of the c = 1 decomposition
+    above the top, up to the top weight plus the relation degree."""
+    top = label.a_M()
+    parts = characters.decomposition_weights(label, top + _RELATION_DEGREE)
+    return [h for h, _ in parts if h > top]
+
+
+def _in_span(v: FockVector, gens: Sequence[FockVector]) -> bool:
+    try:
+        virasoro.express_in_descendants(v, gens)
+    except virasoro.NotInSpan:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
+    """The expansion generators of the module and how many of them, as a
+    prefix, generate the bimodule.
+
+    The expansion generators are the top vector and the primaries at each
+    weight of the decomposition strictly below the top weight plus the
+    relation degree: the relation element multiplied onto the top vector
+    expands in their Virasoro descendants whenever it expands at all.  The
+    bimodule generators are the shortest prefix whose Virasoro span holds
+    J_n(top) for n = 1, 2, 3.  Those images lie 2, 1 and 0 above the top, so
+    J is applied only when a primary lies at most 2 above it.
+    """
+    sector, parity = label.sector(), label.parity()
+    top = label.top_vector()
+    gens = [top]
+    for h in _extra_weights(label):
+        if h < label.a_M() + _RELATION_DEGREE:
+            degree = h - sector.weight_offset_rat()
+            gens.extend(_primary_vectors(sector, degree, parity))
+    ngens = 1
+    if any(g.max_degree() <= top.max_degree() + 2 for g in gens[1:]):
+        J = J_state()
+        images = [mode(J, n, top) for n in (1, 2, 3)]
+        while not all(_in_span(img, gens[:ngens]) for img in images):
+            ngens += 1
+            if ngens > len(gens):
+                raise RuntimeError("the generators of %s do not span J_n(top)" % label)
+    return tuple(gens), ngens
 
 
 def generator_set(label: ModuleLabel) -> List[FockVector]:
-    """Generators of the bimodule attached to the module.
-
-    All modules are generated by the top vector alone except the charge
-    s=1/2 module and the odd twisted module, which need one extra lowest
-    weight vector each.
-    """
-    v = label.top_vector()
-    if label.kind == "Mlam" and label.s == Fraction(1, 2):
-        return [v, _aux_generator(label, Fraction(2), None)]
-    if label.kind == "Mtheta-":
-        return [v, _aux_generator(label, Fraction(3, 2), 1)]
-    return [v]
-
-
-def _expansion_generators(label: ModuleLabel) -> List[FockVector]:
-    """Generators used to expand relation elements as Virasoro descendants.
-
-    The Virasoro span of the top vector misses one lowest-weight vector in a
-    few modules; the relation expansion needs it even where the bimodule
-    bound does not.
-    """
-    gens = generator_set(label)
-    if label.kind == "Mlam" and label.s == Fraction(2):
-        gens = gens + [_aux_generator(label, Fraction(3), None)]
-    elif label.kind == "Mtheta+":
-        gens = gens + [_aux_generator(label, Fraction(3), 0)]
-    elif label.kind == "M+":
-        gens = gens + [J_state()]
-    return gens
+    """Generators of the bimodule attached to the module: the top vector,
+    followed by the primaries that J_n(top), n = 1, 2, 3, needs beyond its
+    Virasoro span (one at s = 1/2 and in the odd twisted module)."""
+    gens, ngens = _generators(label)
+    return list(gens[:ngens])
 
 
 def verify_generator_hypothesis(label: ModuleLabel, nmax: int = 3) -> bool:
     """Check that J_n g stays inside the Virasoro span of the generators."""
     gens = generator_set(label)
     J = J_state()
-    for g in gens:
-        for n in range(1, nmax + 1):
-            img = mode(J, n, g)
-            if img.is_zero():
-                continue
-            try:
-                virasoro.express_in_descendants(img, gens)
-            except virasoro.NotInSpan:
-                return False
-    return True
+    return all(_in_span(mode(J, n, g), gens) for g in gens for n in range(1, nmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +181,39 @@ class ConstraintSystem:
         return len(self.rows[0].polys) if self.rows else 1
 
 
-def _star_row_polys(label: ModuleLabel) -> Tuple[List[MultiPoly], Tuple[int, ...]]:
+def expand_in_generators(
+    v: FockVector, gens: Sequence[FockVector]
+) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[Tuple[MultiPoly, MultiPoly]]]:
+    """Virasoro descendant coordinates of v over the generators and their
+    contraction polynomials, one (numerator, denominator) pair per generator.
+
+    A coordinate irrational in lam is retried once with every generator
+    after the first rescaled by lam, and the coordinates returned are on the
+    rescaled generators.  Raises virasoro.NotInSpan when v is not a
+    descendant of the generators.
+    """
+    sector = v.sector
+    base_weights = [sector.weight_offset_rat() + g.max_degree() for g in gens]
+    coords = virasoro.express_in_descendants(v, gens)
+    try:
+        return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
+    except ValueError:
+        if len(gens) == 1:
+            raise
+    gens = [gens[0]] + [g.scale(sector.lam_scalar()) for g in gens[1:]]
+    coords = virasoro.express_in_descendants(v, gens)
+    return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
+
+
+def _star_row_polys(label: ModuleLabel) -> List[MultiPoly]:
     """Contraction polynomials (one per expansion generator) of the quartic
-    relation element multiplied onto the top vector, and the mirror signs."""
-    gens = _expansion_generators(label)
-    sector = label.sector()
-    offset = sector.weight_offset_rat()
-    degs = [g.max_degree() for g in gens]
-    base_weights = [offset + d for d in degs]
-    for scale_aux in (False, True):
-        use = list(gens)
-        if scale_aux:
-            use = [gens[0]] + [g.scale(sector.lam_scalar()) for g in gens[1:]]
-        rel = zhu.star_left(_h3h1(), use[0])
-        coords = virasoro.express_in_descendants(rel, use)
-        try:
-            pairs = zhu.coords_to_polys(coords, base_weights, len(use))
-            break
-        except ValueError:
-            if scale_aux:
-                raise
-    cols = []
-    for i, (num, den) in enumerate(pairs):
-        c = den.constant()
-        poly = num * Fraction(9, 1) * (Fraction(1) / c)
-        if i == 0:
-            poly = poly + _relation_head()
-        cols.append(poly)
-    signs = tuple((-1) ** int(d - degs[0]) for d in degs)
-    return cols, signs
+    relation element multiplied onto the top vector.  Raises
+    virasoro.NotInSpan when the relation is not in the generators' span."""
+    gens = _generators(label)[0]
+    _, pairs = expand_in_generators(zhu.star_left(_h3h1(), gens[0]), gens)
+    cols = [num * 9 * (1 / den.constant()) for num, den in pairs]
+    cols[0] = cols[0] + _relation_head()
+    return cols
 
 
 def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
@@ -253,6 +262,15 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     return polys[r]
 
 
+def _formal_contraction(rel) -> Tuple[MultiPoly, MultiPoly]:
+    """Contraction (numerator, denominator) of rel(v) for the top vector v
+    of the formal-charge module, as polynomials in x, y, z and s."""
+    v = FockVector.basis(Sector.untwisted(FORMAL))
+    coords = virasoro.express_in_descendants(rel(v), [v])
+    ((num, den),) = zhu.coords_to_polys(coords, [_S * Fraction(1, 2)], 1, formal_s=True)
+    return num, den
+
+
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal-charge contraction data for a generic charged module.
 
@@ -261,86 +279,65 @@ def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly
     x, y, z and the squared charge s.
     """
     if not hasattr(generic_relation_polys, "_cache"):
-        sec = Sector.untwisted(FORMAL)
-        v = FockVector.basis(sec)
-        base = [_S * Fraction(1, 2)]
-        rel = zhu.star_left(_h3h1(), v)
-        coords = virasoro.express_in_descendants(rel, [v])
-        ((num, den),) = zhu.coords_to_polys(coords, base, 1, formal_s=True)
-        f_num = _relation_head() * den + num * 9
-        crel = zhu.circ(_h3h1(), v)
-        ccoords = virasoro.express_in_descendants(crel, [v])
-        ((gnum, gden),) = zhu.coords_to_polys(ccoords, base, 1, formal_s=True)
-        generic_relation_polys._cache = (f_num, den, gnum, gden)
+        num, den = _formal_contraction(lambda v: zhu.star_left(_h3h1(), v))
+        gnum, gden = _formal_contraction(lambda v: zhu.circ(_h3h1(), v))
+        generic_relation_polys._cache = (_relation_head() * den + num * 9, den, gnum, gden)
     return generic_relation_polys._cache
 
 
 def second_circle_relation_polys() -> Tuple[MultiPoly, MultiPoly]:
     """Formal-charge contraction of the relation h(-2)^2|0> circ v."""
     if not hasattr(second_circle_relation_polys, "_cache"):
-        sec = Sector.untwisted(FORMAL)
-        v = FockVector.basis(sec)
         a = FockVector.basis(Sector.untwisted(None), (Fraction(2), Fraction(2)))
-        crel = zhu.circ(a, v)
-        coords = virasoro.express_in_descendants(crel, [v])
-        ((num, den),) = zhu.coords_to_polys(coords, [_S * Fraction(1, 2)], 1, formal_s=True)
-        second_circle_relation_polys._cache = (num, den)
+        second_circle_relation_polys._cache = _formal_contraction(lambda v: zhu.circ(a, v))
     return second_circle_relation_polys._cache
 
 
 _SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
 
 
+def _row_pair(name: str, polys: Sequence[MultiPoly], signs: Tuple[int, ...]) -> List[ConstraintRow]:
+    return [
+        ConstraintRow(name, tuple(polys), False, signs),
+        ConstraintRow(name + "-mirror", tuple(polys), True, signs),
+    ]
+
+
 def constraint_system(label: ModuleLabel) -> ConstraintSystem:
-    """The cached polynomial constraint system for M in the first slot."""
+    """The cached polynomial constraint system for M in the first slot.
+
+    A charged module with no primary above its top up to the relation
+    degree takes its star and circle rows from the formal-charge
+    contraction; every other module takes its star row from the expansion
+    generators, when the relation lies in their Virasoro span.  Every
+    module gets the singular-vector row wherever it has one.
+    """
     if label in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[label]
+    if label.kind == "Mlam" and label.s is FORMAL:
+        raise UnsupportedParameter("formal charge has no concrete system")
+    gens, ngens = _generators(label)
+    degs = [g.max_degree() for g in gens]
+    signs = tuple((-1) ** int(d - degs[0]) for d in degs)
     rows: List[ConstraintRow] = []
-    if label.kind == "Mlam" and label.s not in _SPECIAL_S:
-        if label.s is FORMAL:
-            raise UnsupportedParameter("formal charge has no concrete system")
-        sub = {"s": MultiPoly.const(label.s)}
+    if label.kind == "Mlam" and not _extra_weights(label):
         f_num, f_den, g_num, g_den = generic_relation_polys()
-        if f_den.evaluate({"s": label.s}) == 0:
+        point = {"s": label.s}
+        if f_den.evaluate(point) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
-        f = f_num.subs(sub)
-        rows.append(ConstraintRow("star", (f,), False, (1,)))
-        rows.append(ConstraintRow("star-mirror", (f,), True, (1,)))
-        if g_den.evaluate({"s": label.s}) != 0:
-            g = g_num.subs(sub)
-            rows.append(ConstraintRow("circle", (g,), False, (1,)))
-            rows.append(ConstraintRow("circle-mirror", (g,), True, (1,)))
-        sing = _singular_row_poly(label)
-        if sing is not None:
-            rows.append(ConstraintRow("singular-vector", (sing,), False, (1,)))
-            rows.append(ConstraintRow("singular-vector-mirror", (sing,), True, (1,)))
-        system = ConstraintSystem(label, 1, rows)
-    elif label.kind == "Mlam" and label.s == Fraction(9, 2):
-        sing = _singular_row_poly(label)
-        if sing is None:
-            raise RuntimeError("missing singular-vector relation at s=9/2")
-        rows.append(ConstraintRow("singular-vector", (sing,), False, (1,)))
-        rows.append(ConstraintRow("singular-vector-mirror", (sing,), True, (1,)))
-        system = ConstraintSystem(label, 1, rows)
-    elif label.kind == "M+":
-        cols, signs = _star_row_polys(label)
-        rows.append(ConstraintRow("star", tuple(cols), False, signs))
-        rows.append(ConstraintRow("star-mirror", tuple(cols), True, signs))
-        system = ConstraintSystem(label, 1, rows)
+        sub = {"s": MultiPoly.const(label.s)}
+        rows += _row_pair("star", [f_num.subs(sub)], signs)
+        if g_den.evaluate(point) != 0:
+            rows += _row_pair("circle", [g_num.subs(sub)], signs)
     else:
-        cols, signs = _star_row_polys(label)
-        rows.append(ConstraintRow("star", tuple(cols), False, signs))
-        rows.append(ConstraintRow("star-mirror", tuple(cols), True, signs))
-        ncols = len(cols)
-        sing = _singular_row_poly(label)
-        if sing is not None:
-            pad = (MultiPoly(),) * (ncols - 1)
-            rows.append(ConstraintRow("singular-vector", (sing,) + pad, False, signs))
-            rows.append(
-                ConstraintRow("singular-vector-mirror", (sing,) + pad, True, signs)
-            )
-        ngens = len(generator_set(label))
-        system = ConstraintSystem(label, ngens, rows)
+        try:
+            rows += _row_pair("star", _star_row_polys(label), signs)
+        except virasoro.NotInSpan:
+            pass
+    sing = _singular_row_poly(label)
+    if sing is not None:
+        rows += _row_pair("singular-vector", [sing] + [MultiPoly()] * (len(gens) - 1), signs)
+    system = ConstraintSystem(label, ngens, rows)
     _SYSTEM_CACHE[label] = system
     return system
 
@@ -542,12 +539,12 @@ def _slot_priority(label: ModuleLabel) -> int:
     return 7
 
 
-def _two_generator(label: ModuleLabel) -> bool:
-    return (label.kind == "Mlam" and label.s == Fraction(1, 2)) or label.kind == "Mtheta-"
-
-
 def _frac_str(x) -> str:
     return str(Fraction(x))
+
+
+def _rank(matrix: List[List[Fraction]]) -> int:
+    return linalg.rank(matrix, Fraction(1))
 
 
 def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict]:
@@ -570,7 +567,6 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
     system = constraint_system(M)
     matrix, names = _evaluate_system(system, N, L)
     ncols = system.ncols
-    one = Fraction(1)
     if system.ngens == 1:
         if ncols == 1:
             for row, name in zip(matrix, names):
@@ -581,8 +577,8 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
                         "value": _frac_str(row[0]),
                     }
             return None
-        full = linalg.rank(matrix, one)
-        rest = linalg.rank([row[1:] for row in matrix], one)
+        full = _rank(matrix)
+        rest = _rank([row[1:] for row in matrix])
         if full == rest + 1:
             return {
                 "type": "generator-column-forced",
@@ -591,7 +587,7 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
                 "matrix": [[_frac_str(v) for v in row] for row in matrix],
             }
         return None
-    if linalg.rank(matrix, one) == ncols:
+    if _rank(matrix) == ncols:
         det = None
         for (i, ri), (j, rj) in itertools.combinations(enumerate(matrix), 2):
             d = ri[0] * rj[1] - ri[1] * rj[0]
@@ -624,7 +620,7 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     )
     if witness is not None:
         for _, (arr, names) in arrangements:
-            if not _two_generator(arr[0]):
+            if len(generator_set(arr[0])) == 1:
                 return FusionCertificate(
                     m, n, l, 1,
                     {"witness": witness, "bound": 1},
@@ -635,7 +631,7 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
         for _, (arr, names) in arrangements:
             system = constraint_system(arr[0])
             matrix, _ = _evaluate_system(system, arr[1], arr[2])
-            rk = linalg.rank(matrix, Fraction(1))
+            rk = _rank(matrix)
             if rk >= 1:
                 return FusionCertificate(
                     m, n, l, 1,
@@ -777,21 +773,23 @@ def step3_closures(pt: MultiPoly, q2: MultiPoly) -> List[Closure]:
     (s, t, u), restricted to one subcase: the charge sum u = -5-s-t that the
     chains force, the equal pair u = t, or a special charge t in 1/2, 2,
     9/2, 8.  A special t drops each relation whose first slot holds t when
-    that slot takes a bespoke generator set instead (_SPECIAL_S, and 8 for
-    the circle rows).  D multiplies the factors that are nonzero in the
+    the relation's formal denominator vanishes at t (f_den for pt, g_den for
+    q2): that slot's system has no such row from the formal-charge
+    contraction.  D multiplies the factors that are nonzero in the
     subcase: distinct charges, and for special t also a nonvanishing
     symmetric factor and nonzero charges.  A closure holds when D vanishes on
     every common zero of the generators, i.e. D^k lies in their ideal for
     some k; by Rabinowitsch that is 1 in (generators, wD - 1).
     """
     S, T, U = _S, _T, _U
+    _, f_den, _, g_den = generic_relation_polys()
 
-    def gens(images, special: Optional[Fraction] = None) -> List[MultiPoly]:
+    def gens(images, t: Optional[Fraction] = None) -> List[MultiPoly]:
         return [
             p.subs({v: images[c] for v, c in zip("stu", perm)})
-            for p, bespoke in ((pt, _SPECIAL_S), (q2, _SPECIAL_S + (Fraction(8),)))
+            for p, den in ((pt, f_den), (q2, g_den))
             for perm in _SLOT_PERMS
-            if not (perm[0] == "t" and special in bespoke)
+            if not (perm[0] == "t" and t is not None and den.evaluate({"s": t}) == 0)
         ]
 
     u_sum = -5 - S - T

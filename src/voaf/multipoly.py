@@ -112,14 +112,15 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(1)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return MultiPoly.const(1) if out is None else out
 
     def __bool__(self):
         return bool(self.terms)
@@ -187,16 +188,26 @@ class MultiPoly:
         return acc * Fraction(1, den)
 
     def subs(self, assign: Dict[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials (or constants) for variables."""
-        full = {v: MultiPoly.var(v) for v in VARS}
-        for v, p in assign.items():
-            full[v] = p if isinstance(p, MultiPoly) else MultiPoly.const(p)
+        """Substitute polynomials (or constants) for variables.
+
+        The powers of each substituted value are built once, up to the
+        variable's degree; unsubstituted variables stay in the monomial.
+        """
+        terms = self.terms
+        tables = {}
+        for i, d in enumerate(map(max, zip(*terms)) if terms else ()):
+            if d and VARS[i] in assign:
+                p = assign[VARS[i]]
+                powers = [None, p if isinstance(p, MultiPoly) else MultiPoly.const(p)]
+                while len(powers) <= d:
+                    powers.append(powers[-1] * powers[1])
+                tables[i] = powers
         acc = MultiPoly()
-        for e, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * full[VARS[i]] ** k
+        for e, c in terms.items():
+            term = MultiPoly({tuple(0 if i in tables else k for i, k in enumerate(e)): c})
+            for i, powers in tables.items():
+                if e[i]:
+                    term = term * powers[e[i]]
             acc = acc + term
         return acc
 

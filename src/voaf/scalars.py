@@ -352,14 +352,15 @@ class Scalar:
     def __pow__(self, k: int):
         if k < 0:
             return (Scalar.one(self.mod) / self) ** (-k)
-        out = Scalar.one(self.mod)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Scalar.one(self.mod) if out is None else out
 
     def __bool__(self):
         return bool(self.num)

@@ -76,8 +76,11 @@ def cmn_table(max_total: int = 12) -> Dict[Tuple[int, int], Fraction]:
 
 
 def delta_apply(a: FockVector, max_total: int = 12) -> Dict[int, FockVector]:
-    """e^{Delta_z} a as a dict {j: component with z^{-j} attached}."""
-    table = cmn_table(max_total)
+    """e^{Delta_z} a as a dict {j: component with z^{-j} attached}.
+
+    Each Delta lowers the degree by m + n >= 1, so only the c_mn with
+    m + n <= deg(a) act, and the table is built to that total only."""
+    table = cmn_table(min(max_total, int(a.max_degree())))
 
     def delta_once(comp: FockVector) -> Dict[int, FockVector]:
         out: Dict[int, FockVector] = {}

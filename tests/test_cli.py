@@ -178,6 +178,15 @@ class TestReduce:
         assert out == ""
         assert err == "error: non-rational descendant coordinate 2/3*lam\n"
 
+    def test_irrational_coordinate_rescales_the_extra_generator(self, capsys):
+        # over the unscaled primary of M(s=1/2) the coordinate is -2/3*lam;
+        # over lam times that primary it is rational
+        code, out, err = run(capsys, "reduce", "--module", "M(s=1/2)",
+                             "--expr", "h(-1)h(-1)e^lam")
+        assert (code, err) == (0, "")
+        assert "  gen1 1: -2/3\n" in out
+        assert "  gen0: -2/3 x + 4/3 y + 1/6\n" in out
+
     @pytest.mark.parametrize("expr", ["", " "])
     def test_empty_expression_exit_2(self, capsys, expr):
         code, out, err = run(capsys, "reduce", "--module", "M+", "--expr", expr)

@@ -54,6 +54,20 @@ def _evaluate_reference(p: MultiPoly, assign):
     return Fraction(0) if acc is None else acc
 
 
+def _subs_reference(p: MultiPoly, assign):
+    """MultiPoly.subs term by term: each power of each substituted value is
+    rebuilt by repeated multiplication for every term."""
+    full = {v: assign.get(v, MultiPoly.var(v)) for v in VARS}
+    acc = MultiPoly()
+    for e, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * full[VARS[i]]
+        acc = acc + term
+    return acc
+
+
 def _scalar(mod=None):
     return st.tuples(rationals, rationals).map(
         lambda ab: Scalar.of(ab[0], mod) + Scalar.lam(mod) * Scalar.of(ab[1], mod)
@@ -403,6 +417,58 @@ class TestMultiPoly:
             xv = xv / (Scalar.lam() + data.draw(rationals))
         point = {"x": xv, "y": data.draw(wide_rationals)}
         assert p.evaluate(point) == _evaluate_reference(p, point)
+
+    @given(
+        _multipoly(len(VARS), 3, rationals),
+        st.dictionaries(
+            st.sampled_from(VARS),
+            st.one_of(_multipoly(2, 1, rationals), rationals.map(MultiPoly.const)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subs_matches_reference(self, p, assign):
+        assert p.subs(assign) == _subs_reference(p, assign)
+
+    def test_subs_accepts_constants(self):
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        assert (x * x * y).subs({"x": Fraction(1, 2)}) == y * Fraction(1, 4)
+
+    @given(_multipoly(2, 2, rationals), st.integers(0, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_pow_matches_repeated_product(self, p, k):
+        ref = MultiPoly.const(1)
+        for _ in range(k):
+            ref = ref * p
+        assert p ** k == ref
+
+    @pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (8, 3)])
+    def test_pow_product_count(self, k, products, monkeypatch):
+        """Square-and-multiply with no product before the first bit or after
+        the last: p ** 1 is p itself."""
+        calls = []
+        real = MultiPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        p = MultiPoly.var("x") + 1
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        got = p ** k
+        monkeypatch.undo()
+        assert len(calls) == products
+        assert got == _subs_reference(MultiPoly.var("x") ** k, {"x": p})
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 5])
+    def test_scalar_pow_matches_repeated_product(self, k):
+        a = Scalar.of(Fraction(2, 3), Fraction(2)) + Scalar.lam(Fraction(2))
+        ref = Scalar.one(Fraction(2))
+        for _ in range(abs(k)):
+            ref = ref * a
+        if k < 0:
+            ref = Scalar.one(Fraction(2)) / ref
+        assert a ** k == ref
 
     def test_evaluate_zero_polynomial(self):
         got = MultiPoly().evaluate({})

@@ -28,14 +28,64 @@ CONCRETE = [
 ]
 
 
+STD_GRID = [F(1, 3), F(1, 2), F(2), F(9, 2), F(8), F(5)]
+GENERIC_GRID = [F(3), F(5, 4), F(22, 9), F(13, 7)]
+# both golden grids with their closures, and the ladder s = n^2/2, n <= 8
+GRID_LABELS = [mplus(), mminus(), mtheta_plus(), mtheta_minus()] + [
+    mlam(s)
+    for s in sorted(
+        set(fusion.charge_closure(STD_GRID))
+        | set(fusion.charge_closure(GENERIC_GRID))
+        | {F(n * n, 2) for n in range(1, 9)}
+    )
+]
+# degrees of the expansion generators above the top, and the bimodule
+# generator count; every other label has the top vector alone
+EXTRA_GENERATORS = {
+    "Mtheta+": ([3], 1),
+    "Mtheta-": ([1], 2),
+    "M(s=1/2)": ([2], 2),
+    "M(s=2)": ([3], 1),
+}
+
+
+def _charge_literals(source):
+    """The Fraction(...) calls in the source whose arguments are all constants."""
+    tree = ast.parse(textwrap.dedent(source))
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "Fraction"
+        and all(isinstance(getattr(a, "operand", a), ast.Constant) for a in node.args)
+    ]
+
+
 class TestGenerators:
-    def test_generator_counts(self):
-        assert len(fusion.generator_set(mplus())) == 1
-        assert len(fusion.generator_set(mminus())) == 1
-        assert len(fusion.generator_set(mtheta_plus())) == 1
-        assert len(fusion.generator_set(mtheta_minus())) == 2
-        assert len(fusion.generator_set(mlam(F(1, 2)))) == 2
-        assert len(fusion.generator_set(mlam(F(1, 3)))) == 1
+    def test_grid_has_23_labels(self):
+        assert len(GRID_LABELS) == 23
+
+    @pytest.mark.parametrize("label", GRID_LABELS, ids=str)
+    def test_generator_counts(self, label):
+        degrees, count = EXTRA_GENERATORS.get(str(label), ([], 1))
+        gens, ngens = fusion._generators(label)
+        assert gens[0] == label.top_vector()
+        assert [g.max_degree() - label.top_degree() for g in gens[1:]] == degrees
+        assert ngens == count
+        assert fusion.generator_set(label) == list(gens[:count])
+
+    @pytest.mark.parametrize(
+        "fn",
+        [fusion.constraint_system, fusion.generator_set, fusion._generators, fusion.decide],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_no_charge_literal(self, fn):
+        """The code that picks generators and rows holds no case table."""
+        assert _charge_literals(inspect.getsource(fn)) == []
+
+    def test_charge_literal_check_catches_a_case_table(self):
+        src = "def f(label, s):\n    return label.s in (Fraction(1, 2), Fraction(-9, 2), Fraction(-s))\n"
+        assert _charge_literals(src) == ["Fraction(1, 2)", "Fraction(-9, 2)"]
 
     @pytest.mark.parametrize("label", CONCRETE, ids=str)
     def test_generator_hypothesis(self, label):
@@ -55,6 +105,42 @@ class TestConstraintSystems:
         names = [r.name for r in system.rows]
         assert any("star" in n for n in names)
         assert any("circle" in n for n in names)
+
+    @pytest.mark.parametrize("s", [F(1, 3), F(4, 3), F(5), F(8), F(25, 2)], ids=str)
+    def test_formal_star_row_is_the_scaled_expansion_row(self, s):
+        """The formal-charge route is a cache of the expansion route."""
+        _, f_den, _, _ = fusion.generic_relation_polys()
+        label = mlam(s)
+        star = next(r for r in fusion.constraint_system(label).rows if r.name == "star")
+        (col,) = fusion._star_row_polys(label)
+        assert star.polys == (col * f_den.evaluate({"s": s}),)
+
+    def test_vacuum_system_is_the_level_one_singular_row(self):
+        # the first primary of M+ above the vacuum, J, sits at degree 4, so
+        # the relation has no star row; L(-1)|0> = 0 gives the row x - y
+        system = fusion.constraint_system(mplus())
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        assert [r.name for r in system.rows] == ["singular-vector", "singular-vector-mirror"]
+        assert [r.polys for r in system.rows] == [(x - y,)] * 2
+        assert [r.signs for r in system.rows] == [(1,)] * 2
+        assert system.ngens == 1
+
+    @pytest.mark.parametrize(
+        "label,names",
+        [
+            (mlam(F(9, 2)), ["singular-vector", "singular-vector-mirror"]),
+            (mlam(F(2)), ["star", "star-mirror", "singular-vector", "singular-vector-mirror"]),
+            (mtheta_plus(), ["star", "star-mirror"]),
+            (mlam(F(8)), ["star", "star-mirror", "singular-vector", "singular-vector-mirror"]),
+        ],
+        ids=str,
+    )
+    def test_rows_follow_the_decomposition(self, label, names):
+        """s = 9/2 has its first primary at degree 4, outside the expansion
+        generators, so the relation has no star row there; s = 8 has its
+        first at degree 5 and takes the formal route, where the circle
+        relation degenerates."""
+        assert [r.name for r in fusion.constraint_system(label).rows] == names
 
     def test_special_charges_raise_on_generic_polys(self):
         f_num, f_den, _, _ = fusion.generic_relation_polys()

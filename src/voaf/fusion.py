@@ -18,16 +18,17 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import characters, linalg, step3_cofactors, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import VARS, MultiPoly
 from .scalars import Scalar, rational_sqrt
-from .vertexops import J_state, mode, vacuum
+from .vertexops import J_state, mode, modes, vacuum
 
 
 class UnsupportedParameter(ValueError):
@@ -129,7 +130,7 @@ def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
     ngens = 1
     if any(g.max_degree() <= top.max_degree() + 2 for g in gens[1:]):
         J = J_state()
-        images = [mode(J, n, top) for n in (1, 2, 3)]
+        images = modes(J, (1, 2, 3), top)
         while not all(_in_span(img, gens[:ngens]) for img in images):
             ngens += 1
             if ngens > len(gens):
@@ -149,7 +150,7 @@ def verify_generator_hypothesis(label: ModuleLabel, nmax: int = 3) -> bool:
     """Check that J_n g stays inside the Virasoro span of the generators."""
     gens = generator_set(label)
     J = J_state()
-    return all(_in_span(mode(J, n, g), gens) for g in gens for n in range(1, nmax + 1))
+    return all(_in_span(img, gens) for g in gens for img in modes(J, range(1, nmax + 1), g))
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +171,46 @@ class ConstraintRow:
     signs: Tuple[int, ...] = ()
 
 
-@dataclass
 class ConstraintSystem:
-    label: ModuleLabel
-    ngens: int  # bimodule generator count: fusion rule upper bound
-    rows: List[ConstraintRow]
+    """The constraint rows of one module in the first slot, built on demand.
+
+    The star and circle rows are built with the system.  The singular-vector
+    pair, whose row costs a path over level n + 1, is built the first time a
+    walk reaches it; `rows` walks to the end, so it is always the full list.
+    """
+
+    def __init__(
+        self, label: ModuleLabel, ngens: int, ncols: int, rows: List[ConstraintRow], signs: Tuple[int, ...]
+    ):
+        self.label = label
+        self.ngens = ngens  # bimodule generator count: fusion rule upper bound
+        self.ncols = ncols  # expansion generator count: one column each
+        self._rows = rows
+        self._singular_signs: Optional[Tuple[int, ...]] = signs  # None once built
+
+    def walk(self) -> Iterator[ConstraintRow]:
+        """The rows in order, building the singular-vector pair when reached."""
+        i = 0
+        while i < len(self._rows) or self._build_singular():
+            yield self._rows[i]
+            i += 1
+
+    def _build_singular(self) -> bool:
+        """Append the singular-vector pair if it is still unbuilt; whether
+        any row was added."""
+        signs = self._singular_signs
+        if signs is None:
+            return False
+        sing = _singular_row_poly(self.label)
+        self._singular_signs = None
+        if sing is None:
+            return False
+        self._rows += _row_pair("singular-vector", [sing] + [MultiPoly()] * (self.ncols - 1), signs)
+        return True
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0].polys) if self.rows else 1
+    def rows(self) -> List[ConstraintRow]:
+        return list(self.walk())
 
 
 def expand_in_generators(
@@ -310,7 +342,8 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     degree takes its star and circle rows from the formal-charge
     contraction; every other module takes its star row from the expansion
     generators, when the relation lies in their Virasoro span.  Every
-    module gets the singular-vector row wherever it has one.
+    module gets the singular-vector row wherever it has one, built when a
+    walk of the system first reaches it.
     """
     if label in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[label]
@@ -334,31 +367,30 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
             rows += _row_pair("star", _star_row_polys(label), signs)
         except virasoro.NotInSpan:
             pass
-    sing = _singular_row_poly(label)
-    if sing is not None:
-        rows += _row_pair("singular-vector", [sing] + [MultiPoly()] * (len(gens) - 1), signs)
-    system = ConstraintSystem(label, ngens, rows)
+    system = ConstraintSystem(label, ngens, len(gens), rows, signs)
     _SYSTEM_CACHE[label] = system
     return system
+
+
+def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
+    """The evaluation points of the ordinary and the mirror rows."""
+    aN, aL = n.a_M(), l.a_M()
+    return {"x": aL, "y": aN, "z": l.b_M()}, {"x": aN, "y": aL, "z": n.b_M()}
+
+
+def _row_values(row: ConstraintRow, points) -> List[Fraction]:
+    if row.mirror:
+        return [p.evaluate(points[1]) * sign for p, sign in zip(row.polys, row.signs)]
+    return [p.evaluate(points[0]) for p in row.polys]
 
 
 def _evaluate_system(
     system: ConstraintSystem, n: ModuleLabel, l: ModuleLabel
 ) -> Tuple[List[List[Fraction]], List[str]]:
-    aN, bN = n.a_M(), n.b_M()
-    aL, bL = l.a_M(), l.b_M()
-    matrix: List[List[Fraction]] = []
-    names: List[str] = []
-    for row in system.rows:
-        if row.mirror:
-            point = {"x": aN, "y": aL, "z": bN}
-            signs = row.signs
-        else:
-            point = {"x": aL, "y": aN, "z": bL}
-            signs = (1,) * len(row.polys)
-        matrix.append([p.evaluate(point) * sign for p, sign in zip(row.polys, signs)])
-        names.append(row.name)
-    return matrix, names
+    """Every row of the system at the triple's points, with the row names."""
+    points = _points(n, l)
+    rows = system.rows
+    return [_row_values(row, points) for row in rows], [row.name for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -508,35 +540,20 @@ class FusionCertificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-_SLOT_NAMES = ("m", "n", "l")
-
-
-def _arrangements(m, n, l):
-    labs = (m, n, l)
-    seen = []
-    for perm in itertools.permutations(range(3)):
-        arr = tuple(labs[i] for i in perm)
-        names = [_SLOT_NAMES[i] for i in perm]
-        seen.append((arr, names))
-    return seen
+# the six arrangements of a triple, in a fixed order: the slot that comes
+# first, the reordering of the triple, and the slot names in their new order
+_ARRANGEMENTS = tuple(
+    (perm[0], operator.itemgetter(*perm), ["mnl"[i] for i in perm])
+    for perm in itertools.permutations(range(3))
+)
+_KIND_PRIORITY = {"M+": 0, "M-": 1, "Mtheta+": 6, "Mtheta-": 7}
+_CHARGE_PRIORITY = {Fraction(2): 3, Fraction(9, 2): 4, Fraction(1, 2): 5}
 
 
 def _slot_priority(label: ModuleLabel) -> int:
-    if label.kind == "M+":
-        return 0
-    if label.kind == "M-":
-        return 1
     if label.kind == "Mlam":
-        if label.s == Fraction(2):
-            return 3
-        if label.s == Fraction(9, 2):
-            return 4
-        if label.s == Fraction(1, 2):
-            return 5
-        return 2
-    if label.kind == "Mtheta+":
-        return 6
-    return 7
+        return _CHARGE_PRIORITY.get(label.s, 2)
+    return _KIND_PRIORITY[label.kind]
 
 
 def _frac_str(x) -> str:
@@ -565,18 +582,22 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
             }
         return None
     system = constraint_system(M)
-    matrix, names = _evaluate_system(system, N, L)
     ncols = system.ncols
+    if system.ngens == 1 and ncols == 1:
+        # the certificate quotes the first row that does not vanish, so the
+        # walk stops there and later rows are neither built nor evaluated
+        points = _points(N, L)
+        for row in system.walk():
+            (value,) = _row_values(row, points)
+            if value != 0:
+                return {
+                    "type": "nonzero-constraint",
+                    "row": row.name,
+                    "value": _frac_str(value),
+                }
+        return None
+    matrix, names = _evaluate_system(system, N, L)
     if system.ngens == 1:
-        if ncols == 1:
-            for row, name in zip(matrix, names):
-                if row[0] != 0:
-                    return {
-                        "type": "nonzero-constraint",
-                        "row": name,
-                        "value": _frac_str(row[0]),
-                    }
-            return None
         full = _rank(matrix)
         rest = _rank([row[1:] for row in matrix])
         if full == rest + 1:
@@ -610,25 +631,27 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
 
 def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     """Decide the fusion rule for the ordered triple and certify it."""
-    for lab in (m, n, l):
+    labs = (m, n, l)
+    for lab in labs:
         if lab.kind == "Mlam" and lab.s is FORMAL:
             raise UnsupportedParameter("decide() requires concrete charges")
     witness = find_witness(m, n, l)
-    arrangements = sorted(
-        enumerate(_arrangements(m, n, l)),
-        key=lambda t: (_slot_priority(t[1][0][0]), t[0]),
-    )
+    priority = [_slot_priority(lab) for lab in labs]
+    arrangements = [
+        (arrange(labs), names)
+        for _, arrange, names in sorted(_ARRANGEMENTS, key=lambda a: priority[a[0]])
+    ]
     if witness is not None:
-        for _, (arr, names) in arrangements:
+        for arr, names in arrangements:
             if len(generator_set(arr[0])) == 1:
                 return FusionCertificate(
                     m, n, l, 1,
                     {"witness": witness, "bound": 1},
-                    names,
+                    list(names),
                 )
         # every arrangement has a two-generator first slot; a rank-one
         # constraint system brings the bound from two down to one
-        for _, (arr, names) in arrangements:
+        for arr, names in arrangements:
             system = constraint_system(arr[0])
             matrix, _ = _evaluate_system(system, arr[1], arr[2])
             rk = _rank(matrix)
@@ -640,13 +663,13 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
                         "bound": 2,
                         "rank_argument": "constraint system has rank %d" % rk,
                     },
-                    names,
+                    list(names),
                 )
         raise Inconclusive("witness found but no bound-1 argument for (%s,%s,%s)" % (m, n, l))
-    for _, (arr, names) in arrangements:
+    for arr, names in arrangements:
         proof = _prove_zero(*arr)
         if proof is not None:
-            return FusionCertificate(m, n, l, 0, proof, names)
+            return FusionCertificate(m, n, l, 0, proof, list(names))
     raise Inconclusive("no arrangement decides (%s, %s, %s)" % (m, n, l))
 
 

@@ -29,6 +29,7 @@ through ``__init__``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -152,8 +153,15 @@ def upoly_str(p: UPoly, var: str) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+# the charge grammar of a module label: an integer or p/q, p optionally negative
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text), reporting a zero denominator as a ValueError."""
+    """The rational written as p or p/q (surrounding blanks allowed); any
+    other text, and a zero denominator, is a ValueError."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError("not a rational p or p/q: %r" % text)
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -241,30 +241,27 @@ def _mode_tuples(
     return rec(0, 0, 0)
 
 
-def vertex_op_coeff(
-    a: FockVector,
-    u: FockVector,
-    offset,
-    out_sector: Optional[Sector] = None,
-) -> FockVector:
-    """Coefficient of z^{base + offset} of the (inter)twining operator for a
-    acting on u.  The base power is <lam_a, lam_u> for untwisted u and
-    -lam_a^2/2 for twisted u; both are tracked implicitly.  The offset is a
-    multiple of 1/2.
-
-    For twisted u the correction e^{Delta_z} is applied to a first."""
-    offset = double(offset)
+def _operator(
+    a: FockVector, u: FockVector, out_sector: Optional[Sector]
+) -> Tuple[Dict[int, FockVector], Sector]:
+    """The state the operator for a expands on u, as {j: component with
+    z^{-j} attached} (e^{Delta_z} a for twisted u, a itself otherwise), and
+    the output sector."""
     if u.sector.twisted:
-        out_sector = Sector.twisted_sector()
-        pieces = delta_apply(a)
-    else:
-        if out_sector is None:
-            if a.sector.lam_scalar().is_zero():
-                out_sector = u.sector
-            else:
-                raise ValueError("charged operator on untwisted module needs an explicit output sector")
-        pieces = {0: a}
-    lam_a = a.sector.lam_scalar()
+        return delta_apply(a), Sector.twisted_sector()
+    if out_sector is None:
+        if not a.sector.lam_scalar().is_zero():
+            raise ValueError("charged operator on untwisted module needs an explicit output sector")
+        out_sector = u.sector
+    return {0: a}, out_sector
+
+
+def _coeff(
+    pieces: Dict[int, FockVector], lam_a: Scalar, u: FockVector, offset, out_sector: Sector
+) -> FockVector:
+    """Coefficient of z^{base + offset} of the operator expanded as `pieces`
+    acting on u."""
+    offset = double(offset)
     acc = FockVector.zero(out_sector)
     for j, comp in pieces.items():
         E = offset + 2 * j
@@ -277,12 +274,37 @@ def vertex_op_coeff(
     return acc
 
 
+def vertex_op_coeff(
+    a: FockVector,
+    u: FockVector,
+    offset,
+    out_sector: Optional[Sector] = None,
+) -> FockVector:
+    """Coefficient of z^{base + offset} of the (inter)twining operator for a
+    acting on u.  The base power is <lam_a, lam_u> for untwisted u and
+    -lam_a^2/2 for twisted u; both are tracked implicitly.  The offset is a
+    multiple of 1/2.
+
+    For twisted u the correction e^{Delta_z} is applied to a first."""
+    pieces, out_sector = _operator(a, u, out_sector)
+    return _coeff(pieces, a.sector.lam_scalar(), u, offset, out_sector)
+
+
+def modes(a: FockVector, ns: Iterable, u: FockVector) -> List[FockVector]:
+    """The modes a_n, n in ns, of an uncharged state a in M(1), acting on u
+    (either sector): the coefficients of z^{-n-1}.  On a twisted u the
+    correction e^{Delta_z} a is expanded once for all of them."""
+    if not a.sector.lam_scalar().is_zero() or a.sector.twisted:
+        raise ValueError("modes of a state need it in the vacuum charge sector")
+    pieces, out_sector = _operator(a, u, None)
+    lam_a = a.sector.lam_scalar()
+    return [_coeff(pieces, lam_a, u, -n - 1, out_sector) for n in ns]
+
+
 def mode(a: FockVector, n, u: FockVector) -> FockVector:
     """The mode a_n of an uncharged state a in M(1), acting on u (either
     sector): the coefficient of z^{-n-1}."""
-    if not a.sector.lam_scalar().is_zero() or a.sector.twisted:
-        raise ValueError("mode() requires a in the vacuum charge sector")
-    return vertex_op_coeff(a, u, -n - 1)
+    return modes(a, (n,), u)[0]
 
 
 def weight(a: FockVector) -> Fraction:

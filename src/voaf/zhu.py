@@ -30,7 +30,7 @@ from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel
 from .multipoly import MultiPoly
 from .scalars import Phase, Scalar
-from .vertexops import gen_binom, mode, weight
+from .vertexops import gen_binom, modes, weight
 
 
 def star_left(a: FockVector, u: FockVector) -> FockVector:
@@ -38,8 +38,8 @@ def star_left(a: FockVector, u: FockVector) -> FockVector:
     if wa.denominator != 1:
         raise ValueError("integral weight required")
     acc = FockVector.zero(u.sector)
-    for i in range(int(wa) + 1):
-        acc = acc + mode(a, i - 1, u).scale(gen_binom(wa, i))
+    for i, img in enumerate(modes(a, range(-1, int(wa)), u)):
+        acc = acc + img.scale(gen_binom(wa, i))
     return acc
 
 
@@ -51,8 +51,8 @@ def star_right(u: FockVector, a: FockVector) -> FockVector:
     # for wt(a) >= 1 the binomial kills i >= wt(a); for wt(a) = 0 the modes
     # a(i-1)u vanish once i exceeds wt(a) + deg(u)
     bound = int(wa + u.max_degree()) + 2
-    for i in range(bound):
-        acc = acc + mode(a, i - 1, u).scale(gen_binom(wa - 1, i))
+    for i, img in enumerate(modes(a, range(-1, bound - 1), u)):
+        acc = acc + img.scale(gen_binom(wa - 1, i))
     return acc
 
 
@@ -61,8 +61,8 @@ def circ(a: FockVector, u: FockVector) -> FockVector:
     if wa.denominator != 1:
         raise ValueError("integral weight required")
     acc = FockVector.zero(u.sector)
-    for i in range(int(wa) + 1):
-        acc = acc + mode(a, i - 2, u).scale(gen_binom(wa, i))
+    for i, img in enumerate(modes(a, range(-2, int(wa) - 1), u)):
+        acc = acc + img.scale(gen_binom(wa, i))
     return acc
 
 

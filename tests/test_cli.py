@@ -127,6 +127,29 @@ class TestFusion:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "grid", ["0.5", "1e3", "1_000", "+3", "2,1.5", "1/-3", "2/3/4", "1/3 1/2", "s"]
+    )
+    def test_lambda_square_outside_label_grammar_exit_2(self, capsys, grid):
+        """--lambda-squares takes the charges of M(s=...) labels: p or p/q."""
+        code, out, err = run(capsys, "fusion-table", "--lambda-squares", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("label", ["M(s=0.5)", "M(s=1e3)", "M(s=+3)"])
+    def test_label_charge_outside_grammar_exit_2(self, capsys, label):
+        code, out, err = run(capsys, "fusion", "--m", label, "--n", "M+", "--l", "M+")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_lambda_squares_take_blanks_around_entries(self, capsys):
+        code, out, _ = run(capsys, "fusion-table", "--lambda-squares", " 2 ")
+        code2, out2, _ = run(capsys, "fusion-table", "--lambda-squares", "2")
+        assert code == code2 == 0
+        assert out == out2
+
 
 class TestFusionTable:
     def test_csv_deterministic(self, capsys):
@@ -139,7 +162,7 @@ class TestFusionTable:
 
     def test_square_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "fusion-table", "--lambda-squares",
-                             "1e400,4")
+                             "1" + "0" * 400 + ",4")
         assert code == 0, err
         assert out.splitlines()[0].startswith("m,")
 

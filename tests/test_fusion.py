@@ -7,6 +7,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from voaf import fusion, linalg, virasoro, zhu
 from voaf.fock import FORMAL, FockVector
@@ -381,3 +383,121 @@ class TestSingularRow:
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not names & {"nullspace", "L_word", "words_at_level"}
+
+
+# first slots for the lazy-row properties: every label kind but M+, whose
+# arrangements are settled by invariant separation without a system
+LAZY_FIRST = [mminus(), mtheta_plus(), mtheta_minus(), mlam(F(9, 2))] + [
+    mlam(F(n * n, 2)) for n in range(1, 7)
+]
+charged = st.fractions(min_value=F(1, 12), max_value=F(20), max_denominator=12).map(mlam)
+first_slots = st.one_of(st.sampled_from(LAZY_FIRST), charged)
+other_slots = st.one_of(st.sampled_from(LAZY_FIRST + [mplus()]), charged)
+
+
+def _eager_certificate(system, n, l):
+    """The one-column certificate from the full matrix: its first nonzero row."""
+    matrix, names = fusion._evaluate_system(system, n, l)
+    for row, name in zip(matrix, names):
+        if row[0] != 0:
+            return {"type": "nonzero-constraint", "row": name, "value": str(row[0])}
+    return None
+
+
+class TestLazyRows:
+    """A one-column system is decided by its first nonzero row; rows after
+    it, the singular-vector pair included, are built and evaluated only when
+    a walk reaches them."""
+
+    def test_cold_high_ladder_query_never_builds_the_singular_row(self, monkeypatch):
+        label = mlam(F(512))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+
+        def unreachable(label):
+            raise AssertionError("singular row of %s built" % label)
+
+        monkeypatch.setattr(fusion, "_singular_row_poly", unreachable)
+        cert = fusion.decide(label, mlam(F(1, 3)), mlam(F(5)))
+        assert cert.verdict == 0
+        assert cert.permutation == ["m", "n", "l"]
+        assert cert.reason == {
+            "type": "nonzero-constraint",
+            "row": "star",
+            "value": "12909062293025/36",
+        }
+
+    def test_singular_row_is_built_and_quoted_when_reached(self, monkeypatch):
+        # M(s=9/2) has no star row, so its walk starts at the singular pair
+        label = mlam(F(9, 2))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+        built = []
+        real = fusion._singular_row_poly
+        monkeypatch.setattr(fusion, "_singular_row_poly", lambda lab: built.append(lab) or real(lab))
+        cert = fusion.decide(label, mlam(F(1, 2)), mlam(F(1, 2)))
+        assert built == [label]
+        assert cert.permutation == ["m", "n", "l"]
+        assert cert.reason == {
+            "type": "nonzero-constraint",
+            "row": "singular-vector",
+            "value": "-135/256",
+        }
+        # a second walk reuses the cached row
+        fusion.decide(label, mlam(F(1, 2)), mlam(F(9, 2)))
+        assert built == [label]
+
+    def test_ncols_does_not_force_the_rows(self, monkeypatch):
+        label = mlam(F(8))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+
+        def unbuilt(label):
+            raise LookupError("singular row of %s built" % label)
+
+        monkeypatch.setattr(fusion, "_singular_row_poly", unbuilt)
+        system = fusion.constraint_system(label)
+        assert (system.ngens, system.ncols) == (1, 1)
+        with pytest.raises(LookupError):
+            system.rows
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(first_slots, other_slots, other_slots)
+    def test_lazy_walk_matches_the_full_system(self, m, n, l):
+        cache = fusion._SYSTEM_CACHE
+        cache.pop(m, None)
+        lazy = fusion._prove_zero(m, n, l)
+        partial = cache[m]
+        cache.pop(m)
+        fresh = fusion.constraint_system(m)
+        assert fresh is not partial
+        assert partial.rows == fresh.rows
+        assert (partial.ngens, partial.ncols) == (fresh.ngens, fresh.ncols)
+        if fresh.ngens == 1 and fresh.ncols == 1:
+            assert lazy == _eager_certificate(fresh, n, l)
+
+    def test_lazy_walk_matches_the_full_system_on_the_grid(self):
+        """Every one-column first slot of GRID_LABELS against the standard
+        grid's pairs: the triples where a star row vanishes and a later row
+        decides are few, and a random draw seldom meets them."""
+        base = fusion.base_labels(STD_GRID)
+        targets = base[:2] + [mlam(s) for s in fusion.charge_closure(STD_GRID)] + base[-2:]
+        checked = 0
+        for m in GRID_LABELS:
+            if m == mplus():  # settled by invariant separation, not its rows
+                continue
+            system = fusion.constraint_system(m)
+            if (system.ngens, system.ncols) != (1, 1):
+                continue
+            for n in base:
+                for l in targets:
+                    assert fusion._prove_zero(m, n, l) == _eager_certificate(system, n, l), (m, n, l)
+                    checked += 1
+        assert checked == 18 * 10 * 16
+
+    def test_generic_table_evaluation_count(self, monkeypatch):
+        """Deciding the generic golden grid evaluates 485 polynomials with
+        rows on demand (1820 when every row of a system is evaluated)."""
+        monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
+        calls = []
+        real = MultiPoly.evaluate
+        monkeypatch.setattr(MultiPoly, "evaluate", lambda p, point: calls.append(1) or real(p, point))
+        fusion.full_table(GENERIC_GRID)
+        assert len(calls) == 485

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_log, rs_nth_root
 from sympy.polys.rings import ring
 
 from voaf.fock import FockVector, Sector, basis_at_degree
-from voaf.labels import mminus, mtheta_minus, mtheta_plus
+from voaf import vertexops
+from voaf.labels import mlam, mminus, mtheta_minus, mtheta_plus
 from voaf.scalars import Scalar
 from voaf.vertexops import (
     J_state,
@@ -15,6 +17,7 @@ from voaf.vertexops import (
     delta_apply,
     gen_binom,
     mode,
+    modes,
     o_apply,
     omega,
     vacuum,
@@ -147,3 +150,35 @@ class TestTwistedIntertwiner:
         odd = vertex_op_coeff(a, tv, Fraction(1, 2))
         assert not even.is_zero()
         assert not odd.is_zero()
+
+
+class TestModes:
+    @pytest.mark.parametrize(
+        "u",
+        [
+            mtheta_plus().top_vector(),
+            mtheta_minus().top_vector(),
+            FockVector.basis(TW, (Fraction(3, 2), Fraction(1, 2))),
+            mminus().top_vector(),
+            mlam(Fraction(2)).top_vector(),
+        ],
+        ids=["Mtheta+", "Mtheta-", "twisted-level-2", "M-", "M(s=2)"],
+    )
+    @pytest.mark.parametrize("a", [J_state(), omega()], ids=["J", "omega"])
+    def test_modes_equal_single_modes(self, a, u, monkeypatch):
+        ns = [-2, -1, 0, 1, 2, 3]
+        if u.sector.twisted:
+            ns += [Fraction(1, 2), Fraction(-3, 2)]
+        expansions = []
+        real = vertexops.delta_apply
+        monkeypatch.setattr(vertexops, "delta_apply", lambda b: expansions.append(b) or real(b))
+        got = modes(a, ns, u)
+        # e^Delta a is expanded once for the whole list, and only on a twisted u
+        assert len(expansions) == (1 if u.sector.twisted else 0)
+        assert got == [mode(a, n, u) for n in ns]
+        assert got == [vertex_op_coeff(a, u, -n - 1) for n in ns]
+
+    def test_modes_rejects_a_charged_state(self):
+        a = mlam(Fraction(2)).top_vector()
+        with pytest.raises(ValueError):
+            modes(a, [0], mminus().top_vector())

@@ -57,3 +57,24 @@ def test_golden_output(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+# The six singular-ladder queries of the seed-0 standard-grid benchmark
+# workload: each ladder charge of the grid's closure in the first slot,
+# decided by its own constraint system.
+LADDER_QUERIES = [
+    ("M(s=25/2)", "M(s=8)", "Mtheta-"),
+    ("M(s=32)", "M(s=8)", "M(s=1/2)"),
+    ("M(s=25/2)", "M(s=1/3)", "M(s=8)"),
+    ("M(s=18)", "M(s=5)", "M(s=9/2)"),
+    ("M(s=49/2)", "M(s=8)", "M(s=2)"),
+    ("M(s=18)", "M(s=2)", "M(s=1/2)"),
+]
+
+
+def test_ladder_certificates(capsys):
+    out = []
+    for m, n, l in LADDER_QUERIES:
+        assert cli.main(["fusion", "--m", m, "--n", n, "--l", l, "--certificate"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN_DIR / "fusion_ladder_certificates.txt").read_text(encoding="utf-8")

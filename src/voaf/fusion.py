@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import characters, linalg, step3_cofactors, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
@@ -107,7 +107,7 @@ def _in_span(v: FockVector, gens: Sequence[FockVector]) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
     """The expansion generators of the module and how many of them, as a
     prefix, generate the bimodule.
@@ -174,39 +174,44 @@ class ConstraintRow:
 class ConstraintSystem:
     """The constraint rows of one module in the first slot, built on demand.
 
-    The star and circle rows are built with the system.  The singular-vector
-    pair, whose row costs a path over level n + 1, is built the first time a
-    walk reaches it; `rows` walks to the end, so it is always the full list.
+    The system holds its built rows and an ordered list of row builders
+    still to run.  `walk` yields the built rows and runs the next builder
+    only when it has yielded them all, so a walk that stops at the first
+    nonzero row builds nothing after it; `rows` walks to the end, so it is
+    always the full list, in the same order.
     """
 
     def __init__(
-        self, label: ModuleLabel, ngens: int, ncols: int, rows: List[ConstraintRow], signs: Tuple[int, ...]
+        self,
+        label: ModuleLabel,
+        ngens: int,
+        ncols: int,
+        rows: List[ConstraintRow],
+        builders: Sequence[Callable[[], List[ConstraintRow]]],
     ):
         self.label = label
         self.ngens = ngens  # bimodule generator count: fusion rule upper bound
         self.ncols = ncols  # expansion generator count: one column each
         self._rows = rows
-        self._singular_signs: Optional[Tuple[int, ...]] = signs  # None once built
+        self._builders = list(builders)
 
     def walk(self) -> Iterator[ConstraintRow]:
-        """The rows in order, building the singular-vector pair when reached."""
+        """The rows in order, running each builder when the walk reaches it."""
         i = 0
-        while i < len(self._rows) or self._build_singular():
+        while i < len(self._rows) or self._build_next():
             yield self._rows[i]
             i += 1
 
-    def _build_singular(self) -> bool:
-        """Append the singular-vector pair if it is still unbuilt; whether
-        any row was added."""
-        signs = self._singular_signs
-        if signs is None:
-            return False
-        sing = _singular_row_poly(self.label)
-        self._singular_signs = None
-        if sing is None:
-            return False
-        self._rows += _row_pair("singular-vector", [sing] + [MultiPoly()] * (self.ncols - 1), signs)
-        return True
+    def _build_next(self) -> bool:
+        """Run builders in order until one adds rows; whether any did.  A
+        builder is dropped once it has returned, so each runs at most once."""
+        while self._builders:
+            built = self._builders[0]()
+            del self._builders[0]
+            if built:
+                self._rows += built
+                return True
+        return False
 
     @property
     def rows(self) -> List[ConstraintRow]:
@@ -303,6 +308,21 @@ def _formal_contraction(rel) -> Tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
+@functools.cache
+def _generic_star_polys() -> Tuple[MultiPoly, MultiPoly]:
+    """The quartic star relation of a generic charged module as
+    (f_num, f_den), polynomials in x, y, z and the squared charge s."""
+    num, den = _formal_contraction(lambda v: zhu.star_left(_h3h1(), v))
+    return _relation_head() * den + num * 9, den
+
+
+@functools.cache
+def _generic_circle_polys() -> Tuple[MultiPoly, MultiPoly]:
+    """The circle relation h(-3)h(-1)|0> circ v of a generic charged module
+    as (g_num, g_den), polynomials in x, y, z and s."""
+    return _formal_contraction(lambda v: zhu.circ(_h3h1(), v))
+
+
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Formal-charge contraction data for a generic charged module.
 
@@ -310,19 +330,14 @@ def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly
     f_num/f_den and the circle relation as g_num/g_den, polynomials in
     x, y, z and the squared charge s.
     """
-    if not hasattr(generic_relation_polys, "_cache"):
-        num, den = _formal_contraction(lambda v: zhu.star_left(_h3h1(), v))
-        gnum, gden = _formal_contraction(lambda v: zhu.circ(_h3h1(), v))
-        generic_relation_polys._cache = (_relation_head() * den + num * 9, den, gnum, gden)
-    return generic_relation_polys._cache
+    return _generic_star_polys() + _generic_circle_polys()
 
 
+@functools.cache
 def second_circle_relation_polys() -> Tuple[MultiPoly, MultiPoly]:
     """Formal-charge contraction of the relation h(-2)^2|0> circ v."""
-    if not hasattr(second_circle_relation_polys, "_cache"):
-        a = FockVector.basis(Sector.untwisted(None), (Fraction(2), Fraction(2)))
-        second_circle_relation_polys._cache = _formal_contraction(lambda v: zhu.circ(a, v))
-    return second_circle_relation_polys._cache
+    a = FockVector.basis(Sector.untwisted(None), (Fraction(2), Fraction(2)))
+    return _formal_contraction(lambda v: zhu.circ(a, v))
 
 
 _SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
@@ -335,15 +350,34 @@ def _row_pair(name: str, polys: Sequence[MultiPoly], signs: Tuple[int, ...]) -> 
     ]
 
 
+def _circle_rows(label: ModuleLabel, signs: Tuple[int, ...]) -> List[ConstraintRow]:
+    """The circle pair of a charged module from the formal-charge
+    contraction, or none where its denominator g_den vanishes."""
+    g_num, g_den = _generic_circle_polys()
+    if g_den.evaluate({"s": label.s}) == 0:
+        return []
+    return _row_pair("circle", [g_num.subs({"s": MultiPoly.const(label.s)})], signs)
+
+
+def _singular_rows(label: ModuleLabel, ncols: int, signs: Tuple[int, ...]) -> List[ConstraintRow]:
+    """The singular-vector pair, or none where the module has no such row."""
+    sing = _singular_row_poly(label)
+    if sing is None:
+        return []
+    return _row_pair("singular-vector", [sing] + [MultiPoly()] * (ncols - 1), signs)
+
+
 def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     """The cached polynomial constraint system for M in the first slot.
 
     A charged module with no primary above its top up to the relation
-    degree takes its star and circle rows from the formal-charge
-    contraction; every other module takes its star row from the expansion
-    generators, when the relation lies in their Virasoro span.  Every
-    module gets the singular-vector row wherever it has one, built when a
-    walk of the system first reaches it.
+    degree takes its star row, and its circle row where g_den(s) != 0, from
+    the formal-charge contraction; every other module takes its star row
+    from the expansion generators, when the relation lies in their Virasoro
+    span.  Every module gets the singular-vector row wherever it has one.
+    Only the star row is built with the system: it comes first, and the
+    formal one checks f_den(s) != 0.  The circle and singular-vector pairs
+    are built the first time a walk of the system reaches them.
     """
     if label in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[label]
@@ -352,28 +386,30 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     gens, ngens = _generators(label)
     degs = [g.max_degree() for g in gens]
     signs = tuple((-1) ** int(d - degs[0]) for d in degs)
+    ncols = len(gens)
     rows: List[ConstraintRow] = []
+    builders: List[Callable[[], List[ConstraintRow]]] = []
     if label.kind == "Mlam" and not _extra_weights(label):
-        f_num, f_den, g_num, g_den = generic_relation_polys()
-        point = {"s": label.s}
-        if f_den.evaluate(point) == 0:
+        f_num, f_den = _generic_star_polys()
+        if f_den.evaluate({"s": label.s}) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
-        sub = {"s": MultiPoly.const(label.s)}
-        rows += _row_pair("star", [f_num.subs(sub)], signs)
-        if g_den.evaluate(point) != 0:
-            rows += _row_pair("circle", [g_num.subs(sub)], signs)
+        rows += _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})], signs)
+        builders.append(lambda: _circle_rows(label, signs))
     else:
         try:
             rows += _row_pair("star", _star_row_polys(label), signs)
         except virasoro.NotInSpan:
             pass
-    system = ConstraintSystem(label, ngens, len(gens), rows, signs)
+    builders.append(lambda: _singular_rows(label, ncols, signs))
+    system = ConstraintSystem(label, ngens, ncols, rows, builders)
     _SYSTEM_CACHE[label] = system
     return system
 
 
+@functools.cache
 def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
-    """The evaluation points of the ordinary and the mirror rows."""
+    """The evaluation points of the ordinary and the mirror rows, computed
+    once per label pair; callers must not mutate them."""
     aN, aL = n.a_M(), l.a_M()
     return {"x": aL, "y": aN, "z": l.b_M()}, {"x": aN, "y": aL, "z": n.b_M()}
 
@@ -569,15 +605,16 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
     if M.kind == "M+":
         # the first slot acts through its top-weight invariants alone;
         # distinct labels are separated by (a, b)
-        if N.a_M() != L.a_M() or N.b_M() != L.b_M():
+        at_l, at_n = _points(N, L)  # (a_L, a_N, b_L) and (a_N, a_L, b_N)
+        if at_l["x"] != at_l["y"] or at_l["z"] != at_n["z"]:
             return {
                 "type": "invariant-separation",
                 "detail": "vacuum-slot fusion forces equal top weights",
                 "point": {
-                    "a_N": _frac_str(N.a_M()),
-                    "b_N": _frac_str(N.b_M()),
-                    "a_L": _frac_str(L.a_M()),
-                    "b_L": _frac_str(L.b_M()),
+                    "a_N": _frac_str(at_l["y"]),
+                    "b_N": _frac_str(at_n["z"]),
+                    "a_L": _frac_str(at_l["x"]),
+                    "b_L": _frac_str(at_l["z"]),
                 },
             }
         return None

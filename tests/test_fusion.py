@@ -493,11 +493,62 @@ class TestLazyRows:
         assert checked == 18 * 10 * 16
 
     def test_generic_table_evaluation_count(self, monkeypatch):
-        """Deciding the generic golden grid evaluates 485 polynomials with
-        rows on demand (1820 when every row of a system is evaluated)."""
+        """Deciding the generic golden grid evaluates 481 polynomials with
+        rows on demand (1820 when every row of a system is evaluated): the
+        circle's g_den(s) is evaluated only where a walk reaches it."""
         monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
         calls = []
         real = MultiPoly.evaluate
         monkeypatch.setattr(MultiPoly, "evaluate", lambda p, point: calls.append(1) or real(p, point))
         fusion.full_table(GENERIC_GRID)
-        assert len(calls) == 485
+        assert len(calls) == 481
+
+    @staticmethod
+    def _forbid_circles(monkeypatch):
+        monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
+
+        def unreachable(label, signs):
+            raise AssertionError("circle rows of %s built" % label)
+
+        monkeypatch.setattr(fusion, "_circle_rows", unreachable)
+
+    def test_cold_ladder_query_never_builds_the_circle(self, monkeypatch):
+        self._forbid_circles(monkeypatch)
+        cert = fusion.decide(mlam(F(18)), mtheta_minus(), mlam(F(1, 3)))
+        assert cert.verdict == 0
+        assert cert.permutation == ["m", "n", "l"]
+        assert cert.reason["row"] == "star"
+
+    @pytest.mark.parametrize("grid", [STD_GRID, GENERIC_GRID], ids=["standard", "generic"])
+    def test_golden_tables_never_build_a_circle(self, monkeypatch, grid):
+        self._forbid_circles(monkeypatch)
+        certs = fusion.full_table(grid)
+        assert all(c.verdict == fusion.expected_fusion(c.m, c.n, c.l) for c in certs)
+
+    def test_circle_is_built_once_and_quoted_when_reached(self, monkeypatch):
+        # the star row of M(s=1/3) vanishes at both arrangements below
+        label = mlam(F(1, 3))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+        built = []
+        real = fusion._circle_rows
+        monkeypatch.setattr(
+            fusion, "_circle_rows", lambda lab, signs: built.append(lab) or real(lab, signs)
+        )
+        cert = fusion._prove_zero(label, mminus(), mlam(F(3)))
+        assert built == [label]
+        assert cert == {"type": "nonzero-constraint", "row": "circle", "value": "50/27"}
+        cert = fusion._prove_zero(label, mlam(F(3)), mminus())
+        assert built == [label]
+        assert cert == {"type": "nonzero-constraint", "row": "circle", "value": "-50/27"}
+
+    @pytest.mark.parametrize(
+        "s, names",
+        [
+            (F(8), ["star", "star-mirror", "singular-vector", "singular-vector-mirror"]),
+            (F(1, 3), ["star", "star-mirror", "circle", "circle-mirror"]),
+        ],
+    )
+    def test_full_rows_keep_their_names(self, monkeypatch, s, names):
+        label = mlam(s)
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+        assert [row.name for row in fusion.constraint_system(label).rows] == names

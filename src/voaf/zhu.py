@@ -21,6 +21,7 @@ both sides, via the rewrite
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,12 +77,13 @@ class MembershipResult:
     combination: Optional[List[Tuple[FockVector, FockVector, Scalar]]] = None
 
 
-def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> MembershipResult:
-    """Decide whether v lies in the span of {a o u} with a running over the
-    invariant vacuum-sector basis of weight <= cutoff and u over the module
-    basis with wt(a) + deg(u) + 1 <= cutoff."""
-    if not module.contains(v):
-        raise ValueError("vector does not lie in module %s" % module)
+@functools.cache
+def _membership_columns(
+    module: ModuleLabel, cutoff: int
+) -> Tuple[Tuple[Tuple[FockVector, FockVector], ...], Tuple[FockVector, ...]]:
+    """The nonzero circle products a o u that o_membership solves against,
+    with their (a, u) pairs, built once per (module, cutoff).  The vectors
+    are shared between calls and must not be mutated."""
     vac = Sector.untwisted(None)
     mod_sec = module.sector()
     gens: List[Tuple[FockVector, FockVector]] = []
@@ -99,6 +101,17 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
                         gens.append((a, u))
                         cols.append(col)
                 d += Fraction(1)
+    return tuple(gens), tuple(cols)
+
+
+def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> MembershipResult:
+    """Decide whether v lies in the span of {a o u} with a running over the
+    invariant vacuum-sector basis of weight <= cutoff and u over the module
+    basis with wt(a) + deg(u) + 1 <= cutoff."""
+    if not module.contains(v):
+        raise ValueError("vector does not lie in module %s" % module)
+    mod_sec = module.sector()
+    gens, cols = _membership_columns(module, cutoff)
     zero = Scalar.zero(mod_sec.scalar_mod())
     one = Scalar.one(mod_sec.scalar_mod())
     rows_keys = sorted({p for c in cols for p in c.terms} | set(v.terms))

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from voaf import cli
-from voaf.fock import Sector
+from voaf import cli, virasoro, zhu
+from voaf.fock import FockVector, Sector
 
 F = Fraction
 
@@ -278,19 +278,131 @@ class TestVerify:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _long_part(v):
+    """The monomials of v with two or more parts."""
+    long = v.copy()
+    long.terms = {p: c for p, c in v.terms.items() if len(p) >= 2}
+    return long
+
+
+class TestSuiteCaches:
+    def test_zhu_suite_output_is_keyed_by_cutoff(self, capsys, monkeypatch):
+        """The membership columns are cached per (module, cutoff): a run at
+        the default cutoff after one at VOAF_CUTOFF=5 prints what it prints
+        from a cleared cache, and builds its own columns."""
+        argv = ("verify", "--suite", "zhu", "--verbose")
+
+        def runs(cutoffs, clear_each):
+            outs = []
+            zhu._membership_columns.cache_clear()
+            for cut in cutoffs:
+                if clear_each:
+                    zhu._membership_columns.cache_clear()
+                if cut is None:
+                    monkeypatch.delenv("VOAF_CUTOFF", raising=False)
+                else:
+                    monkeypatch.setenv("VOAF_CUTOFF", cut)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                outs.append(out)
+            return outs
+
+        warm = runs(["5", None], clear_each=False)
+        # M+ and M- at cutoff 5, then at cutoff 6
+        assert zhu._membership_columns.cache_info().misses == 4
+        assert warm == runs(["5", None], clear_each=True)
+        assert "cutoff 5" in warm[0] and "cutoff 6" in warm[1]
+
+    def test_virasoro_suite_catches_a_tainted_L(self, monkeypatch):
+        """With L(2) doubled on untwisted monomials of two or more parts,
+        the stored L images still expose the broken commutators."""
+        real = virasoro.L
+
+        def tainted(n, v):
+            img = real(n, v)
+            if n != 2 or v.sector.twisted:
+                return img
+            return img + real(n, _long_part(v))
+
+        monkeypatch.setattr(virasoro, "L", tainted)
+        checks = {name: ok for name, ok, _ in cli.suite_virasoro(4)}
+        assert not checks["Virasoro commutators (central charge 1) on the untwisted sector"]
+        assert checks["Virasoro commutators (central charge 1) on the twisted sector"]
+        assert checks["Heisenberg commutators on the untwisted sector"]
+        assert checks["Heisenberg commutators on the twisted sector"]
+
+    def test_virasoro_suite_catches_a_tainted_mode(self, monkeypatch):
+        """With h(1) doubled on untwisted monomials of two or more parts,
+        the stored mode images still expose the broken commutators."""
+        real = FockVector.apply_mode
+
+        def tainted(v, n):
+            img = real(v, n)
+            if n != 1 or v.sector.twisted:
+                return img
+            return img + real(_long_part(v), n)
+
+        monkeypatch.setattr(FockVector, "apply_mode", tainted)
+        checks = {name: ok for name, ok, _ in cli.suite_virasoro(4)}
+        assert not checks["Heisenberg commutators on the untwisted sector"]
+        assert checks["Heisenberg commutators on the twisted sector"]
+        assert checks["Virasoro commutators (central charge 1) on the untwisted sector"]
+        assert checks["Virasoro commutators (central charge 1) on the twisted sector"]
+
+
+def _add(key, delta):
+    def perturb(table):
+        table[key] = table.get(key, F(0)) + delta
+
+    return perturb
+
+
+def _flip(key):
+    def perturb(table):
+        table[key] = -table[key]
+
+    return perturb
+
+
+def _drop(key):
+    def perturb(table):
+        del table[key]
+
+    return perturb
+
+
 class TestCmnTaylorOracle:
     @pytest.mark.parametrize(
-        "key, delta",
-        [((3, 2), F(1, 1000)), ((0, 0), F(1, 7)), ((5, 4), F(1))],
-        ids=["perturbed-coefficient", "constant-term", "past-total-degree"],
+        "perturb",
+        [
+            _add((3, 2), F(1, 1000)),
+            _add((0, 0), F(1, 7)),
+            _add((5, 4), F(1)),
+            # total degree 8, the last one compared at max_total = 8
+            _flip((8, 0)),
+            _add((4, 4), F(1, 1000)),
+            _drop((1, 1)),
+        ],
+        ids=[
+            "perturbed-coefficient",
+            "constant-term",
+            "past-total-degree",
+            "flipped-sign-at-degree-8",
+            "perturbed-at-degree-8",
+            "dropped-coefficient",
+        ],
     )
-    def test_rejects_a_wrong_table(self, monkeypatch, key, delta):
+    def test_rejects_a_wrong_table(self, monkeypatch, perturb):
         good = cli.cmn_table
 
         def bad(max_total):
             table = dict(good(max_total))
-            table[key] = table.get(key, F(0)) + delta
+            perturb(table)
             return table
 
         monkeypatch.setattr(cli, "cmn_table", bad)
         assert not cli._cmn_taylor_oracle(8)
+
+    @pytest.mark.parametrize("max_total", range(4, 13))
+    def test_accepts_the_true_table(self, max_total):
+        assert cli._cmn_taylor_oracle(max_total)

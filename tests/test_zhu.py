@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from voaf import virasoro, zhu
 from voaf.cli import relation_element
 from voaf.fock import FockVector, Sector
@@ -65,15 +67,74 @@ class TestMembership:
         assert not res.member
 
     def test_rewrite_membership(self):
-        v = mminus().top_vector()
-        for n in range(1, 5):
-            rewrite = (
-                zhu.star_left(omega(), v)
-                + zhu.star_right(v, omega()).scale(Fraction(-n))
-                + v.scale(Fraction(-1))
-            ).scale(Fraction((-1) ** (n - 1)))
-            elem = virasoro.L(-n, v) - rewrite
+        for elem in _rewrite_elements():
             assert zhu.o_membership(elem, mminus(), cutoff=6).member
+
+
+def _rewrite_elements():
+    """The four L(-n) rewrites on the M- top vector, n = 1..4."""
+    v = mminus().top_vector()
+    elems = []
+    for n in range(1, 5):
+        rewrite = (
+            zhu.star_left(omega(), v)
+            + zhu.star_right(v, omega()).scale(Fraction(-n))
+            + v.scale(Fraction(-1))
+        ).scale(Fraction((-1) ** (n - 1)))
+        elems.append(virasoro.L(-n, v) - rewrite)
+    return elems
+
+
+@pytest.fixture
+def circ_calls(monkeypatch):
+    """Clear the membership columns and count the circle products built."""
+    zhu._membership_columns.cache_clear()
+    calls = []
+    real = zhu.circ
+
+    def counted(a, u):
+        calls.append((a, u))
+        return real(a, u)
+
+    monkeypatch.setattr(zhu, "circ", counted)
+    yield calls
+    zhu._membership_columns.cache_clear()
+
+
+class TestSharedColumns:
+    def test_rewrites_build_the_columns_once(self, circ_calls):
+        for elem in _rewrite_elements():
+            assert zhu.o_membership(elem, mminus(), cutoff=6).member
+        assert len(circ_calls) == 19
+
+    def test_results_match_a_cold_build(self, circ_calls):
+        elems = _rewrite_elements()
+        warm = [zhu.o_membership(e, mminus(), cutoff=6) for e in elems]
+        for elem, res in zip(elems, warm):
+            zhu._membership_columns.cache_clear()
+            cold = zhu.o_membership(elem, mminus(), cutoff=6)
+            assert res.member == cold.member
+            assert res.combination == cold.combination
+
+    def test_each_module_and_cutoff_builds_its_own_columns(self, circ_calls):
+        # a o u with wt(a) = 5 on the M- top vector: a member at cutoff 6,
+        # past the columns of cutoff 5
+        far = zhu.circ(FockVector.basis(UNT, (4, 1)), mminus().top_vector())
+        del circ_calls[:]
+        assert zhu.o_membership(far, mminus(), cutoff=6).member
+        counts = [len(circ_calls)]
+        zhu.o_membership(relation_element(), mplus(), cutoff=6)
+        counts.append(len(circ_calls))
+        assert not zhu.o_membership(far, mminus(), cutoff=5).member
+        counts.append(len(circ_calls))
+        assert 0 < counts[0] < counts[1] < counts[2]
+        assert zhu._membership_columns.cache_info().currsize == 3
+
+    def test_nonmember_detected_with_a_warm_cache(self, circ_calls):
+        assert zhu.o_membership(relation_element(), mplus(), cutoff=5).member
+        built = len(circ_calls)
+        assert not zhu.o_membership(omega(), mplus(), cutoff=5).member
+        assert len(circ_calls) == built
 
 
 class TestPhi:

@@ -27,12 +27,8 @@ from . import characters, linalg, step3_cofactors, virasoro, zhu
 from .fock import FORMAL, FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import VARS, MultiPoly
-from .scalars import Scalar, rational_sqrt
-from .vertexops import J_state, mode, modes, vacuum
-
-
-class UnsupportedParameter(ValueError):
-    """Raised when decide() receives a formal charge parameter."""
+from .scalars import Scalar, _padd, _pdivmod, _pgcd, _pmul, _pscale, rational_sqrt
+from .vertexops import J_state, modes
 
 
 class Inconclusive(RuntimeError):
@@ -220,9 +216,9 @@ class ConstraintSystem:
 
 def expand_in_generators(
     v: FockVector, gens: Sequence[FockVector]
-) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[Tuple[MultiPoly, MultiPoly]]]:
+) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[MultiPoly]]:
     """Virasoro descendant coordinates of v over the generators and their
-    contraction polynomials, one (numerator, denominator) pair per generator.
+    contraction polynomials, one per generator.
 
     A coordinate irrational in lam is retried once with every generator
     after the first rescaled by lam, and the coordinates returned are on the
@@ -247,8 +243,8 @@ def _star_row_polys(label: ModuleLabel) -> List[MultiPoly]:
     relation element multiplied onto the top vector.  Raises
     virasoro.NotInSpan when the relation is not in the generators' span."""
     gens = _generators(label)[0]
-    _, pairs = expand_in_generators(zhu.star_left(_h3h1(), gens[0]), gens)
-    cols = [num * 9 * (1 / den.constant()) for num, den in pairs]
+    _, polys = expand_in_generators(zhu.star_left(_h3h1(), gens[0]), gens)
+    cols = [p * 9 for p in polys]
     cols[0] = cols[0] + _relation_head()
     return cols
 
@@ -301,11 +297,38 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
 
 def _formal_contraction(rel) -> Tuple[MultiPoly, MultiPoly]:
     """Contraction (numerator, denominator) of rel(v) for the top vector v
-    of the formal-charge module, as polynomials in x, y, z and s."""
+    of the formal-charge module, as polynomials in x, y, z and s.
+
+    Each coordinate is an even rational function of lam, so a ratio of
+    polynomials in s.  Their numerators are summed over the monic lcm D of
+    their denominators, and any factor that D shares with every
+    s-coefficient of the sum is cancelled.
+    """
     v = FockVector.basis(Sector.untwisted(FORMAL))
     coords = virasoro.express_in_descendants(rel(v), [v])
-    ((num, den),) = zhu.coords_to_polys(coords, [_S * Fraction(1, 2)], 1, formal_s=True)
-    return num, den
+    fracs = [(c.even_part_polys(), w.ms) for w, c in coords.items()]
+    den = (Fraction(1),)
+    for (_, d), _ in fracs:
+        den = _pmul(den, _pdivmod(d, _pgcd(den, d))[0])
+    den = _pscale(den, 1 / den[-1])
+    # the numerator as {exponents with s-slot zero: polynomial in s}
+    s_idx = VARS.index("s")
+    num: Dict[Tuple[int, ...], Tuple[Fraction, ...]] = {}
+    for (n, d), ms in fracs:
+        scale = _pmul(n, _pdivmod(den, d)[0])
+        for e, c in zhu.descendant_to_poly(ms, _S * Fraction(1, 2)).terms.items():
+            key = e[:s_idx] + (0,) + e[s_idx + 1 :]
+            term = (Fraction(0),) * e[s_idx] + _pscale(scale, c)
+            num[key] = _padd(num.get(key, ()), term)
+    common = den
+    for p in num.values():
+        common = _pgcd(common, p)
+    terms = {}
+    for key, p in num.items():
+        for k, c in enumerate(_pdivmod(p, common)[0]):
+            terms[key[:s_idx] + (k,) + key[s_idx + 1 :]] = c
+    den = _pdivmod(den, common)[0]
+    return MultiPoly(terms), sum((_S**k * c for k, c in enumerate(den)), MultiPoly())
 
 
 @functools.cache
@@ -381,8 +404,6 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     """
     if label in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[label]
-    if label.kind == "Mlam" and label.s is FORMAL:
-        raise UnsupportedParameter("formal charge has no concrete system")
     gens, ngens = _generators(label)
     degs = [g.max_degree() for g in gens]
     signs = tuple((-1) ** int(d - degs[0]) for d in degs)
@@ -499,54 +520,6 @@ def find_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> Optional[dic
         "detail": "charged operator (squared charge %s) on a twisted module;"
         " both parity projections are nonzero" % str(other.s),
     }
-
-
-def verify_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> bool:
-    """Recompute a nonzero leading coefficient for the triple's witness."""
-    w = find_witness(m, n, l)
-    if w is None:
-        return False
-    labs = [m, n, l]
-    if w["tag"] == "TwistedProjection":
-        s = next(x.s for x in labs if x.kind == "Mlam")
-        sec = Sector.untwisted(s)
-        a = FockVector.basis(sec)
-        tsec = Sector.twisted_sector()
-        tv = FockVector.basis(tsec)
-        from .vertexops import vertex_op_coeff
-
-        even = vertex_op_coeff(a, tv, Fraction(0))
-        oddc = vertex_op_coeff(a, tv, Fraction(1, 2))
-        return (not even.is_zero()) and (not oddc.is_zero())
-    if w["tag"] == "Untwisted":
-        # representative with rational charges: e acting on e gives the
-        # doubled-charge top vector with unit leading coefficient
-        sec = Sector.untwisted(Fraction(1))
-        a = FockVector.basis(sec)
-        h = FockVector.basis(Sector.untwisted(None), (Fraction(1),))
-        img = mode(h, 0, a)
-        return not img.is_zero()
-    # VacuumAction
-    if any(x.kind.startswith("Mtheta") for x in labs):
-        tv = FockVector.basis(Sector.twisted_sector())
-        if any(x.kind == "M-" for x in labs):
-            h = FockVector.basis(Sector.untwisted(None), (Fraction(1),))
-            img = mode(h, Fraction(-1, 2), tv)
-            return not img.is_zero()
-        return mode(vacuum(), -1, tv) == tv
-    charged = [x for x in labs if x.kind == "Mlam"]
-    if charged:
-        sec = charged[0].sector()
-        e = FockVector.basis(sec)
-        if any(x.kind == "M-" for x in labs):
-            h = FockVector.basis(Sector.untwisted(None), (Fraction(1),))
-            img = mode(h, 0, e)  # acts by the charge, nonzero
-            return not img.is_zero()
-        return mode(vacuum(), -1, e) == e
-    h = FockVector.basis(Sector.untwisted(None), (Fraction(1),))
-    pairing = mode(h, 1, h)
-    action = mode(h, -1, vacuum())
-    return (not pairing.is_zero()) and (not action.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +642,6 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
 def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     """Decide the fusion rule for the ordered triple and certify it."""
     labs = (m, n, l)
-    for lab in labs:
-        if lab.kind == "Mlam" and lab.s is FORMAL:
-            raise UnsupportedParameter("decide() requires concrete charges")
     witness = find_witness(m, n, l)
     priority = [_slot_priority(lab) for lab in labs]
     arrangements = [

@@ -13,10 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .fock import FORMAL, FockVector, Partition, Sector, basis_at_degree
-from .multipoly import MultiPoly
 from .scalars import parse_rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
@@ -25,17 +24,18 @@ KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 @dataclass(frozen=True)
 class ModuleLabel:
     kind: str
-    s: object = None  # Fraction or FORMAL, for kind == "Mlam"
+    s: object = None  # Fraction, for kind == "Mlam"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown module kind %r" % self.kind)
         if self.kind == "Mlam":
-            if self.s is not FORMAL:
-                s = Fraction(self.s)
-                if s <= 0:
-                    raise ValueError("Mlam requires positive s = lam^2, got %s" % s)
-                object.__setattr__(self, "s", s)
+            if self.s is FORMAL:
+                raise ValueError("Mlam requires a concrete s = lam^2, not a formal charge")
+            s = Fraction(self.s)
+            if s <= 0:
+                raise ValueError("Mlam requires positive s = lam^2, got %s" % s)
+            object.__setattr__(self, "s", s)
         elif self.s is not None:
             raise ValueError("s only applies to Mlam")
 
@@ -82,11 +82,9 @@ class ModuleLabel:
     def top_degree(self) -> Fraction:
         return self.top_vector().max_degree()
 
-    def a_M(self) -> Union[Fraction, MultiPoly]:
+    def a_M(self) -> Fraction:
         """Lowest conformal weight = action of o(omega) on the top level."""
         if self.kind == "Mlam":
-            if self.s is FORMAL:
-                return MultiPoly.var("s") * Fraction(1, 2)
             return self.s / 2
         return {
             "M+": Fraction(0),
@@ -95,12 +93,9 @@ class ModuleLabel:
             "Mtheta-": Fraction(9, 16),
         }[self.kind]
 
-    def b_M(self) -> Union[Fraction, MultiPoly]:
+    def b_M(self) -> Fraction:
         """Action of o(J) on the top level."""
         if self.kind == "Mlam":
-            if self.s is FORMAL:
-                sv = MultiPoly.var("s")
-                return sv * sv - sv * Fraction(1, 2)
             return self.s**2 - self.s / 2
         return {
             "M+": Fraction(0),

@@ -322,10 +322,6 @@ def o_apply(a: FockVector, v: FockVector) -> FockVector:
 # distinguished states of M(1)
 
 
-def vacuum() -> FockVector:
-    return FockVector.basis(Sector.untwisted(None))
-
-
 def omega() -> FockVector:
     return FockVector.basis(Sector.untwisted(None), (1, 1), Fraction(1, 2))
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .fock import FockVector, Key, mode_term
+from .fock import FockVector, Key, Sector, mode_term, partition_keys
 from .scalars import Scalar
 
 
@@ -97,19 +97,10 @@ class DescendantWord:
 
 
 def words_at_level(gen: int, level: int) -> List[DescendantWord]:
-    return [DescendantWord(gen, p) for p in _int_partitions(level)]
-
-
-def _int_partitions(n: int, max_part: Optional[int] = None) -> List[Tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    if max_part is None:
-        max_part = n
-    out = []
-    for d in range(min(n, max_part), 0, -1):
-        for rest in _int_partitions(n - d, d):
-            out.append((d,) + rest)
-    return out
+    """The words of the given level, largest parts first: the partitions
+    of `level`, read off the untwisted keys of doubled degree 2 * level."""
+    keys = partition_keys(2 * level, Sector.untwisted(None))
+    return [DescendantWord(gen, tuple(k // 2 for k in key)) for key in keys]
 
 
 class NotInSpan(Exception):

@@ -139,18 +139,6 @@ class PhiImage:
     phase: Phase
     vector: FockVector
 
-    def normalized(self) -> "PhiImage":
-        r = self.phase.r
-        if r >= 1:
-            return PhiImage(Phase(r - 1), -self.vector)
-        return PhiImage(self.phase, self.vector)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhiImage):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        return a.phase == b.phase and a.vector == b.vector
-
 
 def e_L1(v: FockVector) -> FockVector:
     """e^{L(1)} v (finite because L(1) lowers degree)."""
@@ -217,86 +205,14 @@ def coords_to_polys(
     coords: Dict[virasoro.DescendantWord, Scalar],
     base_weights: Sequence,
     ngens: int,
-    formal_s: bool = False,
-) -> List[Tuple[MultiPoly, MultiPoly]]:
+) -> List[MultiPoly]:
     """Turn descendant coordinates into one contraction polynomial per
-    generator, as (numerator, denominator) pairs; denominators are
-    polynomials in s and arise only for formal-charge sectors.
+    generator: the sum of c * descendant_to_poly over its words.
 
-    Scalars must be rational, or (with formal_s) even rational functions of
-    lam converted to rational functions of s."""
-    from .multipoly import VARS, _VAR_INDEX
-    from .scalars import _pdivmod, _pgcd, _pmul, _padd, _pnorm
-
-    one_u = (Fraction(1),)
-    s_idx = _VAR_INDEX["s"]
-    # per generator: denominator as univariate poly in s, numerator as a map
-    # {exponent tuple with s-slot zero: univariate poly in s}
-    nums: List[Dict] = [dict() for _ in range(ngens)]
-    dens = [one_u for _ in range(ngens)]
-
-    def as_upolys(poly: MultiPoly) -> Dict:
-        out: Dict = {}
-        for e, c in poly.terms.items():
-            k = e[s_idx]
-            rest = list(e)
-            rest[s_idx] = 0
-            rest = tuple(rest)
-            cur = list(out.get(rest, ()))
-            while len(cur) <= k:
-                cur.append(Fraction(0))
-            cur[k] += c
-            out[rest] = _pnorm(cur)
-        return {e: p for e, p in out.items() if p}
-
+    Raises ValueError on a coordinate that is not rational."""
+    out = [MultiPoly() for _ in range(ngens)]
     for w, c in coords.items():
-        fpoly = descendant_to_poly(w.ms, base_weights[w.gen])
-        if c.is_rational():
-            cn, cd = (c.as_rat(),), one_u
-            if c.is_zero():
-                continue
-        elif formal_s:
-            cn, cd = c.even_part_polys()
-        else:
+        if not c.is_rational():
             raise ValueError("non-rational descendant coordinate %s" % c)
-        g = w.gen
-        gcd = _pgcd(dens[g], cd)
-        lcm = _pmul(dens[g], _pdivmod(cd, gcd)[0])
-        m_old = _pdivmod(lcm, dens[g])[0]
-        m_new = _pdivmod(lcm, cd)[0]
-        add = _pmul(cn, m_new)
-        merged: Dict = {}
-        for e, p in nums[g].items():
-            merged[e] = _pmul(p, m_old)
-        for e, p in as_upolys(fpoly).items():
-            merged[e] = _padd(merged.get(e, ()), _pmul(p, add))
-        nums[g] = {e: p for e, p in merged.items() if p}
-        dens[g] = lcm
-
-    out: List[Tuple[MultiPoly, MultiPoly]] = []
-    for g in range(ngens):
-        den = dens[g]
-        common = den
-        for p in nums[g].values():
-            common = _pgcd(common, p)
-            if common == one_u:
-                break
-        if common != one_u and common:
-            den = _pdivmod(den, common)[0]
-            nums[g] = {e: _pdivmod(p, common)[0] for e, p in nums[g].items()}
-        num_poly = MultiPoly()
-        for e, p in nums[g].items():
-            for k, cc in enumerate(p):
-                if cc:
-                    ee = list(e)
-                    ee[s_idx] = k
-                    num_poly.terms[tuple(ee)] = num_poly.terms.get(tuple(ee), Fraction(0)) + cc
-        num_poly.terms = {e: c for e, c in num_poly.terms.items() if c}
-        den_poly = MultiPoly()
-        for k, cc in enumerate(den):
-            if cc:
-                ee = [0] * len(VARS)
-                ee[s_idx] = k
-                den_poly.terms[tuple(ee)] = cc
-        out.append((num_poly, den_poly))
+        out[w.gen] = out[w.gen] + descendant_to_poly(w.ms, base_weights[w.gen]) * c.as_rat()
     return out

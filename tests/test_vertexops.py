@@ -20,7 +20,6 @@ from voaf.vertexops import (
     modes,
     o_apply,
     omega,
-    vacuum,
     vertex_op_coeff,
     weight,
 )
@@ -28,6 +27,7 @@ from voaf.zhu import star_left
 
 UNT = Sector.untwisted(None)
 TW = Sector.twisted_sector()
+VACUUM = FockVector.basis(UNT)
 
 
 class TestBasics:
@@ -44,7 +44,7 @@ class TestBasics:
         for deg in range(4):
             for part in basis_at_degree(UNT, Fraction(deg)):
                 w = FockVector.basis(UNT, part)
-                assert mode(vacuum(), -1, w) == w
+                assert mode(VACUUM, -1, w) == w
 
     def test_heisenberg_field_modes(self):
         h = FockVector.basis(UNT, (1,))
@@ -84,15 +84,15 @@ class TestCmnTable:
 
 class TestDeltaApply:
     def test_vacuum_untouched(self):
-        comps = delta_apply(vacuum())
+        comps = delta_apply(VACUUM)
         assert list(comps) == [Fraction(0)]
-        assert comps[Fraction(0)] == vacuum()
+        assert comps[Fraction(0)] == VACUUM
 
     def test_omega_correction_constant(self):
         # e^Delta omega = omega + (1/16) z^{-2} |0>; the shift produces the
         # twisted lowest weight 1/16
         comps = delta_apply(omega())
-        assert comps[Fraction(2)] == vacuum().scale(Fraction(1, 16))
+        assert comps[Fraction(2)] == VACUUM.scale(Fraction(1, 16))
 
 
 class TestZeroModes:

@@ -148,6 +148,19 @@ class TestDescendants:
         for n, count in [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7)]:
             assert len(words_at_level(0, n)) == count
 
+    def test_words_at_level_order(self):
+        """Every partition once, largest parts first (descending
+        lexicographic order), which fixes the pivots of the descendant
+        solve."""
+        for n in range(16):
+            words = words_at_level(2, n)
+            ms = [w.ms for w in words]
+            assert ms == sorted(set(ms), reverse=True)
+            assert all(w.gen == 2 and sum(w.ms) == n for w in words)
+            assert all(list(m) == sorted(m, reverse=True) and min(m, default=1) >= 1 for m in ms)
+        assert [w.ms for w in words_at_level(0, 4)] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert len(words_at_level(0, 15)) == 176
+
     def test_express_and_reconstruct(self):
         v = mminus().top_vector()
         target = (

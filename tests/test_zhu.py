@@ -9,6 +9,7 @@ from voaf.cli import relation_element
 from voaf.fock import FockVector, Sector
 from voaf.labels import mminus, mplus, mtheta_plus
 from voaf.multipoly import MultiPoly
+from voaf.scalars import Scalar
 from voaf.vertexops import omega
 from voaf.virasoro import L_word, express_in_descendants
 
@@ -173,7 +174,17 @@ class TestContractionPolynomials:
         v = mminus().top_vector()
         prod = zhu.star_left(H3H1, v)
         coords = express_in_descendants(prod, [v])
-        pairs = zhu.coords_to_polys(coords, [Fraction(1)], 1)
-        assert len(pairs) == 1
-        num, den = pairs[0]
-        assert den.constant() != 0
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        expected = (
+            x**3 * Fraction(-3, 2) + x * x * y * 6 - x * y * y * Fraction(15, 2) + y**3 * 3
+            + x * x * Fraction(21, 4) + x * y * Fraction(1, 2) - y * y * Fraction(23, 4)
+            - x * Fraction(3, 4) + y * Fraction(11, 4)
+        )
+        assert zhu.coords_to_polys(coords, [Fraction(1)], 1) == [expected]
+
+    def test_coords_to_polys_rejects_irrational(self):
+        sec = Sector.untwisted(Fraction(2))
+        v = FockVector.basis(sec)
+        coords = express_in_descendants(v.scale(Scalar.lam(Fraction(2))), [v])
+        with pytest.raises(ValueError):
+            zhu.coords_to_polys(coords, [Fraction(1)], 1)

@@ -78,3 +78,14 @@ def test_ladder_certificates(capsys):
         assert cli.main(["fusion", "--m", m, "--n", n, "--l", l, "--certificate"]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == (GOLDEN_DIR / "fusion_ladder_certificates.txt").read_text(encoding="utf-8")
+
+
+def test_relation_polys():
+    """The star, circle and second circle relations of a charged module,
+    recorded from the formal-charge (Q(lam)) contraction."""
+    from voaf import fusion
+
+    pairs = fusion.generic_relation_polys() + fusion.second_circle_relation_polys()
+    names = ("f_num", "f_den", "g_num", "g_den", "h_num", "h_den")
+    out = "".join("%s = %s\n" % (n, p) for n, p in zip(names, pairs))
+    assert out == (GOLDEN_DIR / "relation_polys.txt").read_text(encoding="utf-8")

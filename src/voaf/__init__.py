@@ -13,11 +13,10 @@ from .labels import (
     mtheta_minus,
     mtheta_plus,
 )
-from .fock import FORMAL, FockVector, Sector
+from .fock import FockVector, Sector
 from .scalars import Scalar
 
 __all__ = [
-    "FORMAL",
     "FockVector",
     "ModuleLabel",
     "Scalar",

@@ -98,12 +98,6 @@ class QSeries:
         cutoff = Fraction(cutoff)
         return QSeries({e: c for e, c in self.coeffs.items() if e <= cutoff}, cutoff)
 
-    def coefficient(self, e) -> Fraction:
-        e = Fraction(e)
-        if e > self.cutoff:
-            raise ValueError("coefficient beyond cutoff")
-        return self.coeffs.get(e, Fraction(0))
-
     def agrees_with(self, other: "QSeries") -> Tuple[bool, Optional[Fraction]]:
         """Coefficientwise comparison up to the common cutoff; returns the
         first mismatching exponent on failure."""

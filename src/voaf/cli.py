@@ -18,7 +18,7 @@ from . import characters, fusion, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import NVARS, MultiPoly
-from .scalars import Scalar, parse_rational, upoly_str
+from .scalars import Scalar, interpolate, parse_rational, upoly_str
 from .vertexops import J_state, cmn_table, gen_binom, omega, vertex_op_coeff
 
 Check = Tuple[str, bool, str]
@@ -46,13 +46,6 @@ def _cutoff(given: Optional[int], default: int) -> int:
 # table of lowest weights and quartic-generator eigenvalues
 
 
-def _formal_eigen(sc) -> str:
-    num, den = sc.even_part_polys()
-    if list(den) == [Fraction(1)]:
-        return upoly_str(num, "s")
-    return "(%s)/(%s)" % (upoly_str(num, "s"), upoly_str(den, "s"))
-
-
 def _eigenvalue(op: FockVector, v: FockVector):
     """Scalar e with o(op) v = e v, or None when the action is not scalar."""
     from .vertexops import o_apply
@@ -67,34 +60,41 @@ def _eigenvalue(op: FockVector, v: FockVector):
     return None
 
 
+# o(omega) and o(J) on e^lam are even in lam of degree <= 4, so polynomials
+# of degree <= 2 in s = lam^2: three charges fix them and a fourth checks
+_TABLE_CHARGES = (Fraction(3), Fraction(5), Fraction(6), Fraction(7))
+
+
+def _top_eigenvalues(label: ModuleLabel) -> Optional[Tuple[Fraction, Fraction]]:
+    """(o(omega), o(J)) on the top vector, or None unless both act as
+    rational scalars."""
+    v = label.top_vector()
+    pair = (_eigenvalue(omega(), v), _eigenvalue(J_state(), v))
+    if any(e is None or not e.is_rational() for e in pair):
+        return None
+    return pair[0].as_rat(), pair[1].as_rat()
+
+
 def table41_rows() -> Tuple[List[Tuple[str, str, str]], bool]:
     """Recomputed (module, a_M, b_M) rows, plus agreement with the stored
-    lowest-weight data."""
-    from .fock import FORMAL
-
+    lowest-weight data.  The charged row M(1,lam) is interpolated in s."""
     rows: List[Tuple[str, str, str]] = []
     ok = True
     for label in [mplus(), mminus(), None, mtheta_plus(), mtheta_minus()]:
-        if label is None:
-            v = FockVector.basis(Sector.untwisted(FORMAL))
-            ea = _eigenvalue(omega(), v)
-            eb = _eigenvalue(J_state(), v)
-            if ea is None or eb is None:
-                ok = False
-                rows.append(("M(1,lam)", "?", "?"))
-                continue
-            rows.append(("M(1,lam)", _formal_eigen(ea), _formal_eigen(eb)))
-            ok = ok and _formal_eigen(ea) == "1/2*s" and _formal_eigen(eb) == "-1/2*s + s^2"
-            continue
-        v = label.top_vector()
-        ea = _eigenvalue(omega(), v)
-        eb = _eigenvalue(J_state(), v)
-        if ea is None or eb is None:
+        labels = [mlam(s) for s in _TABLE_CHARGES] if label is None else [label]
+        name = "M(1,lam)" if label is None else str(label)
+        pairs = [_top_eigenvalues(lab) for lab in labels]
+        if None in pairs:
             ok = False
-            rows.append((str(label), "?", "?"))
+            rows.append((name, "?", "?"))
             continue
-        rows.append((str(label), str(ea.as_rat()), str(eb.as_rat())))
-        ok = ok and ea.as_rat() == label.a_M() and eb.as_rat() == label.b_M()
+        ok = ok and all(p == (lab.a_M(), lab.b_M()) for lab, p in zip(labels, pairs))
+        if label is None:
+            polys = [interpolate(_TABLE_CHARGES, values) for values in zip(*pairs)]
+            ok = ok and all(len(p) <= 3 for p in polys)
+            rows.append((name, upoly_str(polys[0], "s"), upoly_str(polys[1], "s")))
+        else:
+            rows.append((name, str(pairs[0][0]), str(pairs[0][1])))
     return rows, ok
 
 

@@ -10,10 +10,11 @@ A monomial is keyed by its doubled depths: the tuple of ints 2*n1 >= ...
 >= 2*nk, even in untwisted sectors and odd in the twisted one.  Doubling is
 monotone, so keys sort as the depth partitions do.  Natural depths (ints or
 Fractions) are converted only where they enter or leave: FockVector(...),
-basis, coefficient, apply_mode's mode index, degrees, printing, and the
+basis, apply_mode's mode index, degrees, printing, and the
 partitions returned by partitions_of and basis_at_degree.  Coefficients are
-Scalars; in a sector with concrete lam**2 = s they carry modulus s, in the
-formal-lam sector they are rational functions of lam.
+Scalars: in a charged sector, lam**2 = s for a rational s, they lie in
+Q(sqrt(s)) and carry modulus s; in the vacuum and twisted sectors they are
+rational.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import Scalar
 
@@ -46,20 +47,13 @@ def halve(k: int):
     return k >> 1 if k & 1 == 0 else Fraction(k, 2)
 
 
-class _Formal:
-    def __repr__(self):
-        return "FORMAL"
-
-
-FORMAL = _Formal()
-
-SValue = Union[None, Fraction, _Formal]
+SValue = Optional[Fraction]  # the squared charge lam**2 of a charged sector
 
 
 @dataclass(frozen=True)
 class Sector:
     twisted: bool
-    s: object = None  # None (lam=0), Fraction (lam^2 = s), or FORMAL
+    s: SValue = None  # None (lam = 0) or the rational lam**2
 
     @staticmethod
     def untwisted(s: SValue = None) -> "Sector":
@@ -71,14 +65,14 @@ class Sector:
     def twisted_sector() -> "Sector":
         return Sector(True, None)
 
-    def scalar_mod(self) -> Optional[Fraction]:
-        return self.s if isinstance(self.s, Fraction) else None
+    def scalar_mod(self) -> SValue:
+        return self.s
 
     def lam_scalar(self) -> Scalar:
         """h(0) eigenvalue on the top vector."""
         if self.twisted or self.s is None:
-            return Scalar.zero(self.scalar_mod())
-        return Scalar.lam(self.scalar_mod())
+            return Scalar.zero(self.s)
+        return Scalar.lam(self.s)
 
     def depth_parity(self) -> int:
         """Parity of every doubled depth and nonzero mode index: 1 in the
@@ -93,14 +87,12 @@ class Sector:
         return k > 0 and k % 2 == self.depth_parity()
 
     def weight_offset_rat(self) -> Fraction:
-        """Conformal weight of the top vector (concrete sectors only)."""
+        """Conformal weight of the top vector."""
         if self.twisted:
             return Fraction(1, 16)
         if self.s is None:
             return Fraction(0)
-        if isinstance(self.s, Fraction):
-            return self.s / 2
-        raise ValueError("formal sector has symbolic weight offset")
+        return self.s / 2
 
     def coeff(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -112,8 +104,6 @@ class Sector:
             return "twisted"
         if self.s is None:
             return "untwisted(lam=0)"
-        if self.s is FORMAL:
-            return "untwisted(lam formal)"
         return "untwisted(lam^2=%s)" % self.s
 
 
@@ -152,11 +142,6 @@ class FockVector:
     @staticmethod
     def basis(sector: Sector, parts: Iterable = (), coeff=1) -> "FockVector":
         return FockVector(sector, {tuple(parts): coeff})
-
-    def copy(self) -> "FockVector":
-        v = FockVector(self.sector)
-        v.terms = dict(self.terms)
-        return v
 
     # ------------------------------------------------------------------
 
@@ -221,10 +206,6 @@ class FockVector:
         res = FockVector(self.sector)
         res.terms = {p: c for p, c in self.terms.items() if sum(p) == k}
         return res
-
-    def coefficient(self, parts: Iterable) -> Scalar:
-        key = tuple(sorted(map(double, parts), reverse=True))
-        return self.terms.get(key, Scalar.zero(self.sector.scalar_mod()))
 
     # ------------------------------------------------------------------
 

@@ -24,10 +24,10 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import characters, linalg, step3_cofactors, virasoro, zhu
-from .fock import FORMAL, FockVector, Sector, basis_at_degree
+from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import VARS, MultiPoly
-from .scalars import Scalar, _padd, _pdivmod, _pgcd, _pmul, _pscale, rational_sqrt
+from .scalars import Scalar, rational_sqrt
 from .vertexops import J_state, modes
 
 
@@ -295,72 +295,40 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     return polys[r]
 
 
-def _formal_contraction(rel) -> Tuple[MultiPoly, MultiPoly]:
-    """Contraction (numerator, denominator) of rel(v) for the top vector v
-    of the formal-charge module, as polynomials in x, y, z and s.
-
-    Each coordinate is an even rational function of lam, so a ratio of
-    polynomials in s.  Their numerators are summed over the monic lcm D of
-    their denominators, and any factor that D shares with every
-    s-coefficient of the sum is cancelled.
-    """
-    v = FockVector.basis(Sector.untwisted(FORMAL))
-    coords = virasoro.express_in_descendants(rel(v), [v])
-    fracs = [(c.even_part_polys(), w.ms) for w, c in coords.items()]
-    den = (Fraction(1),)
-    for (_, d), _ in fracs:
-        den = _pmul(den, _pdivmod(d, _pgcd(den, d))[0])
-    den = _pscale(den, 1 / den[-1])
-    # the numerator as {exponents with s-slot zero: polynomial in s}
-    s_idx = VARS.index("s")
-    num: Dict[Tuple[int, ...], Tuple[Fraction, ...]] = {}
-    for (n, d), ms in fracs:
-        scale = _pmul(n, _pdivmod(den, d)[0])
-        for e, c in zhu.descendant_to_poly(ms, _S * Fraction(1, 2)).terms.items():
-            key = e[:s_idx] + (0,) + e[s_idx + 1 :]
-            term = (Fraction(0),) * e[s_idx] + _pscale(scale, c)
-            num[key] = _padd(num.get(key, ()), term)
-    common = den
-    for p in num.values():
-        common = _pgcd(common, p)
-    terms = {}
-    for key, p in num.items():
-        for k, c in enumerate(_pdivmod(p, common)[0]):
-            terms[key[:s_idx] + (k,) + key[s_idx + 1 :]] = c
-    den = _pdivmod(den, common)[0]
-    return MultiPoly(terms), sum((_S**k * c for k, c in enumerate(den)), MultiPoly())
-
-
 @functools.cache
+def _relation(name: str) -> Tuple[MultiPoly, MultiPoly]:
+    """The (numerator, denominator) pair of a relation of a generic charged
+    module, read from the generated module relation_polys on first use."""
+    from .relation_polys import RELATIONS
+
+    num, den = RELATIONS[name]
+    return MultiPoly(num), MultiPoly(den)
+
+
 def _generic_star_polys() -> Tuple[MultiPoly, MultiPoly]:
     """The quartic star relation of a generic charged module as
     (f_num, f_den), polynomials in x, y, z and the squared charge s."""
-    num, den = _formal_contraction(lambda v: zhu.star_left(_h3h1(), v))
-    return _relation_head() * den + num * 9, den
+    return _relation("star")
 
 
-@functools.cache
 def _generic_circle_polys() -> Tuple[MultiPoly, MultiPoly]:
     """The circle relation h(-3)h(-1)|0> circ v of a generic charged module
     as (g_num, g_den), polynomials in x, y, z and s."""
-    return _formal_contraction(lambda v: zhu.circ(_h3h1(), v))
+    return _relation("circle")
 
 
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-    """Formal-charge contraction data for a generic charged module.
-
-    Returns (f_num, f_den, g_num, g_den): the quartic star relation as
-    f_num/f_den and the circle relation as g_num/g_den, polynomials in
-    x, y, z and the squared charge s.
+    """The relations of a generic charged module as (f_num, f_den, g_num,
+    g_den): the quartic star relation f_num/f_den and the circle relation
+    g_num/g_den, polynomials in x, y, z and the squared charge s.
     """
     return _generic_star_polys() + _generic_circle_polys()
 
 
-@functools.cache
 def second_circle_relation_polys() -> Tuple[MultiPoly, MultiPoly]:
-    """Formal-charge contraction of the relation h(-2)^2|0> circ v."""
-    a = FockVector.basis(Sector.untwisted(None), (Fraction(2), Fraction(2)))
-    return _formal_contraction(lambda v: zhu.circ(a, v))
+    """The relation h(-2)^2|0> circ v of a generic charged module as
+    (h_num, h_den), polynomials in x, y, z and s."""
+    return _relation("second-circle")
 
 
 _SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
@@ -374,8 +342,8 @@ def _row_pair(name: str, polys: Sequence[MultiPoly], signs: Tuple[int, ...]) -> 
 
 
 def _circle_rows(label: ModuleLabel, signs: Tuple[int, ...]) -> List[ConstraintRow]:
-    """The circle pair of a charged module from the formal-charge
-    contraction, or none where its denominator g_den vanishes."""
+    """The circle pair of a charged module from the generated circle
+    relation, or none where its denominator g_den vanishes."""
     g_num, g_den = _generic_circle_polys()
     if g_den.evaluate({"s": label.s}) == 0:
         return []
@@ -395,12 +363,14 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
 
     A charged module with no primary above its top up to the relation
     degree takes its star row, and its circle row where g_den(s) != 0, from
-    the formal-charge contraction; every other module takes its star row
-    from the expansion generators, when the relation lies in their Virasoro
-    span.  Every module gets the singular-vector row wherever it has one.
-    Only the star row is built with the system: it comes first, and the
-    formal one checks f_den(s) != 0.  The circle and singular-vector pairs
-    are built the first time a walk of the system reaches them.
+    the generated relation polynomials (relation_polys, written by
+    tools/relation_polys.py) at its charge; every other module takes its
+    star row from the expansion generators, when the relation lies in their
+    Virasoro span.  Every module gets the singular-vector row wherever it
+    has one.  Only the star row is built with the system: it comes first,
+    and the generated one checks f_den(s) != 0.  The circle and
+    singular-vector pairs are built the first time a walk of the system
+    reaches them.
     """
     if label in _SYSTEM_CACHE:
         return _SYSTEM_CACHE[label]
@@ -803,9 +773,8 @@ def step3_closures(pt: MultiPoly, q2: MultiPoly) -> List[Closure]:
     (s, t, u), restricted to one subcase: the charge sum u = -5-s-t that the
     chains force, the equal pair u = t, or a special charge t in 1/2, 2,
     9/2, 8.  A special t drops each relation whose first slot holds t when
-    the relation's formal denominator vanishes at t (f_den for pt, g_den for
-    q2): that slot's system has no such row from the formal-charge
-    contraction.  D multiplies the factors that are nonzero in the
+    the relation's denominator vanishes at t (f_den for pt, g_den for q2):
+    that slot's system has no such row from the generated relations.  D multiplies the factors that are nonzero in the
     subcase: distinct charges, and for special t also a nonvanishing
     symmetric factor and nonzero charges.  A closure holds when D vanishes on
     every common zero of the generators, i.e. D^k lies in their ideal for

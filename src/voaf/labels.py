@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .fock import FORMAL, FockVector, Partition, Sector, basis_at_degree
+from .fock import FockVector, Partition, Sector, basis_at_degree
 from .scalars import parse_rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
@@ -30,8 +30,8 @@ class ModuleLabel:
         if self.kind not in KINDS:
             raise ValueError("unknown module kind %r" % self.kind)
         if self.kind == "Mlam":
-            if self.s is FORMAL:
-                raise ValueError("Mlam requires a concrete s = lam^2, not a formal charge")
+            if not isinstance(self.s, (int, Fraction)):
+                raise ValueError("Mlam requires a rational s = lam^2, got %r" % (self.s,))
             s = Fraction(self.s)
             if s <= 0:
                 raise ValueError("Mlam requires positive s = lam^2, got %s" % s)

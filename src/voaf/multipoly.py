@@ -45,11 +45,6 @@ class MultiPoly:
         e[_VAR_INDEX[name]] = 1
         return MultiPoly({tuple(e): Fraction(1)})
 
-    def copy(self) -> "MultiPoly":
-        p = MultiPoly()
-        p.terms = dict(self.terms)
-        return p
-
     # ------------------------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -139,11 +134,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------------
 
-    def constant(self) -> Fraction:
-        if self.terms and any(any(e) for e in self.terms):
-            raise ValueError("polynomial %s is not constant" % self)
-        return self.terms.get(_ZERO_EXPO, Fraction(0))
-
     def evaluate(self, assign: Dict[str, object]):
         """Evaluate exactly, on integers where the point is rational.
 
@@ -214,21 +204,33 @@ class MultiPoly:
     # ------------------------------------------------------------------
 
     def try_divide(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
-        """Return self/divisor if the division is exact, else None."""
+        """Return self/divisor if the division is exact, else None.  The
+        remainder is reduced in place at its graded-lex leading term."""
         if divisor.is_zero():
             raise ZeroDivisionError
-        rem = self.copy()
-        lead_e, lead_c = max(divisor.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+        def order(e: Expo):
+            return sum(e), e
+
+        rem = dict(self.terms)
+        lead_e = max(divisor.terms, key=order)
+        lead_c = divisor.terms[lead_e]
+        rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
         quot = MultiPoly()
-        while rem.terms:
-            e, c = max(rem.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        while rem:
+            e = max(rem, key=order)
             diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
+            if min(diff) < 0:
                 return None
-            qc = c / lead_c
-            qterm = MultiPoly({diff: qc})
-            quot = quot + qterm
-            rem = rem - qterm * divisor
+            qc = rem.pop(e) / lead_c
+            quot.terms[diff] = qc
+            for de, dc in rest:
+                t = tuple(a + b for a, b in zip(diff, de))
+                v = rem.get(t, 0) - qc * dc
+                if v:
+                    rem[t] = v
+                else:
+                    rem.pop(t, None)
         return quot
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:

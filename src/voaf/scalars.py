@@ -1,29 +1,20 @@
 """Exact scalar arithmetic.
 
-Scalars are rational functions in a single formal symbol ``lam`` with
-rational coefficients, optionally reduced modulo the relation
-``lam**2 == s`` for a fixed rational ``s``.  With a modulus present every
-scalar has a canonical form ``c0 + c1*lam`` (the quadratic extension
-Q(sqrt(s)), or its degenerate version when s is a rational square); without
-a modulus scalars form the rational function field Q(lam).
+A scalar is a rational number, or an element c0 + c1*lam of the quadratic
+extension Q(sqrt(s)) given by the relation ``lam**2 == s`` for a fixed
+rational modulus ``s`` (its degenerate version when s is a rational
+square).  There is no free symbol: a scalar without a modulus holds only Q.
 
 Univariate polynomials over Q are represented as tuples of Fractions in
 increasing degree order with no trailing zeros; the zero polynomial is the
 empty tuple.
 
 Every Scalar is in canonical form, and ``Scalar.__init__`` is the one place
-that puts it there:
-
-- with a modulus, ``den == (1,)`` and ``num`` has at most two terms;
-- without one, ``den`` is monic and coprime to ``num`` (so a constant
-  denominator is ``(1,)`` and zero is ``((), (1,))``).
-
-Canonical forms are unique, so equality with a common modulus compares
-``(num, den)``.  The arithmetic relies on the invariant: when both operands
-have ``den == (1,)`` (always so in Q and Q(sqrt(s))) it computes the
+that puts it there: ``den == (1,)``, and ``num`` has at most two terms with
+a modulus and at most one without.  Canonical forms are unique, so equality
+with a common modulus compares ``num``.  The arithmetic computes the
 canonical result directly and builds it with ``Scalar._make``, which skips
-normalisation.  Only Q(lam) operands with a nonconstant denominator go back
-through ``__init__``.
+normalisation.
 """
 
 from __future__ import annotations
@@ -105,33 +96,6 @@ def _pscale(a: UPoly, c: Fraction) -> UPoly:
     return tuple([x * c for x in a])
 
 
-def _pdivmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            r[d + i] -= c * cb
-        r.pop()
-    return _pnorm(q), _pnorm(r)
-
-
-def _pgcd(a: UPoly, b: UPoly) -> UPoly:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])
-    return a
-
-
 def upoly_str(p: UPoly, var: str) -> str:
     """A univariate polynomial in `var`, lowest degree first, e.g. 1/2*s - s^2."""
     parts = []
@@ -151,6 +115,20 @@ def upoly_str(p: UPoly, var: str) -> str:
     if not parts:
         return "0"
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def interpolate(xs, ys) -> UPoly:
+    """The polynomial of least degree through the points (x, y), the x
+    distinct, by Newton's divided differences over Q."""
+    xs = [_rat(x) for x in xs]
+    cs = [_rat(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    out: UPoly = ()
+    for x, c in zip(reversed(xs), reversed(cs)):
+        out = _padd(_pmul(out, (-x, Fraction(1))), (c,))
+    return out
 
 
 # the charge grammar of a module label: an integer or p/q, p optionally negative
@@ -184,55 +162,44 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 class Scalar:
-    """Element of Q(lam), optionally modulo lam**2 == mod."""
+    """A rational, or an element of Q(sqrt(mod)) written c0 + c1*lam."""
 
-    __slots__ = ("num", "den", "mod")
+    __slots__ = ("num", "mod")
+    den: UPoly = _ONE  # every canonical form has denominator 1
 
     def __init__(self, num, den=_ONE, mod: Optional[Fraction] = None):
+        """num/den for polynomials num and den in lam, reduced modulo
+        lam**2 == mod; without a modulus both must be constants."""
         num = _pnorm(_rat(c) for c in num)
         den = _pnorm(_rat(c) for c in den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        if mod is not None:
+        if mod is None:
+            if len(num) > 1 or len(den) > 1:
+                raise ValueError("a scalar without a modulus is rational, not a polynomial in lam")
+        else:
             mod = Fraction(mod)
             num = self._fold(num, mod)
             den = self._fold(den, mod)
-            if not den:
-                raise ZeroDivisionError(
-                    "denominator is a zero divisor modulo lam^2 - %s" % mod
-                )
             # rationalize: 1/(a + b*lam) = (a - b*lam)/(a^2 - b^2*s)
             if len(den) == 2:
                 conj = (den[0], -den[1])
                 num = self._fold(_pmul(num, conj), mod)
                 den = self._fold(_pmul(den, conj), mod)
-                if len(den) == 2 or not den:
-                    raise ZeroDivisionError(
-                        "denominator is a zero divisor modulo lam^2 - %s" % mod
-                    )
-        elif len(den) > 1:
-            g = _pgcd(num, den)
-            if g and g != _ONE:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            if den[-1] != 1:
-                lead = den[-1]
-                num = _pscale(num, 1 / lead)
-                den = _pscale(den, 1 / lead)
-        # a constant denominator divides out to lowest terms with no gcd
-        if len(den) == 1 and den[0] != 1:
+            if not den:
+                raise ZeroDivisionError(
+                    "denominator is a zero divisor modulo lam^2 - %s" % mod
+                )
+        if den[0] != 1:
             num = _pscale(num, 1 / den[0])
-            den = _ONE
         self.num = num
-        self.den = den
         self.mod = mod
 
     @staticmethod
-    def _make(num: UPoly, den: UPoly, mod: Optional[Fraction]) -> "Scalar":
-        """A Scalar from parts already in canonical form, not normalised."""
+    def _make(num: UPoly, mod: Optional[Fraction]) -> "Scalar":
+        """A Scalar from a numerator already in canonical form, not normalised."""
         sc = _new(Scalar)
         sc.num = num
-        sc.den = den
         sc.mod = mod
         return sc
 
@@ -249,19 +216,22 @@ class Scalar:
     @staticmethod
     def of(value: RatLike, mod: Optional[Fraction] = None) -> "Scalar":
         value = _rat(value)
-        return Scalar._make((value,) if value else (), _ONE, _modulus(mod))
+        return Scalar._make((value,) if value else (), _modulus(mod))
 
     @staticmethod
     def zero(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar._make((), _ONE, _modulus(mod))
+        return Scalar._make((), _modulus(mod))
 
     @staticmethod
     def one(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar._make(_ONE, _ONE, _modulus(mod))
+        return Scalar._make(_ONE, _modulus(mod))
 
     @staticmethod
-    def lam(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar._make((Fraction(0), Fraction(1)), _ONE, _modulus(mod))
+    def lam(mod: Optional[Fraction]) -> "Scalar":
+        """lam with lam**2 == mod; without a modulus lam is no scalar."""
+        if mod is None:
+            raise ValueError("lam needs a modulus lam^2 = s")
+        return Scalar._make((Fraction(0), Fraction(1)), _rat(mod))
 
     # ------------------------------------------------------------------
 
@@ -281,31 +251,22 @@ class Scalar:
             return self.mod
         raise ValueError("scalar modulus mismatch: %r vs %r" % (self.mod, other.mod))
 
-    # With both denominators (1,) the canonical result is computed directly;
-    # otherwise (Q(lam) fractions) it is normalised by __init__.
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        mod = self._check(other)
-        if len(self.den) == 1 and len(other.den) == 1:
-            return Scalar._make(_padd(self.num, other.num), _ONE, mod)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den), mod=mod)
+        return Scalar._make(_padd(self.num, other.num), self._check(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._make(_pneg(self.num), self.den, self.mod)
+        return Scalar._make(_pneg(self.num), self.mod)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.den) == 1 and len(other.den) == 1:
-            return Scalar._make(_psub(self.num, other.num), _ONE, self._check(other))
-        return self + (-other)
+        return Scalar._make(_psub(self.num, other.num), self._check(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -316,17 +277,15 @@ class Scalar:
             return NotImplemented
         mod = self._check(other)
         a, b = self.num, other.num
-        if len(self.den) == 1 and len(other.den) == 1:
-            if len(a) == 1:
-                return Scalar._make(_pscale(b, a[0]), _ONE, mod)
-            if len(b) == 1:
-                return Scalar._make(_pscale(a, b[0]), _ONE, mod)
-            if mod is None or not a or not b:
-                return Scalar._make(_pmul(a, b), _ONE, mod)
-            (a0, a1), (b0, b1) = a, b
-            num = _trim([a0 * b0 + a1 * b1 * mod, a0 * b1 + a1 * b0])
-            return Scalar._make(num, _ONE, mod)
-        return Scalar(_pmul(a, b), _pmul(self.den, other.den), mod=mod)
+        if len(a) == 1:
+            return Scalar._make(_pscale(b, a[0]), mod)
+        if len(b) == 1:
+            return Scalar._make(_pscale(a, b[0]), mod)
+        if not a or not b:
+            return Scalar._make((), mod)
+        # two terms each, so there is a modulus
+        (a0, a1), (b0, b1) = a, b
+        return Scalar._make(_trim([a0 * b0 + a1 * b1 * mod, a0 * b1 + a1 * b0]), mod)
 
     __rmul__ = __mul__
 
@@ -338,21 +297,16 @@ class Scalar:
         b = other.num
         if not b:
             raise ZeroDivisionError("scalar division by zero")
-        if len(self.den) == 1 and len(other.den) == 1:
-            if len(b) == 1:
-                return Scalar._make(_pscale(self.num, 1 / b[0]), _ONE, mod)
-            if mod is not None:
-                # (a0 + a1*lam)/(b0 + b1*lam) = (a0 + a1*lam)(b0 - b1*lam)/norm
-                b0, b1 = b
-                norm = b0 * b0 - b1 * b1 * mod
-                if not norm:
-                    raise ZeroDivisionError(
-                        "denominator is a zero divisor modulo lam^2 - %s" % mod
-                    )
-                a0, a1 = (self.num + (_ZERO, _ZERO))[:2]
-                num = _trim([(a0 * b0 - a1 * b1 * mod) / norm, (a1 * b0 - a0 * b1) / norm])
-                return Scalar._make(num, _ONE, mod)
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, b), mod=mod)
+        if len(b) == 1:
+            return Scalar._make(_pscale(self.num, 1 / b[0]), mod)
+        # (a0 + a1*lam)/(b0 + b1*lam) = (a0 + a1*lam)(b0 - b1*lam)/norm
+        b0, b1 = b
+        norm = b0 * b0 - b1 * b1 * mod
+        if not norm:
+            raise ZeroDivisionError("denominator is a zero divisor modulo lam^2 - %s" % mod)
+        a0, a1 = (self.num + (_ZERO, _ZERO))[:2]
+        num = _trim([(a0 * b0 - a1 * b1 * mod) / norm, (a1 * b0 - a0 * b1) / norm])
+        return Scalar._make(num, mod)
 
     def __rtruediv__(self, other):
         return Scalar.of(other, mod=self.mod) / self
@@ -383,7 +337,7 @@ class Scalar:
             return NotImplemented
         if self.mod == other.mod:
             # canonical forms are unique
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num
         try:
             return (self - other).is_zero()
         except ValueError:
@@ -392,41 +346,17 @@ class Scalar:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_rat())
-        return hash((self.num, self.den, self.mod))
+        return hash((self.num, self.mod))
 
     # ------------------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self.num) <= 1
 
     def as_rat(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar %s is not rational" % self)
         return self.num[0] if self.num else Fraction(0)
-
-    def even_part_polys(self) -> Tuple[UPoly, UPoly]:
-        """Rewrite a scalar even in lam as a rational function of s = lam**2.
-
-        Returns (numerator, denominator) as univariate polynomials in s.
-        Raises ValueError if the scalar is genuinely odd in lam.
-        """
-        if self.mod is not None:
-            raise ValueError("even_part_polys requires a free symbol lam")
-        num, den = self.num, self.den
-
-        def split(p: UPoly) -> Tuple[UPoly, UPoly]:
-            return _pnorm(p[0::2]), _pnorm(p[1::2])
-
-        ne, no = split(num)
-        de, do = split(den)
-        # num/den even in lam  <=>  num*conj(den) even, where conj flips lam sign.
-        # Multiply by conjugate of den: den*conj(den) = de^2 - s*do^2 (even).
-        new_num_even = _padd(_pmul(ne, de), _pneg(_pmul((Fraction(0),) + no, do)))
-        new_num_odd = _padd(_pmul(no, de), _pneg(_pmul(ne, do)))
-        if new_num_odd:
-            raise ValueError("scalar %s is not an even function of lam" % self)
-        new_den = _padd(_pmul(de, de), _pneg(_pmul((Fraction(0),) + do, do)))
-        return new_num_even, new_den
 
     # ------------------------------------------------------------------
 
@@ -434,9 +364,7 @@ class Scalar:
         return "Scalar(%s)" % self
 
     def __str__(self):
-        if self.den == _ONE:
-            return upoly_str(self.num, "lam")
-        return "(%s)/(%s)" % (upoly_str(self.num, "lam"), upoly_str(self.den, "lam"))
+        return upoly_str(self.num, "lam")
 
 
 @dataclass(frozen=True)

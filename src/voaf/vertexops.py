@@ -38,41 +38,14 @@ def gen_binom(x, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def cmn_table(max_total: int = 12) -> Dict[Tuple[int, int], Fraction]:
-    def trunc(series):
-        return {e: c for e, c in series.items() if sum(e) <= max_total and c}
-
-    def smul(a, b):
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                if i1 + i2 + j1 + j2 > max_total:
-                    continue
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return trunc(out)
-
-    def sadd(a, b):
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return trunc(out)
-
-    sqrt_x = {(k, 0): gen_binom(Fraction(1, 2), k) for k in range(max_total + 1)}
-    sqrt_y = {(0, k): gen_binom(Fraction(1, 2), k) for k in range(max_total + 1)}
-    u = sadd(sqrt_x, sqrt_y)
-    u = {e: c / 2 for e, c in u.items()}
-    u[(0, 0)] -= 1  # u = (sqrt(1+x)+sqrt(1+y))/2 - 1, no constant term
-    assert u.get((0, 0), Fraction(0)) == 0
-    u.pop((0, 0), None)
-    # -log(1+u) = sum_{k>=1} (-1)^k u^k / k
-    acc: Dict[Tuple[int, int], Fraction] = {}
-    power = {(0, 0): Fraction(1)}
-    for k in range(1, max_total + 1):
-        power = smul(power, u)
-        if not power:
-            break
-        acc = sadd(acc, {e: Fraction((-1) ** k, k) * c for e, c in power.items()})
-    return {e: c for e, c in acc.items() if c}
+    """The c_mn with 0 < m + n <= max_total, in closed form (FLM;
+    Dong-Nagatomo): c_mn = C(-1/2, m) C(-1/2, n) / (2(m + n))."""
+    binom = [gen_binom(Fraction(-1, 2), k) for k in range(max_total + 1)]
+    return {
+        (m, total - m): binom[m] * binom[total - m] / (2 * total)
+        for total in range(1, max_total + 1)
+        for m in range(total + 1)
+    }
 
 
 def delta_apply(a: FockVector, max_total: int = 12) -> Dict[int, FockVector]:

@@ -226,22 +226,24 @@ class TestReduce:
 
 class TestParseState:
     def test_descendant(self):
-        v = cli.parse_state("h(-3)h(-1)|0>", Sector.untwisted(None))
-        assert v.coefficient((F(3), F(1))) == 1
+        sec = Sector.untwisted(None)
+        v = cli.parse_state("h(-3)h(-1)|0>", sec)
+        assert v == FockVector.basis(sec, (F(3), F(1)))
 
     def test_scalar_prefix_and_sum(self):
-        v = cli.parse_state("2*h(-1)h(-1)|0> - h(-2)|0>",
-                            Sector.untwisted(None))
-        assert v.coefficient((F(1), F(1))) == 2
-        assert v.coefficient((F(2),)) == -1
+        sec = Sector.untwisted(None)
+        v = cli.parse_state("2*h(-1)h(-1)|0> - h(-2)|0>", sec)
+        assert v == FockVector(sec, {(F(1), F(1)): 2, (F(2),): -1})
 
     def test_charged_terminal(self):
-        v = cli.parse_state("h(-1)e^lam", Sector.untwisted(F(2)))
-        assert v.coefficient((F(1),)) == 1
+        sec = Sector.untwisted(F(2))
+        v = cli.parse_state("h(-1)e^lam", sec)
+        assert v == FockVector.basis(sec, (F(1),))
 
     def test_twisted_half_modes(self):
-        v = cli.parse_state("h(-1/2)1theta", Sector.twisted_sector())
-        assert v.coefficient((F(1, 2),)) == 1
+        sec = Sector.twisted_sector()
+        v = cli.parse_state("h(-1/2)1theta", sec)
+        assert v == FockVector.basis(sec, (F(1, 2),))
 
     def test_wrong_terminal_raises(self):
         with pytest.raises(ValueError):
@@ -280,7 +282,7 @@ class TestVerify:
 
 def _long_part(v):
     """The monomials of v with two or more parts."""
-    long = v.copy()
+    long = FockVector(v.sector)
     long.terms = {p: c for p, c in v.terms.items() if len(p) >= 2}
     return long
 

@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voaf import linalg
-from voaf.fock import FORMAL, Sector
+from voaf.fock import Sector
 from voaf.multipoly import VARS, MultiPoly
 from voaf.scalars import (
     Phase,
     Scalar,
-    _pdivmod,
-    _pgcd,
     _pnorm,
-    _pscale,
+    interpolate,
     rational_sqrt,
     upoly_str,
 )
@@ -68,24 +66,10 @@ def _subs_reference(p: MultiPoly, assign):
     return acc
 
 
-def _scalar(mod=None):
+def _scalar(mod):
     return st.tuples(rationals, rationals).map(
         lambda ab: Scalar.of(ab[0], mod) + Scalar.lam(mod) * Scalar.of(ab[1], mod)
     )
-
-
-def _gcd_route(num, den):
-    """The canonical form of num/den over Q(lam) by the polynomial gcd."""
-    num, den = _pnorm(num), _pnorm(den)
-    g = _pgcd(num, den)
-    if g and g != (Fraction(1),):
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    if den[-1] != 1:
-        lead = den[-1]
-        num = _pscale(num, 1 / lead)
-        den = _pscale(den, 1 / lead)
-    return num, den
 
 
 def _ref_mul(a, b):
@@ -152,12 +136,6 @@ _FIELDS = {
     "Q(sqrt 3)": _in_sqrt(Fraction(3)),
     "Q(sqrt 4)": _in_sqrt(Fraction(4)),
     "Q(sqrt 9/4)": _in_sqrt(Fraction(9, 4)),
-    "Q[lam]": st.lists(small, max_size=4).map(lambda a: Scalar(a)),
-    "Q(lam)": st.tuples(
-        st.lists(small, max_size=3), st.lists(small, min_size=1, max_size=3)
-    )
-    .filter(lambda nd: any(nd[1]))
-    .map(lambda nd: Scalar(nd[0], nd[1])),
 }
 
 
@@ -236,12 +214,12 @@ class TestScalarArithmetic:
             Scalar((1, 1), (0, 0, 1, 0, -1 / mod), mod=mod)
 
     def test_equal_numerators_over_different_denominators(self):
-        one_over = [Scalar((1,), den) for den in [(1,), (1, 1), (2, 1), (0, 1)]]
+        one_over = [Scalar((1,), den, Fraction(3)) for den in [(1,), (1, 1), (2, 1), (0, 1)]]
         for i, a in enumerate(one_over):
             for j, b in enumerate(one_over):
                 assert (a == b) is (i == j)
 
-    @given(_FIELDS["Q(sqrt 3)"], st.sampled_from(["Q(sqrt 4)", "Q[lam]", "Q(lam)"]),
+    @given(_FIELDS["Q(sqrt 3)"], st.sampled_from(["Q(sqrt 4)", "Q(sqrt 9/4)"]),
            st.data())
     @settings(max_examples=30, deadline=None)
     def test_mismatched_moduli_are_unequal(self, a, other, data):
@@ -252,18 +230,19 @@ class TestScalarArithmetic:
         assert not b == a and b != a
 
     @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]),
-           _FIELDS["Q(lam)"].filter(bool))
+           small.filter(bool))
     @settings(max_examples=40, deadline=None)
     def test_equal_implies_equal_hash(self, a, c):
-        same_mod = Scalar.one(a.mod) if a.mod is not None else c
+        same_mod = Scalar.of(c, a.mod)
         candidates = [
             a * 1,
             Scalar(a.num, a.den, a.mod),
             (a + same_mod) - same_mod,
             (a * same_mod) / same_mod,
-            # 1 + lam is a unit in every field drawn here
-            Scalar(_ref_mul(a.num, (1, 1)), _ref_mul(a.den, (1, 1)), a.mod),
         ]
+        if a.mod is not None:
+            # 1 + lam is a unit in every extension drawn here
+            candidates.append(Scalar(_ref_mul(a.num, (1, 1)), (1, 1), a.mod))
         if a.is_rational():
             q = a.as_rat()
             candidates += [q, Scalar.of(q, Fraction(3)), Scalar.of(q, Fraction(4))]
@@ -283,8 +262,19 @@ class TestScalar:
         assert (lam * lam).as_rat() == 2
 
     def test_free_lam_has_no_square_reduction(self):
-        lam = Scalar.lam(None)
-        assert not (lam * lam).is_rational()
+        """There is no free lam: without a modulus lam itself, a polynomial
+        in lam and a nonconstant denominator are errors, and a constant
+        denominator divides out."""
+        with pytest.raises(ValueError):
+            Scalar.lam(None)
+        with pytest.raises(ValueError):
+            Scalar((1,), (1, 1))
+        with pytest.raises(ValueError):
+            Scalar((0, 1))
+        with pytest.raises(ValueError):
+            Scalar((1, 2, 3), (2,))
+        sc = Scalar((3,), (6,))
+        assert (sc.num, sc.den, sc.mod) == ((Fraction(1, 2),), (1,), None)
 
     @given(_scalar(Fraction(3)), _scalar(Fraction(3)), _scalar(Fraction(3)))
     @settings(max_examples=60, deadline=None)
@@ -306,29 +296,35 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             Scalar.one(Fraction(4)) / (Scalar.lam(Fraction(4)) - Scalar.of(2, Fraction(4)))
 
-    def test_even_part_polys(self):
-        lam = Scalar.lam(None)
-        sc = lam ** 4 - lam ** 2 * Fraction(1, 2)
-        num, den = sc.even_part_polys()
-        assert list(num) == [Fraction(0), Fraction(-1, 2), Fraction(1)]
-        assert list(den) == [Fraction(1)]
-
-    def test_even_part_rejects_odd(self):
-        with pytest.raises(ValueError):
-            Scalar.lam(None).even_part_polys()
-
-    @given(st.lists(rationals, max_size=5), rationals.filter(bool))
+    @given(st.sampled_from([None, Fraction(3), Fraction(4)]),
+           st.lists(rationals, max_size=2), rationals.filter(bool))
     @settings(max_examples=80, deadline=None)
-    def test_constant_denominator_matches_gcd_route(self, num, d):
-        # a Q(lam) numerator over a constant denominator skips the gcd
-        sc = Scalar(num, (d,))
-        ref_num, ref_den = _gcd_route(tuple(num), (d,))
-        assert sc.num == ref_num and sc.den == ref_den
+    def test_constant_denominator_matches_gcd_route(self, mod, num, d):
+        """A constant denominator divides out, as the polynomial gcd route
+        that Q(lam) needed did."""
+        if mod is None:
+            num = num[:1]
+        sc = Scalar(num, (d,), mod)
+        ref = _pnorm(Fraction(c) / d for c in num)
+        assert (sc.num, sc.den, sc.mod) == (ref, (1,), mod)
         assert all(type(c) is Fraction for c in sc.num + sc.den)
-        ref = upoly_str(ref_num, "lam")
-        if ref_den != (Fraction(1),):
-            ref = "(%s)/(%s)" % (ref, upoly_str(ref_den, "lam"))
-        assert str(sc) == ref
+        assert str(sc) == upoly_str(ref, "lam")
+
+    @given(st.lists(rationals, max_size=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interpolate_recovers_a_polynomial(self, coeffs, data):
+        """Through deg + 1 or more distinct points, the polynomial itself."""
+        p = _pnorm(coeffs)
+        xs = data.draw(st.lists(rationals, min_size=len(p) + 1, max_size=len(p) + 3, unique=True))
+        ys = [sum(c * x**k for k, c in enumerate(p)) for x in xs]
+        got = interpolate(xs, ys)
+        assert got == p
+        assert all(type(c) is Fraction for c in got)
+
+    def test_interpolate_small_cases(self):
+        assert interpolate([0, 1, 2], [0, 1, 4]) == (0, 0, 1)
+        assert interpolate([1, 2], [5, 5]) == (5,)
+        assert interpolate([], []) == ()
 
     def test_phase_group(self):
         p = Phase(Fraction(1, 16))
@@ -369,10 +365,6 @@ class TestMultiPoly:
         assert p.proportionality(q) == 3
         assert p.proportionality(x * x) is None
 
-    def test_constant_raises_on_nonconstant(self):
-        with pytest.raises(ValueError):
-            MultiPoly.var("x").constant()
-
     def test_quadratic_extension_point(self):
         # the roots alpha/2 +- lam/2 of w^2 - alpha w + beta, lam^2 = alpha^2 - 4 beta
         alpha, beta = Fraction(89, 12), Fraction(30625, 2304)
@@ -404,17 +396,16 @@ class TestMultiPoly:
         assert got == _evaluate_reference(p, point)
 
     @pytest.mark.parametrize(
-        "sector", [Sector.untwisted(Fraction(2)), Sector.untwisted(FORMAL)], ids=str
+        "sector", [Sector.untwisted(Fraction(2)), Sector.untwisted(Fraction(4))], ids=str
     )
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_evaluate_scalar_point_matches_reference(self, sector, data):
-        """x is a Scalar in Q(sqrt(2)) or in Q(lam); y stays rational."""
+        """x is a Scalar in Q(sqrt(2)) or in Q(sqrt(4)), which has zero
+        divisors; y stays rational."""
         mod = sector.scalar_mod()
         p = data.draw(_multipoly(2, 3, rationals))
         xv = data.draw(_scalar(mod))
-        if mod is None:
-            xv = xv / (Scalar.lam() + data.draw(rationals))
         point = {"x": xv, "y": data.draw(wide_rationals)}
         assert p.evaluate(point) == _evaluate_reference(p, point)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voaf.fock import (
-    FORMAL,
     FockVector,
     Sector,
     basis_at_degree,
@@ -96,10 +95,6 @@ class TestModes:
         assert v.apply_mode(Fraction(-2)).max_degree() == 6
         assert v.apply_mode(Fraction(1)).max_degree() == 3
 
-    def test_formal_sector_weight_offset_raises(self):
-        with pytest.raises(ValueError):
-            Sector.untwisted(FORMAL).weight_offset_rat()
-
 
 class TestTheta:
     def test_theta_squares_to_identity(self):
@@ -182,7 +177,7 @@ def _assert_int_keys(v: FockVector):
 
 
 class TestIntKeys:
-    SECTORS = [UNT, Sector.untwisted(Fraction(2)), TW, Sector.untwisted(FORMAL)]
+    SECTORS = [UNT, Sector.untwisted(Fraction(2)), TW, Sector.untwisted(Fraction(1, 3))]
 
     @staticmethod
     def _sample(sector):
@@ -221,7 +216,7 @@ class TestIntKeys:
     def test_natural_depths_at_the_boundary(self):
         v = FockVector.basis(TW, (Fraction(1, 2), Fraction(5, 2)), 3)
         assert list(v.terms) == [(5, 1)]
-        assert v.coefficient([Fraction(5, 2), Fraction(1, 2)]) == 3
+        assert v.terms[(5, 1)] == 3
         assert str(v) == "(3) h(-5/2)h(-1/2)1_tw"
         assert v.max_degree() == 3 and v.degrees() == [3]
         u = FockVector(UNT, {(1, 3): 2})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voaf.fock import FORMAL, FockVector, Sector, basis_at_degree, halve
+from voaf.fock import FockVector, Sector, basis_at_degree, halve
 from voaf.labels import mlam, mminus, mtheta_minus, mtheta_plus
 from voaf.virasoro import (
     DescendantWord,
@@ -53,11 +53,7 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 def _coefficient(sector):
     """Random nonzero coefficients in the sector's scalar field."""
-    if sector.s is FORMAL:
-        c = st.tuples(st.lists(_small, min_size=1, max_size=3), _small).map(
-            lambda nc: Scalar(nc[0], (1, nc[1]))
-        )
-    elif sector.scalar_mod() is not None:
+    if sector.scalar_mod() is not None:
         c = st.tuples(_small, _small).map(lambda ab: Scalar(ab, (1,), sector.s))
     else:
         c = _small.map(Scalar.of)
@@ -78,7 +74,7 @@ _L_SECTORS = {
     "charged s=2": Sector.untwisted(Fraction(2)),
     "charged s=4": Sector.untwisted(Fraction(4)),
     "twisted": TW,
-    "formal": Sector.untwisted(FORMAL),
+    "charged s=1/3": Sector.untwisted(Fraction(1, 3)),
 }
 
 

@@ -774,9 +774,10 @@ def step3_closures(pt: MultiPoly, q2: MultiPoly) -> List[Closure]:
     chains force, the equal pair u = t, or a special charge t in 1/2, 2,
     9/2, 8.  A special t drops each relation whose first slot holds t when
     the relation's denominator vanishes at t (f_den for pt, g_den for q2):
-    that slot's system has no such row from the generated relations.  D multiplies the factors that are nonzero in the
-    subcase: distinct charges, and for special t also a nonvanishing
-    symmetric factor and nonzero charges.  A closure holds when D vanishes on
+    that slot's system has no such row from the generated relations.  D
+    multiplies the factors that are nonzero in the subcase: distinct
+    charges, and for special t also a nonvanishing symmetric factor and
+    nonzero charges.  A closure holds when D vanishes on
     every common zero of the generators, i.e. D^k lies in their ideal for
     some k; by Rabinowitsch that is 1 in (generators, wD - 1).
     """

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-Rat = Fraction
 UPoly = Tuple[Fraction, ...]
 
 _ONE: UPoly = (Fraction(1),)

@@ -321,11 +321,6 @@ class TestScalar:
         assert got == p
         assert all(type(c) is Fraction for c in got)
 
-    def test_interpolate_small_cases(self):
-        assert interpolate([0, 1, 2], [0, 1, 4]) == (0, 0, 1)
-        assert interpolate([1, 2], [5, 5]) == (5,)
-        assert interpolate([], []) == ()
-
     def test_phase_group(self):
         p = Phase(Fraction(1, 16))
         assert (p * Phase(Fraction(-1, 16))).r == 0

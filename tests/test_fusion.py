@@ -152,14 +152,6 @@ class TestContractions:
         assert "relation_polys" in names
         assert not names & {"express_in_descendants", "zhu", "linalg", "solve", "virasoro"}
 
-    def test_generated_denominators_are_monic_kac_products(self):
-        f_num, f_den, g_num, g_den = fusion.generic_relation_polys()
-        h_num, h_den = fusion.second_circle_relation_polys()
-        s = MultiPoly.var("s")
-        kac = s * (s - F(1, 2)) * (s - 2) * (s - F(9, 2))
-        assert f_den == kac
-        assert g_den == h_den == kac * (s - 8)
-
     @pytest.mark.parametrize(
         "label",
         [mminus(), mtheta_plus(), mtheta_minus(), mlam(F(1, 3)), mlam(F(1, 2)),

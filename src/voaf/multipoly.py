@@ -45,6 +45,11 @@ class MultiPoly:
         e[_VAR_INDEX[name]] = 1
         return MultiPoly({tuple(e): Fraction(1)})
 
+    def copy(self) -> "MultiPoly":
+        p = MultiPoly()
+        p.terms = dict(self.terms)
+        return p
+
     # ------------------------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -204,33 +209,21 @@ class MultiPoly:
     # ------------------------------------------------------------------
 
     def try_divide(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
-        """Return self/divisor if the division is exact, else None.  The
-        remainder is reduced in place at its graded-lex leading term."""
+        """Return self/divisor if the division is exact, else None."""
         if divisor.is_zero():
             raise ZeroDivisionError
-
-        def order(e: Expo):
-            return sum(e), e
-
-        rem = dict(self.terms)
-        lead_e = max(divisor.terms, key=order)
-        lead_c = divisor.terms[lead_e]
-        rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+        rem = self.copy()
+        lead_e, lead_c = max(divisor.terms.items(), key=lambda t: (sum(t[0]), t[0]))
         quot = MultiPoly()
-        while rem:
-            e = max(rem, key=order)
+        while rem.terms:
+            e, c = max(rem.terms.items(), key=lambda t: (sum(t[0]), t[0]))
             diff = tuple(a - b for a, b in zip(e, lead_e))
-            if min(diff) < 0:
+            if any(d < 0 for d in diff):
                 return None
-            qc = rem.pop(e) / lead_c
-            quot.terms[diff] = qc
-            for de, dc in rest:
-                t = tuple(a + b for a, b in zip(diff, de))
-                v = rem.get(t, 0) - qc * dc
-                if v:
-                    rem[t] = v
-                else:
-                    rem.pop(t, None)
+            qc = c / lead_c
+            qterm = MultiPoly({diff: qc})
+            quot = quot + qterm
+            rem = rem - qterm * divisor
         return quot
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:

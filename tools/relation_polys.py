@@ -21,23 +21,29 @@ the Fock coordinates of the relation's level-d component, so A c = b.
   and L(n)^T = L(-n), so A^T G A is the Shapovalov form at h = s/2, c = 1.
   By the Kac determinant formula, det(A)^2 = kappa * K_d(s) with kappa a
   nonzero rational and K_d(s) = prod_{r,q >= 1, rq <= d} (s - (r-q)^2/2)
-  ^ p(d - rq), monic in s of degree N(d) = sum_{mu |- d} len(mu).
+  ^ p(d - rq) = s^e_0 prod_{k >= 1} (s - k^2/2)^e_k, of degree
+  N(d) = sum_{mu |- d} len(mu).  For k >= 1 the pairs (r, q) and (q, r)
+  make e_k even, and s - k^2/2 = lam^2 - k^2/2 is irreducible over Q, so
+  det(A) = c lam^e_0 prod_{k >= 1} (s - k^2/2)^(e_k/2) with c rational.
 - The automorphism h(n) -> -h(n), e^lam -> e^(-lam) fixes the L(n) and
   Y(a, z) for theta-even a, so c_w is even in lam.
-- By Cramer, c_w = det(A_w) / det(A), with column w replaced by b, so
-  K_d(s) c_w = det(A_w) det(A) / kappa is a polynomial in lam of degree
-  <= (N(d) - m(w) + 2) + N(d), even, hence of degree <= N(d) + 1 in s.
+- By Cramer, c_w = det(A_w) / det(A), with column w replaced by b, and
+  det(A_w) has lam-degree <= N(d) - m(w) + 2.  Let M_d(s) = s^ceil(e_0/2)
+  prod_{k >= 1} (s - k^2/2)^(e_k/2), of degree H(d) = (N(d) + e)/2 with
+  e = e_0 mod 2.  Then M_d(s) c_w = det(A_w) lam^e / c is a polynomial in
+  lam of degree <= N(d) - m(w) + 2 + e, even, so of degree <= H(d) + 1 in
+  s.
 
-K_d divides K_D for d <= D, so with D the top level of the relation and the
-multiplier K_D(s), every K_D(s) c_w is a polynomial in s of degree at most
-N(D) + 1.  The script samples each c_w at N(D) + 3 integers s that are
-neither squares nor twice squares: K_D(s) != 0 there and Q(sqrt(s)) is a
-field, in which it checks that c_w has no lam-odd part.  It interpolates
-K_D(s) c_w through all of them and fails unless the result has degree at
-most N(D) + 1, so one point beyond the N(D) + 2 that fix it checks it.
+M_d divides M_D for d <= D, since e_k grows with the level, so with D the
+top level of the relation every M_D(s) c_w is a polynomial in s of degree
+at most H(D) + 1.  The script samples each c_w at H(D) + 3 integers s that
+are neither squares nor twice squares: M_D(s) != 0 there and Q(sqrt(s)) is
+a field, in which it checks that c_w has no lam-odd part.  It interpolates
+M_D(s) c_w through all of them and fails unless the result has degree at
+most H(D) + 1, so one point beyond the H(D) + 2 that fix it checks it.
 
-The pair sum_w K_D c_w * descendant_to_poly(w, s/2) over K_D(s) is then
-reduced: each factor s - k^2/2 of K_D is cancelled while the numerator is
+The pair sum_w M_D c_w * descendant_to_poly(w, s/2) over M_D(s) is then
+reduced: each factor s - k^2/2 of M_D is cancelled while the numerator is
 divisible by it (MultiPoly.try_divide), which leaves a monic denominator.
 The star relation is stored as (head * den + 9 * num, den), with head the
 contraction z - 4x^2 - 17x of J - 4 omega*omega - 17 omega.  The output is
@@ -110,7 +116,7 @@ def contraction(rel: Relation) -> Tuple[MultiPoly, MultiPoly]:
     first = next(points)
     samples = [(first, coordinates(rel, first))]
     level = max(sum(ms) for ms in samples[0][1])
-    roots = kac_roots(level)
+    roots = {root: (e + 1) // 2 for root, e in kac_roots(level).items()}
     bound = sum(roots.values()) + 1
     samples += [(s, coordinates(rel, s)) for s, _ in zip(points, range(bound + 1))]
     xs = [s for s, _ in samples]

@@ -7,6 +7,7 @@ Q(sqrt(s)) and interpolating in s; src/voaf/relation_polys.py is its output.
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 import time
@@ -69,6 +70,6 @@ def test_help_does_not_import_the_relations():
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": src, "PATH": ""},
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout == "False\n"

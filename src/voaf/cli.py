@@ -54,7 +54,7 @@ def _eigenvalue(op: FockVector, v: FockVector):
     key = next(iter(v.terms))
     c = w.terms.get(key)
     if c is None:
-        return Scalar.zero(v.sector.scalar_mod()) if w.is_zero() else None
+        return Scalar.zero(v.sector.s) if w.is_zero() else None
     if (w - v.scale(c)).is_zero():
         return c
     return None
@@ -136,7 +136,7 @@ def parse_state(text: str, sector: Sector) -> FockVector:
         pos = m.end()
     if not tokens:
         raise ValueError("empty state expression (the grammar needs at least one term)")
-    mod = sector.scalar_mod()
+    mod = sector.s
     want = "1theta" if sector.twisted else ("|0>" if sector.s is None else "e^lam")
     total = FockVector.zero(sector)
     i = 0

@@ -65,9 +65,6 @@ class Sector:
     def twisted_sector() -> "Sector":
         return Sector(True, None)
 
-    def scalar_mod(self) -> SValue:
-        return self.s
-
     def lam_scalar(self) -> Scalar:
         """h(0) eigenvalue on the top vector."""
         if self.twisted or self.s is None:
@@ -97,7 +94,7 @@ class Sector:
     def coeff(self, value) -> Scalar:
         if isinstance(value, Scalar):
             return value
-        return Scalar.of(value, mod=self.scalar_mod())
+        return Scalar.of(value, mod=self.s)
 
     def __str__(self):
         if self.twisted:
@@ -344,7 +341,7 @@ def basis_at_degree(sector: Sector, degree, parity: Optional[int] = None) -> Lis
 def contravariant_form(v: FockVector, w: FockVector) -> Scalar:
     """Diagonal pairing with (h(-m1)^p1 ... top, itself) = prod m_i^{p_i} p_i!."""
     v._require_same(w)
-    mod = v.sector.scalar_mod()
+    mod = v.sector.s
     acc = Scalar.zero(mod)
     for part, c in v.terms.items():
         d = w.terms.get(part)

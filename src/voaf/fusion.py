@@ -65,7 +65,7 @@ def _relation_head() -> MultiPoly:
 def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
     """Basis of vectors of the given degree killed by L(1) and L(2)."""
     parts = basis_at_degree(sector, degree, parity)
-    mod = sector.scalar_mod()
+    mod = sector.s
     zero, one = Scalar.zero(mod), Scalar.one(mod)
     images = []
     for p in parts:
@@ -425,7 +425,9 @@ def _evaluate_system(
 
 
 def _sym3(s: Fraction, t: Fraction, u: Fraction) -> Fraction:
-    return s * s + t * t + u * u - 2 * s * t - 2 * s * u - 2 * t * u
+    """s^2 + t^2 + u^2 - 2st - 2su - 2tu, in the form with fewest products."""
+    d = u - s - t
+    return d * d - 4 * s * t
 
 
 def find_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> Optional[dict]:
@@ -529,14 +531,22 @@ _KIND_PRIORITY = {"M+": 0, "M-": 1, "Mtheta+": 6, "Mtheta-": 7}
 _CHARGE_PRIORITY = {Fraction(2): 3, Fraction(9, 2): 4, Fraction(1, 2): 5}
 
 
+@functools.cache
 def _slot_priority(label: ModuleLabel) -> int:
     if label.kind == "Mlam":
         return _CHARGE_PRIORITY.get(label.s, 2)
     return _KIND_PRIORITY[label.kind]
 
 
+@functools.cache
+def _arrangement_order(priority: Tuple[int, int, int]) -> tuple:
+    """The arrangements, by the priority of the slot that each puts first;
+    the sort is stable, so ties keep the fixed order."""
+    return tuple(sorted(_ARRANGEMENTS, key=lambda a: priority[a[0]]))
+
+
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def _rank(matrix: List[List[Fraction]]) -> int:
@@ -613,11 +623,8 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     """Decide the fusion rule for the ordered triple and certify it."""
     labs = (m, n, l)
     witness = find_witness(m, n, l)
-    priority = [_slot_priority(lab) for lab in labs]
-    arrangements = [
-        (arrange(labs), names)
-        for _, arrange, names in sorted(_ARRANGEMENTS, key=lambda a: priority[a[0]])
-    ]
+    order = _arrangement_order((_slot_priority(m), _slot_priority(n), _slot_priority(l)))
+    arrangements = [(arrange(labs), names) for _, arrange, names in order]
     if witness is not None:
         for arr, names in arrangements:
             if len(generator_set(arr[0])) == 1:
@@ -709,11 +716,13 @@ def base_labels(lambda_squares: Sequence[Fraction]) -> List[ModuleLabel]:
 def full_table(lambda_squares: Sequence[Fraction]) -> List[FusionCertificate]:
     """Certificates for all triples over the labels and their charge closure."""
     base = base_labels(lambda_squares)
-    closed = charge_closure(lambda_squares)
+    # the targets reuse the base labels, so each label is one object and
+    # the label-keyed caches hit by identity
+    charged = {lab.s: lab for lab in base if lab.kind == "Mlam"}
     targets = (
-        [mplus(), mminus()]
-        + [mlam(s) for s in closed]
-        + [mtheta_plus(), mtheta_minus()]
+        base[:2]
+        + [charged.get(s) or mlam(s) for s in charge_closure(lambda_squares)]
+        + base[-2:]
     )
     out = []
     for m in base:

@@ -23,6 +23,10 @@ KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 
 @dataclass(frozen=True)
 class ModuleLabel:
+    """A label is an immutable value: equal labels hash alike, and the hash
+    is computed once, when the label is made, because labels key the
+    engine's caches."""
+
     kind: str
     s: object = None  # Fraction, for kind == "Mlam"
 
@@ -38,6 +42,10 @@ class ModuleLabel:
             object.__setattr__(self, "s", s)
         elif self.s is not None:
             raise ValueError("s only applies to Mlam")
+        object.__setattr__(self, "_hash", hash((self.kind, self.s)))
+
+    def __hash__(self):
+        return self._hash
 
     # ------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ truthiness (nonzero test).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 class InconsistentSystem(Exception):
@@ -57,6 +57,22 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, zero, one) -> Optional[list]:
     for r, c in enumerate(pivots):
         x[c] = a[r][n]
     return x
+
+
+def row_reduction(rows: Sequence[Sequence], zero, one) -> Tuple[List[int], List[list]]:
+    """The pivot columns of the matrix and a transform T that takes it to
+    reduced row echelon form, with the pivots chosen as in solve.
+
+    Row i of T*rows has its pivot in column pivots[i]; the rows of T past
+    the rank annihilate the matrix.  So rows * x = b is solvable exactly
+    when (T*b)[i] == 0 for every i >= len(pivots), and then x[pivots[i]] =
+    (T*b)[i], free variables zero, is the solution that solve returns.
+    """
+    n = len(rows[0]) if rows else 0
+    m = len(rows)
+    a = [list(r) + [one if i == j else zero for j in range(m)] for i, r in enumerate(rows)]
+    pivots = _rref(a, n, one)
+    return pivots, [r[n:] for r in a]
 
 
 def rank(rows: Sequence[Sequence], one) -> int:

@@ -3,12 +3,17 @@
 A polynomial is a dict mapping exponent tuples (one slot per variable in
 VARS order) to nonzero Fractions.  The variable set is fixed; polynomials
 that do not mention a variable simply have exponent 0 in its slot.
+
+A MultiPoly is an immutable value: every operation returns a new one, and
+callers must not mutate its `terms`.  That lets a polynomial keep the
+integer form that `evaluate` reads, built on its first evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import getitem
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -22,33 +27,42 @@ _ZERO_EXPO: Expo = (0,) * NVARS
 
 
 class MultiPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_cleared")
 
     def __init__(self, terms: Optional[Terms] = None):
-        self.terms: Terms = {}
+        out: Terms = {}
         if terms:
             for e, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    self.terms[tuple(e)] = c
+                    out[tuple(e)] = c
+        object.__setattr__(self, "terms", out)
+        object.__setattr__(self, "_cleared", None)
+
+    @staticmethod
+    def _make(terms: Terms) -> "MultiPoly":
+        """The polynomial with these terms, taken as they are: tuple
+        exponents and nonzero Fractions, never mutated afterwards."""
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_cleared", None)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiPoly is immutable")
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
         c = Fraction(c)
-        return MultiPoly({_ZERO_EXPO: c}) if c else MultiPoly()
+        return MultiPoly._make({_ZERO_EXPO: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
         e = [0] * NVARS
         e[_VAR_INDEX[name]] = 1
-        return MultiPoly({tuple(e): Fraction(1)})
-
-    def copy(self) -> "MultiPoly":
-        p = MultiPoly()
-        p.terms = dict(self.terms)
-        return p
+        return MultiPoly._make({tuple(e): Fraction(1)})
 
     # ------------------------------------------------------------------
 
@@ -70,16 +84,12 @@ class MultiPoly:
                 out[e] = v
             else:
                 out.pop(e, None)
-        p = MultiPoly()
-        p.terms = out
-        return p
+        return MultiPoly._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MultiPoly()
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return MultiPoly._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -103,9 +113,7 @@ class MultiPoly:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        p = MultiPoly()
-        p.terms = out
-        return p
+        return MultiPoly._make(out)
 
     __rmul__ = __mul__
 
@@ -139,45 +147,61 @@ class MultiPoly:
 
     # ------------------------------------------------------------------
 
+    def _clear(self):
+        """The cleared form that evaluate reads: the (name, degree) of each
+        variable the polynomial uses, the common denominator D of the
+        coefficients, and one (c*D, exponents of the used variables) pair per
+        term, with c*D an int."""
+        terms = self.terms
+        degs = list(map(max, zip(*terms))) if terms else []
+        used = [i for i, d in enumerate(degs) if d]
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        rows = tuple(
+            (c.numerator * (den // c.denominator), tuple(e[i] for i in used))
+            for e, c in terms.items()
+        )
+        return tuple((VARS[i], degs[i]) for i in used), den, rows
+
     def evaluate(self, assign: Dict[str, object]):
         """Evaluate exactly, on integers where the point is rational.
 
-        With D the common denominator of the coefficients and v = n/m the
-        value of a variable of degree d, the term c * v^k becomes the integer
+        The first call builds the cleared form (_clear) and keeps it.  With D
+        the common denominator of the coefficients and v = n/m the value of
+        a variable of degree d, the term c * v^k becomes the integer
         (c*D) * n^k * m^(d-k); the sum over all terms is divided by
         D * prod(m^d) once.  A value that is not an int or a Fraction (a
-        Scalar in Q(sqrt(s)) or Q(lam)) enters the same loop as n = v, m = 1.
-        Every variable occurring in the polynomial must be assigned; other
+        Scalar in Q(sqrt(s))) enters the same loop as n = v, m = 1.  Every
+        variable occurring in the polynomial must be assigned; other
         assigned variables are ignored.  The result is a Fraction unless a
         non-rational value occurs with positive degree.
         """
-        terms = self.terms
-        if not terms:
+        form = self._cleared
+        if form is None:
+            form = self._clear()
+            object.__setattr__(self, "_cleared", form)
+        variables, den, rows = form
+        if not rows:
             return Fraction(0)
-        degs = list(map(max, zip(*terms)))
-        missing = [VARS[i] for i, d in enumerate(degs) if d and VARS[i] not in assign]
-        if missing:
-            raise ValueError("unassigned variables %s" % missing)
-        coeff_den = math.lcm(*[c.denominator for c in terms.values()])
-        den = coeff_den
         tables = []
-        for i, d in enumerate(degs):
-            if not d:
-                continue
-            v = assign[VARS[i]]
-            n, m = (v.numerator, v.denominator) if isinstance(v, (int, Fraction)) else (v, 1)
-            n_pows, m_pows = [1], [1]
-            for _ in range(d):
-                n_pows.append(n_pows[-1] * n)
-                m_pows.append(m_pows[-1] * m)
-            tables.append((i, [n_pows[k] * m_pows[d - k] for k in range(d + 1)]))
-            den *= m_pows[d]
-        acc = 0
-        for e, c in terms.items():
-            term = c.numerator * (coeff_den // c.denominator)
-            for i, table in tables:
-                term = term * table[e[i]]
-            acc = acc + term
+        for name, d in variables:
+            try:
+                v = assign[name]
+            except KeyError:
+                missing = [u for u, _ in variables if u not in assign]
+                raise ValueError("unassigned variables %s" % missing) from None
+            if isinstance(v, (int, Fraction)):
+                # n^k * m^(d-k) for k = 0..d, from m^d down
+                n, m = v.numerator, v.denominator
+                table = [m**d]
+                for _ in range(d):
+                    table.append(table[-1] // m * n)
+                den *= table[0]
+            else:
+                table = [1]
+                for _ in range(d):
+                    table.append(table[-1] * v)
+            tables.append(table)
+        acc = sum(c * math.prod(map(getitem, tables, e)) for c, e in rows)
         if type(acc) is int:
             return Fraction(acc, den)
         return acc * Fraction(1, den)
@@ -199,7 +223,7 @@ class MultiPoly:
                 tables[i] = powers
         acc = MultiPoly()
         for e, c in terms.items():
-            term = MultiPoly({tuple(0 if i in tables else k for i, k in enumerate(e)): c})
+            term = MultiPoly._make({tuple(0 if i in tables else k for i, k in enumerate(e)): c})
             for i, powers in tables.items():
                 if e[i]:
                     term = term * powers[e[i]]
@@ -212,7 +236,7 @@ class MultiPoly:
         """Return self/divisor if the division is exact, else None."""
         if divisor.is_zero():
             raise ZeroDivisionError
-        rem = self.copy()
+        rem = self
         lead_e, lead_c = max(divisor.terms.items(), key=lambda t: (sum(t[0]), t[0]))
         quot = MultiPoly()
         while rem.terms:
@@ -221,7 +245,7 @@ class MultiPoly:
             if any(d < 0 for d in diff):
                 return None
             qc = c / lead_c
-            qterm = MultiPoly({diff: qc})
+            qterm = MultiPoly._make({diff: qc})
             quot = quot + qterm
             rem = rem - qterm * divisor
         return quot

@@ -117,7 +117,7 @@ def express_in_descendants(
     some component is outside the descendant span.
     """
     sector = v.sector
-    mod = sector.scalar_mod()
+    mod = sector.s
     zero = Scalar.zero(mod)
     one = Scalar.one(mod)
     gen_degs = []

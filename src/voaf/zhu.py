@@ -80,10 +80,11 @@ class MembershipResult:
 @functools.cache
 def _membership_columns(
     module: ModuleLabel, cutoff: int
-) -> Tuple[Tuple[Tuple[FockVector, FockVector], ...], Tuple[FockVector, ...]]:
+) -> Tuple[Tuple[Tuple[FockVector, FockVector], ...], List[int], List[list], Dict]:
     """The nonzero circle products a o u that o_membership solves against,
-    with their (a, u) pairs, built once per (module, cutoff).  The vectors
-    are shared between calls and must not be mutated."""
+    reduced once per (module, cutoff): their (a, u) pairs, the pivot columns
+    and transform of linalg.row_reduction, and the row of each monomial.
+    The results are shared between calls and must not be mutated."""
     vac = Sector.untwisted(None)
     mod_sec = module.sector()
     gens: List[Tuple[FockVector, FockVector]] = []
@@ -101,28 +102,32 @@ def _membership_columns(
                         gens.append((a, u))
                         cols.append(col)
                 d += Fraction(1)
-    return tuple(gens), tuple(cols)
+    zero, one = Scalar.zero(mod_sec.s), Scalar.one(mod_sec.s)
+    keys = sorted({p for c in cols for p in c.terms})
+    rows = [[c.terms.get(p, zero) for c in cols] for p in keys]
+    pivots, transform = linalg.row_reduction(rows, zero, one)
+    return tuple(gens), pivots, transform, {p: i for i, p in enumerate(keys)}
 
 
 def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> MembershipResult:
     """Decide whether v lies in the span of {a o u} with a running over the
     invariant vacuum-sector basis of weight <= cutoff and u over the module
-    basis with wt(a) + deg(u) + 1 <= cutoff."""
+    basis with wt(a) + deg(u) + 1 <= cutoff.
+
+    The coordinates of v are multiplied by the stored transform; a member's
+    combination is the solution with free variables zero (linalg.solve)."""
     if not module.contains(v):
         raise ValueError("vector does not lie in module %s" % module)
-    mod_sec = module.sector()
-    gens, cols = _membership_columns(module, cutoff)
-    zero = Scalar.zero(mod_sec.scalar_mod())
-    one = Scalar.one(mod_sec.scalar_mod())
-    rows_keys = sorted({p for c in cols for p in c.terms} | set(v.terms))
-    rows = [[c.terms.get(p, zero) for c in cols] for p in rows_keys]
-    rhs = [v.terms.get(p, zero) for p in rows_keys]
-    try:
-        sol = linalg.solve(rows, rhs, zero, one)
-    except linalg.InconsistentSystem:
+    gens, pivots, transform, index = _membership_columns(module, cutoff)
+    if any(p not in index for p in v.terms):
+        return MembershipResult(False)
+    coords = [(index[p], c) for p, c in v.terms.items()]
+    zero = Scalar.zero(module.sector().s)
+    image = [sum((row[i] * c for i, c in coords), zero) for row in transform]
+    if any(image[len(pivots):]):
         return MembershipResult(False)
     combo = [
-        (a, u, c) for (a, u), c in zip(gens, sol) if not c.is_zero()
+        gens[col] + (c,) for col, c in zip(pivots, image) if not c.is_zero()
     ]
     return MembershipResult(True, combo)
 

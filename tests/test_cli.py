@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +412,63 @@ class TestCmnTaylorOracle:
     @pytest.mark.parametrize("max_total", range(4, 13))
     def test_accepts_the_true_table(self, max_total):
         assert cli._cmn_taylor_oracle(max_total)
+
+    def test_rejects_a_table_perturbed_past_degree_8(self, monkeypatch):
+        """At max_total = 12 the oracle compares entries of total degree 9 to
+        12, which the check at 8 never builds, such as (5, 5)."""
+        good = cli.cmn_table
+
+        def bad(max_total):
+            table = dict(good(max_total))
+            _add((5, 5), F(1, 1000))(table)
+            return table
+
+        monkeypatch.setattr(cli, "cmn_table", bad)
+        assert not cli._cmn_taylor_oracle(12)
+
+
+# every command that reaches the twisted vertex operators: the verify
+# suites, the two golden fusion-table grids and a twisted fusion query
+_CMN_COMMANDS = [
+    ["verify", "--suite", "all"],
+    ["fusion-table", "--lambda-squares", "1/3,1/2,2,9/2,8,5"],
+    ["fusion-table", "--lambda-squares", "3,5/4,22/9,13/7", "--format", "json"],
+    ["fusion", "--m", "Mtheta-", "--n", "M-", "--l", "Mtheta+"],
+]
+
+_RECORD_CMN = """
+import contextlib, io, json, sys
+from voaf import cli, vertexops
+real = vertexops.cmn_table
+requests = []
+
+def recorded(max_total=12):
+    requests.append(max_total)
+    return real(max_total)
+
+vertexops.cmn_table = recorded
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, requests]))
+"""
+
+
+def test_engine_reads_the_correction_table_only_where_it_is_checked():
+    """The twisted suite checks cmn_table to total degree 8 (the Taylor
+    oracle at max_total = 8).  In a fresh process, so that no cache hides a
+    request, no engine request reaches past that degree."""
+    env = {k: v for k, v in os.environ.items() if k != "VOAF_CUTOFF"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _RECORD_CMN, json.dumps(_CMN_COMMANDS)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    codes, requests = json.loads(out.stdout)
+    assert codes == [0] * len(_CMN_COMMANDS)
+    assert requests
+    assert max(requests) <= 8

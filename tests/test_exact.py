@@ -39,6 +39,42 @@ def _multipoly(nvars, max_degree, coeffs=wide_rationals):
     return st.dictionaries(expo, coeffs, max_size=8).map(MultiPoly)
 
 
+def _built_multipoly():
+    """Polynomials in x and y from every constructor and operation: dicts,
+    const, var, +, -, *, **, subs and try_divide."""
+    leaves = st.one_of(
+        _multipoly(2, 2, rationals),
+        rationals.map(MultiPoly.const),
+        st.sampled_from(["x", "y"]).map(MultiPoly.var),
+    )
+    def pairs(children):
+        return st.tuples(children, children)
+
+    def quotient(ab):
+        a, b = ab
+        return (a * b).try_divide(b) if b else a
+
+    def extend(children):
+        return st.one_of(
+            pairs(children).map(lambda ab: ab[0] + ab[1]),
+            pairs(children).map(lambda ab: ab[0] - ab[1]),
+            pairs(children).map(lambda ab: ab[0] * ab[1]),
+            st.tuples(children, st.integers(0, 3)).map(lambda pk: pk[0] ** pk[1]),
+            pairs(children).map(lambda ab: ab[0].subs({"x": ab[1]})),
+            pairs(children).map(quotient),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def _xy_point():
+    """A rational point, or one with x in Q(sqrt(2))."""
+    return st.one_of(
+        st.fixed_dictionaries({"x": wide_rationals, "y": wide_rationals}),
+        st.fixed_dictionaries({"x": _scalar(Fraction(2)), "y": rationals}),
+    )
+
+
 def _evaluate_reference(p: MultiPoly, assign):
     """MultiPoly.evaluate as a term-by-term loop: each power of each value
     is rebuilt by repeated multiplication."""
@@ -398,7 +434,7 @@ class TestMultiPoly:
     def test_evaluate_scalar_point_matches_reference(self, sector, data):
         """x is a Scalar in Q(sqrt(2)) or in Q(sqrt(4)), which has zero
         divisors; y stays rational."""
-        mod = sector.scalar_mod()
+        mod = sector.s
         p = data.draw(_multipoly(2, 3, rationals))
         xv = data.draw(_scalar(mod))
         point = {"x": xv, "y": data.draw(wide_rationals)}
@@ -455,6 +491,25 @@ class TestMultiPoly:
         if k < 0:
             ref = Scalar.one(Fraction(2)) / ref
         assert a ** k == ref
+
+    @given(_built_multipoly(), st.lists(_xy_point(), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_evaluation_matches_reference(self, p, points):
+        """The first evaluation builds the cleared form and later ones read
+        it; every result is the term-by-term value."""
+        for point in points:
+            assert p.evaluate(point) == _evaluate_reference(p, point)
+        form = p._cleared
+        p.evaluate(points[0])
+        assert p._cleared is form
+
+    def test_values_are_immutable(self):
+        p = MultiPoly.var("x") + 1
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        p.evaluate({"x": Fraction(2)})
+        with pytest.raises(AttributeError):
+            p._cleared = None
 
     def test_evaluate_zero_polynomial(self):
         got = MultiPoly().evaluate({})

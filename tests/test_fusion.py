@@ -291,6 +291,25 @@ class TestDecide:
         assert cert.verdict == 0
         assert "witness" not in cert.reason
 
+    def test_label_constructions_agree(self):
+        """The constructor, mlam and the parser make equal labels with one
+        hash, so each finds the caches filled by the others."""
+        labels = [ModuleLabel("Mlam", 2), mlam(F(2)), ModuleLabel.parse("M(s=2)")]
+        assert all(lab == labels[0] for lab in labels)
+        assert len({hash(lab) for lab in labels}) == 1
+        assert len(set(labels)) == 1
+        assert {labels[0]: 1}[labels[2]] == 1
+        assert ModuleLabel.parse("M(s=4/2)") == labels[0]
+        assert mlam(F(3)) != labels[0] and ModuleLabel("M+") != ModuleLabel("M-")
+
+    def test_table_uses_one_object_per_label(self):
+        certs = fusion.full_table(STD_GRID)
+        by_name = {}
+        for cert in certs:
+            for lab in (cert.m, cert.n, cert.l):
+                assert by_name.setdefault(str(lab), lab) is lab
+        assert len(by_name) == len(fusion.charge_closure(STD_GRID)) + 4
+
     def test_formal_charge_rejected(self):
         """A charge is a rational: a symbol, a text or an element of
         Q(sqrt(2)) is no charge."""
@@ -378,7 +397,7 @@ def _reference_singular_row_poly(label):
     """The singular-vector row by elimination over Scalar in Q(sqrt(s)) of
     the images of every PBW word at the singular level."""
     words, images = _word_images(label)
-    mod = label.sector().scalar_mod()
+    mod = label.sector().s
     zero, one = Scalar.zero(mod), Scalar.one(mod)
     parts = sorted({p for img in images for p in img.terms})
     rows = [[img.terms.get(p, zero) for img in images] for p in parts]
@@ -451,7 +470,7 @@ class TestSingularRow:
 
         def tainted(n, v):
             # scale every image by 1 + lam, or by 2 where there is no lam
-            mod = v.sector.scalar_mod()
+            mod = v.sector.s
             return real(n, v).scale(Scalar.of(2) if mod is None else Scalar.one(mod) + Scalar.lam(mod))
 
         monkeypatch.setattr(virasoro, "L", tainted)
@@ -581,6 +600,29 @@ class TestLazyRows:
         monkeypatch.setattr(MultiPoly, "evaluate", lambda p, point: calls.append(1) or real(p, point))
         fusion.full_table(GENERIC_GRID)
         assert len(calls) == 481
+
+    def test_generic_table_clears_each_polynomial_once(self, monkeypatch):
+        """From empty caches, deciding the generic golden grid builds the
+        cleared form of each evaluated polynomial exactly once: ten forms
+        serve the 481 evaluations of test_generic_table_evaluation_count."""
+        monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
+        fusion._relation.cache_clear()
+        evaluated, cleared = {}, []
+        real_evaluate, real_clear = MultiPoly.evaluate, MultiPoly._clear
+
+        def evaluate(p, point):
+            evaluated[id(p)] = p
+            return real_evaluate(p, point)
+
+        def clear(p):
+            cleared.append(p)
+            return real_clear(p)
+
+        monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
+        monkeypatch.setattr(MultiPoly, "_clear", clear)
+        fusion.full_table(GENERIC_GRID)
+        assert sorted(map(id, cleared)) == sorted(evaluated)
+        assert len(cleared) == 10
 
     @staticmethod
     def _forbid_circles(monkeypatch):

@@ -53,7 +53,7 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 def _coefficient(sector):
     """Random nonzero coefficients in the sector's scalar field."""
-    if sector.scalar_mod() is not None:
+    if sector.s is not None:
         c = st.tuples(_small, _small).map(lambda ab: Scalar(ab, (1,), sector.s))
     else:
         c = _small.map(Scalar.of)

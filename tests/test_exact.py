@@ -47,6 +47,7 @@ def _built_multipoly():
         rationals.map(MultiPoly.const),
         st.sampled_from(["x", "y"]).map(MultiPoly.var),
     )
+
     def pairs(children):
         return st.tuples(children, children)
 

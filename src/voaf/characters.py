@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .labels import ModuleLabel
 from .scalars import rational_sqrt
@@ -200,46 +200,37 @@ def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QS
     return series.shift(offset - Fraction(1, 24)).truncate(cutoff)
 
 
+# Every lowest weight of the Virasoro decomposition is m^2/4, with m running
+# over progressions start + step*p, p >= 0: kind -> (starts, step).
+_PROGRESSIONS: Dict[str, Tuple[Tuple[Fraction, ...], int]] = {
+    "M+": ((Fraction(0),), 4),
+    "M-": ((Fraction(2),), 4),
+    "Mtheta+": ((Fraction(1, 2), Fraction(7, 2)), 4),
+    "Mtheta-": ((Fraction(3, 2), Fraction(5, 2)), 4),
+}
+
+
 def decomposition_weights(module: Union[ModuleLabel, str], hmax) -> List[Tuple[Fraction, int]]:
     """Lowest weights (with multiplicity one) of the irreducible Virasoro
-    decomposition of the module, up to hmax."""
+    decomposition of the module, up to hmax: m^2/4 over the progressions of
+    _PROGRESSIONS, over n + 2p for a degenerate M(s) with s/2 = n^2/4, and
+    s/2 alone for a generic M(s)."""
     if isinstance(module, str):
         module = ModuleLabel.parse(module)
     hmax = Fraction(hmax)
-    out: List[Tuple[Fraction, int]] = []
-
-    def emit(h: Fraction):
-        if h <= hmax:
-            out.append((h, 1))
-
-    p = 0
-    if module.kind == "M+":
-        while Fraction(4 * p * p) <= hmax:
-            emit(Fraction(4 * p * p))
-            p += 1
-    elif module.kind == "M-":
-        while Fraction((2 * p + 1) ** 2) <= hmax:
-            emit(Fraction((2 * p + 1) ** 2))
-            p += 1
-    elif module.kind == "Mtheta+":
-        while Fraction((8 * p + 1) ** 2, 16) <= hmax:
-            emit(Fraction((8 * p + 1) ** 2, 16))
-            emit(Fraction((8 * p + 7) ** 2, 16))
-            p += 1
-    elif module.kind == "Mtheta-":
-        while Fraction((8 * p + 3) ** 2, 16) <= hmax:
-            emit(Fraction((8 * p + 3) ** 2, 16))
-            emit(Fraction((8 * p + 5) ** 2, 16))
-            p += 1
+    if module.kind in _PROGRESSIONS:
+        starts, step = _PROGRESSIONS[module.kind]
     else:
         h = module.s / 2
         n = _degenerate_index(h)
         if n is None:
-            emit(h)
-        else:
-            while Fraction((n + 2 * p) ** 2, 4) <= hmax:
-                emit(Fraction((n + 2 * p) ** 2, 4))
-                p += 1
+            return [(h, 1)] if h <= hmax else []
+        starts, step = (Fraction(n),), 2
+    out: List[Tuple[Fraction, int]] = []
+    for m in starts:
+        while m * m / 4 <= hmax:
+            out.append((m * m / 4, 1))
+            m += step
     return sorted(out)
 
 
@@ -268,24 +259,24 @@ def verify_decomposition(
     }
 
 
+def _half_odd_factors(cutoff: Fraction) -> Iterator[QSeries]:
+    """The factors 1/(1-q^{k-1/2}), k >= 1, of prod 1/(1-q^{k-1/2}) below
+    the cutoff, as geometric series."""
+    step = Fraction(1, 2)
+    while step <= cutoff:
+        terms = math.floor(cutoff / step) + 1
+        yield QSeries({step * i: Fraction(1) for i in range(terms)}, cutoff)
+        step += 1
+
+
 def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
     """prod_k (1-q^k)/(1-q^{k-1/2}) = sum_{p>=0} q^{p(p+1)/4}."""
     cutoff = Fraction(cutoff)
     lhs = QSeries.one(cutoff)
-    k = 1
-    while Fraction(k) - Fraction(1, 2) <= cutoff:
-        factor: Dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-        if Fraction(k) <= cutoff:
-            factor[Fraction(k)] = Fraction(-1)
-        lhs = lhs * QSeries(factor, cutoff)
-        geom: Dict[Fraction, Fraction] = {}
-        e = Fraction(0)
-        step = Fraction(k) - Fraction(1, 2)
-        while e <= cutoff:
-            geom[e] = Fraction(1)
-            e += step
-        lhs = lhs * QSeries(geom, cutoff)
-        k += 1
+    # alternating the factors keeps the partial products sparse
+    for k, geom in enumerate(_half_odd_factors(cutoff), 1):
+        euler = QSeries({Fraction(0): Fraction(1), Fraction(k): Fraction(-1)}, cutoff)
+        lhs = lhs * euler * geom
     rhs: Dict[Fraction, Fraction] = {}
     p = 0
     while Fraction(p * (p + 1), 4) <= cutoff:
@@ -301,16 +292,8 @@ def twisted_character_identity(cutoff=Fraction(20)) -> bool:
     cutoff = Fraction(cutoff)
     lhs = graded_dimension("Mtheta", cutoff)
     mid = QSeries.one(cutoff + 1)
-    k = 1
-    while Fraction(k) - Fraction(1, 2) <= cutoff + 1:
-        step = Fraction(k) - Fraction(1, 2)
-        geom: Dict[Fraction, Fraction] = {}
-        e = Fraction(0)
-        while e <= cutoff + 1:
-            geom[e] = Fraction(1)
-            e += step
-        mid = mid * QSeries(geom, cutoff + 1)
-        k += 1
+    for geom in _half_odd_factors(cutoff + 1):
+        mid = mid * geom
     mid = mid.shift(Fraction(1, 16) - Fraction(1, 24)).truncate(cutoff)
     inv = eta_inverse(cutoff + 1)
     rhs = QSeries.zero(cutoff + 1)

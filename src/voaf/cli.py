@@ -183,8 +183,8 @@ def parse_state(text: str, sector: Sector) -> FockVector:
 # verification suites
 
 
-def suite_characters(cutoff: Optional[int] = None) -> List[Check]:
-    cut = Fraction(_cutoff(cutoff, 20))
+def suite_characters() -> List[Check]:
+    cut = Fraction(_cutoff(None, 20))
     checks: List[Check] = []
     checks.append(
         (
@@ -260,8 +260,8 @@ def relation_element() -> FockVector:
     )
 
 
-def suite_zhu(cutoff: Optional[int] = None) -> List[Check]:
-    cut = _cutoff(cutoff, 6)
+def suite_zhu() -> List[Check]:
+    cut = _cutoff(None, 6)
     checks: List[Check] = []
     rows, ok = table41_rows()
     checks.append(
@@ -341,7 +341,8 @@ def suite_zhu(cutoff: Optional[int] = None) -> List[Check]:
     return checks
 
 
-def suite_virasoro(max_degree: int = 6) -> List[Check]:
+def suite_virasoro() -> List[Check]:
+    max_degree = 6
     checks: List[Check] = []
     sectors = [
         ("untwisted", Sector.untwisted(None)),

@@ -241,20 +241,6 @@ class FockVector:
         res.terms = {p: (c if len(p) % 2 == 0 else -c) for p, c in self.terms.items()}
         return res
 
-    def change_sector(self, sector: Sector) -> "FockVector":
-        """Reinterpret the same partitions over another sector (used by the
-        charge-shift operator of lattice vertex operators)."""
-        par = sector.depth_parity()
-        for p in self.terms:
-            for k in p:
-                if k % 2 != par:
-                    raise ValueError(
-                        "depth %s not allowed in sector %s" % (halve(k), sector)
-                    )
-        res = FockVector(sector)
-        res.terms = dict(self.terms)
-        return res
-
     # ------------------------------------------------------------------
 
     def __str__(self):

@@ -142,11 +142,12 @@ def generator_set(label: ModuleLabel) -> List[FockVector]:
     return list(gens[:ngens])
 
 
-def verify_generator_hypothesis(label: ModuleLabel, nmax: int = 3) -> bool:
-    """Check that J_n g stays inside the Virasoro span of the generators."""
+def verify_generator_hypothesis(label: ModuleLabel) -> bool:
+    """Check that J_n g, n = 1, 2, 3, stays inside the Virasoro span of the
+    generators."""
     gens = generator_set(label)
     J = J_state()
-    return all(_in_span(img, gens) for g in gens for img in modes(J, range(1, nmax + 1), g))
+    return all(_in_span(img, gens) for g in gens for img in modes(J, (1, 2, 3), g))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +271,10 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     sector = label.sector()
     v = label.top_vector()
     wt = sector.weight_offset_rat() + v.max_degree()
-    root = rational_sqrt(4 * wt)
-    if root is None or root.denominator != 1:
+    n = characters._degenerate_index(wt)
+    if n is None:
         return None
-    r = root.numerator + 1
+    r = n + 1
     polys = [MultiPoly.const(1)]
     vecs = [v]
     for t in range(1, r + 1):

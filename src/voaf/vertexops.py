@@ -5,11 +5,13 @@ of divided-power derivative fields with the exponential operator
 
     E(lam, z) = exp(sum_{n>0} lam h(-n)/n z^n) exp(-sum_{n>0} lam h(n)/n z^{-n})
 
-times the charge shift (untwisted; powers z^{lam*mu + Z}) or the prefactor
-z^{-lam^2/2} (twisted; powers in half-integer offsets, with the correction
-operator e^{Delta_z} applied to a first).  Only single coefficients are
-extracted; the finite window of modes that can contribute to a requested
-coefficient is enumerated exactly.
+A charged state acts only on the twisted module: on an untwisted module a
+is uncharged, E = 1 and the powers of z are integers.  On the twisted
+module E carries the prefactor z^{-lam^2/2}, the powers lie in half-integer
+offsets, and the correction operator e^{Delta_z} is applied to a first, to
+a's own degree.  Only single coefficients are extracted; the finite window
+of modes that can contribute to a requested coefficient is enumerated
+exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .fock import FockVector, Key, Sector, double, halve, partition_keys
 from .scalars import Scalar
@@ -37,7 +39,7 @@ def gen_binom(x, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def cmn_table(max_total: int = 12) -> Dict[Tuple[int, int], Fraction]:
+def cmn_table(max_total: int) -> Dict[Tuple[int, int], Fraction]:
     """The c_mn with 0 < m + n <= max_total, in closed form (FLM;
     Dong-Nagatomo): c_mn = C(-1/2, m) C(-1/2, n) / (2(m + n))."""
     binom = [gen_binom(Fraction(-1, 2), k) for k in range(max_total + 1)]
@@ -48,12 +50,12 @@ def cmn_table(max_total: int = 12) -> Dict[Tuple[int, int], Fraction]:
     }
 
 
-def delta_apply(a: FockVector, max_total: int = 12) -> Dict[int, FockVector]:
+def delta_apply(a: FockVector) -> Dict[int, FockVector]:
     """e^{Delta_z} a as a dict {j: component with z^{-j} attached}.
 
-    Each Delta lowers the degree by m + n >= 1, so only the c_mn with
-    m + n <= deg(a) act, and the table is built to that total only."""
-    table = cmn_table(min(max_total, int(a.max_degree())))
+    Each Delta lowers the degree by m + n >= 1, so exactly the c_mn with
+    m + n <= deg(a) act, and the table is built to that total."""
+    table = cmn_table(int(a.max_degree()))
 
     def delta_once(comp: FockVector) -> Dict[int, FockVector]:
         out: Dict[int, FockVector] = {}
@@ -107,12 +109,11 @@ def _product_coeff_term(
     cu: Scalar,
     E: int,
     sector_u: Sector,
-    out_sector: Sector,
 ) -> FockVector:
     """Coefficient of z^{E/2} (relative to the charge/prefactor power) of the
     normal-ordered product of the derivative fields for depths ns and the
     exponential pair E(lam_a, z), applied to the monomial (part, cu)."""
-    out = FockVector.zero(out_sector)
+    out = FockVector.zero(sector_u)
     du = sum(part)
     N = sum(ns)
     k = len(ns)
@@ -152,9 +153,7 @@ def _product_coeff_term(
                     coefM *= (-1) ** j * gen_binom(Fraction(m + n - 2, 2), j)
                 if coefM == 0:
                     continue
-                if vM.sector != out_sector:
-                    vM = vM.change_sector(out_sector)
-                for B in partition_keys(sB, out_sector):
+                for B in partition_keys(sB, sector_u):
                     coefB = _exp_coeff(B, lam_a, negative=False)
                     w = vM.apply_modes([-halve(b) for b in B])
                     w = w.scale(coefA * coefM * coefB)
@@ -214,53 +213,42 @@ def _mode_tuples(
     return rec(0, 0, 0)
 
 
-def _operator(
-    a: FockVector, u: FockVector, out_sector: Optional[Sector]
-) -> Tuple[Dict[int, FockVector], Sector]:
+def _operator(a: FockVector, u: FockVector) -> Dict[int, FockVector]:
     """The state the operator for a expands on u, as {j: component with
-    z^{-j} attached} (e^{Delta_z} a for twisted u, a itself otherwise), and
-    the output sector."""
+    z^{-j} attached}: e^{Delta_z} a for twisted u, a itself otherwise.  The
+    output lies in u's sector."""
     if u.sector.twisted:
-        return delta_apply(a), Sector.twisted_sector()
-    if out_sector is None:
-        if not a.sector.lam_scalar().is_zero():
-            raise ValueError("charged operator on untwisted module needs an explicit output sector")
-        out_sector = u.sector
-    return {0: a}, out_sector
+        return delta_apply(a)
+    if not a.sector.lam_scalar().is_zero():
+        raise ValueError("a charged operator acts only on the twisted module")
+    return {0: a}
 
 
 def _coeff(
-    pieces: Dict[int, FockVector], lam_a: Scalar, u: FockVector, offset, out_sector: Sector
+    pieces: Dict[int, FockVector], lam_a: Scalar, u: FockVector, offset
 ) -> FockVector:
     """Coefficient of z^{base + offset} of the operator expanded as `pieces`
     acting on u."""
     offset = double(offset)
-    acc = FockVector.zero(out_sector)
+    acc = FockVector.zero(u.sector)
     for j, comp in pieces.items():
         E = offset + 2 * j
         for part, ca in comp.terms.items():
             for upart, cu in u.terms.items():
-                contrib = _product_coeff_term(
-                    part, lam_a, upart, ca * cu, E, u.sector, out_sector
-                )
-                acc = acc + contrib
+                acc = acc + _product_coeff_term(part, lam_a, upart, ca * cu, E, u.sector)
     return acc
 
 
-def vertex_op_coeff(
-    a: FockVector,
-    u: FockVector,
-    offset,
-    out_sector: Optional[Sector] = None,
-) -> FockVector:
+def vertex_op_coeff(a: FockVector, u: FockVector, offset) -> FockVector:
     """Coefficient of z^{base + offset} of the (inter)twining operator for a
     acting on u.  The base power is <lam_a, lam_u> for untwisted u and
     -lam_a^2/2 for twisted u; both are tracked implicitly.  The offset is a
     multiple of 1/2.
 
-    For twisted u the correction e^{Delta_z} is applied to a first."""
-    pieces, out_sector = _operator(a, u, out_sector)
-    return _coeff(pieces, a.sector.lam_scalar(), u, offset, out_sector)
+    For twisted u the correction e^{Delta_z} is applied to a first.  A
+    charged a acts only on the twisted module; on an untwisted u it raises
+    ValueError."""
+    return _coeff(_operator(a, u), a.sector.lam_scalar(), u, offset)
 
 
 def modes(a: FockVector, ns: Iterable, u: FockVector) -> List[FockVector]:
@@ -269,9 +257,9 @@ def modes(a: FockVector, ns: Iterable, u: FockVector) -> List[FockVector]:
     correction e^{Delta_z} a is expanded once for all of them."""
     if not a.sector.lam_scalar().is_zero() or a.sector.twisted:
         raise ValueError("modes of a state need it in the vacuum charge sector")
-    pieces, out_sector = _operator(a, u, None)
+    pieces = _operator(a, u)
     lam_a = a.sector.lam_scalar()
-    return [_coeff(pieces, lam_a, u, -n - 1, out_sector) for n in ns]
+    return [_coeff(pieces, lam_a, u, -n - 1) for n in ns]
 
 
 def mode(a: FockVector, n, u: FockVector) -> FockVector:

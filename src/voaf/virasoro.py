@@ -20,13 +20,8 @@ _HALF = Fraction(1, 2)
 _TWISTED_OFFSET = Fraction(1, 16)
 
 
-def L(n, v: FockVector) -> FockVector:
+def L(n: int, v: FockVector) -> FockVector:
     """Apply L(n) to v in one pass over its monomials."""
-    if type(n) is not int:
-        n = Fraction(n)
-        if n.denominator != 1:
-            raise ValueError("L(n) needs an integer n, got %s" % n)
-        n = n.numerator
     sector = v.sector
     if v.is_zero():
         return v

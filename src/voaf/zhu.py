@@ -34,37 +34,36 @@ from .scalars import Phase, Scalar
 from .vertexops import gen_binom, modes, weight
 
 
-def star_left(a: FockVector, u: FockVector) -> FockVector:
+def _integral_weight(a: FockVector) -> int:
     wa = weight(a)
     if wa.denominator != 1:
         raise ValueError("integral weight required")
+    return wa.numerator
+
+
+def _mode_sum(a: FockVector, u: FockVector, top: int, first: int, count: int) -> FockVector:
+    """sum_{i < count} C(top, i) a_{first+i} u."""
     acc = FockVector.zero(u.sector)
-    for i, img in enumerate(modes(a, range(-1, int(wa)), u)):
-        acc = acc + img.scale(gen_binom(wa, i))
+    for i, img in enumerate(modes(a, range(first, first + count), u)):
+        acc = acc + img.scale(gen_binom(top, i))
     return acc
+
+
+def star_left(a: FockVector, u: FockVector) -> FockVector:
+    wa = _integral_weight(a)
+    return _mode_sum(a, u, wa, -1, wa + 1)
 
 
 def star_right(u: FockVector, a: FockVector) -> FockVector:
-    wa = weight(a)
-    if wa.denominator != 1:
-        raise ValueError("integral weight required")
-    acc = FockVector.zero(u.sector)
+    wa = _integral_weight(a)
     # for wt(a) >= 1 the binomial kills i >= wt(a); for wt(a) = 0 the modes
     # a(i-1)u vanish once i exceeds wt(a) + deg(u)
-    bound = int(wa + u.max_degree()) + 2
-    for i, img in enumerate(modes(a, range(-1, bound - 1), u)):
-        acc = acc + img.scale(gen_binom(wa - 1, i))
-    return acc
+    return _mode_sum(a, u, wa - 1, -1, int(wa + u.max_degree()) + 2)
 
 
 def circ(a: FockVector, u: FockVector) -> FockVector:
-    wa = weight(a)
-    if wa.denominator != 1:
-        raise ValueError("integral weight required")
-    acc = FockVector.zero(u.sector)
-    for i, img in enumerate(modes(a, range(-2, int(wa) - 1), u)):
-        acc = acc + img.scale(gen_binom(wa, i))
-    return acc
+    wa = _integral_weight(a)
+    return _mode_sum(a, u, wa, -2, wa + 1)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from voaf.characters import (
     QSeries,
+    _degenerate_index,
     _partition_counts,
     char_virasoro_c1,
     decomposition_weights,
@@ -169,6 +170,64 @@ class TestModuleCharacters:
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 assert not chars[a].agrees_with(chars[b])[0], (a, b)
+
+
+def _reference_decomposition_weights(module, hmax):
+    """decomposition_weights as one loop per module family."""
+    if isinstance(module, str):
+        module = ModuleLabel.parse(module)
+    hmax = F(hmax)
+    out = []
+
+    def emit(h):
+        if h <= hmax:
+            out.append((h, 1))
+
+    p = 0
+    if module.kind == "M+":
+        while F(4 * p * p) <= hmax:
+            emit(F(4 * p * p))
+            p += 1
+    elif module.kind == "M-":
+        while F((2 * p + 1) ** 2) <= hmax:
+            emit(F((2 * p + 1) ** 2))
+            p += 1
+    elif module.kind == "Mtheta+":
+        while F((8 * p + 1) ** 2, 16) <= hmax:
+            emit(F((8 * p + 1) ** 2, 16))
+            emit(F((8 * p + 7) ** 2, 16))
+            p += 1
+    elif module.kind == "Mtheta-":
+        while F((8 * p + 3) ** 2, 16) <= hmax:
+            emit(F((8 * p + 3) ** 2, 16))
+            emit(F((8 * p + 5) ** 2, 16))
+            p += 1
+    else:
+        h = module.s / 2
+        n = _degenerate_index(h)
+        if n is None:
+            emit(h)
+        else:
+            while F((n + 2 * p) ** 2, 4) <= hmax:
+                emit(F((n + 2 * p) ** 2, 4))
+                p += 1
+    return sorted(out)
+
+
+class TestDecompositionTable:
+    LABELS = (
+        [ModuleLabel(k) for k in ("M+", "M-", "Mtheta+", "Mtheta-")]
+        + [ModuleLabel("Mlam", F(n * n, 2)) for n in range(1, 13)]
+        + [ModuleLabel("Mlam", s) for s in (F(1, 3), F(1), F(3, 2), F(8, 3), F(7))]
+    )
+
+    @pytest.mark.parametrize("label", LABELS, ids=str)
+    def test_progressions_match_the_reference_loops(self, label):
+        for k in range(-1, 16 * 60 + 1):
+            hmax = F(k, 16)
+            assert decomposition_weights(label, hmax) == _reference_decomposition_weights(
+                label, hmax
+            ), hmax
 
 
 class TestIdentities:

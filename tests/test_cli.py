@@ -331,7 +331,7 @@ class TestSuiteCaches:
             return img + real(n, _long_part(v))
 
         monkeypatch.setattr(virasoro, "L", tainted)
-        checks = {name: ok for name, ok, _ in cli.suite_virasoro(4)}
+        checks = {name: ok for name, ok, _ in cli.suite_virasoro()}
         assert not checks["Virasoro commutators (central charge 1) on the untwisted sector"]
         assert checks["Virasoro commutators (central charge 1) on the twisted sector"]
         assert checks["Heisenberg commutators on the untwisted sector"]
@@ -349,7 +349,7 @@ class TestSuiteCaches:
             return img + real(_long_part(v), n)
 
         monkeypatch.setattr(FockVector, "apply_mode", tainted)
-        checks = {name: ok for name, ok, _ in cli.suite_virasoro(4)}
+        checks = {name: ok for name, ok, _ in cli.suite_virasoro()}
         assert not checks["Heisenberg commutators on the untwisted sector"]
         assert checks["Heisenberg commutators on the twisted sector"]
         assert checks["Virasoro commutators (central charge 1) on the untwisted sector"]

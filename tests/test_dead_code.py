@@ -1,9 +1,12 @@
-"""Every function and method of the package has a use outside the tests.
+"""Every function and method of the package has a use outside the tests,
+and every parameter with a default is set by some caller outside them.
 
 A function or method that only tests (or nothing) call is a dead helper: it
-either belongs on a code path of the engine or should be deleted.  The
-package, the benchmark under bench/ and the generators under tools/ count
-as uses.  Dunder methods are called by the language and are not checked.
+either belongs on a code path of the engine or should be deleted.  A
+default that no caller overrides is a constant, and any other value of it
+is a path nothing runs.  The package, the benchmark under bench/ and the
+generators under tools/ count as uses.  Dunder methods are called by the
+language and are not checked.
 """
 
 import ast
@@ -75,3 +78,73 @@ def test_the_scan_sees_methods(tmp_path):
         "f()\n"
     )
     assert _unused(tmp_path, []) == ["m.K.dead"]
+
+
+def _defaults(fn: ast.FunctionDef, is_method: bool):
+    """(name, position) of each parameter of fn that has a default; position
+    counts the arguments a call writes before it (self and cls excluded),
+    and is None for a keyword-only parameter."""
+    static = any(_name(d) == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if is_method and not static else 0
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _unset(src=SRC, users=USERS):
+    """The parameters with defaults of the functions and methods under `src`
+    that no call in `src` or in the `users` directories passes, by position
+    or by keyword.  Calls match by name; a call with *args or **kwargs
+    counts as passing every parameter it could reach."""
+    paths = sorted(src.glob("*.py"))
+    others = sorted(p for d in users for p in d.glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in paths + others}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node.func), []).append(node)
+
+    def passes(call: ast.Call, name: str, pos) -> bool:
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        if pos is not None and (starred or pos < len(call.args)):
+            return True
+        return any(k.arg in (name, None) for k in call.keywords)
+
+    unset = []
+    for path in paths:
+        for qual, fn in _definitions(trees[path]):
+            for name, pos in _defaults(fn, "." in qual):
+                if not any(passes(c, name, pos) for c in calls.get(fn.name, [])):
+                    unset.append("%s.%s.%s" % (path.stem, qual, name))
+    return unset
+
+
+def test_every_parameter_with_a_default_is_set_by_some_caller():
+    """A default that no caller outside the tests overrides is a constant
+    dressed as an option."""
+    assert _unset() == []
+
+
+def test_the_parameter_scan_reads_positions_and_keywords(tmp_path):
+    """Self and cls take no call position, keyword-only parameters are set
+    only by keyword, and *args or **kwargs set what they can reach."""
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, *, c=2):\n    return a\n\n"
+        "def g(a=0, b=0):\n    return a\n\n"
+        "def h(a, *, c=0):\n    return a\n\n"
+        "class K:\n"
+        "    def m(self, x=0, y=0):\n        return x\n\n"
+        "    @staticmethod\n"
+        "    def s(p=0, q=0):\n        return p\n\n"
+        "f(1, 2)\n"
+        "g(*[1])\n"
+        "h(*[1], c=3)\n"
+        "K().m(y=1)\n"
+        "K.s(3, **{})\n"
+    )
+    assert _unset(tmp_path, []) == ["m.f.c", "m.K.m.x"]

@@ -94,6 +94,15 @@ class TestDeltaApply:
         comps = delta_apply(omega())
         assert comps[Fraction(2)] == VACUUM.scale(Fraction(1, 16))
 
+    def test_correction_reaches_the_full_degree(self):
+        # the one contraction h(7)h(7) of h(-7)^2|0> lowers the degree by
+        # 14, so e^Delta needs the c_mn up to total 14, not a fixed cap
+        a = FockVector.basis(UNT, (7, 7))
+        comps = delta_apply(a)
+        assert sorted(comps) == [0, 14]
+        assert comps[0] == a
+        assert comps[14] == VACUUM.scale(98 * cmn_table(14)[(7, 7)])
+
 
 class TestZeroModes:
     def test_zero_mode_eigenvalues_match_table(self):
@@ -127,6 +136,11 @@ class TestZeroModes:
         rhs = o_apply(omega(), o_apply(omega(), v))
         assert (lhs - rhs).is_zero()
 
+    def test_zero_mode_of_a_state_above_degree_twelve(self):
+        tv = FockVector.basis(TW)
+        a = FockVector.basis(UNT, (7, 7))
+        assert o_apply(a, tv) == tv.scale(Fraction(1288287, 8388608))
+
 
 class TestTwistedIntertwiner:
     def test_leading_coefficients(self):
@@ -150,6 +164,12 @@ class TestTwistedIntertwiner:
         odd = vertex_op_coeff(a, tv, Fraction(1, 2))
         assert not even.is_zero()
         assert not odd.is_zero()
+
+    def test_charged_state_rejected_on_an_untwisted_module(self):
+        a = mlam(Fraction(2)).top_vector()
+        u = mlam(Fraction(8)).top_vector()
+        with pytest.raises(ValueError, match="only on the twisted module"):
+            vertex_op_coeff(a, u, 1)
 
 
 class TestModes:
@@ -180,5 +200,6 @@ class TestModes:
 
     def test_modes_rejects_a_charged_state(self):
         a = mlam(Fraction(2)).top_vector()
-        with pytest.raises(ValueError):
-            modes(a, [0], mminus().top_vector())
+        for u in (mminus().top_vector(), mlam(Fraction(8)).top_vector(), mtheta_plus().top_vector()):
+            with pytest.raises(ValueError):
+                modes(a, [0], u)

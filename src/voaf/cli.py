@@ -577,7 +577,7 @@ def suite_fusion() -> List[Check]:
     checks.append(
         ("top vectors generate their modules (mode closure)", ok_gen, "%d labels" % len(gen_labels))
     )
-    certs = fusion.full_table(_GRID)
+    certs = list(fusion.full_table(_GRID))
     mism = [
         c
         for c in certs

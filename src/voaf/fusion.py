@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import characters, linalg, step3_cofactors, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree
@@ -425,10 +425,15 @@ def _evaluate_system(
 # witnesses
 
 
-def _sym3(s: Fraction, t: Fraction, u: Fraction) -> Fraction:
-    """s^2 + t^2 + u^2 - 2st - 2su - 2tu, in the form with fewest products."""
-    d = u - s - t
-    return d * d - 4 * s * t
+@functools.cache
+def _matched_charges(s: Fraction, t: Fraction) -> Tuple[Fraction, ...]:
+    """The positive squared charges (sqrt(s) +- sqrt(t))^2, none when
+    sqrt(st) is irrational: for positive s, t and u, u is among them exactly
+    when s^2 + t^2 + u^2 - 2st - 2su - 2tu = 0."""
+    r = rational_sqrt(s * t)
+    if r is None:
+        return ()
+    return tuple(u for u in (s + t + 2 * r, s + t - 2 * r) if u > 0)
 
 
 def find_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> Optional[dict]:
@@ -448,7 +453,7 @@ def find_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> Optional[dic
         charged = [x for x in labs if x.kind == "Mlam"]
         if len(charged) == 3:
             s, t, u = (x.s for x in charged)
-            if _sym3(s, t, u) == 0:
+            if u in _matched_charges(s, t):
                 return {
                     "tag": "Untwisted",
                     "detail": "charge closure: squared charges %s satisfy the"
@@ -625,10 +630,9 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     labs = (m, n, l)
     witness = find_witness(m, n, l)
     order = _arrangement_order((_slot_priority(m), _slot_priority(n), _slot_priority(l)))
-    arrangements = [(arrange(labs), names) for _, arrange, names in order]
     if witness is not None:
-        for arr, names in arrangements:
-            if len(generator_set(arr[0])) == 1:
+        for _, arrange, names in order:
+            if len(generator_set(arrange(labs)[0])) == 1:
                 return FusionCertificate(
                     m, n, l, 1,
                     {"witness": witness, "bound": 1},
@@ -636,9 +640,9 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
                 )
         # every arrangement has a two-generator first slot; a rank-one
         # constraint system brings the bound from two down to one
-        for arr, names in arrangements:
-            system = constraint_system(arr[0])
-            matrix, _ = _evaluate_system(system, arr[1], arr[2])
+        for _, arrange, names in order:
+            M, N, L = arrange(labs)
+            matrix, _ = _evaluate_system(constraint_system(M), N, L)
             rk = _rank(matrix)
             if rk >= 1:
                 return FusionCertificate(
@@ -651,8 +655,8 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
                     list(names),
                 )
         raise Inconclusive("witness found but no bound-1 argument for (%s,%s,%s)" % (m, n, l))
-    for arr, names in arrangements:
-        proof = _prove_zero(*arr)
+    for _, arrange, names in order:
+        proof = _prove_zero(*arrange(labs))
         if proof is not None:
             return FusionCertificate(m, n, l, 0, proof, list(names))
     raise Inconclusive("no arrangement decides (%s, %s, %s)" % (m, n, l))
@@ -697,12 +701,7 @@ def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
     out = set(base)
     for s1 in base:
         for s2 in base:
-            r = rational_sqrt(s1 * s2)
-            if r is None:
-                continue
-            for nu in (s1 + s2 + 2 * r, s1 + s2 - 2 * r):
-                if nu > 0:
-                    out.add(nu)
+            out.update(_matched_charges(s1, s2))
     return sorted(out)
 
 
@@ -714,8 +713,10 @@ def base_labels(lambda_squares: Sequence[Fraction]) -> List[ModuleLabel]:
     )
 
 
-def full_table(lambda_squares: Sequence[Fraction]) -> List[FusionCertificate]:
-    """Certificates for all triples over the labels and their charge closure."""
+def full_table(lambda_squares: Sequence[Fraction]) -> Iterator[FusionCertificate]:
+    """Certificates for all triples over the labels and their charge
+    closure, in the order (m, n, l); each triple is decided when the
+    iterator reaches it, and the table keeps none of them."""
     base = base_labels(lambda_squares)
     # the targets reuse the base labels, so each label is one object and
     # the label-keyed caches hit by identity
@@ -725,23 +726,61 @@ def full_table(lambda_squares: Sequence[Fraction]) -> List[FusionCertificate]:
         + [charged.get(s) or mlam(s) for s in charge_closure(lambda_squares)]
         + base[-2:]
     )
-    out = []
     for m in base:
         for n in base:
             for l in targets:
-                out.append(decide(m, n, l))
-    return out
+                yield decide(m, n, l)
 
 
-def table_to_csv(certs: Sequence[FusionCertificate]) -> str:
+def table_to_csv(certs: Iterable[FusionCertificate]) -> str:
     lines = ["m,n,l,verdict"]
     for c in certs:
         lines.append("%s,%s,%s,%d" % (c.m, c.n, c.l, c.verdict))
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(certs: Sequence[FusionCertificate]) -> str:
-    return json.dumps([c.as_dict() for c in certs], sort_keys=True, indent=1)
+# the standard library's C string escaper: json.dumps with an indent runs
+# the pure-Python encoder, which is slower than deciding the table
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_block(items: List[str], level: int, brackets: str) -> str:
+    """A container holding the texts `items`, laid out as the standard
+    library's encoder lays it out `level` containers deep at indent 1."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+
+
+def _json_text(value, level: int) -> str:
+    """The standard library's JSON text of a value `level` containers deep,
+    with sorted keys and an indent of 1, for what a certificate holds: str,
+    int, None, and lists and str-keyed dicts of them.  Any other type
+    raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if kind is list:
+        return _json_block([_json_text(v, level + 1) for v in value], level, "[]")
+    if kind is dict:
+        return _json_block(
+            [_json_str(k) + ": " + _json_text(value[k], level + 1) for k in sorted(value)],
+            level,
+            "{}",
+        )
+    raise TypeError("%s is not a certificate value" % kind.__name__)
+
+
+def table_to_json(certs: Iterable[FusionCertificate]) -> str:
+    """The certificates as one indented JSON list.  Each certificate is
+    rendered as soon as the iterator yields it and then dropped (map holds
+    no reference to it), so only the texts are kept until the end."""
+    return _json_block([_json_text(d, 1) for d in map(FusionCertificate.as_dict, certs)], 0, "[]")
 
 
 # ---------------------------------------------------------------------------

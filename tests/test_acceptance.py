@@ -257,7 +257,7 @@ def test_c5_generic_symbolic_suite():
 def test_c6_full_fusion_table():
     grid = [F(1, 3), F(1, 2), F(2), F(9, 2), F(8), F(5)]
     with Timer() as t:
-        certs = fusion.full_table(grid)
+        certs = list(fusion.full_table(grid))
     assert t.elapsed < 600
     base = fusion.base_labels(grid)
     targets = fusion.base_labels(fusion.charge_closure(grid))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from voaf import cli, virasoro, zhu
+from voaf import cli, fusion, virasoro, zhu
 from voaf.fock import FockVector, Sector
 
 F = Fraction
@@ -176,6 +176,26 @@ class TestFusionTable:
         assert code == 0
         data = json.loads(out)
         assert all(entry["verdict"] in (0, 1) for entry in data)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_inconclusive_triple_prints_no_table(self, capsys, monkeypatch, fmt):
+        """The table is written only once every triple is decided: an
+        Inconclusive midway leaves stdout empty."""
+        calls = []
+        real = fusion.decide
+
+        def decide(m, n, l):
+            calls.append((m, n, l))
+            if len(calls) == 5:
+                raise fusion.Inconclusive("no arrangement decides (%s, %s, %s)" % (m, n, l))
+            return real(m, n, l)
+
+        monkeypatch.setattr(fusion, "decide", decide)
+        code, out, err = run(capsys, "fusion-table", "--lambda-squares", "2,3", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive:") and err.count("\n") == 1
+        assert len(calls) == 5
 
 
 class TestReduce:

@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import textwrap
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,13 @@ class TestConstraintSystems:
         assert g_den.evaluate({"s": F(5)}) != 0
 
 
+# squared charges, squares of rationals among them
+_CHARGES = st.one_of(
+    st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12),
+    st.fractions(min_value=F(1, 7), max_value=7, max_denominator=7).map(lambda r: r * r),
+)
+
+
 class TestWitnesses:
     def test_witness_matches_closed_form(self):
         labels = CONCRETE
@@ -255,6 +263,18 @@ class TestWitnesses:
         ]
         for m, n, l in triples:
             assert fusion.find_witness(m, n, l) is not None
+
+    @given(_CHARGES, _CHARGES, _CHARGES, st.sampled_from([None, 0, 1]))
+    def test_matched_charges_solve_the_symmetric_condition(self, s, t, u, pick):
+        """u is a matched charge of (s, t) exactly when the symmetric
+        polynomial of expected_fusion vanishes; `pick` replaces u by one of
+        the matched charges, which a random u seldom is."""
+        matched = fusion._matched_charges(s, t)
+        if pick is not None and pick < len(matched):
+            u = matched[pick]
+        sym3 = s * s + t * t + u * u - 2 * s * t - 2 * s * u - 2 * t * u
+        assert (u in matched) == (sym3 == 0)
+        assert all(v > 0 for v in matched)
 
 
 class TestDecide:
@@ -303,7 +323,7 @@ class TestDecide:
         assert mlam(F(3)) != labels[0] and ModuleLabel("M+") != ModuleLabel("M-")
 
     def test_table_uses_one_object_per_label(self):
-        certs = fusion.full_table(STD_GRID)
+        certs = list(fusion.full_table(STD_GRID))
         by_name = {}
         for cert in certs:
             for lab in (cert.m, cert.n, cert.l):
@@ -345,18 +365,69 @@ class TestTable:
         assert set(closure) == {F(1, 3), F(4, 3), F(5), F(20)}
 
     def test_small_table_deterministic(self):
-        certs1 = fusion.full_table([F(2)])
-        certs2 = fusion.full_table([F(2)])
+        certs1 = list(fusion.full_table([F(2)]))
+        certs2 = list(fusion.full_table([F(2)]))
         assert fusion.table_to_csv(certs1) == fusion.table_to_csv(certs2)
         data = json.loads(fusion.table_to_json(certs1))
         assert len(data) == len(certs1)
 
     def test_small_table_matches_closed_form(self):
-        certs = fusion.full_table([F(2)])
+        certs = list(fusion.full_table([F(2)]))
         for cert in certs:
             assert cert.verdict == fusion.expected_fusion(
                 cert.m, cert.n, cert.l
             ), (cert.m, cert.n, cert.l)
+
+    def test_first_certificate_decides_one_triple(self, monkeypatch):
+        calls = []
+        real = fusion.decide
+        monkeypatch.setattr(fusion, "decide", lambda m, n, l: calls.append((m, n, l)) or real(m, n, l))
+        cert = next(iter(fusion.full_table(GENERIC_GRID)))
+        assert calls == [(cert.m, cert.n, cert.l)]
+
+    def test_json_drops_each_certificate_once_rendered(self):
+        """When the table yields its k-th certificate, table_to_json holds
+        none of the k - 1 before it; the text is still the standard
+        library's rendering of the whole list."""
+        refs, alive = [], []
+
+        def watched():
+            for cert in fusion.full_table(GENERIC_GRID):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(cert))
+                yield cert
+
+        text = fusion.table_to_json(watched())
+        assert len(refs) == 768  # 8 first and second slots, 12 targets
+        assert alive == [0] * len(refs)
+        certs = fusion.full_table(GENERIC_GRID)
+        assert text == json.dumps([c.as_dict() for c in certs], sort_keys=True, indent=1)
+
+
+# certificate values, with the strings and ints that JSON escapes or spells
+# out specially
+_JSON_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é∑ 😀", ""]))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.integers(), st.integers(-(2**200), 2**200), _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_VALUES)
+    def test_matches_the_standard_library(self, value):
+        assert fusion._json_text(value, 0) == json.dumps(value, sort_keys=True, indent=1)
+        # a certificate sits one level deep, inside the table's list
+        nested = json.dumps([value], sort_keys=True, indent=1)
+        assert "[\n " + fusion._json_text(value, 1) + "\n]" == nested
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, [1, 0.5], {"a": None, "b": [True]}, (1,)])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            fusion._json_text(value, 0)
 
 
 def _ladder_level(label):
@@ -598,7 +669,7 @@ class TestLazyRows:
         calls = []
         real = MultiPoly.evaluate
         monkeypatch.setattr(MultiPoly, "evaluate", lambda p, point: calls.append(1) or real(p, point))
-        fusion.full_table(GENERIC_GRID)
+        list(fusion.full_table(GENERIC_GRID))
         assert len(calls) == 481
 
     def test_generic_table_clears_each_polynomial_once(self, monkeypatch):
@@ -620,7 +691,7 @@ class TestLazyRows:
 
         monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
         monkeypatch.setattr(MultiPoly, "_clear", clear)
-        fusion.full_table(GENERIC_GRID)
+        list(fusion.full_table(GENERIC_GRID))
         assert sorted(map(id, cleared)) == sorted(evaluated)
         assert len(cleared) == 10
 
@@ -643,7 +714,7 @@ class TestLazyRows:
     @pytest.mark.parametrize("grid", [STD_GRID, GENERIC_GRID], ids=["standard", "generic"])
     def test_golden_tables_never_build_a_circle(self, monkeypatch, grid):
         self._forbid_circles(monkeypatch)
-        certs = fusion.full_table(grid)
+        certs = list(fusion.full_table(grid))
         assert all(c.verdict == fusion.expected_fusion(c.m, c.n, c.l) for c in certs)
 
     def test_circle_is_built_once_and_quoted_when_reached(self, monkeypatch):

@@ -1,8 +1,8 @@
 """Exact formal q-series and the character identities of the orbifold modules.
 
-All characters involved live on the exponent grid (1/48)Z; a QSeries keeps
-exact rational coefficients up to a rational cutoff, and arithmetic
-propagates the smallest cutoff involved.
+A QSeries keeps exact rational coefficients at exact rational exponents up
+to a rational cutoff, and arithmetic propagates the smallest cutoff
+involved.
 """
 
 from __future__ import annotations
@@ -14,18 +14,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .labels import ModuleLabel
 from .scalars import rational_sqrt
 
-_GRID = Fraction(1, 48)
-
-
-def _on_grid(e: Fraction) -> Fraction:
-    e = Fraction(e)
-    if (e / _GRID).denominator != 1:
-        raise ValueError("exponent %s is not on the 1/48 grid" % e)
-    return e
-
-
 class QSeries:
-    """Truncated formal series sum c_e q^e with exponents on (1/48)Z."""
+    """Truncated formal series sum c_e q^e with rational exponents."""
 
     __slots__ = ("coeffs", "cutoff")
 
@@ -34,7 +24,7 @@ class QSeries:
         self.coeffs: Dict[Fraction, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
-                e = _on_grid(e)
+                e = Fraction(e)
                 c = Fraction(c)
                 if c and e <= self.cutoff:
                     self.coeffs[e] = c
@@ -91,7 +81,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def shift(self, e) -> "QSeries":
-        e = _on_grid(Fraction(e))
+        e = Fraction(e)
         return QSeries({k + e: c for k, c in self.coeffs.items()}, self.cutoff + e)
 
     def truncate(self, cutoff) -> "QSeries":

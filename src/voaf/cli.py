@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -19,7 +20,7 @@ from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import NVARS, MultiPoly
 from .scalars import Scalar, interpolate, parse_rational, upoly_str
-from .vertexops import J_state, cmn_table, gen_binom, omega, vertex_op_coeff
+from .vertexops import J_state, cmn_table, gen_binom, o_apply, omega, vertex_op_coeff
 
 Check = Tuple[str, bool, str]
 
@@ -48,8 +49,6 @@ def _cutoff(given: Optional[int], default: int) -> int:
 
 def _eigenvalue(op: FockVector, v: FockVector):
     """Scalar e with o(op) v = e v, or None when the action is not scalar."""
-    from .vertexops import o_apply
-
     w = o_apply(op, v)
     key = next(iter(v.terms))
     c = w.terms.get(key)
@@ -102,7 +101,7 @@ def table41_rows() -> Tuple[List[Tuple[str, str, str]], bool]:
 # state-text parsing
 
 
-_TOKEN = __import__("re").compile(
+_TOKEN = re.compile(
     r"\s*(h\(\s*-\s*(\d+(?:/\d+)?)\s*\)|\|0>|e\^lam|1theta|lam|\d+/\d+|\d+|[+\-*])"
 )
 

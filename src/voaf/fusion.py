@@ -306,24 +306,12 @@ def _relation(name: str) -> Tuple[MultiPoly, MultiPoly]:
     return MultiPoly(num), MultiPoly(den)
 
 
-def _generic_star_polys() -> Tuple[MultiPoly, MultiPoly]:
-    """The quartic star relation of a generic charged module as
-    (f_num, f_den), polynomials in x, y, z and the squared charge s."""
-    return _relation("star")
-
-
-def _generic_circle_polys() -> Tuple[MultiPoly, MultiPoly]:
-    """The circle relation h(-3)h(-1)|0> circ v of a generic charged module
-    as (g_num, g_den), polynomials in x, y, z and s."""
-    return _relation("circle")
-
-
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """The relations of a generic charged module as (f_num, f_den, g_num,
     g_den): the quartic star relation f_num/f_den and the circle relation
     g_num/g_den, polynomials in x, y, z and the squared charge s.
     """
-    return _generic_star_polys() + _generic_circle_polys()
+    return _relation("star") + _relation("circle")
 
 
 def second_circle_relation_polys() -> Tuple[MultiPoly, MultiPoly]:
@@ -345,7 +333,7 @@ def _row_pair(name: str, polys: Sequence[MultiPoly], signs: Tuple[int, ...]) -> 
 def _circle_rows(label: ModuleLabel, signs: Tuple[int, ...]) -> List[ConstraintRow]:
     """The circle pair of a charged module from the generated circle
     relation, or none where its denominator g_den vanishes."""
-    g_num, g_den = _generic_circle_polys()
+    g_num, g_den = _relation("circle")
     if g_den.evaluate({"s": label.s}) == 0:
         return []
     return _row_pair("circle", [g_num.subs({"s": MultiPoly.const(label.s)})], signs)
@@ -382,7 +370,7 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     rows: List[ConstraintRow] = []
     builders: List[Callable[[], List[ConstraintRow]]] = []
     if label.kind == "Mlam" and not _extra_weights(label):
-        f_num, f_den = _generic_star_polys()
+        f_num, f_den = _relation("star")
         if f_den.evaluate({"s": label.s}) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
         rows += _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})], signs)
@@ -605,21 +593,15 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
             }
         return None
     if _rank(matrix) == ncols:
-        det = None
+        # full column rank >= 2 leaves a nonzero minor on the first two columns
         for (i, ri), (j, rj) in itertools.combinations(enumerate(matrix), 2):
             d = ri[0] * rj[1] - ri[1] * rj[0]
             if d != 0:
-                det = (names[i], names[j], d)
                 break
         return {
             "type": "full-rank",
             "detail": "both generator coordinates forced to zero",
-            "determinant": {
-                "rows": [det[0], det[1]],
-                "value": _frac_str(det[2]),
-            }
-            if det
-            else None,
+            "determinant": {"rows": [names[i], names[j]], "value": _frac_str(d)},
             "matrix": [[_frac_str(v) for v in row] for row in matrix],
         }
     return None

@@ -9,9 +9,12 @@ A charged state acts only on the twisted module: on an untwisted module a
 is uncharged, E = 1 and the powers of z are integers.  On the twisted
 module E carries the prefactor z^{-lam^2/2}, the powers lie in half-integer
 offsets, and the correction operator e^{Delta_z} is applied to a first, to
-a's own degree.  Only single coefficients are extracted; the finite window
-of modes that can contribute to a requested coefficient is enumerated
-exactly.
+a's own degree.
+
+Only single coefficients are extracted, by one memoised recursion on the
+length of a: Y(h(-n)b, z) = :d^{(n-1)}h(z)/(n-1)! Y(b, z): (Kac 1998), and
+on the twisted module the same product acts on e^{Delta_z} a (Li 1996).
+Its base case is the exponential pair E(lam_a, z) alone.
 """
 
 from __future__ import annotations
@@ -21,17 +24,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
-from .fock import FockVector, Key, Sector, double, halve, partition_keys
+from .fock import FockVector, Key, Sector, double, halve, mode_term, partition_keys
 from .scalars import Scalar
 
 
 def gen_binom(x, k: int) -> Fraction:
-    """Generalized binomial coefficient C(x, k) for rational x."""
+    """Generalized binomial coefficient C(x, k) for rational x = p/q: the
+    product of the p - i*q over q^k k!, reduced once."""
     x = Fraction(x)
-    acc = Fraction(1)
+    p, q = x.numerator, x.denominator
+    num = 1
     for i in range(k):
-        acc *= (x - i)
-    return acc / math.factorial(k)
+        num *= p - i * q
+    return Fraction(num, q**k * math.factorial(k))
 
 
 # ----------------------------------------------------------------------
@@ -96,68 +101,59 @@ def delta_apply(a: FockVector) -> Dict[int, FockVector]:
 # of FockVector.terms: an int x stands for x/2.
 
 
-def _mode_values(sector: Sector, lo: int, hi: int, allow_zero: bool) -> List[int]:
-    """Legal doubled mode indices of the sector in [lo, hi]."""
-    k = lo if lo % 2 == sector.depth_parity() else lo + 1
-    return [m for m in range(k, hi + 1, 2) if m != 0 or allow_zero]
-
-
-def _product_coeff_term(
-    ns: Key,
-    lam_a: Scalar,
-    part: Key,
-    cu: Scalar,
-    E: int,
-    sector_u: Sector,
+def _product(
+    ns: Key, lam_a: Scalar, E: int, part: Key, sector: Sector, memo: dict
 ) -> FockVector:
-    """Coefficient of z^{E/2} (relative to the charge/prefactor power) of the
-    normal-ordered product of the derivative fields for depths ns and the
-    exponential pair E(lam_a, z), applied to the monomial (part, cu)."""
-    out = FockVector.zero(sector_u)
-    du = sum(part)
-    N = sum(ns)
-    k = len(ns)
-    deg_out = du + E + N
-    if deg_out < 0:
+    """Coefficient of z^{E/2} (relative to the charge/prefactor power) of
+    :d^{(n1-1)}h(z) ... d^{(nk-1)}h(z) E(lam_a, z): on the monomial `part`
+    of `sector`, for doubled depths ns, by recursion on their number.  The
+    `memo` is keyed by (ns, E, part) and shared by one operator's calls."""
+    key = (ns, E, part)
+    out = memo.get(key)
+    if out is not None:
         return out
-    if cu.is_zero():  # a zero divisor when lam^2 is a rational square
-        return out
-    lam_zero = lam_a.is_zero()
-    base = FockVector(sector_u)
-    base.terms = {part: cu}
+    out = FockVector.zero(sector)
+    deg_out = sum(part) + E + sum(ns)
+    if deg_out >= 0 and not ns:
+        out = _exp_pair(lam_a, E, part, sector)
+    elif deg_out >= 0:
+        n, rest = ns[0], ns[1:]
+        # d^{(n-1)}h(z)/(n-1)! = sum_k C(-k-1, n-1) h(k) z^{-k-n}, for the
+        # doubled mode m = 2k: a creation mode acts after the rest, of depth
+        # at most deg_out; an annihilation mode (or h(0) = lam_u) before it
+        parity = sector.depth_parity()
+        for m in range(parity - 2, -deg_out - 1, -2):
+            c = gen_binom(Fraction(-m - 2, 2), n // 2 - 1)
+            if c:
+                w = _product(rest, lam_a, E + m + n, part, sector, memo)
+                out = out + w.apply_mode(halve(m)).scale(c)
+        for m in set(part) if parity else set(part) | {0}:
+            c = sector.coeff(gen_binom(Fraction(-m - 2, 2), n // 2 - 1))
+            t = mode_term(m, part, c, sector.lam_scalar())
+            if t is not None:
+                out = out + _product(rest, lam_a, E + m + n, t[0], sector, memo).scale(t[1])
+    memo[key] = out
+    return out
+
+
+def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector) -> FockVector:
+    """Coefficient of z^{E/2} of E(lam_a, z) on the monomial `part`."""
+    base = FockVector(sector)
+    base.terms = {part: Scalar.one(lam_a.mod)}
+    if lam_a.is_zero():
+        return base if E == 0 else FockVector.zero(sector)
+    out = FockVector.zero(sector)
     # annihilation totals for the negative exponential (any lattice value)
-    step = 1 if sector_u.twisted else 2
-    sA_values = [0] if lam_zero else range(0, du + 1, step)
-    for sA in sA_values:
-        for A in partition_keys(sA, sector_u):
+    step = 1 if sector.twisted else 2
+    for sA in range(0, sum(part) + 1, step):
+        for A in partition_keys(sA, sector):
             vA = base.apply_modes([halve(d) for d in A])
             if vA.is_zero():
                 continue
             coefA = _exp_coeff(A, lam_a, negative=True)
-            dA = du - sA
-            # mode tuples for the k derivative-field factors
-            for ms in _mode_tuples(sector_u, k, dA, deg_out, lam_zero, E + sA + N):
-                sB = E + sA + sum(ms) + N
-                if sB < 0 or (lam_zero and sB != 0):
-                    continue
-                vM = vA
-                for m in sorted(ms, reverse=True):
-                    vM = vM.apply_mode(halve(m))
-                    if vM.is_zero():
-                        break
-                if vM.is_zero():
-                    continue
-                coefM = Fraction(1)
-                for m, n in zip(ms, ns):
-                    j = n // 2 - 1  # the natural depth n/2, less one
-                    coefM *= (-1) ** j * gen_binom(Fraction(m + n - 2, 2), j)
-                if coefM == 0:
-                    continue
-                for B in partition_keys(sB, sector_u):
-                    coefB = _exp_coeff(B, lam_a, negative=False)
-                    w = vM.apply_modes([-halve(b) for b in B])
-                    w = w.scale(coefA * coefM * coefB)
-                    out = out + w
+            for B in partition_keys(E + sA, sector):
+                w = vA.apply_modes([-halve(b) for b in B])
+                out = out + w.scale(coefA * _exp_coeff(B, lam_a, negative=False))
     return out
 
 
@@ -174,45 +170,6 @@ def _exp_coeff(parts: Key, lam_a: Scalar, negative: bool) -> Scalar:
     return acc
 
 
-def _mode_tuples(
-    sector: Sector,
-    k: int,
-    dA: int,
-    deg_out: int,
-    fixed_sum: bool,
-    target: int,
-) -> Iterable[Tuple[int, ...]]:
-    """Tuples (m_1..m_k) of legal mode indices: annihilation total bounded by
-    dA, each creation depth bounded by deg_out.  If fixed_sum, the total must
-    equal -target; otherwise the total must be >= -target (so that the
-    remaining creation budget sB is nonnegative)."""
-    allow_zero = not sector.twisted
-    values = _mode_values(sector, -deg_out, dA, allow_zero)
-
-    def rec(i: int, pos_used: int, total: int):
-        if i == k:
-            if fixed_sum and total != -target:
-                return
-            if total < -target:
-                return
-            yield ()
-            return
-        remaining = k - i - 1
-        for m in values:
-            if m > 0 and pos_used + m > dA:
-                continue
-            t = total + m
-            # prune: remaining factors contribute at most remaining*dA
-            if t + remaining * dA < -target:
-                continue
-            if fixed_sum and t - remaining * deg_out > -target:
-                continue
-            for rest in rec(i + 1, pos_used + (m if m > 0 else 0), t):
-                yield (m,) + rest
-
-    return rec(0, 0, 0)
-
-
 def _operator(a: FockVector, u: FockVector) -> Dict[int, FockVector]:
     """The state the operator for a expands on u, as {j: component with
     z^{-j} attached}: e^{Delta_z} a for twisted u, a itself otherwise.  The
@@ -225,17 +182,17 @@ def _operator(a: FockVector, u: FockVector) -> Dict[int, FockVector]:
 
 
 def _coeff(
-    pieces: Dict[int, FockVector], lam_a: Scalar, u: FockVector, offset
+    pieces: Dict[int, FockVector], lam_a: Scalar, u: FockVector, offset, memo: dict
 ) -> FockVector:
     """Coefficient of z^{base + offset} of the operator expanded as `pieces`
-    acting on u."""
+    acting on u, through `_product` with the given memo."""
     offset = double(offset)
     acc = FockVector.zero(u.sector)
     for j, comp in pieces.items():
         E = offset + 2 * j
         for part, ca in comp.terms.items():
             for upart, cu in u.terms.items():
-                acc = acc + _product_coeff_term(part, lam_a, upart, ca * cu, E, u.sector)
+                acc = acc + _product(part, lam_a, E, upart, u.sector, memo).scale(ca * cu)
     return acc
 
 
@@ -248,18 +205,18 @@ def vertex_op_coeff(a: FockVector, u: FockVector, offset) -> FockVector:
     For twisted u the correction e^{Delta_z} is applied to a first.  A
     charged a acts only on the twisted module; on an untwisted u it raises
     ValueError."""
-    return _coeff(_operator(a, u), a.sector.lam_scalar(), u, offset)
+    return _coeff(_operator(a, u), a.sector.lam_scalar(), u, offset, {})
 
 
 def modes(a: FockVector, ns: Iterable, u: FockVector) -> List[FockVector]:
     """The modes a_n, n in ns, of an uncharged state a in M(1), acting on u
     (either sector): the coefficients of z^{-n-1}.  On a twisted u the
-    correction e^{Delta_z} a is expanded once for all of them."""
+    correction e^{Delta_z} a is expanded once, and one memo serves them all."""
     if not a.sector.lam_scalar().is_zero() or a.sector.twisted:
         raise ValueError("modes of a state need it in the vacuum charge sector")
     pieces = _operator(a, u)
-    lam_a = a.sector.lam_scalar()
-    return [_coeff(pieces, lam_a, u, -n - 1) for n in ns]
+    memo: dict = {}
+    return [_coeff(pieces, a.sector.lam_scalar(), u, -n - 1, memo) for n in ns]
 
 
 def mode(a: FockVector, n, u: FockVector) -> FockVector:

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voaf import cli, fusion, virasoro, zhu
+from voaf import cli, fusion, vertexops, virasoro, zhu
 from voaf.fock import FockVector, Sector
 
 F = Fraction
@@ -51,6 +55,11 @@ class TestChar:
         code, out, _ = run(capsys, "char", "--module", "M(s=2)")
         assert code == 0
         assert "q^" in out
+
+    def test_charge_of_any_denominator(self, capsys):
+        code, out, err = run(capsys, "char", "--module", "M(s=1/5)", "--cutoff", "3")
+        assert code == 0 and err == ""
+        assert out.startswith("1 q^{7/120}")
 
     def test_twisted_combined(self, capsys):
         code, out, _ = run(capsys, "char", "--module", "Mtheta", "--cutoff", "3")
@@ -153,6 +162,57 @@ class TestFusion:
         code2, out2, _ = run(capsys, "fusion-table", "--lambda-squares", "2")
         assert code == code2 == 0
         assert out == out2
+
+
+# The argument grammar.  Every required option is present and each value
+# is passed as --option=value, so argparse accepts the command line and
+# every value, well formed or not, reaches the engine.
+_CHARGE = st.builds(lambda p, q: str(p) if q == 1 else "%d/%d" % (p, q),
+                    st.integers(1, 12), st.integers(1, 12))
+_BAD = st.sampled_from(["", " ", "0", "-1", "1/0", "0.5", "+3", "1e3", "x", "2/3/4", "M"])
+
+
+def _mostly(good, bad):
+    """Draws from `good` three times in four, from `bad` otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else good)
+
+
+_LABEL = _mostly(st.one_of(st.sampled_from(["M+", "M-", "Mtheta+", "Mtheta-"]),
+                           _CHARGE.map("M(s={})".format)),
+                 st.one_of(_BAD, _BAD.map("M(s={})".format)))
+_GRID = st.lists(_mostly(_CHARGE, _BAD), min_size=1, max_size=3).map(",".join)
+_DEPTHS = st.lists(st.sampled_from(["1", "2", "3", "1/2", "3/2", "5/2"]), max_size=4).filter(
+    lambda ds: sum(map(Fraction, ds)) <= 6)
+_TERM = st.builds(lambda c, ds, top: c + "".join("h(-%s)" % d for d in ds) + top,
+                  st.sampled_from(["", "2*", "-1/3*", "lam*"]), _DEPTHS,
+                  st.sampled_from(["|0>", "e^lam", "1theta"]))
+_EXPR = _mostly(st.lists(_TERM, min_size=1, max_size=2).map(" - ".join),
+                st.sampled_from(["", "h(-1)h(", "h(-0)|0>", "h(-1)", "2**h(-1)|0>", "h(-1/3)|0>"]))
+_FLAG = st.sampled_from([[], ["--json"]])
+_ARGV = st.one_of(
+    st.builds(lambda m, n, l, c: ["fusion", "--m=" + m, "--n=" + n, "--l=" + l] + c,
+              _LABEL, _LABEL, _LABEL, st.sampled_from([[], ["--certificate"]])),
+    st.builds(lambda m, c, f: ["char", "--module=" + m] + c + f,
+              st.one_of(_LABEL, st.just("Mtheta")),
+              st.sampled_from([[]] + [["--cutoff=%d" % k] for k in range(-2, 7)]), _FLAG),
+    st.builds(lambda m, e: ["reduce", "--module=" + m, "--expr=" + e], _LABEL, _EXPR),
+    st.builds(lambda g, f: ["fusion-table", "--lambda-squares=" + g] + f, _GRID,
+              st.sampled_from([[], ["--format=csv"], ["--format=json"]])),
+    st.builds(lambda f: ["table41"] + f, _FLAG),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=100, deadline=None)
+def test_exit_code_contract(argv):
+    """Every command line of the grammar exits 0, 1, 2 or 3 without an
+    escaping exception; exits 2 and 3 print exactly one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestFusionTable:
@@ -374,6 +434,26 @@ class TestSuiteCaches:
         assert checks["Heisenberg commutators on the twisted sector"]
         assert checks["Virasoro commutators (central charge 1) on the untwisted sector"]
         assert checks["Virasoro commutators (central charge 1) on the twisted sector"]
+
+    def test_zhu_suite_catches_a_tainted_product(self, monkeypatch):
+        """With the sign of every creation term of a depth-one field flipped
+        in the vertex-operator recursion, the lowest-weight table and the
+        quartic relation's membership both fail."""
+        real = vertexops.gen_binom
+
+        def tainted(x, k):
+            # the recursion asks for C(-m/2 - 1, 0) at a creation mode h(m/2),
+            # m <= -2; the correction table only for x = -1/2
+            return -real(x, k) if k == 0 and x >= 0 else real(x, k)
+
+        monkeypatch.setattr(vertexops, "gen_binom", tainted)
+        zhu._membership_columns.cache_clear()
+        try:
+            checks = {name: ok for name, ok, _ in cli.suite_zhu()}
+        finally:
+            zhu._membership_columns.cache_clear()
+        assert not checks["lowest-weight table recomputation"]
+        assert not checks["quartic relation element lies in the degree-zero ideal"]
 
 
 def _add(key, delta):

@@ -137,8 +137,6 @@ class TestContractions:
         names = set()
         for fn in (
             fusion._relation,
-            fusion._generic_star_polys,
-            fusion._generic_circle_polys,
             fusion.second_circle_relation_polys,
             fusion.generic_relation_polys,
         ):

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_log, rs_nth_root
 from sympy.polys.rings import ring
 
-from voaf.fock import FockVector, Sector, basis_at_degree
+from voaf.fock import FockVector, Sector, basis_at_degree, double, halve, partition_keys
 from voaf import vertexops
 from voaf.labels import mlam, mminus, mtheta_minus, mtheta_plus
 from voaf.scalars import Scalar
@@ -28,6 +30,88 @@ from voaf.zhu import star_left
 UNT = Sector.untwisted(None)
 TW = Sector.twisted_sector()
 VACUUM = FockVector.basis(UNT)
+
+
+# ----------------------------------------------------------------------
+# The mode-tuple enumeration that `vertexops._product` replaced, kept as the
+# reference.  Degrees, depths and mode indices are doubled ints.  For each
+# pair of monomials it enumerates every tuple of k mode indices and applies
+# the modes, annihilations first, between the two halves of E(lam_a, z).
+
+
+def _reference_tuples(sector, k, dA, deg_out, fixed_sum, target):
+    """Tuples (m_1..m_k) of legal mode indices: annihilation total bounded by
+    dA, each creation depth bounded by deg_out; the total is -target if
+    fixed_sum, and at least -target otherwise."""
+    start = -deg_out if -deg_out % 2 == sector.depth_parity() else -deg_out + 1
+    values = [m for m in range(start, dA + 1, 2) if m != 0 or not sector.twisted]
+
+    def rec(i, pos_used, total):
+        if i == k:
+            if total == -target or (not fixed_sum and total > -target):
+                yield ()
+            return
+        remaining = k - i - 1
+        for m in values:
+            if m > 0 and pos_used + m > dA:
+                continue
+            t = total + m
+            if t + remaining * dA < -target:
+                continue
+            if fixed_sum and t - remaining * deg_out > -target:
+                continue
+            for rest in rec(i + 1, pos_used + max(m, 0), t):
+                yield (m,) + rest
+
+    return rec(0, 0, 0)
+
+
+def _reference_term(ns, lam_a, part, cu, E, sector_u):
+    out = FockVector.zero(sector_u)
+    du, N, k = sum(part), sum(ns), len(ns)
+    deg_out = du + E + N
+    if deg_out < 0 or cu.is_zero():
+        return out
+    lam_zero = lam_a.is_zero()
+    base = FockVector(sector_u)
+    base.terms = {part: cu}
+    step = 1 if sector_u.twisted else 2
+    for sA in [0] if lam_zero else range(0, du + 1, step):
+        for A in partition_keys(sA, sector_u):
+            vA = base.apply_modes([halve(d) for d in A])
+            if vA.is_zero():
+                continue
+            coefA = vertexops._exp_coeff(A, lam_a, negative=True)
+            for ms in _reference_tuples(sector_u, k, du - sA, deg_out, lam_zero, E + sA + N):
+                sB = E + sA + sum(ms) + N
+                if sB < 0 or (lam_zero and sB != 0):
+                    continue
+                vM = vA.apply_modes([halve(m) for m in sorted(ms, reverse=True)])
+                if vM.is_zero():
+                    continue
+                coefM = Fraction(1)
+                for m, n in zip(ms, ns):
+                    j = n // 2 - 1
+                    coefM *= (-1) ** j * gen_binom(Fraction(m + n - 2, 2), j)
+                if coefM == 0:
+                    continue
+                for B in partition_keys(sB, sector_u):
+                    coefB = vertexops._exp_coeff(B, lam_a, negative=False)
+                    w = vM.apply_modes([-halve(b) for b in B])
+                    out = out + w.scale(coefA * coefM * coefB)
+    return out
+
+
+def _reference_coeff(a, u, offset):
+    """vertex_op_coeff(a, u, offset) by the mode-tuple enumeration."""
+    lam_a = a.sector.lam_scalar()
+    acc = FockVector.zero(u.sector)
+    for j, comp in vertexops._operator(a, u).items():
+        E = double(offset) + 2 * j
+        for part, ca in comp.terms.items():
+            for upart, cu in u.terms.items():
+                acc = acc + _reference_term(part, lam_a, upart, ca * cu, E, u.sector)
+    return acc
 
 
 class TestBasics:
@@ -203,3 +287,68 @@ class TestModes:
         for u in (mminus().top_vector(), mlam(Fraction(8)).top_vector(), mtheta_plus().top_vector()):
             with pytest.raises(ValueError):
                 modes(a, [0], u)
+
+
+# ----------------------------------------------------------------------
+# the recursion against the mode-tuple reference
+
+
+def _monomials(sector, max_degree):
+    return [p for d in range(2 * max_degree + 1)
+            for p in basis_at_degree(sector, Fraction(d, 2))]
+
+
+def _state(sector, max_degree):
+    """Sums of up to two monomials of the sector, coefficients in its field."""
+    if sector.s is None:
+        coeffs = st.integers(-3, 3).map(Scalar.of)
+    else:
+        lam = Scalar.lam(sector.s)
+        coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+            lambda c: Scalar.of(c[0], sector.s) + lam * c[1])
+    term = st.tuples(st.sampled_from(_monomials(sector, max_degree)), coeffs)
+    return st.lists(term, min_size=1, max_size=2).map(
+        lambda ts: sum((FockVector.basis(sector, p, c) for p, c in ts), FockVector.zero(sector)))
+
+
+# vacuum, Q(sqrt 2), Q(sqrt 4) (zero divisors) and the twisted sector
+_U_SECTORS = [UNT, Sector.untwisted(Fraction(2)), Sector.untwisted(Fraction(4)), TW]
+
+
+class TestProductRecursion:
+    @given(_state(UNT, 4), st.sampled_from(_U_SECTORS).flatmap(lambda s: _state(s, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_modes_match_the_reference(self, a, u):
+        # a_n u vanishes once n > deg(a) + deg(u) - 1, and below n = -2 only
+        # creation depths grow; halves act on the twisted module
+        top = int(a.max_degree() + u.max_degree())
+        step = Fraction(1, 2) if u.sector.twisted else 1
+        ns = [-2 + k * step for k in range(int((top + 2) / step) + 1)]
+        got = modes(a, ns, u)
+        assert got == [_reference_coeff(a, u, -n - 1) for n in ns]
+        assert [vertex_op_coeff(a, u, -n - 1) for n in ns] == got
+
+    @given(st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(5, 4), Fraction(9)])
+           .flatmap(lambda s: _state(Sector.untwisted(s), 2)), _state(TW, 1))
+    @settings(max_examples=15, deadline=None)
+    def test_charged_words_on_the_twisted_module(self, a, u):
+        for k in range(-5, 5):
+            assert vertex_op_coeff(a, u, Fraction(k, 2)) == _reference_coeff(a, u, Fraction(k, 2))
+
+    @pytest.mark.parametrize("u", [FockVector.basis(UNT, (2, 1)),
+                                   FockVector.basis(TW, (Fraction(3, 2), Fraction(1, 2)))],
+                             ids=["vacuum", "twisted"])
+    def test_one_memo_computes_each_key_once(self, u, monkeypatch):
+        computed, memos = [], set()
+        real = vertexops._product
+
+        def counting(ns, lam_a, E, part, sector, memo):
+            memos.add(id(memo))
+            if (ns, E, part) not in memo:
+                computed.append((ns, E, part))
+            return real(ns, lam_a, E, part, sector, memo)
+
+        monkeypatch.setattr(vertexops, "_product", counting)
+        modes(J_state(), range(-2, 8), u)
+        assert len(memos) == 1
+        assert computed and len(computed) == len(set(computed))

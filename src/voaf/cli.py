@@ -1,8 +1,8 @@
 """Command-line surface: verification suites, fusion tables, characters,
 and ad-hoc reduction to descendant coordinates.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 inconclusive (no argument decided a fusion rule).
+Exit codes: 0 success, 1 verification failure or a closed output pipe,
+2 usage error, 3 inconclusive (no argument decided a fusion rule).
 """
 
 from __future__ import annotations
@@ -734,8 +734,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subparsers, whose usage
+    errors are one stderr line."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="voaf",
         description="Exact computations for the rank-one even-boson orbifold algebra.",
     )
@@ -788,7 +796,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`voaf ... | head`): send the rest of the
+        # output, and the flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -20,9 +20,8 @@ rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .scalars import Scalar
 
@@ -50,8 +49,7 @@ def halve(k: int):
 SValue = Optional[Fraction]  # the squared charge lam**2 of a charged sector
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     twisted: bool
     s: SValue = None  # None (lam = 0) or the rational lam**2
 

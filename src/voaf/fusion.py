@@ -19,14 +19,13 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import characters, linalg, step3_cofactors, virasoro, zhu
+from . import characters, linalg, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
-from .multipoly import VARS, MultiPoly
+from .multipoly import VARS, MultiPoly, Point
 from .scalars import Scalar, rational_sqrt
 from .vertexops import J_state, modes
 
@@ -154,8 +153,7 @@ def verify_generator_hypothesis(label: ModuleLabel) -> bool:
 # constraint systems
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     """One polynomial condition on (x, y, z) = (a_L, a_N, b_L).
 
     Mirror rows are evaluated at (a_N, a_L, b_N) instead, with per-column
@@ -164,8 +162,8 @@ class ConstraintRow:
 
     name: str
     polys: Tuple[MultiPoly, ...]
-    mirror: bool = False
-    signs: Tuple[int, ...] = ()
+    mirror: bool
+    signs: Tuple[int, ...]
 
 
 class ConstraintSystem:
@@ -361,8 +359,9 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     singular-vector pairs are built the first time a walk of the system
     reaches them.
     """
-    if label in _SYSTEM_CACHE:
-        return _SYSTEM_CACHE[label]
+    system = _SYSTEM_CACHE.get(label)
+    if system is not None:
+        return system
     gens, ngens = _generators(label)
     degs = [g.max_degree() for g in gens]
     signs = tuple((-1) ** int(d - degs[0]) for d in degs)
@@ -387,11 +386,12 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
 
 
 @functools.cache
-def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
+def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Point, Point]:
     """The evaluation points of the ordinary and the mirror rows, computed
-    once per label pair; callers must not mutate them."""
+    once per label pair, so the power tables that evaluate builds from a
+    point serve every first slot; callers must not mutate them."""
     aN, aL = n.a_M(), l.a_M()
-    return {"x": aL, "y": aN, "z": l.b_M()}, {"x": aN, "y": aL, "z": n.b_M()}
+    return Point({"x": aL, "y": aN, "z": l.b_M()}), Point({"x": aN, "y": aL, "z": n.b_M()})
 
 
 def _row_values(row: ConstraintRow, points) -> List[Fraction]:
@@ -424,82 +424,96 @@ def _matched_charges(s: Fraction, t: Fraction) -> Tuple[Fraction, ...]:
     return tuple(u for u in (s + t + 2 * r, s + t - 2 * r) if u > 0)
 
 
+@functools.cache
+def _pair_matched_charges(m: ModuleLabel, n: ModuleLabel) -> Tuple[Fraction, ...]:
+    """_matched_charges of two charged labels, cached per label pair: a
+    label keeps its hash, a Fraction computes it at every lookup."""
+    return _matched_charges(m.s, n.s)
+
+
 def find_witness(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> Optional[dict]:
     """A nonzero-intertwiner witness for the triple, or None.
 
     Tags: "Untwisted" (charged triple with matching charges),
     "VacuumAction" (module structure over the even subalgebra, including the
     theta-involution pairings), "TwistedProjection" (charged operator acting
-    on a twisted module, hitting both parity components).
+    on a twisted module, hitting both parity components).  The triple is
+    classified by counting its kinds.
     """
-    labs = [m, n, l]
-    twisted = [x for x in labs if x.kind.startswith("Mtheta")]
-    plain = [x for x in labs if not x.kind.startswith("Mtheta")]
-    if len(twisted) in (1, 3):
-        return None
-    if not twisted:
-        charged = [x for x in labs if x.kind == "Mlam"]
-        if len(charged) == 3:
-            s, t, u = (x.s for x in charged)
-            if u in _matched_charges(s, t):
+    kinds = (m.kind, n.kind, l.kind)
+    theta_plus = kinds.count("Mtheta+")
+    twisted = theta_plus + kinds.count("Mtheta-")
+    charged = kinds.count("Mlam")
+    if twisted == 0:
+        if charged == 3:
+            matched = _pair_matched_charges(m, n)
+            if matched and l.s in matched:
+                s, t, u = m.s, n.s, l.s
                 return {
                     "tag": "Untwisted",
                     "detail": "charge closure: squared charges %s satisfy the"
                     " symmetric vanishing condition" % ([str(s), str(t), str(u)],),
                 }
             return None
-        if len(charged) == 2:
-            if charged[0].s == charged[1].s:
+        if charged == 2:
+            s, t = (x.s for x in (m, n, l) if x.kind == "Mlam")
+            if s == t:
                 return {
                     "tag": "VacuumAction",
                     "detail": "equal squared charges %s paired through a"
-                    " vacuum-kind module" % str(charged[0].s),
+                    " vacuum-kind module" % str(s),
                 }
             return None
-        if len(charged) == 1:
-            return None
-        odd = sum(1 for x in labs if x.kind == "M-")
-        if odd % 2 == 0:
-            return {
-                "tag": "VacuumAction",
-                "detail": "parity-consistent vacuum-kind triple",
-            }
+        if charged == 0 and kinds.count("M-") % 2 == 0:
+            return {"tag": "VacuumAction", "detail": "parity-consistent vacuum-kind triple"}
         return None
-    # exactly two twisted labels
-    other = plain[0]
-    if other.kind == "M+":
-        if twisted[0].kind == twisted[1].kind:
-            return {
-                "tag": "VacuumAction",
-                "detail": "identity action on a twisted module",
-            }
+    if twisted != 2:
         return None
-    if other.kind == "M-":
-        if twisted[0].kind != twisted[1].kind:
-            return {
-                "tag": "VacuumAction",
-                "detail": "odd vacuum-kind action exchanging twisted parities",
-            }
+    if charged:
+        (s,) = (x.s for x in (m, n, l) if x.kind == "Mlam")
+        return {
+            "tag": "TwistedProjection",
+            "detail": "charged operator (squared charge %s) on a twisted module;"
+            " both parity projections are nonzero" % str(s),
+        }
+    same = theta_plus != 1  # both Mtheta+ or both Mtheta-
+    if "M+" in kinds:
+        if same:
+            return {"tag": "VacuumAction", "detail": "identity action on a twisted module"}
         return None
-    return {
-        "tag": "TwistedProjection",
-        "detail": "charged operator (squared charge %s) on a twisted module;"
-        " both parity projections are nonzero" % str(other.s),
-    }
+    if same:
+        return None
+    return {"tag": "VacuumAction", "detail": "odd vacuum-kind action exchanging twisted parities"}
 
 
 # ---------------------------------------------------------------------------
 # decisions
 
 
-@dataclass
 class FusionCertificate:
-    m: ModuleLabel
-    n: ModuleLabel
-    l: ModuleLabel
-    verdict: int
-    reason: dict
-    permutation: List[str]
+    """The verdict on the ordered triple (m, n, l), its reason, and the
+    permutation of the slots that the reason argues about."""
+
+    __slots__ = ("m", "n", "l", "verdict", "reason", "permutation", "__weakref__")
+
+    def __init__(self, m: ModuleLabel, n: ModuleLabel, l: ModuleLabel, verdict: int,
+                 reason: dict, permutation: List[str]):
+        self.m, self.n, self.l = m, n, l
+        self.verdict = verdict
+        self.reason = reason
+        self.permutation = permutation
+
+    def _fields(self) -> tuple:
+        return (self.m, self.n, self.l, self.verdict, self.reason, self.permutation)
+
+    def __eq__(self, other):
+        if type(other) is not FusionCertificate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("FusionCertificate(m=%r, n=%r, l=%r, verdict=%r, reason=%r, permutation=%r)"
+                % self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -539,10 +553,6 @@ def _arrangement_order(priority: Tuple[int, int, int]) -> tuple:
     return tuple(sorted(_ARRANGEMENTS, key=lambda a: priority[a[0]]))
 
 
-def _frac_str(x) -> str:
-    return str(x if type(x) is Fraction else Fraction(x))
-
-
 def _rank(matrix: List[List[Fraction]]) -> int:
     return linalg.rank(matrix, Fraction(1))
 
@@ -558,10 +568,10 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
                 "type": "invariant-separation",
                 "detail": "vacuum-slot fusion forces equal top weights",
                 "point": {
-                    "a_N": _frac_str(at_l["y"]),
-                    "b_N": _frac_str(at_n["z"]),
-                    "a_L": _frac_str(at_l["x"]),
-                    "b_L": _frac_str(at_l["z"]),
+                    "a_N": str(at_l["y"]),
+                    "b_N": str(at_n["z"]),
+                    "a_L": str(at_l["x"]),
+                    "b_L": str(at_l["z"]),
                 },
             }
         return None
@@ -569,16 +579,13 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
     ncols = system.ncols
     if system.ngens == 1 and ncols == 1:
         # the certificate quotes the first row that does not vanish, so the
-        # walk stops there and later rows are neither built nor evaluated
-        points = _points(N, L)
+        # walk stops there and later rows are neither built nor evaluated;
+        # a lone column is the first generator's, whose sign is +1
+        at_l, at_n = _points(N, L)
         for row in system.walk():
-            (value,) = _row_values(row, points)
-            if value != 0:
-                return {
-                    "type": "nonzero-constraint",
-                    "row": row.name,
-                    "value": _frac_str(value),
-                }
+            value = row.polys[0].evaluate(at_n if row.mirror else at_l)
+            if value:
+                return {"type": "nonzero-constraint", "row": row.name, "value": str(value)}
         return None
     matrix, names = _evaluate_system(system, N, L)
     if system.ngens == 1:
@@ -589,7 +596,7 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
                 "type": "generator-column-forced",
                 "detail": "row space forces the generator coordinate to zero",
                 "rows": names,
-                "matrix": [[_frac_str(v) for v in row] for row in matrix],
+                "matrix": [[str(v) for v in row] for row in matrix],
             }
         return None
     if _rank(matrix) == ncols:
@@ -601,8 +608,8 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
         return {
             "type": "full-rank",
             "detail": "both generator coordinates forced to zero",
-            "determinant": {"rows": [names[i], names[j]], "value": _frac_str(d)},
-            "matrix": [[_frac_str(v) for v in row] for row in matrix],
+            "determinant": {"rows": [names[i], names[j]], "value": str(d)},
+            "matrix": [[str(v) for v in row] for row in matrix],
         }
     return None
 
@@ -614,7 +621,7 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
     order = _arrangement_order((_slot_priority(m), _slot_priority(n), _slot_priority(l)))
     if witness is not None:
         for _, arrange, names in order:
-            if len(generator_set(arrange(labs)[0])) == 1:
+            if _generators(arrange(labs)[0])[1] == 1:
                 return FusionCertificate(
                     m, n, l, 1,
                     {"witness": witness, "bound": 1},
@@ -758,11 +765,72 @@ def _json_text(value, level: int) -> str:
     raise TypeError("%s is not a certificate value" % kind.__name__)
 
 
+# The standard library's layout of a certificate one container deep and of
+# the reasons that tables quote most, two deep, with the JSON texts of their
+# strings left as %s.
+_CERTIFICATE = (
+    '{\n  "l": %s,\n  "m": %s,\n  "n": %s,\n  "permutation": %s,\n  "reason": %s,\n'
+    '  "verdict": %d\n }'
+)
+_NONZERO_CONSTRAINT = '{\n   "row": %s,\n   "type": "nonzero-constraint",\n   "value": %s\n  }'
+_INVARIANT_SEPARATION = (
+    '{\n   "detail": %s,\n   "point": {\n    "a_L": %s,\n    "a_N": %s,\n    "b_L": %s,\n'
+    '    "b_N": %s\n   },\n   "type": "invariant-separation"\n  }'
+)
+_WITNESS = '{\n   "bound": 1,\n   "witness": {\n    "detail": %s,\n    "tag": %s\n   }\n  }'
+
+
+_NONZERO_KEYS = {"type", "row", "value"}
+_SEPARATION_KEYS = {"type", "detail", "point"}
+_POINT_KEYS = {"a_L", "a_N", "b_L", "b_N"}
+_WITNESS_KEYS = {"bound", "witness"}
+_WITNESS_FIELDS = {"detail", "tag"}
+
+
+def _reason_text(reason: dict) -> str:
+    """The JSON text of a reason two containers deep.
+
+    A nonzero constraint, an invariant separation and a bound-1 witness
+    fill their templates when they have exactly the keys that decide()
+    gives them; their other values must be str, as decide() makes them
+    (the escaper raises TypeError on any other type).  Every other reason
+    goes through _json_text."""
+    kind = reason.get("type")
+    if kind == "nonzero-constraint" and reason.keys() == _NONZERO_KEYS:
+        return _NONZERO_CONSTRAINT % (_json_str(reason["row"]), _json_str(reason["value"]))
+    if kind == "invariant-separation" and reason.keys() == _SEPARATION_KEYS:
+        p = reason["point"]
+        if type(p) is dict and p.keys() == _POINT_KEYS:
+            return _INVARIANT_SEPARATION % (
+                _json_str(reason["detail"]),
+                _json_str(p["a_L"]), _json_str(p["a_N"]), _json_str(p["b_L"]), _json_str(p["b_N"]),
+            )
+    if reason.keys() == _WITNESS_KEYS and type(reason["bound"]) is int and reason["bound"] == 1:
+        w = reason["witness"]
+        if type(w) is dict and w.keys() == _WITNESS_FIELDS:
+            return _WITNESS % (_json_str(w["detail"]), _json_str(w["tag"]))
+    return _json_text(reason, 2)
+
+
 def table_to_json(certs: Iterable[FusionCertificate]) -> str:
-    """The certificates as one indented JSON list.  Each certificate is
-    rendered as soon as the iterator yields it and then dropped (map holds
-    no reference to it), so only the texts are kept until the end."""
-    return _json_block([_json_text(d, 1) for d in map(FusionCertificate.as_dict, certs)], 0, "[]")
+    """The certificates as one indented JSON list, the standard library's
+    json.dumps(..., sort_keys=True, indent=1) of their as_dict().
+
+    Each certificate is rendered as soon as the iterator yields it and then
+    dropped (map holds no reference to it), so only the texts are kept until
+    the end.  The texts of the labels and permutations are escaped once per
+    table.
+    """
+    label_text = functools.cache(lambda label: _json_str(str(label)))
+    perm_text = functools.cache(lambda perm: _json_text(list(perm), 2))
+
+    def render(cert: FusionCertificate) -> str:
+        return _CERTIFICATE % (
+            label_text(cert.l), label_text(cert.m), label_text(cert.n),
+            perm_text(tuple(cert.permutation)), _reason_text(cert.reason), cert.verdict,
+        )
+
+    return _json_block(list(map(render, certs)), 0, "[]")
 
 
 # ---------------------------------------------------------------------------
@@ -1098,6 +1166,9 @@ def verify_step3_generic() -> Dict[str, str]:
     )
 
     # --- infeasibility closures: stored ideal-membership certificates ------
+    # generated data, read on first use like the relation polynomials
+    from . import step3_cofactors
+
     for name, detail, variables, gens, dist in step3_closures(pt, q2):
         _step3_check(
             report,

@@ -11,7 +11,6 @@ length, its lowest-weight vector, and the two numerical invariants
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -20,32 +19,64 @@ from .scalars import parse_rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 
+# (a_M, b_M) of the uncharged kinds
+_TOP_INVARIANTS = {
+    "M+": (Fraction(0), Fraction(0)),
+    "M-": (Fraction(1), Fraction(-6)),
+    "Mtheta+": (Fraction(1, 16), Fraction(3, 128)),
+    "Mtheta-": (Fraction(9, 16), Fraction(-45, 128)),
+}
 
-@dataclass(frozen=True)
+
 class ModuleLabel:
-    """A label is an immutable value: equal labels hash alike, and the hash
-    is computed once, when the label is made, because labels key the
-    engine's caches."""
+    """A label is an immutable value: labels are equal exactly when their
+    kind and s are, and never equal any other type.  The hash, the text and
+    the top-level invariants are computed once, when the label is made,
+    because labels key the engine's caches and name every certificate."""
 
-    kind: str
-    s: object = None  # Fraction, for kind == "Mlam"
+    __slots__ = ("kind", "s", "_hash", "_str", "_invariants")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("unknown module kind %r" % self.kind)
-        if self.kind == "Mlam":
-            if not isinstance(self.s, (int, Fraction)):
-                raise ValueError("Mlam requires a rational s = lam^2, got %r" % (self.s,))
-            s = Fraction(self.s)
+    def __init__(self, kind: str, s=None):
+        if kind not in KINDS:
+            raise ValueError("unknown module kind %r" % kind)
+        if kind == "Mlam":
+            if not isinstance(s, (int, Fraction)):
+                raise ValueError("Mlam requires a rational s = lam^2, got %r" % (s,))
+            s = Fraction(s)
             if s <= 0:
                 raise ValueError("Mlam requires positive s = lam^2, got %s" % s)
-            object.__setattr__(self, "s", s)
-        elif self.s is not None:
+            text = "M(s=%s)" % s
+            invariants = (s / 2, s * s - s / 2)
+        elif s is not None:
             raise ValueError("s only applies to Mlam")
-        object.__setattr__(self, "_hash", hash((self.kind, self.s)))
+        else:
+            text = kind
+            invariants = _TOP_INVARIANTS[kind]
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_hash", hash((kind, s)))
+        object.__setattr__(self, "_str", text)
+        object.__setattr__(self, "_invariants", invariants)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModuleLabel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ModuleLabel is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ModuleLabel:
+            return NotImplemented
+        return self.kind == other.kind and self.s == other.s
 
     def __hash__(self):
         return self._hash
+
+    def __str__(self):
+        return self._str
+
+    def __repr__(self):
+        return "ModuleLabel(kind=%r, s=%r)" % (self.kind, self.s)
 
     # ------------------------------------------------------------------
 
@@ -60,11 +91,6 @@ class ModuleLabel:
         if m:
             return ModuleLabel("Mlam", parse_rational(m.group(1)))
         raise ValueError("cannot parse module label %r" % text)
-
-    def __str__(self):
-        if self.kind == "Mlam":
-            return "M(s=%s)" % self.s
-        return self.kind
 
     # ------------------------------------------------------------------
 
@@ -91,26 +117,13 @@ class ModuleLabel:
         return self.top_vector().max_degree()
 
     def a_M(self) -> Fraction:
-        """Lowest conformal weight = action of o(omega) on the top level."""
-        if self.kind == "Mlam":
-            return self.s / 2
-        return {
-            "M+": Fraction(0),
-            "M-": Fraction(1),
-            "Mtheta+": Fraction(1, 16),
-            "Mtheta-": Fraction(9, 16),
-        }[self.kind]
+        """Lowest conformal weight = action of o(omega) on the top level:
+        s/2 for Mlam."""
+        return self._invariants[0]
 
     def b_M(self) -> Fraction:
-        """Action of o(J) on the top level."""
-        if self.kind == "Mlam":
-            return self.s**2 - self.s / 2
-        return {
-            "M+": Fraction(0),
-            "M-": Fraction(-6),
-            "Mtheta+": Fraction(3, 128),
-            "Mtheta-": Fraction(-45, 128),
-        }[self.kind]
+        """Action of o(J) on the top level: s^2 - s/2 for Mlam."""
+        return self._invariants[1]
 
     def basis_at(self, degree) -> List[Partition]:
         """Partition basis of the degree-`degree` graded piece (degree is

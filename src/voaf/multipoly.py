@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import getitem
+from operator import add, getitem
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -79,11 +79,12 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
         return MultiPoly._make(out)
 
     __radd__ = __add__
@@ -107,13 +108,9 @@ class MultiPoly:
         out: Terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MultiPoly._make(out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return MultiPoly._make({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -150,14 +147,14 @@ class MultiPoly:
     def _clear(self):
         """The cleared form that evaluate reads: the (name, degree) of each
         variable the polynomial uses, the common denominator D of the
-        coefficients, and one (c*D, exponents of the used variables) pair per
+        coefficients, and one row (c*D, exponents of the used variables) per
         term, with c*D an int."""
         terms = self.terms
         degs = list(map(max, zip(*terms))) if terms else []
         used = [i for i, d in enumerate(degs) if d]
         den = math.lcm(*[c.denominator for c in terms.values()])
         rows = tuple(
-            (c.numerator * (den // c.denominator), tuple(e[i] for i in used))
+            (c.numerator * (den // c.denominator),) + tuple(e[i] for i in used)
             for e, c in terms.items()
         )
         return tuple((VARS[i], degs[i]) for i in used), den, rows
@@ -170,10 +167,12 @@ class MultiPoly:
         a variable of degree d, the term c * v^k becomes the integer
         (c*D) * n^k * m^(d-k); the sum over all terms is divided by
         D * prod(m^d) once.  A value that is not an int or a Fraction (a
-        Scalar in Q(sqrt(s))) enters the same loop as n = v, m = 1.  Every
-        variable occurring in the polynomial must be assigned; other
-        assigned variables are ignored.  The result is a Fraction unless a
-        non-rational value occurs with positive degree.
+        Scalar in Q(sqrt(s))) enters the same loop as n = v, m = 1.  The
+        power tables come from the point (Point.tables), so polynomials
+        evaluated at one Point share them.  Every variable occurring in the
+        polynomial must be assigned; other assigned variables are ignored.
+        The result is a Fraction unless a non-rational value occurs with
+        positive degree.
         """
         form = self._cleared
         if form is None:
@@ -182,26 +181,22 @@ class MultiPoly:
         variables, den, rows = form
         if not rows:
             return Fraction(0)
-        tables = []
-        for name, d in variables:
-            try:
-                v = assign[name]
-            except KeyError:
-                missing = [u for u, _ in variables if u not in assign]
-                raise ValueError("unassigned variables %s" % missing) from None
-            if isinstance(v, (int, Fraction)):
-                # n^k * m^(d-k) for k = 0..d, from m^d down
-                n, m = v.numerator, v.denominator
-                table = [m**d]
-                for _ in range(d):
-                    table.append(table[-1] // m * n)
-                den *= table[0]
-            else:
-                table = [1]
-                for _ in range(d):
-                    table.append(table[-1] * v)
-            tables.append(table)
-        acc = sum(c * math.prod(map(getitem, tables, e)) for c, e in rows)
+        point = assign if type(assign) is Point else Point(assign)
+        tables, scale = point.tables(variables)
+        # one unpacking per term for the common arities, no call per term
+        nvars = len(tables)
+        if nvars == 3:
+            t0, t1, t2 = tables
+            acc = sum([c * t0[i] * t1[j] * t2[k] for c, i, j, k in rows])
+        elif nvars == 2:
+            t0, t1 = tables
+            acc = sum([c * t0[i] * t1[j] for c, i, j in rows])
+        elif nvars == 1:
+            (t0,) = tables
+            acc = sum([c * t0[i] for c, i in rows])
+        else:
+            acc = sum([c * math.prod(map(getitem, tables, e)) for c, *e in rows])
+        den *= scale
         if type(acc) is int:
             return Fraction(acc, den)
         return acc * Fraction(1, den)
@@ -210,25 +205,39 @@ class MultiPoly:
         """Substitute polynomials (or constants) for variables.
 
         The powers of each substituted value are built once, up to the
-        variable's degree; unsubstituted variables stay in the monomial.
+        variable's degree; unsubstituted variables stay in the monomial.  A
+        constant's power scales the coefficient, a polynomial's multiplies
+        the term.
         """
         terms = self.terms
-        tables = {}
+        scales, tables = {}, {}
         for i, d in enumerate(map(max, zip(*terms)) if terms else ()):
             if d and VARS[i] in assign:
                 p = assign[VARS[i]]
-                powers = [None, p if isinstance(p, MultiPoly) else MultiPoly.const(p)]
+                if not isinstance(p, MultiPoly):
+                    p = MultiPoly.const(p)
+                if not p.terms.keys() - {_ZERO_EXPO}:
+                    c = p.terms.get(_ZERO_EXPO, Fraction(0))
+                    scales[i] = [c**k for k in range(d + 1)]
+                    continue
+                powers = [None, p]
                 while len(powers) <= d:
-                    powers.append(powers[-1] * powers[1])
+                    powers.append(powers[-1] * p)
                 tables[i] = powers
-        acc = MultiPoly()
+        acc: Terms = {}
         for e, c in terms.items():
-            term = MultiPoly._make({tuple(0 if i in tables else k for i, k in enumerate(e)): c})
+            for i, powers in scales.items():
+                c *= powers[e[i]]
+            if not c:
+                continue
+            rest = tuple(0 if i in scales or i in tables else k for i, k in enumerate(e))
+            term = MultiPoly._make({rest: c})
             for i, powers in tables.items():
                 if e[i]:
                     term = term * powers[e[i]]
-            acc = acc + term
-        return acc
+            for te, tc in term.terms.items():
+                acc[te] = acc.get(te, 0) + tc
+        return MultiPoly._make({e: c for e, c in acc.items() if c})
 
     # ------------------------------------------------------------------
 
@@ -290,3 +299,47 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+class Point(dict):
+    """The values of the variables, to evaluate polynomials at.
+
+    A point keeps the power tables that evaluate reads, one set per
+    signature of used variables and degrees, so every polynomial evaluated
+    at the same Point shares them.  Its values must not change once it has
+    been evaluated at.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, values: Dict[str, object]):
+        super().__init__(values)
+        self._tables = {}
+
+    def tables(self, variables: Tuple[Tuple[str, int], ...]):
+        """For each (name, degree d) of `variables`, the table of
+        n^k * m^(d-k), k = 0..d, where the value is n/m (n = v, m = 1 for a
+        value that is not rational), and the product of the m^d."""
+        got = self._tables.get(variables)
+        if got is not None:
+            return got
+        tables, scale = [], 1
+        for name, d in variables:
+            try:
+                v = self[name]
+            except KeyError:
+                missing = [u for u, _ in variables if u not in self]
+                raise ValueError("unassigned variables %s" % missing) from None
+            if isinstance(v, (int, Fraction)):
+                n, m = v.numerator, v.denominator
+                table = [m**d]
+                for _ in range(d):
+                    table.append(table[-1] // m * n)
+                scale *= table[0]
+            else:
+                table = [1]
+                for _ in range(d):
+                    table.append(table[-1] * v)
+            tables.append(table)
+        got = self._tables[variables] = (tuple(tables), scale)
+        return got

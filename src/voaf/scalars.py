@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -366,14 +365,28 @@ class Scalar:
         return upoly_str(self.num, "lam")
 
 
-@dataclass(frozen=True)
 class Phase:
-    """The root of unity exp(i*pi*r) for rational r, taken modulo 2."""
+    """The root of unity exp(i*pi*r) for rational r, taken modulo 2; an
+    immutable value."""
 
-    r: Fraction
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r) % 2)
+    def __init__(self, r):
+        object.__setattr__(self, "r", Fraction(r) % 2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Phase is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Phase:
+            return NotImplemented
+        return self.r == other.r
+
+    def __hash__(self):
+        return hash(self.r)
+
+    def __repr__(self):
+        return "Phase(r=%r)" % (self.r,)
 
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.r + other.r)

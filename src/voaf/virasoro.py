@@ -7,9 +7,8 @@ lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .fock import FockVector, Key, Sector, mode_term, partition_keys
@@ -79,8 +78,7 @@ def L_word(ms: Sequence, v: FockVector) -> FockVector:
 # descendant coordinates
 
 
-@dataclass(frozen=True)
-class DescendantWord:
+class DescendantWord(NamedTuple):
     """L(-m1)...L(-mk) applied to generator number `gen` (m1 >= ... >= mk >= 1)."""
 
     gen: int

@@ -22,9 +22,8 @@ both sides, via the rewrite
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, virasoro
 from .fock import FockVector, Sector, basis_at_degree
@@ -70,8 +69,7 @@ def circ(a: FockVector, u: FockVector) -> FockVector:
 # O(M) membership
 
 
-@dataclass
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     combination: Optional[List[Tuple[FockVector, FockVector, Scalar]]] = None
 
@@ -135,8 +133,7 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
 # the phi anti-map
 
 
-@dataclass
-class PhiImage:
+class PhiImage(NamedTuple):
     """phase * vector with phase = exp(i*pi*r); scalars absorb only
     rational (+-1) adjustments, the genuinely complex part stays in phase."""
 

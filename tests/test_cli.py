@@ -215,6 +215,72 @@ def test_exit_code_contract(argv):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
+class TestUsageErrors:
+    """Usage errors from the argument parser are one stderr line, as the
+    engine's are; --help is unchanged."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "--module", "M+"], "the following arguments are required: --expr"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["fusion-table", "--lambda-squares", "2", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'"),
+            (["reduce", "--module", "M+", "--expr", "-1/3*|0>"],
+             "argument --expr: expected one argument"),
+        ],
+    )
+    def test_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    def test_option_value_with_leading_minus(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--module", "M+", "--expr=-1/3*|0>")
+        assert code == 0
+        assert "gen0 1: -1/3" in out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fusion", "--help"]])
+    def test_help_unchanged(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: voaf") and err == ""
+
+
+def _voaf_env():
+    env = {k: v for k, v in os.environ.items() if k != "VOAF_CUTOFF"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return env
+
+
+def test_closed_pipe_exits_quietly():
+    """`voaf fusion-table ... | head -1`: the reader closes the pipe after
+    one line; the rest of the output is dropped without a traceback.  The
+    table (about 190 kB) outgrows the pipe's buffer, so the writer is still
+    writing when the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voaf.cli", "fusion-table", "--lambda-squares",
+         "3,5/4,22/9,13/7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_voaf_env(),
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_import_loads_no_dataclasses():
+    """Every command starts by importing voaf.cli; dataclasses (and the
+    inspect module it pulls in) stay out of that path."""
+    probe = "import sys, voaf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=_voaf_env())
+    assert out.stdout == "[]\n"
+
+
 class TestFusionTable:
     def test_csv_deterministic(self, capsys):
         code, out1, _ = run(capsys, "fusion-table", "--lambda-squares", "2")

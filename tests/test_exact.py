@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from voaf import linalg
 from voaf.fock import Sector
-from voaf.multipoly import VARS, MultiPoly
+from voaf.multipoly import VARS, MultiPoly, Point
 from voaf.scalars import (
     Phase,
     Scalar,
@@ -74,6 +74,31 @@ def _xy_point():
         st.fixed_dictionaries({"x": wide_rationals, "y": wide_rationals}),
         st.fixed_dictionaries({"x": _scalar(Fraction(2)), "y": rationals}),
     )
+
+
+@st.composite
+def _kernel_case(draw):
+    """A polynomial using exactly 1, 2, 3 or all 6 of VARS (one term has
+    every chosen variable), a rational point, and the same point with some
+    chosen variables in Q(sqrt(2)) instead."""
+    k = draw(st.sampled_from([1, 2, 3, len(VARS)]))
+    chosen = draw(st.permutations(range(len(VARS))))[:k]
+    max_degree = 4 if k <= 3 else 2
+
+    def expo(degrees):
+        e = [0] * len(VARS)
+        for i, d in zip(chosen, degrees):
+            e[i] = d
+        return tuple(e)
+
+    degrees = st.lists(st.integers(0, max_degree), min_size=k, max_size=k)
+    terms = draw(st.dictionaries(degrees.map(expo), wide_rationals, max_size=7))
+    full = expo(draw(st.lists(st.integers(1, max_degree), min_size=k, max_size=k)))
+    terms[full] = draw(wide_rationals.filter(bool))
+    point = draw(st.fixed_dictionaries({v: wide_rationals for v in VARS}))
+    surds = draw(st.lists(st.sampled_from(chosen), max_size=2))
+    mixed = dict(point, **{VARS[i]: draw(_scalar(Fraction(2))) for i in surds})
+    return k, MultiPoly(terms), point, mixed
 
 
 def _evaluate_reference(p: MultiPoly, assign):
@@ -503,6 +528,33 @@ class TestMultiPoly:
         form = p._cleared
         p.evaluate(points[0])
         assert p._cleared is form
+
+    @given(_kernel_case())
+    @settings(max_examples=150, deadline=None)
+    def test_row_kernel_matches_reference(self, case):
+        """Every arity of the row kernel (one, two and three variables, and
+        the general loop) at a rational point, and at a point with values in
+        Q(sqrt(2)), as a plain dict and as a Point that keeps its tables."""
+        k, p, rational, mixed = case
+        assert len(p._clear()[0]) == k
+        for point in (rational, mixed):
+            want = _evaluate_reference(p, point)
+            kept = Point(point)
+            assert p.evaluate(point) == want
+            assert p.evaluate(kept) == want
+            assert p.evaluate(kept) == want  # from the kept tables
+
+    def test_point_builds_each_table_once(self):
+        """Two polynomials with one signature share the Point's tables."""
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        p, q = x * x * y * y - x + 1, x * y * y * 3 + x * x
+        point = Point({"x": Fraction(2, 3), "y": Fraction(-5, 7)})
+        assert p.evaluate(point) == _evaluate_reference(p, point)
+        assert q.evaluate(point) == _evaluate_reference(q, point)
+        (variables, _, _), (same, _, _) = p._cleared, q._cleared
+        assert variables == same == (("x", 2), ("y", 2))
+        assert len(point._tables) == 1
+        assert point.tables(variables) is point.tables(same)
 
     def test_values_are_immutable(self):
         p = MultiPoly.var("x") + 1

@@ -402,6 +402,107 @@ class TestTable:
         assert text == json.dumps([c.as_dict() for c in certs], sort_keys=True, indent=1)
 
 
+    def test_standard_grid_json_matches_the_standard_library(self):
+        """The skeleton, the label and permutation texts and the reason
+        templates render the standard grid as json.dumps does; its table
+        quotes every reason type, templated or not."""
+        certs = list(fusion.full_table(STD_GRID))
+        reasons = {c.reason.get("type") or "witness-bound-%d" % c.reason["bound"] for c in certs}
+        assert reasons == {
+            "witness-bound-1", "witness-bound-2", "invariant-separation",
+            "nonzero-constraint", "generator-column-forced", "full-rank",
+        }
+        assert fusion.table_to_json(iter(certs)) == json.dumps(
+            [c.as_dict() for c in certs], sort_keys=True, indent=1
+        )
+
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            {"type": "nonzero-constraint", "row": "star", "value": "1", "extra": "x"},
+            {"type": "invariant-separation", "detail": "d", "point": {"a_L": "0"}},
+            {"witness": {"tag": "t", "detail": "d", "more": None}, "bound": 1},
+            {"witness": {"tag": "t", "detail": "d"}, "bound": 2, "rank_argument": "r"},
+            {"type": "nonzero-constraint", "row": "\"q\"", "value": "é"},
+            {"type": "invariant-separation", "detail": "d", "point": ["a_L", "a_N", "b_L", "b_N"]},
+            {"witness": ["detail", "tag"], "bound": 1},
+            {"witness": {"tag": "t", "detail": "d"}, "bound": 1, "type": None},
+        ],
+        ids=["extra-key", "short-point", "extra-witness-key", "bound-2", "escaped", "list-point",
+             "list-witness", "typed-witness"],
+    )
+    def test_reason_off_the_templates(self, reason):
+        """A reason whose keys differ from a template's still renders as
+        json.dumps does, and strings are escaped."""
+        cert = fusion.FusionCertificate(mplus(), mminus(), mlam(F(2)), 0, reason, ["n", "m", "l"])
+        want = json.dumps([cert.as_dict()], sort_keys=True, indent=1)
+        assert fusion.table_to_json([cert]) == want
+
+
+class TestValueTypes:
+    """The record types are plain classes and named tuples: values compare
+    and hash by their fields, and the immutable ones refuse assignment."""
+
+    def test_label_equality_and_hash(self):
+        labels = [mplus(), mminus(), mtheta_plus(), mtheta_minus(), mlam(F(2)), mlam(F(1, 3))]
+        for a in labels:
+            for b in labels:
+                assert (a == b) == ((a.kind, a.s) == (b.kind, b.s))
+            assert hash(a) == hash((a.kind, a.s))
+            assert a == ModuleLabel(a.kind, a.s) and not a != ModuleLabel(a.kind, a.s)
+            assert a != (a.kind, a.s) and (a.kind, a.s) != a
+            assert str(a) == ("M(s=%s)" % a.s if a.kind == "Mlam" else a.kind)
+            assert eval(repr(a), {"ModuleLabel": ModuleLabel, "Fraction": F}) == a
+
+    def test_label_is_immutable(self):
+        lab = mlam(F(2))
+        for name in ("kind", "s", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lab, name, F(3))
+            with pytest.raises(AttributeError):
+                delattr(lab, name)
+        assert lab == mlam(F(2)) and str(lab) == "M(s=2)" and lab.a_M() == 1
+
+    @pytest.mark.parametrize("label", CONCRETE + [mlam(F(7, 3))], ids=str)
+    def test_label_invariants(self, label):
+        if label.kind == "Mlam":
+            assert (label.a_M(), label.b_M()) == (label.s / 2, label.s**2 - label.s / 2)
+        pair = {"M+": (0, 0), "M-": (1, -6), "Mtheta+": (F(1, 16), F(3, 128)),
+                "Mtheta-": (F(9, 16), F(-45, 128))}.get(label.kind)
+        assert pair is None or (label.a_M(), label.b_M()) == pair
+
+    def test_records(self):
+        from voaf.scalars import Phase
+        from voaf.virasoro import DescendantWord
+
+        assert Sector(False, F(2)) == Sector.untwisted(2) != Sector.twisted_sector()
+        assert hash(Sector.untwisted(2)) == hash(Sector.untwisted(F(2)))
+        assert str(Sector.untwisted(F(2))) == "untwisted(lam^2=2)"
+        assert Phase(F(5, 2)) == Phase(F(1, 2)) and hash(Phase(F(5, 2))) == hash(Phase(F(1, 2)))
+        assert Phase(F(1, 2)) != Phase(F(3, 2))
+        assert DescendantWord(1, (2, 1)) == DescendantWord(1, (2, 1))
+        assert str(DescendantWord(1, (2, 1))) == "L(-2)L(-1)g1"
+        row = fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
+        assert row == fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
+        for value, name in [(Sector.untwisted(2), "s"), (Phase(F(1, 2)), "r"),
+                            (DescendantWord(0, ()), "gen"), (row, "name")]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert zhu.o_membership(FockVector.zero(Sector.untwisted(None)), mplus(), 2).member
+        image = zhu.phi(mplus().top_vector())
+        assert image.phase == Phase(F(0)) and image.vector == mplus().top_vector()
+
+    def test_certificate(self):
+        cert = fusion.decide(mminus(), mminus(), mplus())
+        same = fusion.decide(mminus(), mminus(), mplus())
+        assert cert == same and cert is not same
+        assert cert != fusion.decide(mplus(), mplus(), mminus())
+        assert weakref.ref(cert)() is cert
+        assert "verdict=1" in repr(cert)
+        cert.verdict = 0
+        assert cert != same
+
+
 # certificate values, with the strings and ints that JSON escapes or spells
 # out specially
 _JSON_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é∑ 😀", ""]))

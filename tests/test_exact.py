@@ -532,8 +532,8 @@ class TestMultiPoly:
     @given(_kernel_case())
     @settings(max_examples=150, deadline=None)
     def test_row_kernel_matches_reference(self, case):
-        """Every arity of the row kernel (one, two and three variables, and
-        the general loop) at a rational point, and at a point with values in
+        """Both loops of the row kernel (three variables, and the general
+        loop for 1, 2 and 6) at a rational point, and at a point with values in
         Q(sqrt(2)), as a plain dict and as a Point that keeps its tables."""
         k, p, rational, mixed = case
         assert len(p._clear()[0]) == k

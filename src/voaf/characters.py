@@ -1,8 +1,11 @@
 """Exact formal q-series and the character identities of the orbifold modules.
 
-A QSeries keeps exact rational coefficients at exact rational exponents up
-to a rational cutoff, and arithmetic propagates the smallest cutoff
-involved.
+A QSeries keeps its exponents on an integer lattice: the term c q^e is
+stored at the key k = e * den, for one common denominator `den` of the
+series, and every character's coefficients are ints.  Sums and products
+rescale two series to the lcm of their denominators and run on ints; only
+`coeffs`, `to_json` and printing build Fractions.  The cutoff is rational,
+and arithmetic propagates the smallest cutoff involved.
 """
 
 from __future__ import annotations
@@ -14,20 +17,54 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .labels import ModuleLabel
 from .scalars import rational_sqrt
 
-class QSeries:
-    """Truncated formal series sum c_e q^e with rational exponents."""
+_new = object.__new__
 
-    __slots__ = ("coeffs", "cutoff")
+
+def _num(c):
+    """A coefficient as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _floor(cutoff: Fraction, den: int) -> int:
+    """The largest key k with k/den <= cutoff."""
+    return cutoff.numerator * den // cutoff.denominator
+
+
+def _series(terms: Dict[int, object], den: int, cutoff: Fraction) -> "QSeries":
+    """A QSeries from nonzero terms on the lattice 1/den within the cutoff."""
+    out = _new(QSeries)
+    out.terms, out.den, out.cutoff = terms, den, cutoff
+    return out
+
+
+def _common(a: "QSeries", b: "QSeries") -> Tuple[int, Dict[int, object], Dict[int, object]]:
+    """The lcm of the two denominators and both term dicts keyed on it."""
+    if a.den == b.den:
+        return a.den, a.terms, b.terms
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return den, {k * fa: c for k, c in a.terms.items()}, {k * fb: c for k, c in b.terms.items()}
+
+
+class QSeries:
+    """Truncated formal series sum c_e q^e with rational exponents:
+    `terms` maps the key e * den of each nonzero term to its coefficient."""
+
+    __slots__ = ("terms", "den", "cutoff")
 
     def __init__(self, coeffs: Optional[Dict[Fraction, Fraction]] = None, cutoff=Fraction(20)):
         self.cutoff = Fraction(cutoff)
-        self.coeffs: Dict[Fraction, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                e = Fraction(e)
-                c = Fraction(c)
-                if c and e <= self.cutoff:
-                    self.coeffs[e] = c
+        pairs = [(Fraction(e), _num(c)) for e, c in (coeffs or {}).items()]
+        self.den = math.lcm(*(e.denominator for e, _ in pairs))
+        self.terms: Dict[int, object] = {
+            e.numerator * (self.den // e.denominator): c for e, c in pairs if c and e <= self.cutoff
+        }
+
+    @property
+    def coeffs(self) -> Dict[Fraction, Fraction]:
+        """The nonzero terms as exponent -> coefficient, in Fractions."""
+        return {Fraction(k, self.den): Fraction(c) for k, c in self.terms.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -37,87 +74,88 @@ class QSeries:
 
     @staticmethod
     def one(cutoff=Fraction(20)) -> "QSeries":
-        return QSeries({Fraction(0): Fraction(1)}, cutoff)
+        return QSeries({0: 1}, cutoff)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _align(self, other: "QSeries") -> Fraction:
-        return min(self.cutoff, other.cutoff)
-
     def __add__(self, other: "QSeries") -> "QSeries":
-        cut = self._align(other)
-        out: Dict[Fraction, Fraction] = {}
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e > cut:
-                continue
-            c = self.coeffs.get(e, Fraction(0)) + other.coeffs.get(e, Fraction(0))
-            if c:
-                out[e] = c
-        return QSeries(out, cut)
+        cut = min(self.cutoff, other.cutoff)
+        den, a, b = _common(self, other)
+        top = _floor(cut, den)
+        out = {k: c for k, c in a.items() if k <= top}
+        for k, c in b.items():
+            if k <= top:
+                c += out.get(k, 0)
+                if c:
+                    out[k] = c
+                else:
+                    out.pop(k, None)
+        return _series(out, den, cut)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.cutoff)
+        return _series({k: -c for k, c in self.terms.items()}, self.den, self.cutoff)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries({e: c * other for e, c in self.coeffs.items()}, self.cutoff)
-        cut = self._align(other)
-        low_self = min(self.coeffs, default=Fraction(0))
-        low_other = min(other.coeffs, default=Fraction(0))
-        out: Dict[Fraction, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            if e1 + low_other > cut:
-                continue
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e > cut:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QSeries(out, cut)
+            other = _num(other)
+            terms = {k: c * other for k, c in self.terms.items()} if other else {}
+            return _series(terms, self.den, self.cutoff)
+        cut = min(self.cutoff, other.cutoff)
+        den, a, b = _common(self, other)
+        top = _floor(cut, den)
+        right = sorted(b.items())
+        out: Dict[int, object] = {}
+        get = out.get
+        for k1, c1 in a.items():
+            room = top - k1
+            for k2, c2 in right:
+                if k2 > room:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _series({k: c for k, c in out.items() if c}, den, cut)
 
     __rmul__ = __mul__
 
     def shift(self, e) -> "QSeries":
         e = Fraction(e)
-        return QSeries({k + e: c for k, c in self.coeffs.items()}, self.cutoff + e)
+        den = math.lcm(self.den, e.denominator)
+        f = den // self.den
+        off = e.numerator * (den // e.denominator)
+        return _series({k * f + off: c for k, c in self.terms.items()}, den, self.cutoff + e)
 
     def truncate(self, cutoff) -> "QSeries":
         cutoff = Fraction(cutoff)
-        return QSeries({e: c for e, c in self.coeffs.items() if e <= cutoff}, cutoff)
+        top = _floor(cutoff, self.den)
+        return _series({k: c for k, c in self.terms.items() if k <= top}, self.den, cutoff)
 
     def agrees_with(self, other: "QSeries") -> Tuple[bool, Optional[Fraction]]:
         """Coefficientwise comparison up to the common cutoff; returns the
         first mismatching exponent on failure."""
-        cut = self._align(other)
-        for e in sorted(
-            e for e in set(self.coeffs) | set(other.coeffs) if e <= cut
-        ):
-            if self.coeffs.get(e, Fraction(0)) != other.coeffs.get(e, Fraction(0)):
-                return False, e
-        return True, None
+        den, a, b = _common(self, other)
+        top = _floor(min(self.cutoff, other.cutoff), den)
+        bad = [k for k in a.keys() | b.keys() if k <= top and a.get(k, 0) != b.get(k, 0)]
+        if not bad:
+            return True, None
+        return False, Fraction(min(bad), den)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.agrees_with(other)[0]
 
+    def _sorted(self) -> List[Tuple[Fraction, object]]:
+        return [(Fraction(k, self.den), self.terms[k]) for k in sorted(self.terms)]
+
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-            else:
-                parts.append("%s q^{%s}" % (c, e))
-        return " + ".join(parts)
+        parts = [str(c) if e == 0 else "%s q^{%s}" % (c, e) for e, c in self._sorted()]
+        return " + ".join(parts) or "0"
 
     def to_json(self) -> List[List[str]]:
-        return [[str(e), str(self.coeffs[e])] for e in sorted(self.coeffs)]
+        return [[str(e), str(c)] for e, c in self._sorted()]
 
 
 def _partition_counts(twisted: bool, n_half: int, parity: Optional[int]) -> List[int]:
@@ -138,14 +176,18 @@ def _partition_counts(twisted: bool, n_half: int, parity: Optional[int]) -> List
     return odd if parity else even
 
 
+def _counts_series(counts: Sequence[int], den: int, cutoff: Fraction) -> QSeries:
+    """sum_j counts[j] q^{j/den}, to the cutoff."""
+    top = _floor(cutoff, den)
+    return _series({j: c for j, c in enumerate(counts[: max(top + 1, 0)]) if c}, den, cutoff)
+
+
 def eta_inverse(cutoff=Fraction(20)) -> QSeries:
     """1/eta(q) = q^{-1/24} * sum_n p(n) q^n, to the cutoff."""
     cutoff = Fraction(cutoff)
     n_max = int(cutoff + 1)
     counts = _partition_counts(False, 2 * n_max, None)
-    series = QSeries(
-        {Fraction(n): Fraction(counts[2 * n]) for n in range(n_max + 1)}, cutoff + 1
-    )
+    series = _counts_series(counts[::2], 1, cutoff + 1)
     return series.shift(Fraction(-1, 24)).truncate(cutoff)
 
 
@@ -185,8 +227,7 @@ def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QS
         sector = module.sector()
         twisted, parity, offset = sector.twisted, module.parity(), sector.weight_offset_rat()
     counts = _partition_counts(twisted, math.floor(2 * (cutoff + 1)), parity)
-    coeffs = {Fraction(j, 2): Fraction(c) for j, c in enumerate(counts) if c}
-    series = QSeries(coeffs, cutoff + 1)
+    series = _counts_series(counts, 2, cutoff + 1)
     return series.shift(offset - Fraction(1, 24)).truncate(cutoff)
 
 
@@ -252,11 +293,9 @@ def verify_decomposition(
 def _half_odd_factors(cutoff: Fraction) -> Iterator[QSeries]:
     """The factors 1/(1-q^{k-1/2}), k >= 1, of prod 1/(1-q^{k-1/2}) below
     the cutoff, as geometric series."""
-    step = Fraction(1, 2)
-    while step <= cutoff:
-        terms = math.floor(cutoff / step) + 1
-        yield QSeries({step * i: Fraction(1) for i in range(terms)}, cutoff)
-        step += 1
+    top = _floor(cutoff, 2)
+    for step in range(1, top + 1, 2):
+        yield _series(dict.fromkeys(range(0, top + 1, step), 1), 2, cutoff)
 
 
 def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
@@ -267,13 +306,9 @@ def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
     for k, geom in enumerate(_half_odd_factors(cutoff), 1):
         euler = QSeries({Fraction(0): Fraction(1), Fraction(k): Fraction(-1)}, cutoff)
         lhs = lhs * euler * geom
-    rhs: Dict[Fraction, Fraction] = {}
-    p = 0
-    while Fraction(p * (p + 1), 4) <= cutoff:
-        e = Fraction(p * (p + 1), 4)
-        rhs[e] = rhs.get(e, Fraction(0)) + 1
-        p += 1
-    return lhs.agrees_with(QSeries(rhs, cutoff))[0]
+    top = _floor(cutoff, 4)
+    rhs = {p * (p + 1): 1 for p in range(math.isqrt(max(top, 0)) + 1) if p * (p + 1) <= top}
+    return lhs.agrees_with(_series(rhs, 4, cutoff))[0]
 
 
 def twisted_character_identity(cutoff=Fraction(20)) -> bool:

@@ -652,14 +652,14 @@ def _cmd_table41(args) -> int:
 
 def _cmd_char(args) -> int:
     cutoff = Fraction(_cutoff(args.cutoff, 20))
-    module = args.module
+    module = args.module.strip()
     if module != "Mtheta":
         module = ModuleLabel.parse(module)
     series = characters.graded_dimension(module, cutoff)
     if args.json:
         print(
             json.dumps(
-                {"module": str(args.module), "cutoff": str(cutoff), "terms": series.to_json()},
+                {"module": str(module), "cutoff": str(cutoff), "terms": series.to_json()},
                 sort_keys=True,
             )
         )

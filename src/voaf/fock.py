@@ -15,6 +15,11 @@ partitions returned by partitions_of and basis_at_degree.  Coefficients are
 Scalars: in a charged sector, lam**2 = s for a rational s, they lie in
 Q(sqrt(s)) and carry modulus s; in the vacuum and twisted sectors they are
 rational.
+
+The Heisenberg rule `mode_term` gives one mode's integer factor on one
+monomial.  apply_mode scales each coefficient by one integer ratio, and
+virasoro.L reads them once as integers over one common denominator
+(`numerators`), so both build each output coefficient once.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ class Sector(NamedTuple):
     def twisted_sector() -> "Sector":
         return Sector(True, None)
 
+    def charged(self) -> bool:
+        """Whether h(0) acts on the top vector as a nonzero lam."""
+        return not self.twisted and self.s is not None
+
     def lam_scalar(self) -> Scalar:
         """h(0) eigenvalue on the top vector."""
-        if self.twisted or self.s is None:
-            return Scalar.zero(self.s)
-        return Scalar.lam(self.s)
+        return Scalar.lam(self.s) if self.charged() else Scalar.zero(self.s)
 
     def depth_parity(self) -> int:
         """Parity of every doubled depth and nonzero mode index: 1 in the
@@ -169,7 +176,10 @@ class FockVector:
     def scale(self, c) -> "FockVector":
         c = self.sector.coeff(c)
         res = FockVector(self.sector)
-        if not c.is_zero():
+        if len(c.num) == 1:
+            r = c.num[0]
+            res.terms = {p: v.scaled(r.numerator, r.denominator) for p, v in self.terms.items()}
+        elif c:
             # Q(sqrt(s)) has zero divisors when s is a rational square
             for p, v in self.terms.items():
                 w = v * c
@@ -213,16 +223,17 @@ class FockVector:
                 raise ValueError("h(0) does not exist in the twisted sector")
         elif k % 2 != self.sector.depth_parity():
             raise ValueError("mode %s not allowed in sector %s" % (n, self.sector))
-        lam = self.sector.lam_scalar() if k == 0 else None
         # Adding or removing one part maps distinct keys to distinct keys, so
         # no two terms collide.
-        out: Dict[Key, Scalar] = {}
-        for p, c in self.terms.items():
-            t = mode_term(k, p, c, lam)
-            if t is not None:
-                out[t[0]] = t[1]
         res = FockVector(self.sector)
-        res.terms = out
+        lam = self.sector.lam_scalar() if k == 0 else None
+        for p, c in self.terms.items():
+            t = mode_term(k, p)
+            if t is not None:
+                # t[1] halves: 2 for a creation mode, which keeps c
+                c = c.scaled(t[1], 2) if k > 0 else c if k else c * lam
+                if c:
+                    res.terms[t[0]] = c
         return res
 
     def apply_modes(self, modes: Iterable) -> "FockVector":
@@ -256,27 +267,48 @@ class FockVector:
         return "FockVector(%s)" % self
 
 
-def mode_term(
-    k: int, p: Key, c: Scalar, lam: Optional[Scalar]
-) -> Optional[Tuple[Key, Scalar]]:
-    """h(k/2) applied to the monomial c*p, for a doubled mode index k legal
-    in p's sector: (key, coefficient), or None when the result is zero.
-    k < 0 creates the part -k, k > 0 annihilates one part k with factor
-    (k/2)*multiplicity, and k = 0 multiplies by lam, the sector's top charge
-    (unused for k != 0).  The one Heisenberg rule of the package."""
+def mode_term(k: int, p: Key) -> Optional[Tuple[Key, int]]:
+    """h(k/2) applied to the monomial p, for a doubled mode index k legal in
+    p's sector: (key, factor) with the factor in units of 1/2, or None when
+    the result is zero.  k < 0 creates the part -k (factor 2), k > 0
+    annihilates one part k with factor (k/2)*multiplicity, and k = 0 gives
+    factor 2 and leaves the caller to multiply by lam, the sector's top
+    charge.  The one Heisenberg rule of the package."""
     if k < 0:
-        return tuple(sorted(p + (-k,), reverse=True)), c
+        return tuple(sorted(p + (-k,), reverse=True)), 2
     if k == 0:
-        c = c * lam
-        return (p, c) if c else None
+        return p, 2
     mult = p.count(k)
     if not mult:
         return None
-    c = c * halve(k * mult)
-    if not c:
-        return None
     i = p.index(k)
-    return p[:i] + p[i + 1 :], c
+    return p[:i] + p[i + 1 :], k * mult
+
+
+def numerators(v: FockVector) -> Tuple[int, SValue, List[Tuple[Key, int, int]]]:
+    """(den, mod, [(key, a0, a1)]): v's coefficients (a0 + a1*lam)/den over
+    one common den, in the order of v.terms, and their modulus (a twisted
+    vector has one once a charged operator acts on it)."""
+    terms = v.terms
+    mod, den = v.sector.s, 1
+    for c in terms.values():
+        if c.mod is not None:
+            mod = c.mod
+        for x in c.num:
+            d = x.denominator
+            if den % d:
+                den = den * d // math.gcd(den, d)
+    out = []
+    for p, c in terms.items():
+        num = c.num
+        x = num[0]
+        a0 = x.numerator * (den // x.denominator)
+        if len(num) == 2:
+            x = num[1]
+            out.append((p, a0, x.numerator * (den // x.denominator)))
+        else:
+            out.append((p, a0, 0))
+    return den, mod, out
 
 
 # ----------------------------------------------------------------------

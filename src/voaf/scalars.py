@@ -217,6 +217,18 @@ class Scalar:
         return Scalar._make((value,) if value else (), _modulus(mod))
 
     @staticmethod
+    def ratio(x0: int, x1: int, den: int, mod: Optional[Fraction]) -> "Scalar":
+        """(x0 + x1*lam)/den for ints, den > 0 (x1 = 0 without a modulus)."""
+        if x1:
+            return Scalar._make((Fraction(x0, den), Fraction(x1, den)), mod)
+        return Scalar._make((Fraction(x0, den),) if x0 else (), mod)
+
+    def scaled(self, f: int, d: int) -> "Scalar":
+        """self * f/d for ints f != 0 and d > 0."""
+        num = tuple([Fraction(x.numerator * f, x.denominator * d) for x in self.num])
+        return Scalar._make(num, self.mod)
+
+    @staticmethod
     def zero(mod: Optional[Fraction] = None) -> "Scalar":
         return Scalar._make((), _modulus(mod))
 

@@ -115,7 +115,7 @@ def _product(
     out = FockVector.zero(sector)
     deg_out = sum(part) + E + sum(ns)
     if deg_out >= 0 and not ns:
-        out = _exp_pair(lam_a, E, part, sector)
+        out = _exp_pair(lam_a, E, part, sector, memo)
     elif deg_out >= 0:
         n, rest = ns[0], ns[1:]
         # d^{(n-1)}h(z)/(n-1)! = sum_k C(-k-1, n-1) h(k) z^{-k-n}, for the
@@ -127,16 +127,20 @@ def _product(
             if c:
                 w = _product(rest, lam_a, E + m + n, part, sector, memo)
                 out = out + w.apply_mode(halve(m)).scale(c)
+        lam_u = sector.lam_scalar()
         for m in set(part) if parity else set(part) | {0}:
-            c = sector.coeff(gen_binom(Fraction(-m - 2, 2), n // 2 - 1))
-            t = mode_term(m, part, c, sector.lam_scalar())
-            if t is not None:
-                out = out + _product(rest, lam_a, E + m + n, t[0], sector, memo).scale(t[1])
+            t = mode_term(m, part)
+            c = gen_binom(Fraction(-m - 2, 2), n // 2 - 1)
+            if t is None or not c:
+                continue
+            c = lam_u * c if m == 0 else c * Fraction(t[1], 2)
+            if c:
+                out = out + _product(rest, lam_a, E + m + n, t[0], sector, memo).scale(c)
     memo[key] = out
     return out
 
 
-def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector) -> FockVector:
+def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector, memo: dict) -> FockVector:
     """Coefficient of z^{E/2} of E(lam_a, z) on the monomial `part`."""
     base = FockVector(sector)
     base.terms = {part: Scalar.one(lam_a.mod)}
@@ -150,11 +154,19 @@ def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector) -> FockVector:
             vA = base.apply_modes([halve(d) for d in A])
             if vA.is_zero():
                 continue
-            coefA = _exp_coeff(A, lam_a, negative=True)
+            coefA = _exp_memo(A, lam_a, True, memo)
             for B in partition_keys(E + sA, sector):
                 w = vA.apply_modes([-halve(b) for b in B])
-                out = out + w.scale(coefA * _exp_coeff(B, lam_a, negative=False))
+                out = out + w.scale(coefA * _exp_memo(B, lam_a, False, memo))
     return out
+
+
+def _exp_memo(parts: Key, lam_a: Scalar, negative: bool, memo: dict) -> Scalar:
+    """_exp_coeff through the operator's memo, keyed by (parts, negative)."""
+    key = (parts, negative)
+    if key not in memo:
+        memo[key] = _exp_coeff(parts, lam_a, negative)
+    return memo[key]
 
 
 def _exp_coeff(parts: Key, lam_a: Scalar, negative: bool) -> Scalar:

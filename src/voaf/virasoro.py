@@ -7,63 +7,72 @@ lam.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
-from .fock import FockVector, Key, Sector, mode_term, partition_keys
+from .fock import FockVector, Key, Sector, mode_term, numerators, partition_keys
 from .scalars import Scalar
 
 
-_HALF = Fraction(1, 2)
-_TWISTED_OFFSET = Fraction(1, 16)
+@lru_cache(maxsize=2048)
+def _pairs(n: int, p: Key, par: int, charged: bool) -> Tuple[Tuple[Key, int, int], ...]:
+    """L(n) on the monomial p without the twisted offset: one (key, j, m)
+    per nonzero normal-ordered pair, whose image is m/16 lam^j times the
+    monomial `key`.  It depends on the sector only through its depth
+    parity and whether h(0) acts."""
+    # k is a doubled mode index.  Off-diagonal pairs h(n - k/2) h(k/2) have
+    # k > n, h(k/2) applied first so the product is normal ordered; only
+    # k <= 0 and the parts of p give a nonzero h(k/2), and h(0) only on a
+    # charged sector.  Their factors f1/2 and f2/2 give m = 4*f1*f2.  The
+    # diagonal (1/2) h(n/2)^2, when n/2 is a legal mode index, gives 2*f1*f2.
+    first = n + 1 if (n + 1) % 2 == par else n + 2
+    pairs = [(k, 4) for k in dict.fromkeys(p) if k > n and (charged or k != 2 * n)]
+    pairs += [(k, 4) for k in range(first, 1, 2) if k or charged]
+    if n % 2 == par and (n or charged):
+        pairs.append((n, 2))
+    hits = []
+    for k, w in pairs:
+        t = mode_term(k, p)
+        if t is not None:
+            u = mode_term(2 * n - k, t[0])
+            if u is not None:
+                hits.append((u[0], (k == 0) + (k == 2 * n), w * t[1] * u[1]))
+    return tuple(hits)
 
 
 def L(n: int, v: FockVector) -> FockVector:
-    """Apply L(n) to v in one pass over its monomials."""
+    """Apply L(n) to v in one pass over its monomials, on integers: v's
+    coefficients are read once as numerators over one denominator, each
+    monomial's pairs of modes add integer multiples of them, and each
+    output coefficient is built once."""
     sector = v.sector
     if v.is_zero():
         return v
-    # Doubled mode indices: the off-diagonal pairs h(n - k/2) h(k/2) with
-    # k > n, h(k/2) applied first so the product is normal ordered.  Only
-    # k <= 0 and the parts of a monomial give a nonzero h(k/2).
-    par = sector.depth_parity()
-    lam = None if sector.twisted else sector.lam_scalar()
-    first = n + 1 if (n + 1) % 2 == par else n + 2
-    low = range(first, 1, 2)
-    # the diagonal (1/2) h(n/2)^2 when n/2 is a legal mode index
-    diagonal = n % 2 == par and not (n == 0 and sector.s is None)
-    offset = _TWISTED_OFFSET if sector.twisted and n == 0 else None
-    out: Dict[Key, Scalar] = {}
-
-    def add(p, c):
-        prev = out.get(p)
-        out[p] = c if prev is None else prev + c
-
-    def pair(k, p, c):
-        # h(n - k/2) h(k/2) c*p
-        t = mode_term(k, p, c, lam)
-        if t is not None:
-            t = mode_term(2 * n - k, t[0], t[1], lam)
-            if t is not None:
-                add(t[0], t[1])
-
-    for p, c in v.terms.items():
-        prev_part = None
-        for k in p:
-            if k <= n:
-                break
-            if k != prev_part:
-                prev_part = k
-                pair(k, p, c)
-        for k in low:
-            pair(k, p, c)
-        if diagonal:
-            pair(n, p, c * _HALF)
-        if offset is not None:
-            add(p, c * offset)
+    par, charged = sector.depth_parity(), sector.charged()
+    offset = sector.twisted and n == 0  # + 1/16 on the twisted sector
+    den, mod, nums = numerators(v)
+    sn, sd = (sector.s.numerator, sector.s.denominator) if charged else (0, 1)
+    out: Dict[Key, List[int]] = {}
+    for p, a0, a1 in nums:
+        hits = _pairs(n, p, par, charged)
+        if offset:
+            hits += ((p, 0, 1),)
+        # (a0 + a1*lam) * lam^j as numerators over sd
+        pows = ((a0 * sd, a1 * sd), (a1 * sn, a0 * sd), (a0 * sn, a1 * sn))
+        for q, j, m in hits:
+            b0, b1 = pows[j]
+            acc = out.get(q)
+            if acc is None:
+                out[q] = [b0 * m, b1 * m]
+            else:
+                acc[0] += b0 * m
+                acc[1] += b1 * m
+    top = 16 * den * sd
     res = FockVector(sector)
-    res.terms = {p: c for p, c in out.items() if c}
+    for p, (x0, x1) in out.items():
+        if x0 or x1:
+            res.terms[p] = Scalar.ratio(x0, x1, top, mod)
     return res
 
 

@@ -17,6 +17,9 @@ from voaf.characters import (
     twisted_character_identity,
     verify_decomposition,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from voaf.fock import Sector, basis_at_degree
 from voaf.labels import ModuleLabel
 
@@ -60,6 +63,105 @@ class TestQSeries:
     def test_str_deterministic(self):
         a = QSeries({F(0): F(1), F(1, 2): F(2)}, cutoff=3)
         assert str(a) == "1 + 2 q^{1/2}"
+
+
+class _RefSeries:
+    """The dict-of-Fraction series QSeries replaced: exponent -> coefficient,
+    both Fractions, and a rational cutoff."""
+
+    def __init__(self, coeffs, cutoff):
+        self.cutoff = F(cutoff)
+        self.coeffs = {F(e): F(c) for e, c in coeffs.items() if c and F(e) <= self.cutoff}
+
+    def __add__(self, other):
+        cut = min(self.cutoff, other.cutoff)
+        keys = set(self.coeffs) | set(other.coeffs)
+        return _RefSeries({e: self.coeffs.get(e, 0) + other.coeffs.get(e, 0) for e in keys}, cut)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _RefSeries({e: c * other for e, c in self.coeffs.items()}, self.cutoff)
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return _RefSeries(out, min(self.cutoff, other.cutoff))
+
+    def shift(self, e):
+        return _RefSeries({k + e: c for k, c in self.coeffs.items()}, self.cutoff + e)
+
+    def truncate(self, cutoff):
+        return _RefSeries({e: c for e, c in self.coeffs.items() if e <= cutoff}, cutoff)
+
+    def agrees_with(self, other):
+        cut = min(self.cutoff, other.cutoff)
+        for e in sorted(e for e in set(self.coeffs) | set(other.coeffs) if e <= cut):
+            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
+                return False, e
+        return True, None
+
+
+# a few lattices, so terms collide; cutoffs on and off them
+_EXPONENT = st.builds(F, st.integers(-12, 40), st.sampled_from([1, 2, 3, 8, 24]))
+_CUTOFF = st.builds(F, st.integers(-3, 30), st.sampled_from([1, 2, 5, 7]))
+_COEFF = st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=3))
+_TERMS = st.dictionaries(_EXPONENT, _COEFF, max_size=8)
+
+
+def _pair(terms, cutoff):
+    return QSeries(terms, cutoff), _RefSeries(terms, cutoff)
+
+
+def _same(series, ref):
+    assert series.coeffs == ref.coeffs and series.cutoff == ref.cutoff
+    assert len(series.coeffs) == len(series.terms)
+
+
+class TestQSeriesAgainstFractions:
+    @settings(max_examples=60, deadline=None)
+    @given(_TERMS, _CUTOFF, _TERMS, _CUTOFF)
+    def test_sum_and_product(self, t1, c1, t2, c2):
+        (a, ra), (b, rb) = _pair(t1, c1), _pair(t2, c2)
+        _same(a + b, ra + rb)
+        _same(a - b, ra + rb * -1)
+        _same(a * b, ra * rb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TERMS, _CUTOFF, _COEFF)
+    def test_scalar_product(self, t, c, k):
+        a, ra = _pair(t, c)
+        _same(a * k, ra * F(k))
+        _same(k * a, ra * F(k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TERMS, _CUTOFF, _EXPONENT, _CUTOFF)
+    def test_shift_and_truncate(self, t, c, e, cut):
+        a, ra = _pair(t, c)
+        _same(a.shift(e), ra.shift(e))
+        _same(a.truncate(cut), ra.truncate(cut))
+        _same(a.shift(e).truncate(cut), ra.shift(e).truncate(cut))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TERMS, _CUTOFF, _TERMS, _CUTOFF, _EXPONENT)
+    def test_agrees_with(self, t1, c1, t2, c2, e):
+        (a, ra), (b, rb) = _pair(t1, c1), _pair(t2, c2)
+        assert a.agrees_with(b) == ra.agrees_with(rb)
+        # the same series on a finer lattice
+        assert a.agrees_with(a.shift(e).shift(-e)) == (True, None)
+        assert (a + b).agrees_with(b + a) == (True, None)
+
+    def test_character_arithmetic_stays_on_ints(self):
+        series = [graded_dimension(m, 8) for m in ("M+", "Mtheta", "M(s=7/3)")]
+        series += [char_virasoro_c1(F(1), 8) * F(2), eta_inverse(8).shift(F(1, 16))]
+        for s in series + [series[0] * series[1] - series[2]]:
+            assert s.terms and all(type(c) is int for c in s.terms.values())
+            assert all(type(k) is int for k in s.terms)
+
+    def test_json_and_text_build_the_fractions(self):
+        a = QSeries({F(-1, 24): 1, F(3, 2): F(5), F(0): F(-1, 3)}, 8)
+        assert a.to_json() == [["-1/24", "1"], ["0", "-1/3"], ["3/2", "5"]]
+        assert str(a) == "1 q^{-1/24} + -1/3 + 5 q^{3/2}"
+        assert str(QSeries.zero(3)) == "0"
 
 
 class TestEta:

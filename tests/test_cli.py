@@ -78,6 +78,17 @@ class TestChar:
         assert code == 0 and code5 == 0
         assert len(json.loads(out5)["terms"]) > len(json.loads(out3)["terms"])
 
+    @pytest.mark.parametrize(
+        "given,label",
+        [(" M+ ", "M+"), ("M(s=04)", "M(s=4)"), ("M(s=2/4)", "M(s=1/2)"),
+         ("Mtheta", "Mtheta"), (" Mtheta ", "Mtheta"), ("Mtheta-", "Mtheta-")],
+    )
+    def test_json_names_the_canonical_label(self, capsys, given, label):
+        code, out, _ = run(capsys, "char", "--module", given, "--cutoff", "3", "--json")
+        _, want, _ = run(capsys, "char", "--module", label, "--cutoff", "3", "--json")
+        assert code == 0 and json.loads(out)["module"] == label
+        assert out == want
+
     def test_negative_cutoff_exit_2(self, capsys):
         code, out, err = run(capsys, "char", "--module", "M+", "--cutoff", "-5")
         assert code == 2

@@ -352,3 +352,22 @@ class TestProductRecursion:
         modes(J_state(), range(-2, 8), u)
         assert len(memos) == 1
         assert computed and len(computed) == len(set(computed))
+
+    def test_one_operator_call_computes_each_exp_coefficient_once(self, monkeypatch):
+        # a = h(-2)e^lam + h(-1)^2 e^lam at s = 9 on a two-term twisted u: the
+        # charged base case reaches the same creation multisets at many
+        # (E, monomial), and the operator's memo keeps each coefficient
+        a = FockVector(Sector.untwisted(Fraction(9)), {(2,): 1, (1, 1): 1})
+        u = FockVector(TW, {(Fraction(1, 2),): 1, (Fraction(3, 2),): 1})
+        calls = []
+        real = vertexops._exp_coeff
+
+        def counting(parts, lam_a, negative):
+            calls.append((parts, negative))
+            return real(parts, lam_a, negative)
+
+        monkeypatch.setattr(vertexops, "_exp_coeff", counting)
+        for k in range(-6, 7):
+            calls.clear()
+            vertex_op_coeff(a, u, Fraction(k, 2))
+            assert calls and len(calls) == len(set(calls)), k

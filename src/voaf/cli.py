@@ -165,6 +165,8 @@ def parse_state(text: str, sector: Sector) -> FockVector:
             i += 1
         if terminal is None:
             raise ValueError("term missing its terminal (|0>, e^lam, 1theta)")
+        if i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
+            raise ValueError("terms must be joined by + or -, found %r" % tokens[i][1])
         if terminal != want:
             raise ValueError(
                 "terminal %r does not match the module's sector (wants %r)"

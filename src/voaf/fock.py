@@ -17,8 +17,8 @@ Q(sqrt(s)) and carry modulus s; in the vacuum and twisted sectors they are
 rational.
 
 The Heisenberg rule `mode_term` gives one mode's integer factor on one
-monomial.  apply_mode scales each coefficient by one integer ratio, and
-virasoro.L reads them once as integers over one common denominator
+monomial.  apply_mode scales each coefficient's ints by it, and virasoro.L
+reads the coefficients once as integers over one common denominator
 (`numerators`), so both build each output coefficient once.
 """
 
@@ -176,10 +176,13 @@ class FockVector:
     def scale(self, c) -> "FockVector":
         c = self.sector.coeff(c)
         res = FockVector(self.sector)
-        if len(c.num) == 1:
-            r = c.num[0]
-            res.terms = {p: v.scaled(r.numerator, r.denominator) for p, v in self.terms.items()}
-        elif c:
+        if not c.a1:
+            f, g = c.a0, c.d
+            if f:
+                res.terms = {
+                    p: Scalar(v.a0 * f, v.a1 * f, v.d * g, v.mod) for p, v in self.terms.items()
+                }
+        else:
             # Q(sqrt(s)) has zero divisors when s is a rational square
             for p, v in self.terms.items():
                 w = v * c
@@ -231,7 +234,10 @@ class FockVector:
             t = mode_term(k, p)
             if t is not None:
                 # t[1] halves: 2 for a creation mode, which keeps c
-                c = c.scaled(t[1], 2) if k > 0 else c if k else c * lam
+                if k > 0:
+                    c = Scalar(c.a0 * t[1], c.a1 * t[1], c.d * 2, c.mod)
+                elif not k:
+                    c = c * lam
                 if c:
                     res.terms[t[0]] = c
         return res
@@ -289,26 +295,10 @@ def numerators(v: FockVector) -> Tuple[int, SValue, List[Tuple[Key, int, int]]]:
     """(den, mod, [(key, a0, a1)]): v's coefficients (a0 + a1*lam)/den over
     one common den, in the order of v.terms, and their modulus (a twisted
     vector has one once a charged operator acts on it)."""
-    terms = v.terms
-    mod, den = v.sector.s, 1
-    for c in terms.values():
-        if c.mod is not None:
-            mod = c.mod
-        for x in c.num:
-            d = x.denominator
-            if den % d:
-                den = den * d // math.gcd(den, d)
-    out = []
-    for p, c in terms.items():
-        num = c.num
-        x = num[0]
-        a0 = x.numerator * (den // x.denominator)
-        if len(num) == 2:
-            x = num[1]
-            out.append((p, a0, x.numerator * (den // x.denominator)))
-        else:
-            out.append((p, a0, 0))
-    return den, mod, out
+    cs = v.terms.values()
+    den = math.lcm(*[c.d for c in cs])
+    mod = next((c.mod for c in cs if c.mod is not None), v.sector.s)
+    return den, mod, [(p, c.a0 * (den // c.d), c.a1 * (den // c.d)) for p, c in v.terms.items()]
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Exact scalar arithmetic.
 
-A scalar is a rational number, or an element c0 + c1*lam of the quadratic
+A scalar is a rational number, or an element a + b*lam of the quadratic
 extension Q(sqrt(s)) given by the relation ``lam**2 == s`` for a fixed
 rational modulus ``s`` (its degenerate version when s is a rational
 square).  There is no free symbol: a scalar without a modulus holds only Q.
 
-Univariate polynomials over Q are represented as tuples of Fractions in
-increasing degree order with no trailing zeros; the zero polynomial is the
-empty tuple.
+A Scalar is (a0 + a1*lam)/d for ints a0, a1 and d, with its modulus ``mod``
+(a Fraction, or None).  Every Scalar is in canonical form: d > 0,
+gcd(a0, a1, d) == 1 (so zero is 0/1), and a1 == 0 without a modulus.
+``Scalar.__init__`` is the one place that puts it there: the arithmetic
+computes integer numerators and a denominator and builds its result with
+the constructor.  Canonical forms are unique, so equality with a common
+modulus compares the ints.
 
-Every Scalar is in canonical form, and ``Scalar.__init__`` is the one place
-that puts it there: ``den == (1,)``, and ``num`` has at most two terms with
-a modulus and at most one without.  Canonical forms are unique, so equality
-with a common modulus compares ``num``.  The arithmetic computes the
-canonical result directly and builds it with ``Scalar._make``, which skips
-normalisation.
+Univariate polynomials over Q (interpolation and printing) are tuples of
+Fractions in increasing degree order with no trailing zeros; the zero
+polynomial is the empty tuple.
 """
 
 from __future__ import annotations
@@ -22,76 +23,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 UPoly = Tuple[Fraction, ...]
-
-_ONE: UPoly = (Fraction(1),)
-_ZERO = Fraction(0)
-_new = object.__new__
-
-RatLike = Union[int, Fraction]
-
-
-# ----------------------------------------------------------------------
-# univariate polynomial helpers
-
-
-def _rat(c) -> Fraction:
-    return c if type(c) is Fraction else Fraction(c)
-
-
-def _modulus(mod) -> Optional[Fraction]:
-    return None if mod is None else _rat(mod)
-
-
-def _trim(cs: list) -> UPoly:
-    """The list `cs` without trailing zeros, as a tuple (pops in place)."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _pnorm(cs) -> UPoly:
-    return _trim(list(cs))
-
-
-def _padd(a: UPoly, b: UPoly) -> UPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _psub(a: UPoly, b: UPoly) -> UPoly:
-    out = list(a)
-    out.extend([_ZERO] * (len(b) - len(a)))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _pneg(a: UPoly) -> UPoly:
-    return tuple([-c for c in a])
-
-
-def _pmul(a: UPoly, b: UPoly) -> UPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _pnorm(out)
-
-
-def _pscale(a: UPoly, c: Fraction) -> UPoly:
-    if not c:
-        return ()
-    return tuple([x * c for x in a])
 
 
 def upoly_str(p: UPoly, var: str) -> str:
@@ -118,15 +52,21 @@ def upoly_str(p: UPoly, var: str) -> str:
 def interpolate(xs, ys) -> UPoly:
     """The polynomial of least degree through the points (x, y), the x
     distinct, by Newton's divided differences over Q."""
-    xs = [_rat(x) for x in xs]
-    cs = [_rat(y) for y in ys]
+    xs = [Fraction(x) for x in xs]
+    cs = [Fraction(y) for y in ys]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    out: UPoly = ()
+    # Horner on the Newton form: out <- out * (t - x) + c
+    out = []
     for x, c in zip(reversed(xs), reversed(cs)):
-        out = _padd(_pmul(out, (-x, Fraction(1))), (c,))
-    return out
+        out.insert(0, Fraction(0))
+        for i in range(len(out) - 1):
+            out[i] -= x * out[i + 1]
+        out[0] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 # the charge grammar of a module label: an integer or p/q, p optionally negative
@@ -156,219 +96,168 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-# ----------------------------------------------------------------------
-
-
 class Scalar:
-    """A rational, or an element of Q(sqrt(mod)) written c0 + c1*lam."""
+    """(a0 + a1*lam)/d in canonical form, lam**2 == mod.  A Scalar is a
+    value: no operation changes one."""
 
-    __slots__ = ("num", "mod")
-    den: UPoly = _ONE  # every canonical form has denominator 1
+    __slots__ = ("a0", "a1", "d", "mod")
+    den: UPoly = (Fraction(1),)  # the denominator of `num`: always 1
 
-    def __init__(self, num, den=_ONE, mod: Optional[Fraction] = None):
-        """num/den for polynomials num and den in lam, reduced modulo
-        lam**2 == mod; without a modulus both must be constants."""
-        num = _pnorm(_rat(c) for c in num)
-        den = _pnorm(_rat(c) for c in den)
-        if not den:
+    def __init__(self, a0: int, a1: int, d: int, mod: Optional[Fraction]):
+        """(a0 + a1*lam)/d for ints a0, a1 and d != 0, put in canonical
+        form; a1 must be 0 without a modulus."""
+        if d < 0:
+            a0, a1, d = -a0, -a1, -d
+        elif not d:
             raise ZeroDivisionError("scalar with zero denominator")
-        if mod is None:
-            if len(num) > 1 or len(den) > 1:
-                raise ValueError("a scalar without a modulus is rational, not a polynomial in lam")
-        else:
+        if a1 and mod is None:
+            raise ValueError("a scalar without a modulus is rational, not a polynomial in lam")
+        g = math.gcd(a0, a1, d)
+        if g != 1:
+            a0, a1, d = a0 // g, a1 // g, d // g
+        if mod is not None and type(mod) is not Fraction:
             mod = Fraction(mod)
-            num = self._fold(num, mod)
-            den = self._fold(den, mod)
-            # rationalize: 1/(a + b*lam) = (a - b*lam)/(a^2 - b^2*s)
-            if len(den) == 2:
-                conj = (den[0], -den[1])
-                num = self._fold(_pmul(num, conj), mod)
-                den = self._fold(_pmul(den, conj), mod)
-            if not den:
-                raise ZeroDivisionError(
-                    "denominator is a zero divisor modulo lam^2 - %s" % mod
-                )
-        if den[0] != 1:
-            num = _pscale(num, 1 / den[0])
-        self.num = num
+        self.a0 = a0
+        self.a1 = a1
+        self.d = d
         self.mod = mod
 
-    @staticmethod
-    def _make(num: UPoly, mod: Optional[Fraction]) -> "Scalar":
-        """A Scalar from a numerator already in canonical form, not normalised."""
-        sc = _new(Scalar)
-        sc.num = num
-        sc.mod = mod
-        return sc
+    @property
+    def num(self) -> UPoly:
+        """The coefficients (c0, c1) of c0 + c1*lam as Fractions, without
+        trailing zeros: () for zero, (c0,) for a rational."""
+        if self.a1:
+            return (Fraction(self.a0, self.d), Fraction(self.a1, self.d))
+        return (Fraction(self.a0, self.d),) if self.a0 else ()
 
     @staticmethod
-    def _fold(p: UPoly, mod: Fraction) -> UPoly:
-        # reduce lam^k for k >= 2 using lam^2 = mod
-        out = [Fraction(0), Fraction(0)]
-        for k, c in enumerate(p):
-            out[k % 2] += c * mod ** (k // 2)
-        return _pnorm(out)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def of(value: RatLike, mod: Optional[Fraction] = None) -> "Scalar":
-        value = _rat(value)
-        return Scalar._make((value,) if value else (), _modulus(mod))
-
-    @staticmethod
-    def ratio(x0: int, x1: int, den: int, mod: Optional[Fraction]) -> "Scalar":
-        """(x0 + x1*lam)/den for ints, den > 0 (x1 = 0 without a modulus)."""
-        if x1:
-            return Scalar._make((Fraction(x0, den), Fraction(x1, den)), mod)
-        return Scalar._make((Fraction(x0, den),) if x0 else (), mod)
-
-    def scaled(self, f: int, d: int) -> "Scalar":
-        """self * f/d for ints f != 0 and d > 0."""
-        num = tuple([Fraction(x.numerator * f, x.denominator * d) for x in self.num])
-        return Scalar._make(num, self.mod)
+    def of(value: int | Fraction, mod: Optional[Fraction] = None) -> "Scalar":
+        return Scalar(value.numerator, 0, value.denominator, mod)
 
     @staticmethod
     def zero(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar._make((), _modulus(mod))
+        return Scalar(0, 0, 1, mod)
 
     @staticmethod
     def one(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar._make(_ONE, _modulus(mod))
+        return Scalar(1, 0, 1, mod)
 
     @staticmethod
     def lam(mod: Optional[Fraction]) -> "Scalar":
         """lam with lam**2 == mod; without a modulus lam is no scalar."""
         if mod is None:
             raise ValueError("lam needs a modulus lam^2 = s")
-        return Scalar._make((Fraction(0), Fraction(1)), _rat(mod))
+        return Scalar(0, 1, 1, mod)
 
-    # ------------------------------------------------------------------
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            return other
+    def _operand(self, other):
+        """(b0, b1, e, mod): the ints of `other` (a Scalar, int or Fraction)
+        and the modulus of a result with it; None for any other type."""
+        if type(other) is Scalar:
+            mod = self.mod
+            if not (mod is other.mod or mod == other.mod):
+                if not self.a1:
+                    mod = other.mod
+                elif other.a1:
+                    raise ValueError("scalar modulus mismatch: %r vs %r" % (mod, other.mod))
+            return other.a0, other.a1, other.d, mod
         if isinstance(other, (int, Fraction)):
-            return Scalar.of(other, mod=self.mod)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _check(self, other: "Scalar") -> Optional[Fraction]:
-        if self.mod == other.mod:
-            return self.mod
-        if self.is_rational():
-            return other.mod
-        if other.is_rational():
-            return self.mod
-        raise ValueError("scalar modulus mismatch: %r vs %r" % (self.mod, other.mod))
+            return other.numerator, 0, other.denominator, self.mod
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return Scalar._make(_padd(self.num, other.num), self._check(other))
+        b0, b1, e, mod = o
+        d = self.d
+        return Scalar(self.a0 * e + b0 * d, self.a1 * e + b1 * d, d * e, mod)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._make(_pneg(self.num), self.mod)
+        return Scalar(-self.a0, -self.a1, self.d, self.mod)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return Scalar._make(_psub(self.num, other.num), self._check(other))
+        b0, b1, e, mod = o
+        d = self.d
+        return Scalar(self.a0 * e - b0 * d, self.a1 * e - b1 * d, d * e, mod)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        mod = self._check(other)
-        a, b = self.num, other.num
-        if len(a) == 1:
-            return Scalar._make(_pscale(b, a[0]), mod)
-        if len(b) == 1:
-            return Scalar._make(_pscale(a, b[0]), mod)
-        if not a or not b:
-            return Scalar._make((), mod)
-        # two terms each, so there is a modulus
-        (a0, a1), (b0, b1) = a, b
-        return Scalar._make(_trim([a0 * b0 + a1 * b1 * mod, a0 * b1 + a1 * b0]), mod)
+        b0, b1, e, mod = o
+        a0, a1 = self.a0, self.a1
+        if not (a1 and b1):
+            return Scalar(a0 * b0, a1 * b0 + a0 * b1, self.d * e, mod)
+        # two lam-parts, so there is a modulus s = sn/sd
+        sn, sd = mod.numerator, mod.denominator
+        return Scalar(a0 * b0 * sd + a1 * b1 * sn, (a0 * b1 + a1 * b0) * sd, self.d * e * sd, mod)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        mod = self._check(other)
-        b = other.num
-        if not b:
-            raise ZeroDivisionError("scalar division by zero")
-        if len(b) == 1:
-            return Scalar._make(_pscale(self.num, 1 / b[0]), mod)
-        # (a0 + a1*lam)/(b0 + b1*lam) = (a0 + a1*lam)(b0 - b1*lam)/norm
-        b0, b1 = b
-        norm = b0 * b0 - b1 * b1 * mod
+        b0, b1, e, mod = o
+        a0, a1, d = self.a0, self.a1, self.d
+        if not b1:
+            if not b0:
+                raise ZeroDivisionError("scalar division by zero")
+            return Scalar(a0 * e, a1 * e, d * b0, mod)
+        # (a0 + a1*lam)/(b0 + b1*lam) = (a0 + a1*lam)(b0 - b1*lam)/norm, s = sn/sd
+        sn, sd = mod.numerator, mod.denominator
+        norm = b0 * b0 * sd - b1 * b1 * sn
         if not norm:
             raise ZeroDivisionError("denominator is a zero divisor modulo lam^2 - %s" % mod)
-        a0, a1 = (self.num + (_ZERO, _ZERO))[:2]
-        num = _trim([(a0 * b0 - a1 * b1 * mod) / norm, (a1 * b0 - a0 * b1) / norm])
-        return Scalar._make(num, mod)
+        x0, x1 = a0 * b0 * sd - a1 * b1 * sn, (a1 * b0 - a0 * b1) * sd
+        return Scalar(x0 * e, x1 * e, d * norm, mod)
 
     def __rtruediv__(self, other):
-        return Scalar.of(other, mod=self.mod) / self
+        return Scalar.of(other, self.mod) / self
 
     def __pow__(self, k: int):
         if k < 0:
             return (Scalar.one(self.mod) / self) ** (-k)
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Scalar.one(self.mod) if out is None else out
+        out = Scalar.one(self.mod)
+        for _ in range(k):
+            out = out * self
+        return out
 
     def __bool__(self):
-        return bool(self.num)
+        return self.a0 != 0 or self.a1 != 0
 
     def is_zero(self) -> bool:
-        return not self.num
+        return self.a0 == 0 and self.a1 == 0
 
     def __eq__(self, other):
+        if type(other) is Scalar:
+            if self.a0 != other.a0 or self.a1 != other.a1 or self.d != other.d:
+                return False
+            return not self.a1 or self.mod == other.mod  # a rational is one in every field
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rat() == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.mod == other.mod:
-            # canonical forms are unique
-            return self.num == other.num
-        try:
-            return (self - other).is_zero()
-        except ValueError:
-            return False
+            return not self.a1 and self.a0 == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_rat())
-        return hash((self.num, self.mod))
-
-    # ------------------------------------------------------------------
+        if self.a1:
+            return hash((self.a0, self.a1, self.d, self.mod))
+        return hash(self.a0) if self.d == 1 else hash(Fraction(self.a0, self.d))
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1
+        return not self.a1
 
     def as_rat(self) -> Fraction:
-        if not self.is_rational():
+        if self.a1:
             raise ValueError("scalar %s is not rational" % self)
-        return self.num[0] if self.num else Fraction(0)
-
-    # ------------------------------------------------------------------
+        return Fraction(self.a0, self.d)
 
     def __repr__(self):
         return "Scalar(%s)" % self

@@ -72,7 +72,7 @@ def L(n: int, v: FockVector) -> FockVector:
     res = FockVector(sector)
     for p, (x0, x1) in out.items():
         if x0 or x1:
-            res.terms[p] = Scalar.ratio(x0, x1, top, mod)
+            res.terms[p] = Scalar(x0, x1, top, mod)
     return res
 
 

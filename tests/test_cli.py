@@ -378,6 +378,13 @@ class TestReduce:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr", ["e^lam e^lam", "h(-1)e^lam 2*e^lam", "e^lam * e^lam"])
+    def test_juxtaposed_terms_exit_2(self, capsys, expr):
+        # terms are joined by + or -; two terms side by side are not summed
+        code, out, err = run(capsys, "reduce", "--module", "M(s=2)", "--expr", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: terms must be joined by + or -") and err.count("\n") == 1
+
     def test_cancelling_sum_is_valid(self, capsys):
         code, out, _ = run(capsys, "reduce", "--module", "M+",
                            "--expr", "h(-1)h(-1)|0> - h(-1)h(-1)|0>")

@@ -1,5 +1,6 @@
 """Exact scalar field, multivariate polynomials, and linear algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from voaf.multipoly import VARS, MultiPoly, Point
 from voaf.scalars import (
     Phase,
     Scalar,
-    _pnorm,
     interpolate,
     rational_sqrt,
     upoly_str,
@@ -151,10 +151,48 @@ def _ref_add(a, b, sign=1):
     return out
 
 
+def _trimmed(cs):
+    """The coefficients as a tuple of Fractions without trailing zeros."""
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _fold(p, mod):
+    """The polynomial p in lam reduced modulo lam**2 - mod, as [c0, c1]."""
+    out = [Fraction(0), Fraction(0)]
+    for k, c in enumerate(p):
+        out[k % 2] += c * mod ** (k // 2)
+    return out
+
+
+def _normalising_route(num, den, mod):
+    """num/den for polynomials num and den in lam, by the polynomial route
+    the package once took: fold both modulo lam**2 - mod, rationalise the
+    denominator by its conjugate, divide out the constant that is left.
+    Returns the canonical coefficients (c0, c1) of c0 + c1*lam, trailing
+    zeros trimmed.  Without a modulus both must be constants."""
+    if mod is None:
+        num, den = _trimmed(num), _trimmed(den)
+        if len(num) > 1 or len(den) > 1:
+            raise ValueError("a polynomial in lam needs a modulus")
+    else:
+        num, den = _fold(num, mod), _fold(den, mod)
+        # 1/(a + b*lam) = (a - b*lam)/(a^2 - b^2*mod)
+        conj = (den[0], -den[1])
+        num, den = _fold(_ref_mul(num, conj), mod), _fold(_ref_mul(den, conj), mod)
+        num, den = _trimmed(num), _trimmed(den)
+    if not den:
+        raise ZeroDivisionError("the denominator vanishes modulo lam^2 - %s" % mod)
+    return tuple(c / den[0] for c in num)
+
+
 def _reference(op, a, b):
-    """a op b by the normalising route: unreduced num/den through
-    Scalar.__init__, with today's modulus rule."""
-    mod = a._check(b)
+    """a op b by the normalising route on unreduced num/den: (coefficients,
+    modulus).  The modulus is the common one, or a rational operand's
+    partner's."""
+    mod = a.mod if a.mod == b.mod else b.mod if a.is_rational() else a.mod
     if op == "+":
         num, den = _ref_add(_ref_mul(a.num, b.den), _ref_mul(b.num, a.den)), None
     elif op == "-":
@@ -167,7 +205,14 @@ def _reference(op, a, b):
         num, den = _ref_mul(a.num, b.den), _ref_mul(a.den, b.num)
     if den is None:
         den = _ref_mul(a.den, b.den)
-    return Scalar(num, den, mod)
+    return _normalising_route(num, den, mod), mod
+
+
+def _build(cs, mod=None):
+    """The Scalar c0 + c1*lam for rationals (c0[, c1]), by the constructor."""
+    c0, c1 = (Fraction(c) for c in tuple(cs) + (0,) * (2 - len(cs)))
+    d = c0.denominator * c1.denominator
+    return Scalar(c0.numerator * c1.denominator, c1.numerator * c0.denominator, d, mod)
 
 
 _OPS = {
@@ -183,18 +228,18 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 def _in_sqrt(mod):
     """Elements of Q(sqrt(mod)); for a rational square mod they include the
     zero divisors c*(r +- lam) with r**2 == mod."""
-    generic = st.tuples(small, small).map(lambda ab: Scalar(ab, (1,), mod))
+    generic = st.tuples(small, small).map(lambda ab: _build(ab, mod))
     r = rational_sqrt(mod)
     if r is None:
         return generic
     divisors = st.tuples(small, st.sampled_from([1, -1])).map(
-        lambda cs: Scalar((cs[0] * r, cs[0] * cs[1]), (1,), mod)
+        lambda cs: _build((cs[0] * r, cs[0] * cs[1]), mod)
     )
     return st.one_of(generic, divisors)
 
 
 _FIELDS = {
-    "Q": st.tuples(small).map(lambda a: Scalar(a)),
+    "Q": st.tuples(small).map(_build),
     "Q(sqrt 3)": _in_sqrt(Fraction(3)),
     "Q(sqrt 4)": _in_sqrt(Fraction(4)),
     "Q(sqrt 9/4)": _in_sqrt(Fraction(9, 4)),
@@ -208,26 +253,39 @@ def _operand_pair(draw):
     # a rational with no modulus combines with every field
     mix = draw(st.sampled_from(["same", "left", "right"]))
     if mix == "left":
-        a = Scalar((draw(small),))
+        a = _build((draw(small),))
     elif mix == "right":
-        b = Scalar((draw(small),))
+        b = _build((draw(small),))
     return a, b
 
 
+def _canonical(sc):
+    """The canonical form: int a0, a1 and d, d > 0, gcd 1, a1 = 0 without
+    a modulus, and a Fraction modulus or none."""
+    assert all(type(x) is int for x in (sc.a0, sc.a1, sc.d))
+    assert sc.d > 0 and math.gcd(sc.a0, sc.a1, sc.d) == 1
+    assert sc.mod is not None or sc.a1 == 0
+    assert sc.mod is None or type(sc.mod) is Fraction
+
+
 def _same(got, ref):
-    assert (got.num, got.den, got.mod, str(got)) == (ref.num, ref.den, ref.mod, str(ref))
+    """`got` is the reference value (coefficients, modulus) in canonical form."""
+    num, mod = ref
+    assert (got.num, got.den, got.mod, str(got)) == (num, (1,), mod, upoly_str(num, "lam"))
     assert all(type(c) is Fraction for c in got.num + got.den)
-    assert got.mod is None or type(got.mod) is Fraction
+    _canonical(got)
 
 
 class TestScalarArithmetic:
-    """The direct arithmetic against the normalising route."""
+    """The integer arithmetic against the normalising polynomial route."""
 
     @given(_operand_pair(), st.sampled_from(sorted(_OPS)))
     @settings(max_examples=150, deadline=None)
     def test_matches_normalising_route(self, pair, op):
         a, b = pair
-        assert (a == b) is _reference("-", a, b).is_zero()
+        _canonical(a)
+        _canonical(b)
+        assert (a == b) is (_reference("-", a, b)[0] == ())
         try:
             ref = _reference(op, a, b)
         except ZeroDivisionError:
@@ -241,7 +299,7 @@ class TestScalarArithmetic:
     @settings(max_examples=50, deadline=None)
     def test_int_and_fraction_operands(self, a, x, op):
         for plain in (x, int(x)):
-            xs = Scalar((plain,), (1,), a.mod)
+            xs = Scalar.of(plain, a.mod)
             for left, right, ref_args in ((a, plain, (a, xs)), (plain, a, (xs, a))):
                 try:
                     ref = _reference(op, *ref_args)
@@ -254,7 +312,7 @@ class TestScalarArithmetic:
     @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]))
     @settings(max_examples=30, deadline=None)
     def test_negation(self, a):
-        _same(-a, Scalar([-c for c in a.num], a.den, a.mod))
+        _same(-a, (tuple(-c for c in a.num), a.mod))
 
     @pytest.mark.parametrize("mod", [Fraction(4), Fraction(9, 4)])
     def test_division_by_zero_divisor_raises(self, mod):
@@ -269,14 +327,22 @@ class TestScalarArithmetic:
 
     @pytest.mark.parametrize("mod", [Fraction(2), Fraction(4)])
     def test_denominator_vanishing_modulo_relation_raises(self, mod):
-        # lam^2 - mod folds to the zero polynomial
+        # lam^2 - mod and lam^2 - lam^4/mod vanish; so does a zero d
+        lam = Scalar.lam(mod)
+        for num, den in (((1,), (-mod, 0, 1)), ((1, 1), (0, 0, 1, 0, -1 / mod))):
+            with pytest.raises(ZeroDivisionError):
+                _normalising_route(num, den, mod)
         with pytest.raises(ZeroDivisionError):
-            Scalar((1,), (-mod, 0, 1), mod=mod)
+            Scalar.one(mod) / (lam * lam - mod)
         with pytest.raises(ZeroDivisionError):
-            Scalar((1, 1), (0, 0, 1, 0, -1 / mod), mod=mod)
+            (1 + lam) / (lam**2 - lam**4 / mod)
+        with pytest.raises(ZeroDivisionError):
+            Scalar(1, 1, 0, mod)
 
     def test_equal_numerators_over_different_denominators(self):
-        one_over = [Scalar((1,), den, Fraction(3)) for den in [(1,), (1, 1), (2, 1), (0, 1)]]
+        mod = Fraction(3)
+        lam, one = Scalar.lam(mod), Scalar.one(mod)
+        one_over = [one / den for den in (one, 1 + lam, 2 + lam, lam)]
         for i, a in enumerate(one_over):
             for j, b in enumerate(one_over):
                 assert (a == b) is (i == j)
@@ -298,13 +364,15 @@ class TestScalarArithmetic:
         same_mod = Scalar.of(c, a.mod)
         candidates = [
             a * 1,
-            Scalar(a.num, a.den, a.mod),
+            Scalar(a.a0, a.a1, a.d, a.mod),
+            Scalar(-3 * a.a0, -3 * a.a1, -3 * a.d, a.mod),
             (a + same_mod) - same_mod,
             (a * same_mod) / same_mod,
         ]
         if a.mod is not None:
             # 1 + lam is a unit in every extension drawn here
-            candidates.append(Scalar(_ref_mul(a.num, (1, 1)), (1, 1), a.mod))
+            quotient = _normalising_route(_ref_mul(a.num, (1, 1)), (1, 1), a.mod)
+            candidates.append(_build(quotient, a.mod))
         if a.is_rational():
             q = a.as_rat()
             candidates += [q, Scalar.of(q, Fraction(3)), Scalar.of(q, Fraction(4))]
@@ -324,18 +392,15 @@ class TestScalar:
         assert (lam * lam).as_rat() == 2
 
     def test_free_lam_has_no_square_reduction(self):
-        """There is no free lam: without a modulus lam itself, a polynomial
-        in lam and a nonconstant denominator are errors, and a constant
-        denominator divides out."""
+        """There is no free lam: without a modulus lam itself and any
+        lam-part are errors, and the denominator divides out."""
         with pytest.raises(ValueError):
             Scalar.lam(None)
         with pytest.raises(ValueError):
-            Scalar((1,), (1, 1))
+            Scalar(0, 1, 1, None)
         with pytest.raises(ValueError):
-            Scalar((0, 1))
-        with pytest.raises(ValueError):
-            Scalar((1, 2, 3), (2,))
-        sc = Scalar((3,), (6,))
+            Scalar(1, 2, 2, None)
+        sc = Scalar(3, 0, 6, None)
         assert (sc.num, sc.den, sc.mod) == ((Fraction(1, 2),), (1,), None)
 
     @given(_scalar(Fraction(3)), _scalar(Fraction(3)), _scalar(Fraction(3)))
@@ -359,24 +424,21 @@ class TestScalar:
             Scalar.one(Fraction(4)) / (Scalar.lam(Fraction(4)) - Scalar.of(2, Fraction(4)))
 
     @given(st.sampled_from([None, Fraction(3), Fraction(4)]),
-           st.lists(rationals, max_size=2), rationals.filter(bool))
+           st.integers(-40, 40), st.integers(-40, 40),
+           st.integers(-40, 40).filter(bool), st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
-    def test_constant_denominator_matches_gcd_route(self, mod, num, d):
-        """A constant denominator divides out, as the polynomial gcd route
-        that Q(lam) needed did."""
+    def test_constant_denominator_matches_gcd_route(self, mod, a0, a1, d, g):
+        """Ints with a common factor g and a denominator of either sign
+        reduce to the canonical form of the normalising route."""
         if mod is None:
-            num = num[:1]
-        sc = Scalar(num, (d,), mod)
-        ref = _pnorm(Fraction(c) / d for c in num)
-        assert (sc.num, sc.den, sc.mod) == (ref, (1,), mod)
-        assert all(type(c) is Fraction for c in sc.num + sc.den)
-        assert str(sc) == upoly_str(ref, "lam")
+            a1 = 0
+        _same(Scalar(a0 * g, a1 * g, d * g, mod), (_normalising_route((a0, a1), (d,), mod), mod))
 
     @given(st.lists(rationals, max_size=6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_interpolate_recovers_a_polynomial(self, coeffs, data):
         """Through deg + 1 or more distinct points, the polynomial itself."""
-        p = _pnorm(coeffs)
+        p = _trimmed(coeffs)
         xs = data.draw(st.lists(rationals, min_size=len(p) + 1, max_size=len(p) + 3, unique=True))
         ys = [sum(c * x**k for k, c in enumerate(p)) for x in xs]
         got = interpolate(xs, ys)

@@ -1,13 +1,14 @@
 """The integer Heisenberg kernel against the Scalar routes it replaced.
 
-`virasoro.L` and `FockVector.apply_mode` read coefficients as integer
-numerators over one denominator and build each output Scalar once.  The
+`virasoro.L` and `FockVector.apply_mode` work on the integers of the
+coefficients and build each output Scalar once.  The
 references below are the earlier routes, which multiply Scalars at every
 mode: they are checked on random vectors in Q, in Q(sqrt(s)) for
 non-square and square s (zero divisors), with a nilpotent lam (s = 0), and
 in the twisted sector with rational and with Q(sqrt(s)) coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,10 +105,16 @@ _FIELDS = {
 }
 
 
+def _pair(a: Fraction, b: Fraction, mod) -> Scalar:
+    """a + b*lam over the common denominator of a and b."""
+    d = a.denominator * b.denominator
+    return Scalar(a.numerator * b.denominator, b.numerator * a.denominator, d, mod)
+
+
 def _coefficient(mod):
     if mod is None:
         return _small.map(Scalar.of)
-    return st.tuples(_small, _small).map(lambda ab: Scalar(ab, (1,), mod))
+    return st.tuples(_small, _small).map(lambda ab: _pair(*ab, mod))
 
 
 def _vector(sector, mod):
@@ -129,6 +136,10 @@ def _canonical(v: FockVector) -> bool:
         if not c.num or not c.num[-1] or len(c.num) > (1 if c.mod is None else 2):
             return False
         if not all(type(x) is Fraction for x in c.num):
+            return False
+        if not all(type(x) is int for x in (c.a0, c.a1, c.d)):
+            return False
+        if c.d <= 0 or math.gcd(c.a0, c.a1, c.d) != 1 or (c.mod is None and c.a1):
             return False
     return True
 
@@ -170,7 +181,7 @@ class TestRule:
 
     def test_numerators_share_one_denominator(self):
         sec = Sector.untwisted(Fraction(2))
-        v = FockVector(sec, {(1,): Scalar((Fraction(1, 2), Fraction(2, 3)), (1,), 2), (2,): 3})
+        v = FockVector(sec, {(1,): _pair(Fraction(1, 2), Fraction(2, 3), 2), (2,): 3})
         den, mod, nums = numerators(v)
         assert (den, mod) == (6, Fraction(2))
         assert nums == [((2,), 3, 4), ((4,), 18, 0)]

@@ -54,7 +54,9 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 def _coefficient(sector):
     """Random nonzero coefficients in the sector's scalar field."""
     if sector.s is not None:
-        c = st.tuples(_small, _small).map(lambda ab: Scalar(ab, (1,), sector.s))
+        c = st.tuples(_small, _small).map(
+            lambda ab: Scalar.of(ab[0], sector.s) + Scalar.lam(sector.s) * ab[1]
+        )
     else:
         c = _small.map(Scalar.of)
     return c.filter(bool)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voaf import cli, fusion, vertexops, virasoro, zhu
+from voaf import cli, fusion, suites, vertexops, virasoro, zhu
 from voaf.fock import FockVector, Sector
 
 F = Fraction
@@ -583,32 +583,32 @@ class TestCmnTaylorOracle:
         ],
     )
     def test_rejects_a_wrong_table(self, monkeypatch, perturb):
-        good = cli.cmn_table
+        good = suites.cmn_table
 
         def bad(max_total):
             table = dict(good(max_total))
             perturb(table)
             return table
 
-        monkeypatch.setattr(cli, "cmn_table", bad)
-        assert not cli._cmn_taylor_oracle(8)
+        monkeypatch.setattr(suites, "cmn_table", bad)
+        assert not suites._cmn_taylor_oracle(8)
 
     @pytest.mark.parametrize("max_total", range(4, 13))
     def test_accepts_the_true_table(self, max_total):
-        assert cli._cmn_taylor_oracle(max_total)
+        assert suites._cmn_taylor_oracle(max_total)
 
     def test_rejects_a_table_perturbed_past_degree_8(self, monkeypatch):
         """At max_total = 12 the oracle compares entries of total degree 9 to
         12, which the check at 8 never builds, such as (5, 5)."""
-        good = cli.cmn_table
+        good = suites.cmn_table
 
         def bad(max_total):
             table = dict(good(max_total))
             _add((5, 5), F(1, 1000))(table)
             return table
 
-        monkeypatch.setattr(cli, "cmn_table", bad)
-        assert not cli._cmn_taylor_oracle(12)
+        monkeypatch.setattr(suites, "cmn_table", bad)
+        assert not suites._cmn_taylor_oracle(12)
 
 
 # every command that reaches the twisted vertex operators: the verify

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from voaf import fusion, step3_cofactors
+from voaf import fusion, step3, step3_cofactors
 from voaf.multipoly import VARS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,8 +76,8 @@ def _sympy_closures(pt, q2):
 
 @pytest.fixture(scope="module")
 def closures():
-    pt, q2 = fusion.charged_triple_relations()
-    return pt, q2, {c[0]: c for c in fusion.step3_closures(pt, q2)}
+    pt, q2 = step3.charged_triple_relations()
+    return pt, q2, {c[0]: c for c in step3.step3_closures(pt, q2)}
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_engine_closure_has_groebner_basis_one(closures, name):
 def test_stored_certificate_holds(closures, name):
     _, _, by_name = closures
     _, _, variables, gens, dist = by_name[name]
-    assert fusion._certifies(step3_cofactors.CLOSURES[name], variables, gens, dist)
+    assert step3._certifies(step3_cofactors.CLOSURES[name], variables, gens, dist)
 
 
 def _first_cofactor(cert):
@@ -161,7 +161,7 @@ def test_mutated_certificate_is_rejected(closures, name, mutation):
     _, _, by_name = closures
     _, _, variables, gens, dist = by_name[name]
     cert, gens = MUTATIONS[mutation](copy.deepcopy(step3_cofactors.CLOSURES[name]), list(gens))
-    assert not fusion._certifies(cert, variables, gens, dist)
+    assert not step3._certifies(cert, variables, gens, dist)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +175,7 @@ def test_mutated_certificate_is_rejected(closures, name, mutation):
 )
 def test_verify_names_the_mutated_closure(monkeypatch, mutation, name):
     data = copy.deepcopy(step3_cofactors.CLOSURES)
-    real_closures = fusion.step3_closures
+    real_closures = step3.step3_closures
 
     def mutated_closures(pt, q2):
         out = []
@@ -187,7 +187,7 @@ def test_verify_names_the_mutated_closure(monkeypatch, mutation, name):
         return out
 
     monkeypatch.setattr(step3_cofactors, "CLOSURES", data)
-    monkeypatch.setattr(fusion, "step3_closures", mutated_closures)
+    monkeypatch.setattr(step3, "step3_closures", mutated_closures)
     with pytest.raises(fusion.VerificationError, match="^%s failed" % re.escape(name)):
         fusion.verify_step3_generic()
 
@@ -213,7 +213,7 @@ def test_certificate_module_regenerates_byte_for_byte():
 
 def test_closures_solve_nothing_at_run_time():
     names = set()
-    for fn in (fusion.verify_step3_generic, fusion.step3_closures, fusion._certifies):
+    for fn in (step3.verify_step3_generic, step3.step3_closures, step3._certifies):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voaf import virasoro, zhu
-from voaf.cli import relation_element
+from voaf.suites import relation_element
 from voaf.fock import FockVector, Sector
 from voaf.labels import mminus, mplus, mtheta_plus
 from voaf.multipoly import MultiPoly

@@ -3,7 +3,7 @@ of the step-3 infeasibility closures.
 
     python tools/step3_cofactors.py
 
-For each closure of `voaf.fusion.step3_closures`, with generators g_i and
+For each closure of `voaf.step3.step3_closures`, with generators g_i and
 distinctness factor D, it finds cofactors c_i of total degree at most
 `degree` with sum(c_i * g_i) == D**k.  The coefficients of the c_i are the
 unknowns of one exact linear system over Q, one equation per monomial,
@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from voaf import fusion, linalg  # noqa: E402
+from voaf import linalg, step3  # noqa: E402
 from voaf.multipoly import VARS, MultiPoly  # noqa: E402
 
 TARGET = ROOT / "src" / "voaf" / "step3_cofactors.py"
@@ -78,12 +78,12 @@ def solve_closure(
 
 def render() -> str:
     """The text of the data module."""
-    pt, q2 = fusion.charged_triple_relations()
+    pt, q2 = step3.charged_triple_relations()
     lines = [
         '"""Ideal-membership certificates of the step-3 infeasibility closures.',
         "",
         "Generated by tools/step3_cofactors.py; do not edit.  For each closure of",
-        "`voaf.fusion.step3_closures`, with generators g_i and distinctness factor",
+        "`voaf.step3.step3_closures`, with generators g_i and distinctness factor",
         "D, the entry proves sum(c_i * g_i) == D**k.  `generators` is the number of",
         "g_i the certificate was made for; `cofactors` maps i to the nonzero c_i,",
         "given as {(a, b): coefficient}, the coefficient of v1^a v2^b in the",
@@ -92,7 +92,7 @@ def render() -> str:
         "",
         "CLOSURES = {",
     ]
-    for name, _, variables, gens, dist in fusion.step3_closures(pt, q2):
+    for name, _, variables, gens, dist in step3.step3_closures(pt, q2):
         k, degree = DEGREES[name]
         cofactors = solve_closure(variables, gens, dist, k, degree)
         lines += [

@@ -242,14 +242,6 @@ class FockVector:
                     res.terms[t[0]] = c
         return res
 
-    def apply_modes(self, modes: Iterable) -> "FockVector":
-        v = self
-        for n in modes:
-            if v.is_zero():
-                break
-            v = v.apply_mode(n)
-        return v
-
     def theta(self) -> "FockVector":
         """The order-two automorphism sending each h(-n) to -h(-n)."""
         res = FockVector(self.sector)

@@ -265,44 +265,3 @@ class Scalar:
     def __str__(self):
         return upoly_str(self.num, "lam")
 
-
-class Phase:
-    """The root of unity exp(i*pi*r) for rational r, taken modulo 2; an
-    immutable value."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, r):
-        object.__setattr__(self, "r", Fraction(r) % 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Phase is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not Phase:
-            return NotImplemented
-        return self.r == other.r
-
-    def __hash__(self):
-        return hash(self.r)
-
-    def __repr__(self):
-        return "Phase(r=%r)" % (self.r,)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.r + other.r)
-
-    def __pow__(self, k: int) -> "Phase":
-        return Phase(self.r * k)
-
-    def is_real(self) -> bool:
-        return self.r.denominator == 1
-
-    def as_sign(self) -> int:
-        """Return +-1 when the phase is real; error otherwise."""
-        if not self.is_real():
-            raise ValueError("phase exp(i*pi*%s) is not real" % self.r)
-        return 1 if self.r == 0 else -1
-
-    def __str__(self):
-        return "exp(i*pi*%s)" % self.r

@@ -192,14 +192,16 @@ def suite_zhu() -> List[Check]:
         # weights may differ by an integer, which folds into a sign
         if lhs.vector.is_zero():
             return vec.is_zero()
-        diff = lhs.phase.r - base_phase.r
+        diff = lhs.phase - base_phase
         if diff.denominator != 1:
             return False
         return (lhs.vector.scale(Fraction((-1) ** int(diff))) - vec).is_zero()
 
     for a, u in samples:
         pa, pu = zhu.phi(a), zhu.phi(u)
-        sign = pa.phase.as_sign()
+        if pa.phase.denominator != 1:
+            raise ValueError("phase exp(i*pi*%s) is not real" % pa.phase)
+        sign = (-1) ** pa.phase.numerator
         lhs = zhu.phi(zhu.star_left(a, u))
         rhs = _per_component(
             lambda b, w: zhu.star_right(w, b), pa.vector, pu.vector

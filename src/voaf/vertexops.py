@@ -14,7 +14,9 @@ a's own degree.
 Only single coefficients are extracted, by one memoised recursion on the
 length of a: Y(h(-n)b, z) = :d^{(n-1)}h(z)/(n-1)! Y(b, z): (Kac 1998), and
 on the twisted module the same product acts on e^{Delta_z} a (Li 1996).
-Its base case is the exponential pair E(lam_a, z) alone.
+Its base case is the exponential pair E(lam_a, z) alone.  E(lam_a, z) and
+e^{Delta_z} are both exponentials of commuting graded modes, which one
+routine builds grade by grade.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
-from .fock import FockVector, Key, Sector, double, halve, mode_term, partition_keys
+from .fock import FockVector, Key, Sector, double, halve, mode_term
 from .scalars import Scalar
 
 
@@ -55,43 +57,38 @@ def cmn_table(max_total: int) -> Dict[Tuple[int, int], Fraction]:
     }
 
 
+def _exp_grades(grades: List[FockVector], top: int, step) -> List[FockVector]:
+    """The grades F_0, F_1, ... of exp(X) F_0 for commuting X = sum_{g>=1} X_g,
+    X_g of grade g: the list `grades` is extended in place through `top` by
+    G F_G = sum_g g X_g F_{G-g}, and returned.  step(g, v) is g X_g v, or
+    None when X_g = 0."""
+    for G in range(len(grades), top + 1):
+        acc = FockVector.zero(grades[0].sector)
+        for g in range(1, G + 1):
+            prev = grades[G - g]
+            w = None if prev.is_zero() else step(g, prev)
+            if w is not None:
+                acc = acc + w
+        grades.append(acc.scale(Fraction(1, G)))
+    return grades
+
+
 def delta_apply(a: FockVector) -> Dict[int, FockVector]:
-    """e^{Delta_z} a as a dict {j: component with z^{-j} attached}.
+    """e^{Delta_z} a as a dict {j: component with z^{-j} attached}: the
+    grades of the exponential of X_j = sum_{m+n=j} c_mn h(m)h(n).
 
-    Each Delta lowers the degree by m + n >= 1, so exactly the c_mn with
+    Each X_j lowers the degree by j >= 1, so exactly the c_mn with
     m + n <= deg(a) act, and the table is built to that total."""
-    table = cmn_table(int(a.max_degree()))
+    top = int(a.max_degree())
+    table = cmn_table(top)
 
-    def delta_once(comp: FockVector) -> Dict[int, FockVector]:
-        out: Dict[int, FockVector] = {}
-        deg = comp.max_degree()
-        for (m, n), c in table.items():
-            if m + n == 0 or m + n > deg:
-                continue
-            w = comp.apply_mode(n).apply_mode(m).scale(c)
-            if not w.is_zero():
-                j = m + n
-                out[j] = out.get(j, FockVector.zero(comp.sector)) + w
+    def step(g: int, v: FockVector) -> FockVector:
+        out = FockVector.zero(v.sector)
+        for m in range(g + 1):
+            out = out + v.apply_mode(g - m).apply_mode(m).scale(g * table[m, g - m])
         return out
 
-    # e^Delta a = sum_k Delta^k a / k!, with frontier_k = Delta^k a / k!
-    result: Dict[int, FockVector] = {0: a}
-    frontier: Dict[int, FockVector] = {0: a}
-    k = 0
-    while frontier:
-        k += 1
-        new: Dict[int, FockVector] = {}
-        for j0, comp in frontier.items():
-            for j1, w in delta_once(comp).items():
-                j = j0 + j1
-                w = w.scale(Fraction(1, k))
-                prev = new.get(j)
-                new[j] = w if prev is None else prev + w
-        frontier = {j: w for j, w in new.items() if not w.is_zero()}
-        for j, w in frontier.items():
-            prev = result.get(j)
-            result[j] = w if prev is None else prev + w
-    return {j: w for j, w in result.items() if not w.is_zero()}
+    return {j: w for j, w in enumerate(_exp_grades([a], top, step)) if not w.is_zero()}
 
 
 # ----------------------------------------------------------------------
@@ -141,45 +138,30 @@ def _product(
 
 
 def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector, memo: dict) -> FockVector:
-    """Coefficient of z^{E/2} of E(lam_a, z) on the monomial `part`."""
+    """Coefficient of z^{E/2} of E(lam_a, z) on the monomial `part`: the sum
+    over the annihilation half's grades A of the creation half's grade E + A
+    on each.  The grade lists live in the operator's memo under (part, None)
+    and (part, A), so every E one operator call reaches extends the same lists."""
     base = FockVector(sector)
     base.terms = {part: Scalar.one(lam_a.mod)}
     if lam_a.is_zero():
         return base if E == 0 else FockVector.zero(sector)
+    parity, two_lam = sector.depth_parity(), lam_a * 2
+
+    # g X_g is -2 lam_a h(g/2) in the annihilation half and 2 lam_a h(-g/2)
+    # in the creation half, for the doubled grades g legal in the sector
+    def annihilate(g: int, v: FockVector):
+        return v.apply_mode(halve(g)).scale(-two_lam) if g % 2 == parity else None
+
+    def create(g: int, v: FockVector):
+        return v.apply_mode(-halve(g)).scale(two_lam) if g % 2 == parity else None
+
     out = FockVector.zero(sector)
-    # annihilation totals for the negative exponential (any lattice value)
-    step = 1 if sector.twisted else 2
-    for sA in range(0, sum(part) + 1, step):
-        for A in partition_keys(sA, sector):
-            vA = base.apply_modes([halve(d) for d in A])
-            if vA.is_zero():
-                continue
-            coefA = _exp_memo(A, lam_a, True, memo)
-            for B in partition_keys(E + sA, sector):
-                w = vA.apply_modes([-halve(b) for b in B])
-                out = out + w.scale(coefA * _exp_memo(B, lam_a, False, memo))
+    ann = _exp_grades(memo.setdefault((part, None), [base]), sum(part), annihilate)
+    for A, vA in enumerate(ann):
+        if E + A >= 0 and not vA.is_zero():
+            out = out + _exp_grades(memo.setdefault((part, A), [vA]), E + A, create)[E + A]
     return out
-
-
-def _exp_memo(parts: Key, lam_a: Scalar, negative: bool, memo: dict) -> Scalar:
-    """_exp_coeff through the operator's memo, keyed by (parts, negative)."""
-    key = (parts, negative)
-    if key not in memo:
-        memo[key] = _exp_coeff(parts, lam_a, negative)
-    return memo[key]
-
-
-def _exp_coeff(parts: Key, lam_a: Scalar, negative: bool) -> Scalar:
-    """Multinomial coefficient of a creation/annihilation multiset in
-    exp(+-sum lam h(-+n)/n z^{+-n})."""
-    acc = Scalar.one(lam_a.mod)
-    for d in set(parts):
-        p = parts.count(d)
-        c = (lam_a / Fraction(d, 2)) ** p
-        if negative and p % 2 == 1:
-            c = -c
-        acc = acc * c * Fraction(1, math.factorial(p))
-    return acc
 
 
 def _operator(a: FockVector, u: FockVector) -> Dict[int, FockVector]:

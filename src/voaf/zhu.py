@@ -29,7 +29,7 @@ from . import linalg, virasoro
 from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel
 from .multipoly import MultiPoly
-from .scalars import Phase, Scalar
+from .scalars import Scalar
 from .vertexops import gen_binom, modes, weight
 
 
@@ -134,10 +134,11 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
 
 
 class PhiImage(NamedTuple):
-    """phase * vector with phase = exp(i*pi*r); scalars absorb only
-    rational (+-1) adjustments, the genuinely complex part stays in phase."""
+    """exp(i*pi*phase) * vector with the rational phase in [0, 2); scalars
+    absorb only rational (+-1) adjustments, the genuinely complex part stays
+    in the phase."""
 
-    phase: Phase
+    phase: Fraction
     vector: FockVector
 
 
@@ -160,7 +161,7 @@ def phi(v: FockVector) -> PhiImage:
     the common phase is extracted and integer differences fold into signs.
     """
     if v.is_zero():
-        return PhiImage(Phase(Fraction(0)), v)
+        return PhiImage(Fraction(0), v)
     offset = v.sector.weight_offset_rat()
     degs = v.degrees()
     w0 = degs[-1] + offset
@@ -172,7 +173,7 @@ def phi(v: FockVector) -> PhiImage:
         comp = v.homogeneous_component(d)
         sign = -1 if int(diff) % 2 else 1
         signed = signed + comp.scale(Fraction(sign))
-    return PhiImage(Phase(w0), e_L1(signed))
+    return PhiImage(w0 % 2, e_L1(signed))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from voaf import linalg
 from voaf.fock import Sector
 from voaf.multipoly import VARS, MultiPoly, Point
 from voaf.scalars import (
-    Phase,
     Scalar,
     interpolate,
     rational_sqrt,
@@ -444,14 +443,6 @@ class TestScalar:
         got = interpolate(xs, ys)
         assert got == p
         assert all(type(c) is Fraction for c in got)
-
-    def test_phase_group(self):
-        p = Phase(Fraction(1, 16))
-        assert (p * Phase(Fraction(-1, 16))).r == 0
-        assert (p ** 32).r == 0
-        assert (p ** 3).r == Fraction(3, 16)
-        assert Phase(Fraction(1)).as_sign() == -1
-        assert Phase(Fraction(2)).as_sign() == 1
 
 
 class TestMultiPoly:

@@ -472,25 +472,24 @@ class TestValueTypes:
         assert pair is None or (label.a_M(), label.b_M()) == pair
 
     def test_records(self):
-        from voaf.scalars import Phase
         from voaf.virasoro import DescendantWord
 
         assert Sector(False, F(2)) == Sector.untwisted(2) != Sector.twisted_sector()
         assert hash(Sector.untwisted(2)) == hash(Sector.untwisted(F(2)))
         assert str(Sector.untwisted(F(2))) == "untwisted(lam^2=2)"
-        assert Phase(F(5, 2)) == Phase(F(1, 2)) and hash(Phase(F(5, 2))) == hash(Phase(F(1, 2)))
-        assert Phase(F(1, 2)) != Phase(F(3, 2))
         assert DescendantWord(1, (2, 1)) == DescendantWord(1, (2, 1))
         assert str(DescendantWord(1, (2, 1))) == "L(-2)L(-1)g1"
         row = fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
         assert row == fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
-        for value, name in [(Sector.untwisted(2), "s"), (Phase(F(1, 2)), "r"),
+        assert zhu.o_membership(FockVector.zero(Sector.untwisted(None)), mplus(), 2).member
+        image = zhu.phi(mplus().top_vector())
+        assert image.phase == 0 and type(image.phase) is F
+        assert image.vector == mplus().top_vector()
+        assert zhu.phi(FockVector.basis(Sector.untwisted(None), (1, 1))).phase == 0  # w0 = 2
+        for value, name in [(Sector.untwisted(2), "s"), (image, "phase"),
                             (DescendantWord(0, ()), "gen"), (row, "name")]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
-        assert zhu.o_membership(FockVector.zero(Sector.untwisted(None)), mplus(), 2).member
-        image = zhu.phi(mplus().top_vector())
-        assert image.phase == Phase(F(0)) and image.vector == mplus().top_vector()
 
     def test_certificate(self):
         cert = fusion.decide(mminus(), mminus(), mplus())

@@ -1,5 +1,6 @@
 """Vertex operator modes, the degree-correction table, and zero modes."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,30 @@ VACUUM = FockVector.basis(UNT)
 # The mode-tuple enumeration that `vertexops._product` replaced, kept as the
 # reference.  Degrees, depths and mode indices are doubled ints.  For each
 # pair of monomials it enumerates every tuple of k mode indices and applies
-# the modes, annihilations first, between the two halves of E(lam_a, z).
+# the modes, annihilations first, between the two halves of E(lam_a, z),
+# whose coefficients it takes from the multinomial expansion of each half
+# rather than from the engine's graded exponential.
+
+
+def _apply_modes(v, ms):
+    """The modes h(m) for the natural indices m in `ms` applied to v, the
+    first first."""
+    for m in ms:
+        if v.is_zero():
+            break
+        v = v.apply_mode(m)
+    return v
+
+
+def _multinomial(parts, lam_a, negative):
+    """Coefficient of the multiset `parts` of doubled depths in
+    exp(+-sum_n lam_a h(-+n)/n z^{+-n}): the product over distinct depths d
+    of (+-2 lam_a/d)^p / p! for multiplicity p."""
+    acc = Scalar.one(lam_a.mod)
+    for d in set(parts):
+        p = parts.count(d)
+        acc = acc * (lam_a * Fraction(-2 if negative else 2, d)) ** p / math.factorial(p)
+    return acc
 
 
 def _reference_tuples(sector, k, dA, deg_out, fixed_sum, target):
@@ -78,15 +102,15 @@ def _reference_term(ns, lam_a, part, cu, E, sector_u):
     step = 1 if sector_u.twisted else 2
     for sA in [0] if lam_zero else range(0, du + 1, step):
         for A in partition_keys(sA, sector_u):
-            vA = base.apply_modes([halve(d) for d in A])
+            vA = _apply_modes(base, [halve(d) for d in A])
             if vA.is_zero():
                 continue
-            coefA = vertexops._exp_coeff(A, lam_a, negative=True)
+            coefA = _multinomial(A, lam_a, negative=True)
             for ms in _reference_tuples(sector_u, k, du - sA, deg_out, lam_zero, E + sA + N):
                 sB = E + sA + sum(ms) + N
                 if sB < 0 or (lam_zero and sB != 0):
                     continue
-                vM = vA.apply_modes([halve(m) for m in sorted(ms, reverse=True)])
+                vM = _apply_modes(vA, [halve(m) for m in sorted(ms, reverse=True)])
                 if vM.is_zero():
                     continue
                 coefM = Fraction(1)
@@ -96,8 +120,8 @@ def _reference_term(ns, lam_a, part, cu, E, sector_u):
                 if coefM == 0:
                     continue
                 for B in partition_keys(sB, sector_u):
-                    coefB = vertexops._exp_coeff(B, lam_a, negative=False)
-                    w = vM.apply_modes([-halve(b) for b in B])
+                    coefB = _multinomial(B, lam_a, negative=False)
+                    w = _apply_modes(vM, [-halve(b) for b in B])
                     out = out + w.scale(coefA * coefM * coefB)
     return out
 
@@ -311,6 +335,33 @@ def _state(sector, max_degree):
         lambda ts: sum((FockVector.basis(sector, p, c) for p, c in ts), FockVector.zero(sector)))
 
 
+def _delta_series(a):
+    """sum_k Delta^k a / k! as {j: component with z^{-j} attached}, Delta =
+    sum c_mn h(m)h(n) z^{-m-n} applied again until it gives zero."""
+    table = cmn_table(int(a.max_degree()))
+    out, term, k = {}, {0: a}, 0
+    while term:
+        for j, w in term.items():
+            out[j] = out.get(j, FockVector.zero(a.sector)) + w
+        k += 1
+        nxt = {}
+        for j, w in term.items():
+            for (m, n), c in table.items():
+                v = w.apply_mode(n).apply_mode(m).scale(c / k)
+                nxt[j + m + n] = nxt.get(j + m + n, FockVector.zero(a.sector)) + v
+        term = {j: w for j, w in nxt.items() if not w.is_zero()}
+    return {j: w for j, w in out.items() if not w.is_zero()}
+
+
+@given(st.one_of(
+    st.just(FockVector.basis(UNT, (2, 1)) + omega()),
+    st.sampled_from([UNT, Sector.untwisted(Fraction(2)), Sector.untwisted(Fraction(1, 3))])
+    .flatmap(lambda s: _state(s, 5))))
+@settings(max_examples=40, deadline=None)
+def test_delta_apply_is_the_exponential_series(a):
+    assert delta_apply(a) == _delta_series(a)
+
+
 # vacuum, Q(sqrt 2), Q(sqrt 4) (zero divisors) and the twisted sector
 _U_SECTORS = [UNT, Sector.untwisted(Fraction(2)), Sector.untwisted(Fraction(4)), TW]
 
@@ -353,21 +404,38 @@ class TestProductRecursion:
         assert len(memos) == 1
         assert computed and len(computed) == len(set(computed))
 
-    def test_one_operator_call_computes_each_exp_coefficient_once(self, monkeypatch):
+    def test_one_operator_call_builds_each_grade_list_once(self, monkeypatch):
         # a = h(-2)e^lam + h(-1)^2 e^lam at s = 9 on a two-term twisted u: the
-        # charged base case reaches the same creation multisets at many
-        # (E, monomial), and the operator's memo keeps each coefficient
+        # charged base case reaches the same monomials at many E, and every
+        # grade list of E(lam, z) it extends is the one the operator's memo
+        # keeps under (monomial, A), each grade computed once
         a = FockVector(Sector.untwisted(Fraction(9)), {(2,): 1, (1, 1): 1})
         u = FockVector(TW, {(Fraction(1, 2),): 1, (Fraction(3, 2),): 1})
-        calls = []
-        real = vertexops._exp_coeff
+        pieces = delta_apply(a)
+        monkeypatch.setattr(vertexops, "delta_apply", lambda b: pieces)
+        memos, lists, computed = [], {}, []
+        real_pair, real_grades = vertexops._exp_pair, vertexops._exp_grades
 
-        def counting(parts, lam_a, negative):
-            calls.append((parts, negative))
-            return real(parts, lam_a, negative)
+        def pair(lam_a, E, part, sector, memo):
+            if not any(m is memo for m in memos):
+                memos.append(memo)
+            return real_pair(lam_a, E, part, sector, memo)
 
-        monkeypatch.setattr(vertexops, "_exp_coeff", counting)
+        def grades(gs, top, step):
+            lists.setdefault(id(gs), []).append(gs)
+            computed.extend((id(gs), G) for G in range(len(gs), top + 1))
+            return real_grades(gs, top, step)
+
+        monkeypatch.setattr(vertexops, "_exp_pair", pair)
+        monkeypatch.setattr(vertexops, "_exp_grades", grades)
+        shared = 0
         for k in range(-6, 7):
-            calls.clear()
+            memos.clear(), lists.clear(), computed.clear()
             vertex_op_coeff(a, u, Fraction(k, 2))
-            assert calls and len(calls) == len(set(calls)), k
+            assert len(memos) == 1, k
+            kept = {id(v): key for key, v in memos[0].items() if type(v) is list}
+            assert lists and set(lists) == set(kept), k
+            assert all(A is None or type(A) is int for _, A in kept.values()), k
+            assert len(computed) == len(set(computed)), k
+            shared += sum(len(calls) > 1 for calls in lists.values())
+        assert shared

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from . import Check, _cutoff, characters, fusion, virasoro
+from . import Check, _cutoff, characters, fusion, virasoro, zhu
 from .fock import FockVector, Sector
 from .labels import ModuleLabel
 from .scalars import Scalar, parse_rational
@@ -232,8 +232,9 @@ def _cmd_reduce(args) -> int:
     v = parse_state(args.expr, sector)
     if not label.contains(v):
         raise ValueError("state does not lie in module %s" % label)
+    gens = fusion.generator_set(label)
     try:
-        coords, polys = fusion.expand_in_generators(v, fusion.generator_set(label))
+        coords = fusion.descendant_coordinates(v, gens)
     except virasoro.NotInSpan:
         raise ValueError("state is not a Virasoro descendant of the module generators")
     lines = ["coordinates:"]
@@ -241,8 +242,20 @@ def _cmd_reduce(args) -> int:
         name = "".join("L(-%d)" % m for m in w.ms) if w.ms else "1"
         lines.append("  gen%d %s: %s" % (w.gen, name, coords[w]))
     lines.append("contraction polynomials:")
-    for i, poly in enumerate(polys):
-        lines.append("  gen%d: %s" % (i, poly))
+    # each generator's contraction P0 + lam*P1, from the rational and the lam
+    # parts of its coordinates
+    weights = [sector.weight_offset_rat() + g.max_degree() for g in gens]
+    rational = {w: Scalar(c.a0, 0, c.d, None) for w, c in coords.items()}
+    lam_part = {w: Scalar(c.a1, 0, c.d, None) for w, c in coords.items()}
+    p0s = zhu.coords_to_polys(rational, weights, len(gens))
+    p1s = zhu.coords_to_polys(lam_part, weights, len(gens))
+    for i, (p0, p1) in enumerate(zip(p0s, p1s)):
+        if not p1:
+            lines.append("  gen%d: %s" % (i, p0))
+        elif not p0:
+            lines.append("  gen%d: lam*(%s)" % (i, p1))
+        else:
+            lines.append("  gen%d: %s + lam*(%s)" % (i, p0, p1))
     print("\n".join(lines))
     return 0
 

@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import characters, linalg, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree
@@ -76,13 +76,7 @@ def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) ->
             [img[k].terms.get(q, zero) for img in images] for q in out_parts
         )
     kernel = linalg.nullspace(rows, len(parts), zero, one)
-    out = []
-    for vec in kernel:
-        fv = FockVector.zero(sector)
-        for p, c in zip(parts, vec):
-            fv = fv + FockVector.basis(sector, p).scale(c)
-        out.append(fv)
-    return out
+    return [FockVector(sector, dict(zip(parts, vec))) for vec in kernel]
 
 
 def _extra_weights(label: ModuleLabel) -> List[Fraction]:
@@ -91,14 +85,6 @@ def _extra_weights(label: ModuleLabel) -> List[Fraction]:
     top = label.a_M()
     parts = characters.decomposition_weights(label, top + _RELATION_DEGREE)
     return [h for h, _ in parts if h > top]
-
-
-def _in_span(v: FockVector, gens: Sequence[FockVector]) -> bool:
-    try:
-        virasoro.express_in_descendants(v, gens)
-    except virasoro.NotInSpan:
-        return False
-    return True
 
 
 @functools.cache
@@ -111,8 +97,10 @@ def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
     relation degree: the relation element multiplied onto the top vector
     expands in their Virasoro descendants whenever it expands at all.  The
     bimodule generators are the shortest prefix whose Virasoro span holds
-    J_n(top) for n = 1, 2, 3.  Those images lie 2, 1 and 0 above the top, so
-    J is applied only when a primary lies at most 2 above it.
+    J_n(top), n = 1, 2, 3; a prefix's words come first and take the pivots
+    first, so it ends at the last generator with a nonzero coordinate in
+    them.  Those images lie 2, 1 and 0 above the top, so J is applied only
+    when a primary lies at most 2 above it.
     """
     sector, parity = label.sector(), label.parity()
     top = label.top_vector()
@@ -123,12 +111,12 @@ def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
             gens.extend(_primary_vectors(sector, degree, parity))
     ngens = 1
     if any(g.max_degree() <= top.max_degree() + 2 for g in gens[1:]):
-        J = J_state()
-        images = modes(J, (1, 2, 3), top)
-        while not all(_in_span(img, gens[:ngens]) for img in images):
-            ngens += 1
-            if ngens > len(gens):
-                raise RuntimeError("the generators of %s do not span J_n(top)" % label)
+        images = modes(J_state(), (1, 2, 3), top)
+        try:
+            coords = [virasoro.express_in_descendants(img, gens) for img in images]
+        except virasoro.NotInSpan:
+            raise RuntimeError("the generators of %s do not span J_n(top)" % label)
+        ngens = 1 + max((w.gen for c in coords for w in c), default=0)
     return tuple(gens), ngens
 
 
@@ -144,8 +132,13 @@ def verify_generator_hypothesis(label: ModuleLabel) -> bool:
     """Check that J_n g, n = 1, 2, 3, stays inside the Virasoro span of the
     generators."""
     gens = generator_set(label)
-    J = J_state()
-    return all(_in_span(img, gens) for g in gens for img in modes(J, (1, 2, 3), g))
+    try:
+        for g in gens:
+            for img in modes(J_state(), (1, 2, 3), g):
+                virasoro.express_in_descendants(img, gens)
+    except virasoro.NotInSpan:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -166,73 +159,71 @@ class ConstraintRow(NamedTuple):
 
 
 class ConstraintSystem:
-    """The constraint rows of one module in the first slot, built on demand.
-
-    The system holds its built rows and an ordered list of row builders
-    still to run.  `walk` yields the built rows and runs the next builder
-    only when it has yielded them all, so a walk that stops at the first
-    nonzero row builds nothing after it; `rows` walks to the end, so it is
-    always the full list, in the same order.
+    """The constraint rows of one module in the first slot, in three stages:
+    the star pair, built with the system, then the circle pair and the
+    singular-vector pair, each built the first time a walk reaches it.  So a
+    walk that stops at the first nonzero row builds nothing after it, and
+    `rows` is always the full list, in the same order.
     """
 
     def __init__(
         self,
         label: ModuleLabel,
         ngens: int,
-        ncols: int,
-        rows: List[ConstraintRow],
-        builders: Sequence[Callable[[], List[ConstraintRow]]],
+        signs: Tuple[int, ...],
+        star: List[ConstraintRow],
+        generated: bool,
     ):
         self.label = label
         self.ngens = ngens  # bimodule generator count: fusion rule upper bound
-        self.ncols = ncols  # expansion generator count: one column each
-        self._rows = rows
-        self._builders = list(builders)
+        self.ncols = len(signs)  # expansion generator count: one column each
+        self.signs = signs
+        self.star = star
+        self.generated = generated  # rows from relation_polys alone
+
+    @functools.cached_property
+    def circle(self) -> List[ConstraintRow]:
+        return _circle_rows(self.label, self.signs) if self.generated else []
+
+    @functools.cached_property
+    def singular(self) -> List[ConstraintRow]:
+        return _singular_rows(self.label, self.ncols, self.signs)
 
     def walk(self) -> Iterator[ConstraintRow]:
-        """The rows in order, running each builder when the walk reaches it."""
-        i = 0
-        while i < len(self._rows) or self._build_next():
-            yield self._rows[i]
-            i += 1
-
-    def _build_next(self) -> bool:
-        """Run builders in order until one adds rows; whether any did.  A
-        builder is dropped once it has returned, so each runs at most once."""
-        while self._builders:
-            built = self._builders[0]()
-            del self._builders[0]
-            if built:
-                self._rows += built
-                return True
-        return False
+        """The rows in order, building each stage when the walk reaches it."""
+        yield from self.star
+        yield from self.circle
+        yield from self.singular
 
     @property
     def rows(self) -> List[ConstraintRow]:
         return list(self.walk())
 
 
+def descendant_coordinates(
+    v: FockVector, gens: Sequence[FockVector]
+) -> Dict[virasoro.DescendantWord, Scalar]:
+    """Virasoro descendant coordinates of v over the generators, or over
+    [g0, lam*g1, ...] when only these are all rational.  Raises
+    virasoro.NotInSpan when v is not a descendant of the generators."""
+    coords = virasoro.express_in_descendants(v, gens)
+    if all(c.is_rational() for c in coords.values()):
+        return coords
+    # lam^2 = s != 0 makes lam a unit, and rescaling a column by a unit keeps
+    # _rref's pivots: over [g0, lam*g1, ...] the solution is this one with
+    # the coordinates of g1, g2, ... divided by lam
+    lam = v.sector.lam_scalar()
+    scaled = {w: c / lam if w.gen else c for w, c in coords.items()}
+    return scaled if all(c.is_rational() for c in scaled.values()) else coords
+
+
 def expand_in_generators(
     v: FockVector, gens: Sequence[FockVector]
 ) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[MultiPoly]]:
-    """Virasoro descendant coordinates of v over the generators and their
-    contraction polynomials, one per generator.
-
-    A coordinate irrational in lam is retried once with every generator
-    after the first rescaled by lam, and the coordinates returned are on the
-    rescaled generators.  Raises virasoro.NotInSpan when v is not a
-    descendant of the generators.
-    """
-    sector = v.sector
-    base_weights = [sector.weight_offset_rat() + g.max_degree() for g in gens]
-    coords = virasoro.express_in_descendants(v, gens)
-    try:
-        return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
-    except ValueError:
-        if len(gens) == 1:
-            raise
-    gens = [gens[0]] + [g.scale(sector.lam_scalar()) for g in gens[1:]]
-    coords = virasoro.express_in_descendants(v, gens)
+    """The descendant_coordinates of v and their contraction polynomials,
+    one per generator; ValueError when a coordinate is irrational in lam."""
+    coords = descendant_coordinates(v, gens)
+    base_weights = [v.sector.weight_offset_rat() + g.max_degree() for g in gens]
     return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
 
 
@@ -353,10 +344,7 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     tools/relation_polys.py) at its charge; every other module takes its
     star row from the expansion generators, when the relation lies in their
     Virasoro span.  Every module gets the singular-vector row wherever it
-    has one.  Only the star row is built with the system: it comes first,
-    and the generated one checks f_den(s) != 0.  The circle and
-    singular-vector pairs are built the first time a walk of the system
-    reaches them.
+    has one.  The generated star row checks f_den(s) != 0.
     """
     system = _SYSTEM_CACHE.get(label)
     if system is not None:
@@ -364,22 +352,18 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     gens, ngens = _generators(label)
     degs = [g.max_degree() for g in gens]
     signs = tuple((-1) ** int(d - degs[0]) for d in degs)
-    ncols = len(gens)
-    rows: List[ConstraintRow] = []
-    builders: List[Callable[[], List[ConstraintRow]]] = []
-    if label.kind == "Mlam" and not _extra_weights(label):
+    generated = label.kind == "Mlam" and not _extra_weights(label)
+    if generated:
         f_num, f_den = _relation("star")
         if f_den.evaluate({"s": label.s}) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
-        rows += _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})], signs)
-        builders.append(lambda: _circle_rows(label, signs))
+        star = _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})], signs)
     else:
         try:
-            rows += _row_pair("star", _star_row_polys(label), signs)
+            star = _row_pair("star", _star_row_polys(label), signs)
         except virasoro.NotInSpan:
-            pass
-    builders.append(lambda: _singular_rows(label, ncols, signs))
-    system = ConstraintSystem(label, ngens, ncols, rows, builders)
+            star = []
+    system = ConstraintSystem(label, ngens, signs, star, generated)
     _SYSTEM_CACHE[label] = system
     return system
 

@@ -311,7 +311,7 @@ def suite_virasoro() -> List[Check]:
         ),
     ]
     for name, vec, combo in singulars:
-        img = virasoro.singular_vector_image(combo, vec)
+        img = virasoro.reconstruct({virasoro.DescendantWord(0, ms): c for c, ms in combo}, [vec])
         checks.append(
             ("singular-vector image vanishes at %s" % name, img.is_zero(), "")
         )

@@ -165,13 +165,3 @@ def reconstruct(coords: Dict[DescendantWord, Scalar], generators: Sequence[FockV
     for w, c in coords.items():
         acc = acc + L_word(w.ms, generators[w.gen]).scale(c)
     return acc
-
-
-def singular_vector_image(
-    combo: Sequence[Tuple[object, Sequence[int]]], g: FockVector
-) -> FockVector:
-    """Apply sum_i c_i L(-m_{i,1})...L(-m_{i,k_i}) to g."""
-    acc = FockVector.zero(g.sector)
-    for c, ms in combo:
-        acc = acc + L_word(ms, g).scale(c)
-    return acc

@@ -355,12 +355,48 @@ class TestReduce:
         assert code == 2
 
     def test_failure_prints_no_partial_output(self, capsys):
-        # the coordinates exist, but one is irrational in lam
-        code, out, err = run(capsys, "reduce", "--module", "M(s=2)",
-                             "--expr", "h(-2)e^lam")
+        # h(-1)^4|0> has a component along the primary J, outside the
+        # Virasoro span of the vacuum
+        code, out, err = run(capsys, "reduce", "--module", "M+",
+                             "--expr", "h(-1)h(-1)h(-1)h(-1)|0>")
         assert code == 2
         assert out == ""
-        assert err == "error: non-rational descendant coordinate 2/3*lam\n"
+        assert err == "error: state is not a Virasoro descendant of the module generators\n"
+
+    @pytest.mark.parametrize(
+        "module, expr, expected",
+        [
+            # one generator: no rescale, the contraction is lam times P1
+            ("M(s=2)", "h(-2)e^lam",
+             "coordinates:\n"
+             "  gen0 L(-1)L(-1): -1/6*lam\n"
+             "  gen0 L(-2): 2/3*lam\n"
+             "contraction polynomials:\n"
+             "  gen0: lam*(-1/6 x^2 + 1/3 x y - 1/6 y^2 - 1/6 x + 5/6 y + 1/3)\n"),
+            ("M(s=2)", "lam*e^lam",
+             "coordinates:\n  gen0 1: lam\ncontraction polynomials:\n  gen0: lam*(1)\n"),
+            # P0 is the contraction of h(-1)h(-1)e^lam, P1 that of h(-2)e^lam
+            ("M(s=2)", "h(-2)e^lam + h(-1)h(-1)e^lam",
+             "coordinates:\n"
+             "  gen0 L(-1)L(-1): 2/3 - 1/6*lam\n"
+             "  gen0 L(-2): -2/3 + 2/3*lam\n"
+             "contraction polynomials:\n"
+             "  gen0: 2/3 x^2 - 4/3 x y + 2/3 y^2 - 4/3 x + 2/3 y + 2/3"
+             " + lam*(-1/6 x^2 + 1/3 x y - 1/6 y^2 - 1/6 x + 5/6 y + 1/3)\n"),
+            # rescaling gen1 by lam leaves gen0's lam part, so the coordinates
+            # are over the unscaled generators
+            ("M(s=1/2)", "h(-2)e^lam",
+             "coordinates:\n"
+             "  gen0 L(-2): 4/3*lam\n"
+             "  gen1 1: 1/3\n"
+             "contraction polynomials:\n"
+             "  gen0: lam*(-4/3 x + 8/3 y + 1/3)\n"
+             "  gen1: 1/3\n"),
+        ],
+    )
+    def test_lam_coordinates_give_lam_contractions(self, capsys, module, expr, expected):
+        code, out, err = run(capsys, "reduce", "--module", module, "--expr", expr)
+        assert (code, out, err) == (0, expected, "")
 
     def test_irrational_coordinate_rescales_the_extra_generator(self, capsys):
         # over the unscaled primary of M(s=1/2) the coordinate is -2/3*lam;

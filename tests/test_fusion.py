@@ -16,6 +16,7 @@ from voaf.fock import FockVector, Sector
 from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from voaf.multipoly import MultiPoly
 from voaf.scalars import Scalar, rational_sqrt
+from voaf.vertexops import J_state, modes
 
 F = Fraction
 
@@ -166,6 +167,82 @@ class TestContractions:
         pairs = _reference_coords_to_polys(coords, base_weights, len(gens))
         assert polys == [num for num, _ in pairs]
         assert all(den == MultiPoly.const(1) for _, den in pairs)
+
+
+def _searched_prefix(label):
+    """The shortest prefix of the expansion generators whose Virasoro span
+    holds J_n(top), n = 1, 2, 3, found by trying each length in turn."""
+    gens = fusion._generators(label)[0]
+    images = modes(J_state(), (1, 2, 3), label.top_vector())
+    for k in range(1, len(gens) + 1):
+        try:
+            for img in images:
+                virasoro.express_in_descendants(img, gens[:k])
+        except virasoro.NotInSpan:
+            continue
+        return k
+    return None
+
+
+def _m_half_states():
+    """States of M(s=1/2) with rational coordinates over [g0, lam*g1], each
+    with its g1 word: two whose coordinate on that word over [g0, g1] is
+    lam-odd, and two with no g1 component (word None)."""
+    label = mlam(F(1, 2))
+    g0, g1 = fusion.generator_set(label)
+    lam = label.sector().lam_scalar()
+    return [
+        (virasoro.L_word((2,), g0).scale(Scalar.of(F(2, 3))) - g1.scale(lam * F(2, 3)), ()),
+        (virasoro.L_word((2, 1), g0) + virasoro.L_word((1,), g1).scale(lam * 5), (1,)),
+        (g0, None),
+        (virasoro.L_word((2, 1), g0) - virasoro.L_word((3,), g0).scale(Scalar.of(2)), None),
+    ]
+
+
+class TestOneExpansion:
+    """The bimodule prefix and the lam-rescale are read off one solve; these
+    compare both reads with the searches and solves that they replace."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [mplus(), mminus(), mtheta_plus(), mtheta_minus(), mlam(F(1, 2)), mlam(F(2)),
+         mlam(F(9, 2)), mlam(F(8)), mlam(F(1, 3))],
+        ids=str,
+    )
+    def test_prefix_is_the_searched_prefix(self, label):
+        assert fusion._generators(label)[1] == _searched_prefix(label)
+
+    @staticmethod
+    def _assert_scaled_solve(label, v):
+        gens = fusion._generators(label)[0]
+        scaled = [gens[0]] + [g.scale(label.sector().lam_scalar()) for g in gens[1:]]
+        coords, _ = fusion.expand_in_generators(v, gens)
+        assert coords == virasoro.express_in_descendants(v, scaled)
+
+    @pytest.mark.parametrize("s", [F(1, 2), F(2)], ids=str)
+    def test_star_relation_rescale_is_a_solve_over_scaled_generators(self, s):
+        label = mlam(s)
+        self._assert_scaled_solve(label, zhu.star_left(fusion._h3h1(), label.top_vector()))
+
+    @pytest.mark.parametrize("i", range(4), ids=["odd g1", "odd g1 word", "top", "g0 words"])
+    def test_state_rescale_is_a_solve_over_scaled_generators(self, i):
+        v, g1_word = _m_half_states()[i]
+        first = virasoro.express_in_descendants(v, fusion.generator_set(mlam(F(1, 2))))
+        g1_coords = {w.ms: c for w, c in first.items() if w.gen == 1}
+        if g1_word is None:
+            assert g1_coords == {}
+        else:
+            assert list(g1_coords) == [g1_word] and not g1_coords[g1_word].is_rational()
+        self._assert_scaled_solve(mlam(F(1, 2)), v)
+
+    def test_a_lam_part_that_no_rescale_removes_is_refused(self):
+        # h(-2)e^lam has the coordinates 4/3*lam on L(-2)g0 and 1/3 on g1
+        label = mlam(F(1, 2))
+        v = FockVector.basis(label.sector(), (F(2),))
+        gens = fusion.generator_set(label)
+        assert fusion.descendant_coordinates(v, gens) == virasoro.express_in_descendants(v, gens)
+        with pytest.raises(ValueError):
+            fusion.expand_in_generators(v, gens)
 
 
 class TestConstraintSystems:
@@ -830,6 +907,43 @@ class TestLazyRows:
         cert = fusion._prove_zero(label, mlam(F(3)), mminus())
         assert built == [label]
         assert cert == {"type": "nonzero-constraint", "row": "circle", "value": "-50/27"}
+
+    @pytest.mark.parametrize("n, t", [(4, F(9, 58)), (12, F(7, 38))], ids=["n=4", "n=12"])
+    def test_ladder_query_builds_the_singular_stage_once(self, monkeypatch, n, t):
+        """(M(n^2/2), M(t_n), M(t_n)) is decided by a star row of the second
+        arrangement, (n, m, l).  The ladder slot is tried first, and there
+        every row vanishes at the point, so the singular stage of M(n^2/2) is
+        built, and checked on vectors, although no certificate quotes it."""
+        monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
+        ladder = mlam(F(n * n, 2))
+        built = []
+        real = fusion._singular_rows
+        monkeypatch.setattr(
+            fusion, "_singular_rows",
+            lambda lab, ncols, signs: built.append(lab) or real(lab, ncols, signs),
+        )
+        cert = fusion.decide(ladder, mlam(t), mlam(t))
+        assert cert.verdict == 0
+        assert cert.permutation == ["n", "m", "l"]
+        assert cert.reason["row"] == "star"
+        assert built.count(ladder) == 1
+
+    def test_cold_builds_solve_once_per_expansion(self, monkeypatch):
+        """The systems with extra expansion generators solve for each
+        J_n(top) and for the star relation once, and never again."""
+        monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
+        fusion._generators.cache_clear()
+        calls = []
+        real = virasoro.express_in_descendants
+        monkeypatch.setattr(
+            virasoro, "express_in_descendants", lambda v, gens: calls.append(1) or real(v, gens)
+        )
+        counts = []
+        for label in (mlam(F(1, 2)), mtheta_minus(), mtheta_plus(), mlam(F(2))):
+            before = len(calls)
+            fusion.constraint_system(label).rows
+            counts.append(len(calls) - before)
+        assert counts == [4, 4, 1, 1]
 
     @pytest.mark.parametrize(
         "s, names",

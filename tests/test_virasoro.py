@@ -15,7 +15,6 @@ from voaf.virasoro import (
     NotInSpan,
     express_in_descendants,
     reconstruct,
-    singular_vector_image,
     words_at_level,
 )
 from voaf.scalars import Scalar
@@ -182,22 +181,27 @@ class TestDescendants:
         assert sum(w.ms) == 4
 
 
+def _image(combo, v):
+    """sum_i c_i L(-m_{i,1})...L(-m_{i,k_i}) applied to v."""
+    return reconstruct({DescendantWord(0, ms): c for c, ms in combo}, [v])
+
+
 class TestSingularVectors:
     def test_weight_one_image_vanishes(self):
         v = mminus().top_vector()
-        img = singular_vector_image(
+        img = _image(
             [(2, (3,)), (-4, (2, 1)), (1, (1, 1, 1))], v
         )
         assert img.is_zero()
 
     def test_weight_quarter_image_vanishes(self):
         v = mlam(Fraction(1, 2)).top_vector()
-        img = singular_vector_image([(1, (1, 1)), (-1, (2,))], v)
+        img = _image([(1, (1, 1)), (-1, (2,))], v)
         assert img.is_zero()
 
     def test_weight_nine_quarters_image_vanishes(self):
         v = mlam(Fraction(9, 2)).top_vector()
-        img = singular_vector_image(
+        img = _image(
             [
                 (18, (4,)),
                 (-14, (3, 1)),

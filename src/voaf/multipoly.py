@@ -1,19 +1,20 @@
 """Sparse multivariate polynomials over Q.
 
-A polynomial is a dict mapping exponent tuples (one slot per variable in
-VARS order) to nonzero Fractions.  The variable set is fixed; polynomials
-that do not mention a variable simply have exponent 0 in its slot.
-
-A MultiPoly is an immutable value: every operation returns a new one, and
-callers must not mutate its `terms`.  That lets a polynomial keep the
-integer form that `evaluate` reads, built on its first evaluation.
+A polynomial is a positive int `den` and a dict `num` from exponent tuples
+(one slot per variable in VARS order) to nonzero int numerators: it is
+sum(num[e] * x^e) / den, in canonical form (den prime to the gcd of the
+numerators), so equal polynomials have equal num and den.  A MultiPoly is
+an immutable value: every operation works on the ints, normalises its
+result once and returns a new one; callers must not mutate `num`.  That
+lets a polynomial keep the rows `evaluate` reads.  Coefficients enter as
+ints, Fractions or "p/q" strings; a float raises TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, getitem
+from operator import add, getitem, mul, sub
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -21,50 +22,69 @@ NVARS = len(VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 Expo = Tuple[int, ...]
-Terms = Dict[Expo, Fraction]
+Nums = Dict[Expo, int]
 
 _ZERO_EXPO: Expo = (0,) * NVARS
 
 
-class MultiPoly:
-    __slots__ = ("terms", "_cleared")
+def _ratio(c) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of an int, a Fraction or a "p/q" string;
+    a TypeError for any other type, a float above all."""
+    if isinstance(c, str):
+        n, _, d = c.partition("/")
+        c = Fraction(int(n), int(d or 1))
+    elif not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is not an int, Fraction or str" % (c,))
+    return c.numerator, c.denominator
 
-    def __init__(self, terms: Optional[Terms] = None):
-        out: Terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    out[tuple(e)] = c
-        object.__setattr__(self, "terms", out)
-        object.__setattr__(self, "_cleared", None)
+
+def _times(a: Nums, b: Nums) -> Nums:
+    """The product of two polynomials with int coefficients; zero sums stay."""
+    out: Nums = {}
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + n1 * n2
+    return out
+
+
+class MultiPoly:
+    __slots__ = ("num", "den", "_cleared")
+
+    def __new__(cls, terms=None):
+        """The polynomial sum(terms[e] * x^e)."""
+        pairs = [(tuple(e),) + _ratio(c) for e, c in terms.items()] if terms else []
+        den = math.lcm(*[d for _, _, d in pairs])
+        return MultiPoly._make({e: n * (den // d) for e, n, d in pairs if n}, den)
 
     @staticmethod
-    def _make(terms: Terms) -> "MultiPoly":
-        """The polynomial with these terms, taken as they are: tuple
-        exponents and nonzero Fractions, never mutated afterwards."""
+    def _make(num: Nums, den: int = 1) -> "MultiPoly":
+        """sum(num[e] * x^e) / den for nonzero int numerators and den > 0,
+        put in canonical form; `num` is never mutated afterwards."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                den //= g
         p = object.__new__(MultiPoly)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "num", num)
+        object.__setattr__(p, "den", den)
         object.__setattr__(p, "_cleared", None)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    # ------------------------------------------------------------------
-
     @staticmethod
     def const(c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly._make({_ZERO_EXPO: c} if c else {})
+        n, d = _ratio(c)
+        return MultiPoly._make({_ZERO_EXPO: n} if n else {}, d)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
         e = [0] * NVARS
         e[_VAR_INDEX[name]] = 1
-        return MultiPoly._make({tuple(e): Fraction(1)})
-
-    # ------------------------------------------------------------------
+        return MultiPoly._make({tuple(e): 1})
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -73,52 +93,49 @@ class MultiPoly:
             return MultiPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                c += out[e]
-                if not c:
-                    del out[e]
-                    continue
-            out[e] = c
-        return MultiPoly._make(out)
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den * sign
+        out = {e: n * f for e, n in self.num.items()} if f != 1 else dict(self.num)
+        for e, n in other.num.items():
+            n = out.get(e, 0) + n * g
+            if n:
+                out[e] = n
+            else:
+                del out[e]
+        return MultiPoly._make(out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make({e: -c for e, c in self.terms.items()})
+        return MultiPoly._make({e: -n for e, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return MultiPoly._make({e: c for e, c in out.items() if c})
+        out = _times(self.num, other.num)
+        return MultiPoly._make({e: n for e, n in out.items() if n}, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = None
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
                 out = base if out is None else out * base
@@ -128,51 +145,41 @@ class MultiPoly:
         return MultiPoly.const(1) if out is None else out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # ------------------------------------------------------------------
+        return hash((self.den, frozenset(self.num.items())))
 
     def _clear(self):
-        """The cleared form that evaluate reads: the (name, degree) of each
-        variable the polynomial uses, the common denominator D of the
-        coefficients, and one row (c*D, exponents of the used variables) per
-        term, with c*D an int."""
-        terms = self.terms
-        degs = list(map(max, zip(*terms))) if terms else []
+        """The form that evaluate reads: the (name, degree) of each variable
+        the polynomial uses, the denominator, and one row (numerator,
+        exponents of the used variables) per term."""
+        num = self.num
+        degs = list(map(max, zip(*num))) if num else []
         used = [i for i, d in enumerate(degs) if d]
-        den = math.lcm(*[c.denominator for c in terms.values()])
-        rows = tuple(
-            (c.numerator * (den // c.denominator),) + tuple(e[i] for i in used)
-            for e, c in terms.items()
-        )
-        return tuple((VARS[i], degs[i]) for i in used), den, rows
+        rows = tuple((n,) + tuple(e[i] for i in used) for e, n in num.items())
+        return tuple((VARS[i], degs[i]) for i in used), self.den, rows
 
     def evaluate(self, assign: Dict[str, object]):
         """Evaluate exactly, on integers where the point is rational.
 
-        The first call builds the cleared form (_clear) and keeps it.  With D
-        the common denominator of the coefficients and v = n/m the value of
-        a variable of degree d, the term c * v^k becomes the integer
-        (c*D) * n^k * m^(d-k); the sum over all terms is divided by
-        D * prod(m^d) once.  A value that is not an int or a Fraction (a
-        Scalar in Q(sqrt(s))) enters the same loop as n = v, m = 1.  The
-        power tables come from the point (Point.tables), so polynomials
-        evaluated at one Point share them.  Every variable occurring in the
-        polynomial must be assigned; other assigned variables are ignored.
-        The result is a Fraction unless a non-rational value occurs with
-        positive degree.
+        The first call builds the rows (_clear) and keeps them.  With v = n/m
+        the value of a variable of degree d, the term (N/D) * v^k becomes the
+        int N * n^k * m^(d-k), and the sum is divided by D * prod(m^d) once;
+        a Scalar value in Q(sqrt(s)) enters as n = v, m = 1.  The power tables
+        come from the point (Point.tables), shared by the polynomials
+        evaluated at one Point.  Every variable the polynomial uses must be
+        assigned.  The result is a Fraction unless a non-rational value
+        occurs with positive degree.
         """
         form = self._cleared
         if form is None:
@@ -196,98 +203,92 @@ class MultiPoly:
         return acc * Fraction(1, den)
 
     def subs(self, assign: Dict[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials (or constants) for variables.
+        """Substitute polynomials (or constants) for variables, at once.
 
-        The powers of each substituted value are built once, up to the
-        variable's degree; unsubstituted variables stay in the monomial.  A
-        constant's power scales the coefficient, a polynomial's multiplies
-        the term.
+        A value N/D of a variable of degree d enters on the ints: at power
+        k the term takes the int factor D^(d-k), times c^k for a constant
+        N = c or times the product with N^k (built once) for any other N,
+        and the denominator takes D^d once.
         """
-        terms = self.terms
-        scales, tables = {}, {}
-        for i, d in enumerate(map(max, zip(*terms)) if terms else ()):
+        num, den = self.num, self.den
+        scales, powers = {}, {}
+        for i, d in enumerate(map(max, zip(*num)) if num else ()):
             if d and VARS[i] in assign:
                 p = assign[VARS[i]]
                 if not isinstance(p, MultiPoly):
                     p = MultiPoly.const(p)
-                if not p.terms.keys() - {_ZERO_EXPO}:
-                    c = p.terms.get(_ZERO_EXPO, Fraction(0))
-                    scales[i] = [c**k for k in range(d + 1)]
-                    continue
-                powers = [None, p]
-                while len(powers) <= d:
-                    powers.append(powers[-1] * p)
-                tables[i] = powers
-        acc: Terms = {}
-        for e, c in terms.items():
-            for i, powers in scales.items():
-                c *= powers[e[i]]
-            if not c:
+                den *= p.den**d
+                c = 1
+                if p.num.keys() <= {_ZERO_EXPO}:
+                    c = p.num.get(_ZERO_EXPO, 0)
+                else:
+                    powers[i] = [None, p.num]
+                    while len(powers[i]) <= d:
+                        powers[i].append(_times(powers[i][-1], p.num))
+                scales[i] = [c**k * p.den ** (d - k) for k in range(d + 1)]
+        keep = tuple(int(i not in scales) for i in range(NVARS))
+        scales, powers = list(scales.items()), list(powers.items())
+        acc: Nums = {}
+        for e, n in num.items():
+            for i, table in scales:
+                n *= table[e[i]]
+            if not n:
                 continue
-            rest = tuple(0 if i in scales or i in tables else k for i, k in enumerate(e))
-            term = MultiPoly._make({rest: c})
-            for i, powers in tables.items():
+            term = {tuple(map(mul, e, keep)): n}
+            for i, table in powers:
                 if e[i]:
-                    term = term * powers[e[i]]
-            for te, tc in term.terms.items():
-                acc[te] = acc.get(te, 0) + tc
-        return MultiPoly._make({e: c for e, c in acc.items() if c})
-
-    # ------------------------------------------------------------------
+                    term = _times(term, table[e[i]])
+            for r, n in term.items():
+                acc[r] = acc.get(r, 0) + n
+        return MultiPoly._make({e: n for e, n in acc.items() if n}, den)
 
     def try_divide(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
-        """Return self/divisor if the division is exact, else None."""
+        """Return self/divisor if the division is exact, else None.  The
+        numerators are divided by the divisor's primitive part, and by
+        Gauss's lemma an exact quotient by it has int coefficients."""
         if divisor.is_zero():
             raise ZeroDivisionError
-        rem = self
-        lead_e, lead_c = max(divisor.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-        quot = MultiPoly()
-        while rem.terms:
-            e, c = max(rem.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
+        g = math.gcd(*divisor.num.values())
+        prim = {e: n // g for e, n in divisor.num.items()}
+        lead_e = max(prim, key=lambda e: (sum(e), e))
+        rem, quot = dict(self.num), {}
+        while rem:
+            e = max(rem, key=lambda e: (sum(e), e))
+            q, r = divmod(rem[e], prim[lead_e])
+            diff = tuple(map(sub, e, lead_e))
+            if r or min(diff) < 0:
                 return None
-            qc = c / lead_c
-            qterm = MultiPoly._make({diff: qc})
-            quot = quot + qterm
-            rem = rem - qterm * divisor
-        return quot
+            quot[diff] = q
+            for be, bn in prim.items():
+                te = tuple(map(add, diff, be))
+                n = rem.get(te, 0) - q * bn
+                if n:
+                    rem[te] = n
+                else:
+                    del rem[te]
+        return MultiPoly._make({e: q * divisor.den for e, q in quot.items()}, self.den * g)
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:
         """Return c with self == c*other, or None if not proportional."""
         if other.is_zero():
             return Fraction(0) if self.is_zero() else None
-        if self.is_zero():
+        if self.num.keys() != other.num.keys():
             return None
-        e, c = next(iter(other.terms.items()))
-        mine = self.terms.get(e)
-        if mine is None:
+        e = next(iter(other.num))
+        a, b = self.num[e], other.num[e]
+        if any(self.num[f] * b != n * a for f, n in other.num.items()):
             return None
-        ratio = mine / c
-        return ratio if self == MultiPoly.const(ratio) * other else None
-
-    # ------------------------------------------------------------------
+        return Fraction(a * other.den, b * self.den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-k for k in t[0])))
+        items = sorted(self.num.items(), key=lambda t: (-sum(t[0]), tuple(-k for k in t[0])))
         parts = []
-        for e, c in items:
-            mono = " ".join(
-                VARS[i] if k == 1 else "%s^%d" % (VARS[i], k)
-                for i, k in enumerate(e)
-                if k
-            )
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = "-" + mono
-            else:
-                piece = "%s %s" % (c, mono)
-            parts.append(piece)
+        for e, n in items:
+            c = Fraction(n, self.den)
+            mono = " ".join(VARS[i] + ("^%d" % k if k > 1 else "") for i, k in enumerate(e) if k)
+            parts.append({1: "", -1: "-"}.get(c, "%s " % c) + mono if mono else str(c))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -296,13 +297,9 @@ class MultiPoly:
 
 
 class Point(dict):
-    """The values of the variables, to evaluate polynomials at.
-
-    A point keeps the power tables that evaluate reads, one set per
-    signature of used variables and degrees, so every polynomial evaluated
-    at the same Point shares them.  Its values must not change once it has
-    been evaluated at.
-    """
+    """The values of the variables, to evaluate polynomials at.  A point
+    keeps the power tables that evaluate reads, one set per signature of
+    used variables and degrees; its values must not change afterwards."""
 
     __slots__ = ("_tables",)
 
@@ -330,6 +327,8 @@ class Point(dict):
                 for _ in range(d):
                     table.append(table[-1] // m * n)
                 scale *= table[0]
+            elif isinstance(v, float):
+                raise TypeError("the value %r of %s is a float" % (v, name))
             else:
                 table = [1]
                 for _ in range(d):

@@ -132,6 +132,8 @@ class Scalar:
 
     @staticmethod
     def of(value: int | Fraction, mod: Optional[Fraction] = None) -> "Scalar":
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("Scalar.of takes an int or a Fraction, not %r" % (value,))
         return Scalar(value.numerator, 0, value.denominator, mod)
 
     @staticmethod

@@ -114,7 +114,7 @@ def _certifies(cert, variables: Tuple[str, str], gens: List[MultiPoly], dist: Mu
             e = [0] * len(VARS)
             for slot, k in zip(slots, expo):
                 e[slot] = k
-            cofactor[tuple(e)] = Fraction(coeff)
+            cofactor[tuple(e)] = coeff
         total = total + MultiPoly(cofactor) * gens[i]
     return total == dist ** cert["k"]
 

@@ -41,6 +41,12 @@ def gen_binom(x, k: int) -> Fraction:
     return Fraction(num, q**k * math.factorial(k))
 
 
+@lru_cache(maxsize=None)
+def _field_binom(m: int, n: int) -> Fraction:
+    """C(-m/2 - 1, n/2 - 1): h(m/2) in d^{(n/2-1)}h(z)/(n/2-1)!, m and n doubled."""
+    return gen_binom(Fraction(-m - 2, 2), n // 2 - 1)
+
+
 # ----------------------------------------------------------------------
 # the c_mn table: sum c_mn x^m y^n = -log(((1+x)^{1/2} + (1+y)^{1/2})/2)
 
@@ -120,14 +126,14 @@ def _product(
         # at most deg_out; an annihilation mode (or h(0) = lam_u) before it
         parity = sector.depth_parity()
         for m in range(parity - 2, -deg_out - 1, -2):
-            c = gen_binom(Fraction(-m - 2, 2), n // 2 - 1)
+            c = _field_binom(m, n)
             if c:
                 w = _product(rest, lam_a, E + m + n, part, sector, memo)
                 out = out + w.apply_mode(halve(m)).scale(c)
         lam_u = sector.lam_scalar()
         for m in set(part) if parity else set(part) | {0}:
             t = mode_term(m, part)
-            c = gen_binom(Fraction(-m - 2, 2), n // 2 - 1)
+            c = _field_binom(m, n)
             if t is None or not c:
                 continue
             c = lam_u * c if m == 0 else c * Fraction(t[1], 2)

@@ -186,20 +186,11 @@ def descendant_to_poly(ms: Sequence[int], base_weight) -> MultiPoly:
 
     Each L(-n) on a vector of weight w contributes the factor
     (-1)^{n-1} (x - n*y - w)."""
-    x = MultiPoly.var("x")
-    y = MultiPoly.var("y")
-    if isinstance(base_weight, MultiPoly):
-        base = base_weight
-    else:
-        base = MultiPoly.const(Fraction(base_weight))
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
     acc = MultiPoly.const(1)
-    ms = list(ms)
     for i, m in enumerate(ms):
-        inner = sum(ms[i + 1 :])
-        factor = x - y * Fraction(m) - base - Fraction(inner)
-        if (m - 1) % 2 == 1:
-            factor = -factor
-        acc = acc * factor
+        factor = x - y * m - base_weight - sum(ms[i + 1 :])
+        acc = acc * (factor if m % 2 else -factor)
     return acc
 
 

@@ -568,10 +568,12 @@ class TestSuiteCaches:
 
         monkeypatch.setattr(vertexops, "gen_binom", tainted)
         zhu._membership_columns.cache_clear()
+        vertexops._field_binom.cache_clear()
         try:
             checks = {name: ok for name, ok, _ in cli.suite_zhu()}
         finally:
             zhu._membership_columns.cache_clear()
+            vertexops._field_binom.cache_clear()
         assert not checks["lowest-weight table recomputation"]
         assert not checks["quartic relation element lies in the degree-zero ideal"]
 

@@ -31,11 +31,14 @@ wide_rationals = st.one_of(
 )
 
 
-def _multipoly(nvars, max_degree, coeffs=wide_rationals):
-    expo = st.tuples(*[st.integers(0, max_degree)] * nvars).map(
+def _expo(nvars, max_degree):
+    return st.tuples(*[st.integers(0, max_degree)] * nvars).map(
         lambda e: e + (0,) * (len(VARS) - nvars)
     )
-    return st.dictionaries(expo, coeffs, max_size=8).map(MultiPoly)
+
+
+def _multipoly(nvars, max_degree, coeffs=wide_rationals):
+    return st.dictionaries(_expo(nvars, max_degree), coeffs, max_size=8).map(MultiPoly)
 
 
 def _built_multipoly():
@@ -100,11 +103,16 @@ def _kernel_case(draw):
     return k, MultiPoly(terms), point, mixed
 
 
+def _fractions(p: MultiPoly):
+    """The coefficients of p as a {exponents: Fraction} dict."""
+    return {e: Fraction(n, p.den) for e, n in p.num.items()}
+
+
 def _evaluate_reference(p: MultiPoly, assign):
     """MultiPoly.evaluate as a term-by-term loop: each power of each value
     is rebuilt by repeated multiplication."""
     acc = None
-    for e, c in sorted(p.terms.items()):
+    for e, c in sorted(_fractions(p).items()):
         term = c
         for i, k in enumerate(e):
             for _ in range(k):
@@ -113,18 +121,131 @@ def _evaluate_reference(p: MultiPoly, assign):
     return Fraction(0) if acc is None else acc
 
 
-def _subs_reference(p: MultiPoly, assign):
-    """MultiPoly.subs term by term: each power of each substituted value is
-    rebuilt by repeated multiplication for every term."""
-    full = {v: assign.get(v, MultiPoly.var(v)) for v in VARS}
-    acc = MultiPoly()
-    for e, c in p.terms.items():
-        term = MultiPoly.const(c)
+def _dict_clean(a):
+    return {e: c for e, c in a.items() if c}
+
+
+def _dict_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _dict_clean(out)
+
+
+def _dict_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _dict_clean(out)
+
+
+def _dict_subs(a, assign):
+    """subs on {exponents: Fraction} dicts, term by term, each power of each
+    value (a MultiPoly or a rational) rebuilt by repeated products."""
+    one = (0,) * len(VARS)
+    full = {v: {tuple(int(w == v) for w in VARS): Fraction(1)} for v in VARS}
+    for v, q in assign.items():
+        full[v] = _fractions(q) if isinstance(q, MultiPoly) else _dict_clean({one: Fraction(q)})
+    out = {}
+    for e, c in a.items():
+        term = {one: c}
         for i, k in enumerate(e):
             for _ in range(k):
-                term = term * full[VARS[i]]
-        acc = acc + term
-    return acc
+                term = _dict_mul(term, full[VARS[i]])
+        out = _dict_add(out, term)
+    return out
+
+
+def _dict_divide(a, b):
+    """Long division over Q in the order (total degree, exponents): the
+    quotient when it is exact, else None."""
+    order = lambda e: (sum(e), e)  # noqa: E731
+    lead = max(b, key=order)
+    rem, quot = dict(a), {}
+    while rem:
+        e = max(rem, key=order)
+        diff = tuple(x - y for x, y in zip(e, lead))
+        if min(diff) < 0:
+            return None
+        quot[diff] = rem[e] / b[lead]
+        rem = _dict_add(rem, _dict_mul({diff: quot[diff]}, b), -1)
+    return quot
+
+
+def _dict_ratio(a, b):
+    if not b:
+        return Fraction(0) if not a else None
+    if a.keys() != b.keys():
+        return None
+    ratios = {a[e] / b[e] for e in b}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+def _dict_str(a):
+    """The text of a polynomial from its Fraction coefficients."""
+    if not a:
+        return "0"
+    parts = []
+    for e, c in sorted(a.items(), key=lambda t: (-sum(t[0]), tuple(-k for k in t[0]))):
+        mono = " ".join(v if k == 1 else "%s^%d" % (v, k) for v, k in zip(VARS, e) if k)
+        if not mono:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(mono if c == 1 else "-" + mono)
+        else:
+            parts.append("%s %s" % (c, mono))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _canonical_poly(p: MultiPoly) -> MultiPoly:
+    """Assert the canonical form: int den > 0, nonzero int numerators on
+    exponent tuples of VARS, and gcd(den, numerators) = 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.num.values())
+    assert all(len(e) == len(VARS) and min(e) >= 0 for e in p.num)
+    assert math.gcd(p.den, *p.num.values()) == 1
+    return p
+
+
+def _same_poly(p: MultiPoly, ref) -> bool:
+    return _fractions(_canonical_poly(p)) == _dict_clean(ref)
+
+
+# coefficients as they enter: ints, Fractions, and "p/q" strings whose q may
+# be negative or near 10^25
+_coefficient_inputs = st.one_of(
+    wide_rationals,
+    st.integers(-(10**25), 10**25),
+    st.builds(
+        lambda n, d: "%d/%d" % (n, d),
+        st.integers(-(10**25), 10**25),
+        st.one_of(st.integers(-12, 12), st.integers(-(10**25), 10**25)).filter(bool),
+    ),
+)
+
+
+def _as_fraction(c):
+    return Fraction(*map(int, c.split("/"))) if isinstance(c, str) else Fraction(c)
+
+
+@st.composite
+def _related_pair(draw):
+    """Two polynomials in x and y, the second often built from the first so
+    that sums and differences cancel, down to the zero polynomial."""
+    a = draw(_multipoly(2, 2))
+    c = draw(wide_rationals)
+    b = draw(
+        st.one_of(
+            _multipoly(2, 2),
+            st.just(a),
+            st.just(-a),
+            st.just(MultiPoly()),
+            _multipoly(2, 2).map(lambda r: r - a * c),
+        )
+    )
+    return a, b
 
 
 def _scalar(mod):
@@ -520,16 +641,18 @@ class TestMultiPoly:
         assert p.evaluate(point) == _evaluate_reference(p, point)
 
     @given(
-        _multipoly(len(VARS), 3, rationals),
+        _multipoly(len(VARS), 2),
         st.dictionaries(
             st.sampled_from(VARS),
-            st.one_of(_multipoly(2, 1, rationals), rationals.map(MultiPoly.const)),
+            st.one_of(_multipoly(3, 1), wide_rationals.map(MultiPoly.const), wide_rationals),
             max_size=4,
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_subs_matches_reference(self, p, assign):
-        assert p.subs(assign) == _subs_reference(p, assign)
+        """Constant and polynomial images, given as MultiPoly or as a bare
+        rational, substituted at once."""
+        assert _same_poly(p.subs(assign), _dict_subs(_fractions(p), assign))
 
     def test_subs_accepts_constants(self):
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
@@ -538,10 +661,10 @@ class TestMultiPoly:
     @given(_multipoly(2, 2, rationals), st.integers(0, 7))
     @settings(max_examples=50, deadline=None)
     def test_pow_matches_repeated_product(self, p, k):
-        ref = MultiPoly.const(1)
+        ref = {(0,) * len(VARS): Fraction(1)}
         for _ in range(k):
-            ref = ref * p
-        assert p ** k == ref
+            ref = _dict_mul(ref, _fractions(p))
+        assert _same_poly(p**k, ref)
 
     @pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (8, 3)])
     def test_pow_product_count(self, k, products, monkeypatch):
@@ -559,7 +682,7 @@ class TestMultiPoly:
         got = p ** k
         monkeypatch.undo()
         assert len(calls) == products
-        assert got == _subs_reference(MultiPoly.var("x") ** k, {"x": p})
+        assert _same_poly(got, _dict_subs(_fractions(MultiPoly.var("x") ** k), {"x": p}))
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 5])
     def test_scalar_pow_matches_repeated_product(self, k):
@@ -612,7 +735,7 @@ class TestMultiPoly:
     def test_values_are_immutable(self):
         p = MultiPoly.var("x") + 1
         with pytest.raises(AttributeError):
-            p.terms = {}
+            p.num = {}
         p.evaluate({"x": Fraction(2)})
         with pytest.raises(AttributeError):
             p._cleared = None
@@ -629,6 +752,112 @@ class TestMultiPoly:
     def test_evaluate_ignores_extra_variables(self):
         p = MultiPoly.var("x") * 2 + 1
         assert p.evaluate({"x": Fraction(1, 2), "u": object()}) == 2
+
+
+class TestMultiPolyReference:
+    """Each operation on integer numerators over one denominator matches the
+    same operation on {exponents: Fraction} dicts, and every result is in
+    canonical form."""
+
+    @given(st.dictionaries(_expo(2, 2), _coefficient_inputs, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_constructor_matches_reference(self, terms):
+        ref = {e: _as_fraction(c) for e, c in terms.items()}
+        assert _same_poly(MultiPoly(terms), ref)
+
+    @given(_coefficient_inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_const_matches_reference(self, c):
+        assert _same_poly(MultiPoly.const(c), {(0,) * len(VARS): _as_fraction(c)})
+
+    def test_zero_polynomial_is_canonical(self):
+        x = MultiPoly.var("x")
+        zeros = [
+            MultiPoly(),
+            MultiPoly.const(0),
+            MultiPoly({(1,) + (0,) * 5: "0/7"}),
+            x - x,
+            (x * Fraction(1, 10**25)) * 0,
+            x.subs({"x": 0}),
+        ]
+        for zero in zeros:
+            assert _canonical_poly(zero).num == {} and zero.den == 1
+            assert zero == 0 and hash(zero) == hash(MultiPoly()) and str(zero) == "0"
+
+    @given(_related_pair(), wide_rationals)
+    @settings(max_examples=120, deadline=None)
+    def test_ring_operations_match_reference(self, ab, c):
+        a, b = ab
+        fa, fb, fc = _fractions(a), _fractions(b), {(0,) * len(VARS): c}
+        assert _same_poly(a + b, _dict_add(fa, fb))
+        assert _same_poly(a - b, _dict_add(fa, fb, -1))
+        assert _same_poly(-a, _dict_add({}, fa, -1))
+        assert _same_poly(a * b, _dict_mul(fa, fb))
+        assert _same_poly(a + c, _dict_add(fa, fc))
+        assert _same_poly(c - a, _dict_add(fc, fa, -1))
+        assert _same_poly(a * c, _dict_mul(fa, fc))
+        assert _same_poly(c * b, _dict_mul(fc, fb))
+        assert _same_poly(a * b - b * a, {})
+
+    @given(_multipoly(2, 2), _multipoly(2, 2).filter(bool), _multipoly(2, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_try_divide_matches_reference(self, q, b, a):
+        """An exact quotient is found, and an arbitrary division agrees with
+        long division on Fractions, None included."""
+        assert _same_poly((q * b).try_divide(b), _fractions(q))
+        got, ref = a.try_divide(b), _dict_divide(_fractions(a), _fractions(b))
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert _same_poly(got, ref)
+
+    def test_try_divide_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            MultiPoly.var("x").try_divide(MultiPoly())
+
+    @given(_related_pair(), wide_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_proportionality_matches_reference(self, ab, c):
+        a, b = ab
+        for p, q in ((a, b), (a * c, a), (a, a * c)):
+            assert p.proportionality(q) == _dict_ratio(_fractions(p), _fractions(q))
+
+    @given(_related_pair(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_eq_hash_and_str_match_reference(self, ab, rnd):
+        """Polynomials are equal exactly when their Fraction coefficients
+        are, whatever the order of their terms, with equal hashes; the text
+        is that of the Fraction coefficients."""
+        a, b = ab
+        fa = _fractions(a)
+        items = list(fa.items())
+        rnd.shuffle(items)
+        again = MultiPoly(dict(items))
+        assert again == a and hash(again) == hash(a)
+        assert (a == b) == (fa == _fractions(b))
+        assert str(a) == _dict_str(fa) and str(b) == _dict_str(_fractions(b))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MultiPoly({(0,) * len(VARS): 0.1}),
+            lambda: MultiPoly.const(0.5),
+            lambda: MultiPoly.var("x") * 0.5,
+            lambda: MultiPoly.var("x") + 0.5,
+            lambda: MultiPoly.var("x").subs({"x": 0.5}),
+            lambda: MultiPoly.var("x").evaluate({"x": 0.5}),
+            lambda: Scalar.of(0.5),
+        ],
+        ids=["dict", "const", "mul", "add", "subs", "evaluate", "scalar"],
+    )
+    def test_no_float_enters(self, make):
+        with pytest.raises(TypeError) as info:
+            make()
+        assert "\n" not in str(info.value)
+
+    def test_strings_and_fractions_give_one_polynomial(self):
+        e = (1,) + (0,) * 5
+        half = MultiPoly.var("x") * Fraction(-1, 2)
+        assert MultiPoly({e: "3/-6"}) == MultiPoly({e: Fraction(-1, 2)}) == half
 
 
 class TestLinalg:

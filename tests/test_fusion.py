@@ -702,7 +702,7 @@ class TestSingularRow:
         label = mlam(s)
         got = fusion._singular_row_poly(label)
         assert got is not None
-        degree = max(sum(e) for e in got.terms)
+        degree = max(sum(e) for e in got.num)
         assert degree == _ladder_level(label) == rational_sqrt(2 * s) + 1
 
     def test_no_row_off_the_ladder(self):

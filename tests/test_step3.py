@@ -29,9 +29,8 @@ def _to_sympy(poly):
     syms = [sympy.Symbol(v) for v in VARS]
     return sympy.Add(
         *[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[x**k for x, k in zip(syms, e)])
-            for e, c in poly.terms.items()
+            sympy.Rational(n, poly.den) * sympy.Mul(*[x**k for x, k in zip(syms, e)])
+            for e, n in poly.num.items()
         ]
     )
 

@@ -141,7 +141,7 @@ def contraction(rel: Relation) -> Tuple[MultiPoly, MultiPoly]:
 
 
 def _terms(p: MultiPoly) -> list:
-    return ['            %r: "%s",' % (e, c) for e, c in sorted(p.terms.items())]
+    return ['            %r: "%s",' % (e, Fraction(n, p.den)) for e, n in sorted(p.num.items())]
 
 
 def render() -> str:

@@ -45,10 +45,10 @@ Cofactors = Dict[int, Dict[Expo2, Fraction]]
 def _in_variables(p: MultiPoly, variables: Tuple[str, str]) -> Dict[Expo2, Fraction]:
     slots = [VARS.index(v) for v in variables]
     out = {}
-    for e, c in p.terms.items():
+    for e, n in p.num.items():
         if any(k for i, k in enumerate(e) if i not in slots):
             raise ValueError("%s is not a polynomial in %s" % (p, variables))
-        out[tuple(e[i] for i in slots)] = c
+        out[tuple(e[i] for i in slots)] = Fraction(n, p.den)
     return out
 
 

@@ -48,6 +48,10 @@ def _times(a: Nums, b: Nums) -> Nums:
     return out
 
 
+def _order(e: Expo):
+    return sum(e), e
+
+
 class MultiPoly:
     __slots__ = ("num", "den", "_cleared")
 
@@ -61,11 +65,9 @@ class MultiPoly:
     def _make(num: Nums, den: int = 1) -> "MultiPoly":
         """sum(num[e] * x^e) / den for nonzero int numerators and den > 0,
         put in canonical form; `num` is never mutated afterwards."""
-        if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                num = {e: n // g for e, n in num.items()}
-                den //= g
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num, den = {e: n // g for e, n in num.items()}, den // g
         p = object.__new__(MultiPoly)
         object.__setattr__(p, "num", num)
         object.__setattr__(p, "den", den)
@@ -93,14 +95,13 @@ class MultiPoly:
             return MultiPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _plus(self, other, sign: int):
-        """self + sign * other, over the lcm of the two denominators."""
+    def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         den = math.lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den * sign
-        out = {e: n * f for e, n in self.num.items()} if f != 1 else dict(self.num)
+        f, g = den // self.den, den // other.den
+        out = {e: n * f for e, n in self.num.items()}
         for e, n in other.num.items():
             n = out.get(e, 0) + n * g
             if n:
@@ -109,19 +110,19 @@ class MultiPoly:
                 del out[e]
         return MultiPoly._make(out, den)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._make({e: -n for e, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self)._plus(other, 1)
+        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -249,19 +250,19 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroDivisionError
         g = math.gcd(*divisor.num.values())
-        prim = {e: n // g for e, n in divisor.num.items()}
-        lead_e = max(prim, key=lambda e: (sum(e), e))
+        lead_e = max(divisor.num, key=_order)
+        lead = divisor.num[lead_e] // g
         rem, quot = dict(self.num), {}
         while rem:
-            e = max(rem, key=lambda e: (sum(e), e))
-            q, r = divmod(rem[e], prim[lead_e])
+            e = max(rem, key=_order)
+            q, r = divmod(rem[e], lead)
             diff = tuple(map(sub, e, lead_e))
             if r or min(diff) < 0:
                 return None
             quot[diff] = q
-            for be, bn in prim.items():
+            for be, bn in divisor.num.items():
                 te = tuple(map(add, diff, be))
-                n = rem.get(te, 0) - q * bn
+                n = rem.get(te, 0) - q * (bn // g)
                 if n:
                     rem[te] = n
                 else:
@@ -272,13 +273,9 @@ class MultiPoly:
         """Return c with self == c*other, or None if not proportional."""
         if other.is_zero():
             return Fraction(0) if self.is_zero() else None
-        if self.num.keys() != other.num.keys():
-            return None
         e = next(iter(other.num))
-        a, b = self.num[e], other.num[e]
-        if any(self.num[f] * b != n * a for f, n in other.num.items()):
-            return None
-        return Fraction(a * other.den, b * self.den)
+        ratio = Fraction(self.num.get(e, 0) * other.den, other.num[e] * self.den)
+        return ratio if ratio and self == other * ratio else None
 
     def __str__(self):
         if not self.num:

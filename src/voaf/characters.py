@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .labels import ModuleLabel
 from .scalars import rational_sqrt
@@ -264,67 +264,3 @@ def decomposition_weights(module: Union[ModuleLabel, str], hmax) -> List[Tuple[F
             m += step
     return sorted(out)
 
-
-def verify_decomposition(
-    module: Union[ModuleLabel, str],
-    parts: Sequence[Tuple[Fraction, int]],
-    cutoff=Fraction(20),
-) -> Tuple[bool, Optional[dict]]:
-    """Compare the module character with a sum of irreducible characters.
-
-    Returns (True, None) on coefficientwise agreement up to the cutoff, or
-    (False, report) with the first mismatching exponent and both values.
-    """
-    cutoff = Fraction(cutoff)
-    lhs = graded_dimension(module, cutoff)
-    rhs = QSeries.zero(cutoff)
-    for h, mult in parts:
-        rhs = rhs + char_virasoro_c1(h, cutoff) * Fraction(mult)
-    ok, at = lhs.agrees_with(rhs)
-    if ok:
-        return True, None
-    return False, {
-        "exponent": str(at),
-        "module_coefficient": str(lhs.coeffs.get(at, Fraction(0))),
-        "sum_coefficient": str(rhs.coeffs.get(at, Fraction(0))),
-    }
-
-
-def _half_odd_factors(cutoff: Fraction) -> Iterator[QSeries]:
-    """The factors 1/(1-q^{k-1/2}), k >= 1, of prod 1/(1-q^{k-1/2}) below
-    the cutoff, as geometric series."""
-    top = _floor(cutoff, 2)
-    for step in range(1, top + 1, 2):
-        yield _series(dict.fromkeys(range(0, top + 1, step), 1), 2, cutoff)
-
-
-def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
-    """prod_k (1-q^k)/(1-q^{k-1/2}) = sum_{p>=0} q^{p(p+1)/4}."""
-    cutoff = Fraction(cutoff)
-    lhs = QSeries.one(cutoff)
-    # alternating the factors keeps the partial products sparse
-    for k, geom in enumerate(_half_odd_factors(cutoff), 1):
-        euler = QSeries({Fraction(0): Fraction(1), Fraction(k): Fraction(-1)}, cutoff)
-        lhs = lhs * euler * geom
-    top = _floor(cutoff, 4)
-    rhs = {p * (p + 1): 1 for p in range(math.isqrt(max(top, 0)) + 1) if p * (p + 1) <= top}
-    return lhs.agrees_with(_series(rhs, 4, cutoff))[0]
-
-
-def twisted_character_identity(cutoff=Fraction(20)) -> bool:
-    """The twisted-space character equals both closed forms:
-    q^{1/16-1/24} prod 1/(1-q^{k-1/2}) and (1/eta) sum q^{(2p+1)^2/16}."""
-    cutoff = Fraction(cutoff)
-    lhs = graded_dimension("Mtheta", cutoff)
-    mid = QSeries.one(cutoff + 1)
-    for geom in _half_odd_factors(cutoff + 1):
-        mid = mid * geom
-    mid = mid.shift(Fraction(1, 16) - Fraction(1, 24)).truncate(cutoff)
-    inv = eta_inverse(cutoff + 1)
-    rhs = QSeries.zero(cutoff + 1)
-    p = 0
-    while Fraction((2 * p + 1) ** 2, 16) <= cutoff + 1:
-        rhs = rhs + inv.shift(Fraction((2 * p + 1) ** 2, 16))
-        p += 1
-    rhs = rhs.truncate(cutoff)
-    return lhs.agrees_with(mid)[0] and mid.agrees_with(rhs)[0]

@@ -2,7 +2,8 @@
 and ad-hoc reduction to descendant coordinates.
 
 The verify suites and the table41 recomputation live in `voaf.suites`,
-which the subcommands that run them import on first use.
+and the state grammar of `reduce` in `voaf.reduce`; the subcommands that
+run them import them on first use.
 
 Exit codes: 0 success, 1 verification failure or a closed output pipe,
 2 usage error, 3 inconclusive (no argument decided a fusion rule).
@@ -11,100 +12,14 @@ Exit codes: 0 success, 1 verification failure or a closed output pipe,
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from . import Check, _cutoff, characters, fusion, virasoro, zhu
-from .fock import FockVector, Sector
+from . import Check, _cutoff, characters, fusion
 from .labels import ModuleLabel
-from .scalars import Scalar, parse_rational
-
-
-# ----------------------------------------------------------------------
-# state-text parsing
-
-
-_TOKEN = re.compile(
-    r"\s*(h\(\s*-\s*(\d+(?:/\d+)?)\s*\)|\|0>|e\^lam|1theta|lam|\d+/\d+|\d+|[+\-*])"
-)
-
-
-def parse_state(text: str, sector: Sector) -> FockVector:
-    """Parse a sum of scalar-prefixed creation-mode monomials.
-
-    Grammar: terms joined by + or -; each term is an optional scalar prefix
-    (a rational, `lam`, or rational * lam) followed by h(-k) factors and a
-    terminal |0>, e^lam, or 1theta.
-    """
-    pos = 0
-    tokens: List[Tuple[str, str]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError("cannot tokenize state text at %r" % text[pos:])
-        tok = m.group(1)
-        if tok.startswith("h("):
-            tokens.append(("mode", m.group(2)))
-        elif tok in ("|0>", "e^lam", "1theta"):
-            tokens.append(("terminal", tok))
-        elif tok == "lam":
-            tokens.append(("lam", tok))
-        elif tok in "+-*":
-            tokens.append(("op", tok))
-        else:
-            tokens.append(("rat", tok))
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty state expression (the grammar needs at least one term)")
-    mod = sector.s
-    want = "1theta" if sector.twisted else ("|0>" if sector.s is None else "e^lam")
-    total = FockVector.zero(sector)
-    i = 0
-    while i < len(tokens):
-        sign = Fraction(1)
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff = Scalar.of(sign, mod)
-        parts: List[Fraction] = []
-        terminal = None
-        while i < len(tokens) and terminal is None:
-            kind, val = tokens[i]
-            if kind == "rat":
-                coeff = coeff * Scalar.of(parse_rational(val), mod)
-            elif kind == "lam":
-                coeff = coeff * Scalar.lam(mod)
-            elif kind == "mode":
-                parts.append(parse_rational(val))
-            elif kind == "terminal":
-                terminal = val
-            elif kind == "op" and val == "*":
-                pass
-            else:
-                break
-            i += 1
-        if terminal is None:
-            raise ValueError("term missing its terminal (|0>, e^lam, 1theta)")
-        if i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
-            raise ValueError("terms must be joined by + or -, found %r" % tokens[i][1])
-        if terminal != want:
-            raise ValueError(
-                "terminal %r does not match the module's sector (wants %r)"
-                % (terminal, want)
-            )
-        for k in parts:
-            if not sector.depth_ok(k):
-                raise ValueError("mode depth %s is not legal in this sector" % k)
-        v = FockVector.basis(sector, parts)
-        total = total + v.scale(coeff)
-    return total
+from .scalars import parse_rational
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +81,8 @@ def _cmd_table41(args) -> int:
 
     rows, ok = suites.table41_rows()
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {"rows": [{"module": m, "a": a, "b": b} for m, a, b in rows], "verified": ok},
@@ -190,6 +107,8 @@ def _cmd_char(args) -> int:
         module = ModuleLabel.parse(module)
     series = characters.graded_dimension(module, cutoff)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {"module": str(module), "cutoff": str(cutoff), "terms": series.to_json()},
@@ -227,36 +146,9 @@ def _cmd_fusion_table(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    label = ModuleLabel.parse(args.module)
-    sector = label.sector()
-    v = parse_state(args.expr, sector)
-    if not label.contains(v):
-        raise ValueError("state does not lie in module %s" % label)
-    gens = fusion.generator_set(label)
-    try:
-        coords = fusion.descendant_coordinates(v, gens)
-    except virasoro.NotInSpan:
-        raise ValueError("state is not a Virasoro descendant of the module generators")
-    lines = ["coordinates:"]
-    for w in sorted(coords, key=lambda w: (w.gen, sum(w.ms), w.ms)):
-        name = "".join("L(-%d)" % m for m in w.ms) if w.ms else "1"
-        lines.append("  gen%d %s: %s" % (w.gen, name, coords[w]))
-    lines.append("contraction polynomials:")
-    # each generator's contraction P0 + lam*P1, from the rational and the lam
-    # parts of its coordinates
-    weights = [sector.weight_offset_rat() + g.max_degree() for g in gens]
-    rational = {w: Scalar(c.a0, 0, c.d, None) for w, c in coords.items()}
-    lam_part = {w: Scalar(c.a1, 0, c.d, None) for w, c in coords.items()}
-    p0s = zhu.coords_to_polys(rational, weights, len(gens))
-    p1s = zhu.coords_to_polys(lam_part, weights, len(gens))
-    for i, (p0, p1) in enumerate(zip(p0s, p1s)):
-        if not p1:
-            lines.append("  gen%d: %s" % (i, p0))
-        elif not p0:
-            lines.append("  gen%d: lam*(%s)" % (i, p1))
-        else:
-            lines.append("  gen%d: %s + lam*(%s)" % (i, p0, p1))
-    print("\n".join(lines))
+    from . import reduce
+
+    print(reduce.report(args.module, args.expr))
     return 0
 
 

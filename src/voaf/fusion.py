@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
+import os
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -128,19 +128,6 @@ def generator_set(label: ModuleLabel) -> List[FockVector]:
     return list(gens[:ngens])
 
 
-def verify_generator_hypothesis(label: ModuleLabel) -> bool:
-    """Check that J_n g, n = 1, 2, 3, stays inside the Virasoro span of the
-    generators."""
-    gens = generator_set(label)
-    try:
-        for g in gens:
-            for img in modes(J_state(), (1, 2, 3), g):
-                virasoro.express_in_descendants(img, gens)
-    except virasoro.NotInSpan:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # constraint systems
 
@@ -179,7 +166,7 @@ class ConstraintSystem:
         self.ncols = len(signs)  # expansion generator count: one column each
         self.signs = signs
         self.star = star
-        self.generated = generated  # rows from relation_polys alone
+        self.generated = generated  # rows from relation_polys.json alone
 
     @functools.cached_property
     def circle(self) -> List[ConstraintRow]:
@@ -285,13 +272,24 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
 
 
 @functools.cache
+def _read_json(name: str):
+    """The data file `name` beside this module, which a script in tools/
+    writes, parsed on first use; callers must not mutate it."""
+    import json
+
+    with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as f:
+        return json.load(f)
+
+
+@functools.cache
 def _relation(name: str) -> Tuple[MultiPoly, MultiPoly]:
     """The (numerator, denominator) pair of a relation of a generic charged
-    module, read from the generated module relation_polys on first use."""
-    from .relation_polys import RELATIONS
-
-    num, den = RELATIONS[name]
-    return MultiPoly(num), MultiPoly(den)
+    module, from the generated relation_polys.json.  Each polynomial is
+    stored in MultiPoly's canonical form [den, [[exponents, num], ...]]."""
+    relation_polys = _read_json("relation_polys.json")
+    return tuple(
+        MultiPoly._make({tuple(e): n for e, n in terms}, den) for den, terms in relation_polys[name]
+    )
 
 
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
@@ -300,12 +298,6 @@ def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly
     g_num/g_den, polynomials in x, y, z and the squared charge s.
     """
     return _relation("star") + _relation("circle")
-
-
-def second_circle_relation_polys() -> Tuple[MultiPoly, MultiPoly]:
-    """The relation h(-2)^2|0> circ v of a generic charged module as
-    (h_num, h_den), polynomials in x, y, z and s."""
-    return _relation("second-circle")
 
 
 _SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
@@ -340,7 +332,7 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
 
     A charged module with no primary above its top up to the relation
     degree takes its star row, and its circle row where g_den(s) != 0, from
-    the generated relation polynomials (relation_polys, written by
+    the generated relation polynomials (relation_polys.json, written by
     tools/relation_polys.py) at its charge; every other module takes its
     star row from the expansion generators, when the relation lies in their
     Virasoro span.  Every module gets the singular-vector row wherever it
@@ -509,6 +501,8 @@ class FusionCertificate:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
@@ -638,34 +632,6 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
 # tables
 
 
-def expected_fusion(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> int:
-    """Closed-form fusion table, stated independently of the decision
-    procedure; used as a cross-check of decide()."""
-    labels = (m, n, l)
-    twisted = [x for x in labels if x.kind.startswith("Mtheta")]
-    if len(twisted) % 2 == 1:
-        return 0
-    if len(twisted) == 2:
-        other = next(x for x in labels if not x.kind.startswith("Mtheta"))
-        same = twisted[0].kind == twisted[1].kind
-        if other.kind == "M+":
-            return 1 if same else 0
-        if other.kind == "M-":
-            return 0 if same else 1
-        return 1
-    charged = [x for x in labels if x.kind == "Mlam"]
-    if len(charged) == 3:
-        s, t, u = (Fraction(x.s) for x in charged)
-        sym3 = s * s + t * t + u * u - 2 * s * t - 2 * s * u - 2 * t * u
-        return 1 if sym3 == 0 else 0
-    if len(charged) == 2:
-        return 1 if charged[0].s == charged[1].s else 0
-    if len(charged) == 1:
-        return 0
-    minus = sum(1 for x in labels if x.kind == "M-")
-    return 1 if minus % 2 == 0 else 0
-
-
 def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
     """All squared charges reachable as (sqrt(s1) +- sqrt(s2))^2 inside the
     rationals, starting from the given list."""
@@ -711,11 +677,6 @@ def table_to_csv(certs: Iterable[FusionCertificate]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the standard library's C string escaper: json.dumps with an indent runs
-# the pure-Python encoder, which is slower than deciding the table
-_json_str = json.encoder.encode_basestring_ascii
-
-
 def _json_block(items: List[str], level: int, brackets: str) -> str:
     """A container holding the texts `items`, laid out as the standard
     library's encoder lays it out `level` containers deep at indent 1."""
@@ -725,23 +686,26 @@ def _json_block(items: List[str], level: int, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
 
 
-def _json_text(value, level: int) -> str:
+def _json_text(value, level: int, esc=None) -> str:
     """The standard library's JSON text of a value `level` containers deep,
     with sorted keys and an indent of 1, for what a certificate holds: str,
     int, None, and lists and str-keyed dicts of them.  Any other type
-    raises TypeError."""
+    raises TypeError.  `esc` is the string escaper that table_to_json binds;
+    without it the function imports it."""
+    if esc is None:
+        from json.encoder import encode_basestring_ascii as esc
     kind = type(value)
     if kind is str:
-        return _json_str(value)
+        return esc(value)
     if kind is int:
         return str(value)
     if value is None:
         return "null"
     if kind is list:
-        return _json_block([_json_text(v, level + 1) for v in value], level, "[]")
+        return _json_block([_json_text(v, level + 1, esc) for v in value], level, "[]")
     if kind is dict:
         return _json_block(
-            [_json_str(k) + ": " + _json_text(value[k], level + 1) for k in sorted(value)],
+            [esc(k) + ": " + _json_text(value[k], level + 1, esc) for k in sorted(value)],
             level,
             "{}",
         )
@@ -770,29 +734,29 @@ _WITNESS_KEYS = {"bound", "witness"}
 _WITNESS_FIELDS = {"detail", "tag"}
 
 
-def _reason_text(reason: dict) -> str:
+def _reason_text(reason: dict, esc) -> str:
     """The JSON text of a reason two containers deep.
 
     A nonzero constraint, an invariant separation and a bound-1 witness
     fill their templates when they have exactly the keys that decide()
     gives them; their other values must be str, as decide() makes them
     (the escaper raises TypeError on any other type).  Every other reason
-    goes through _json_text."""
+    goes through _json_text.  `esc` is the string escaper."""
     kind = reason.get("type")
     if kind == "nonzero-constraint" and reason.keys() == _NONZERO_KEYS:
-        return _NONZERO_CONSTRAINT % (_json_str(reason["row"]), _json_str(reason["value"]))
+        return _NONZERO_CONSTRAINT % (esc(reason["row"]), esc(reason["value"]))
     if kind == "invariant-separation" and reason.keys() == _SEPARATION_KEYS:
         p = reason["point"]
         if type(p) is dict and p.keys() == _POINT_KEYS:
             return _INVARIANT_SEPARATION % (
-                _json_str(reason["detail"]),
-                _json_str(p["a_L"]), _json_str(p["a_N"]), _json_str(p["b_L"]), _json_str(p["b_N"]),
+                esc(reason["detail"]),
+                esc(p["a_L"]), esc(p["a_N"]), esc(p["b_L"]), esc(p["b_N"]),
             )
     if reason.keys() == _WITNESS_KEYS and type(reason["bound"]) is int and reason["bound"] == 1:
         w = reason["witness"]
         if type(w) is dict and w.keys() == _WITNESS_FIELDS:
-            return _WITNESS % (_json_str(w["detail"]), _json_str(w["tag"]))
-    return _json_text(reason, 2)
+            return _WITNESS % (esc(w["detail"]), esc(w["tag"]))
+    return _json_text(reason, 2, esc)
 
 
 def table_to_json(certs: Iterable[FusionCertificate]) -> str:
@@ -804,13 +768,18 @@ def table_to_json(certs: Iterable[FusionCertificate]) -> str:
     the end.  The texts of the labels and permutations are escaped once per
     table.
     """
-    label_text = functools.cache(lambda label: _json_str(str(label)))
-    perm_text = functools.cache(lambda perm: _json_text(list(perm), 2))
+    # the standard library's C string escaper, bound once per table:
+    # json.dumps with an indent runs the pure-Python encoder, which is
+    # slower than deciding the table
+    from json.encoder import encode_basestring_ascii as esc
+
+    label_text = functools.cache(lambda label: esc(str(label)))
+    perm_text = functools.cache(lambda perm: _json_text(list(perm), 2, esc))
 
     def render(cert: FusionCertificate) -> str:
         return _CERTIFICATE % (
             label_text(cert.l), label_text(cert.m), label_text(cert.n),
-            perm_text(tuple(cert.permutation)), _reason_text(cert.reason), cert.verdict,
+            perm_text(tuple(cert.permutation)), _reason_text(cert.reason, esc), cert.verdict,
         )
 
     return _json_block(list(map(render, certs)), 0, "[]")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, getitem, mul, sub
+from heapq import heapify, heappop, heappush
+from operator import add, getitem, mul, neg, sub
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -48,8 +49,10 @@ def _times(a: Nums, b: Nums) -> Nums:
     return out
 
 
-def _order(e: Expo):
-    return sum(e), e
+def _heap_entry(e: Expo):
+    """A min-heap entry that pops the term of largest degree, then largest
+    exponents, first."""
+    return -sum(e), tuple(map(neg, e)), e
 
 
 class MultiPoly:
@@ -246,27 +249,36 @@ class MultiPoly:
     def try_divide(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
         """Return self/divisor if the division is exact, else None.  The
         numerators are divided by the divisor's primitive part, and by
-        Gauss's lemma an exact quotient by it has int coefficients."""
+        Gauss's lemma an exact quotient by it has int coefficients.  The
+        leading terms of the remainder come off a heap, which skips a term
+        that has cancelled since it was pushed."""
         if divisor.is_zero():
             raise ZeroDivisionError
         g = math.gcd(*divisor.num.values())
-        lead_e = max(divisor.num, key=_order)
+        lead_e = min(divisor.num, key=_heap_entry)
         lead = divisor.num[lead_e] // g
+        rest = [(be, bn // g) for be, bn in divisor.num.items() if be != lead_e]
         rem, quot = dict(self.num), {}
+        heap = [_heap_entry(e) for e in rem]
+        heapify(heap)
         while rem:
-            e = max(rem, key=_order)
-            q, r = divmod(rem[e], lead)
+            e = heappop(heap)[-1]
+            if e not in rem:
+                continue
+            q, r = divmod(rem.pop(e), lead)
             diff = tuple(map(sub, e, lead_e))
             if r or min(diff) < 0:
                 return None
             quot[diff] = q
-            for be, bn in divisor.num.items():
+            for be, bn in rest:
                 te = tuple(map(add, diff, be))
-                n = rem.get(te, 0) - q * (bn // g)
-                if n:
-                    rem[te] = n
-                else:
+                n = rem.get(te, 0) - q * bn
+                if not n:
                     del rem[te]
+                    continue
+                if te not in rem:  # new, or back after it cancelled
+                    heappush(heap, _heap_entry(te))
+                rem[te] = n
         return MultiPoly._make({e: q * divisor.den for e, q in quot.items()}, self.den * g)
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:

@@ -159,9 +159,3 @@ def express_in_descendants(
                 coords[w] = c
     return coords
 
-
-def reconstruct(coords: Dict[DescendantWord, Scalar], generators: Sequence[FockVector]) -> FockVector:
-    acc = FockVector.zero(generators[0].sector)
-    for w, c in coords.items():
-        acc = acc + L_word(w.ms, generators[w.gen]).scale(c)
-    return acc

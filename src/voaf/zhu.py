@@ -8,9 +8,8 @@ For homogeneous a in the vacuum-charge sector acting on a module vector u:
 
 The quotient by O(M) is the bimodule controlling fusion; membership in
 O(M) is decided by an exact linear solve against circle-product columns.
-
-phi(u) = e^{L(1)} e^{i*pi*L(0)} u is the degree-reversing anti-map; its
-square acts as phase e^{2*pi*i*wt}.
+The right product and the phi anti-map, which only `voaf verify` checks,
+live in `voaf.suites`.
 
 descendant_to_poly translates a Virasoro word L(-m1)...L(-mk) applied to a
 lowest-weight module generator into the polynomial (in x = a_L, y = a_N)
@@ -51,13 +50,6 @@ def _mode_sum(a: FockVector, u: FockVector, top: int, first: int, count: int) ->
 def star_left(a: FockVector, u: FockVector) -> FockVector:
     wa = _integral_weight(a)
     return _mode_sum(a, u, wa, -1, wa + 1)
-
-
-def star_right(u: FockVector, a: FockVector) -> FockVector:
-    wa = _integral_weight(a)
-    # for wt(a) >= 1 the binomial kills i >= wt(a); for wt(a) = 0 the modes
-    # a(i-1)u vanish once i exceeds wt(a) + deg(u)
-    return _mode_sum(a, u, wa - 1, -1, int(wa + u.max_degree()) + 2)
 
 
 def circ(a: FockVector, u: FockVector) -> FockVector:
@@ -127,53 +119,6 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
         gens[col] + (c,) for col, c in zip(pivots, image) if not c.is_zero()
     ]
     return MembershipResult(True, combo)
-
-
-# ----------------------------------------------------------------------
-# the phi anti-map
-
-
-class PhiImage(NamedTuple):
-    """exp(i*pi*phase) * vector with the rational phase in [0, 2); scalars
-    absorb only rational (+-1) adjustments, the genuinely complex part stays
-    in the phase."""
-
-    phase: Fraction
-    vector: FockVector
-
-
-def e_L1(v: FockVector) -> FockVector:
-    """e^{L(1)} v (finite because L(1) lowers degree)."""
-    acc = FockVector.zero(v.sector)
-    term = v
-    k = 0
-    while not term.is_zero():
-        acc = acc + term
-        k += 1
-        term = virasoro.L(1, term).scale(Fraction(1, k))
-    return acc
-
-
-def phi(v: FockVector) -> PhiImage:
-    """phi(v) = e^{L(1)} e^{i*pi*L(0)} v.
-
-    Requires the conformal weights of the components of v to agree mod 2Z;
-    the common phase is extracted and integer differences fold into signs.
-    """
-    if v.is_zero():
-        return PhiImage(Fraction(0), v)
-    offset = v.sector.weight_offset_rat()
-    degs = v.degrees()
-    w0 = degs[-1] + offset
-    signed = FockVector.zero(v.sector)
-    for d in degs:
-        diff = d + offset - w0
-        if diff.denominator != 1:
-            raise ValueError("component weights differ by non-integers")
-        comp = v.homogeneous_component(d)
-        sign = -1 if int(diff) % 2 else 1
-        signed = signed + comp.scale(Fraction(sign))
-    return PhiImage(w0 % 2, e_L1(signed))
 
 
 # ----------------------------------------------------------------------

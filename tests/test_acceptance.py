@@ -264,7 +264,7 @@ def test_c6_full_fusion_table():
     assert len(certs) == len(base) ** 2 * len(targets)
     by_triple = {(c.m, c.n, c.l): c.verdict for c in certs}
     for cert in certs:
-        assert cert.verdict == fusion.expected_fusion(cert.m, cert.n, cert.l)
+        assert cert.verdict == suites.expected_fusion(cert.m, cert.n, cert.l)
         # permutation symmetry of the verdict wherever the permuted triple
         # also appears in the table
         for perm in ((cert.n, cert.m, cert.l), (cert.m, cert.l, cert.n),
@@ -291,7 +291,7 @@ def test_c8_singular_vectors():
     with Timer() as t:
         for label, combo in combos:
             words = {virasoro.DescendantWord(0, ms): c for c, ms in combo}
-            img = virasoro.reconstruct(words, [label.top_vector()])
+            img = suites.reconstruct(words, [label.top_vector()])
             assert img.is_zero(), label
     assert t.elapsed < 10
 

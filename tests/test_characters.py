@@ -13,10 +13,8 @@ from voaf.characters import (
     decomposition_weights,
     eta_inverse,
     graded_dimension,
-    jacobi_triple_check,
-    twisted_character_identity,
-    verify_decomposition,
 )
+from voaf.suites import jacobi_triple_check, twisted_character_identity, verify_decomposition
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voaf import cli, fusion, suites, vertexops, virasoro, zhu
+from voaf.reduce import parse_state
 from voaf.fock import FockVector, Sector
 
 F = Fraction
@@ -431,31 +432,31 @@ class TestReduce:
 class TestParseState:
     def test_descendant(self):
         sec = Sector.untwisted(None)
-        v = cli.parse_state("h(-3)h(-1)|0>", sec)
+        v = parse_state("h(-3)h(-1)|0>", sec)
         assert v == FockVector.basis(sec, (F(3), F(1)))
 
     def test_scalar_prefix_and_sum(self):
         sec = Sector.untwisted(None)
-        v = cli.parse_state("2*h(-1)h(-1)|0> - h(-2)|0>", sec)
+        v = parse_state("2*h(-1)h(-1)|0> - h(-2)|0>", sec)
         assert v == FockVector(sec, {(F(1), F(1)): 2, (F(2),): -1})
 
     def test_charged_terminal(self):
         sec = Sector.untwisted(F(2))
-        v = cli.parse_state("h(-1)e^lam", sec)
+        v = parse_state("h(-1)e^lam", sec)
         assert v == FockVector.basis(sec, (F(1),))
 
     def test_twisted_half_modes(self):
         sec = Sector.twisted_sector()
-        v = cli.parse_state("h(-1/2)1theta", sec)
+        v = parse_state("h(-1/2)1theta", sec)
         assert v == FockVector.basis(sec, (F(1, 2),))
 
     def test_wrong_terminal_raises(self):
         with pytest.raises(ValueError):
-            cli.parse_state("e^lam", Sector.untwisted(None))
+            parse_state("e^lam", Sector.untwisted(None))
 
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
-            cli.parse_state("x(-1)|0>", Sector.untwisted(None))
+            parse_state("x(-1)|0>", Sector.untwisted(None))
 
 
 class TestVerify:
@@ -576,6 +577,33 @@ class TestSuiteCaches:
             vertexops._field_binom.cache_clear()
         assert not checks["lowest-weight table recomputation"]
         assert not checks["quartic relation element lies in the degree-zero ideal"]
+
+    def test_zhu_suite_catches_a_sign_flip_of_depth_two_creation_terms(
+        self, monkeypatch, capsys
+    ):
+        """With the sign of every creation term h(k), k <= -1, of a
+        depth-two field flipped in the vertex-operator recursion, `verify
+        --suite zhu` fails.  Only the anti-map sample on M- sees it: the
+        lowest-weight table and the ideal memberships still pass."""
+        real = vertexops._field_binom
+
+        def tainted(m, n):
+            # doubled mode m and depth n: h(m/2) in d^{(n/2-1)}h(z)/(n/2-1)!
+            c = real(m, n)
+            return -c if n == 4 and m <= -2 else c
+
+        monkeypatch.setattr(vertexops, "_field_binom", tainted)
+        monkeypatch.delenv("VOAF_CUTOFF", raising=False)
+        zhu._membership_columns.cache_clear()
+        try:
+            code = cli.main(["verify", "--suite", "zhu"])
+        finally:
+            zhu._membership_columns.cache_clear()
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in out if line.startswith("FAIL")] == [
+            "FAIL [zhu] anti-map exchanges the two products (sample wt 4 on untwisted)"
+        ]
 
 
 def _add(key, delta):

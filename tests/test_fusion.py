@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from voaf import fusion, linalg, virasoro, zhu
+from voaf.step3 import second_circle_relation_polys
+from voaf.suites import expected_fusion, phi, verify_generator_hypothesis
 from voaf.fock import FockVector, Sector
 from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from voaf.multipoly import MultiPoly
@@ -93,7 +95,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("label", CONCRETE, ids=str)
     def test_generator_hypothesis(self, label):
-        assert fusion.verify_generator_hypothesis(label)
+        assert verify_generator_hypothesis(label)
 
 
 def _reference_coords_to_polys(coords, base_weights, ngens):
@@ -123,7 +125,7 @@ class TestContractions:
         """Each generated pair (num, den) at s is the contraction computed in
         Q(sqrt(s)) on the top vector of M(s), times den(s)."""
         f_num, f_den, g_num, g_den = fusion.generic_relation_polys()
-        h_num, h_den = fusion.second_circle_relation_polys()
+        h_num, h_den = second_circle_relation_polys()
         at = {"s": MultiPoly.const(s)}
         (star,) = fusion._star_row_polys(mlam(s))
         assert star * f_den.evaluate({"s": s}) == f_num.subs(at)
@@ -138,7 +140,7 @@ class TestContractions:
         names = set()
         for fn in (
             fusion._relation,
-            fusion.second_circle_relation_polys,
+            second_circle_relation_polys,
             fusion.generic_relation_polys,
         ):
             tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
@@ -323,7 +325,7 @@ class TestWitnesses:
                 for l in labels:
                     w = fusion.find_witness(m, n, l)
                     assert (w is not None) == bool(
-                        fusion.expected_fusion(m, n, l)
+                        expected_fusion(m, n, l)
                     ), (m, n, l)
 
     def test_witnesses_verify(self):
@@ -449,7 +451,7 @@ class TestTable:
     def test_small_table_matches_closed_form(self):
         certs = list(fusion.full_table([F(2)]))
         for cert in certs:
-            assert cert.verdict == fusion.expected_fusion(
+            assert cert.verdict == expected_fusion(
                 cert.m, cert.n, cert.l
             ), (cert.m, cert.n, cert.l)
 
@@ -559,10 +561,10 @@ class TestValueTypes:
         row = fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
         assert row == fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
         assert zhu.o_membership(FockVector.zero(Sector.untwisted(None)), mplus(), 2).member
-        image = zhu.phi(mplus().top_vector())
+        image = phi(mplus().top_vector())
         assert image.phase == 0 and type(image.phase) is F
         assert image.vector == mplus().top_vector()
-        assert zhu.phi(FockVector.basis(Sector.untwisted(None), (1, 1))).phase == 0  # w0 = 2
+        assert phi(FockVector.basis(Sector.untwisted(None), (1, 1))).phase == 0  # w0 = 2
         for value, name in [(Sector.untwisted(2), "s"), (image, "phase"),
                             (DescendantWord(0, ()), "gen"), (row, "name")]:
             with pytest.raises(AttributeError):
@@ -890,7 +892,7 @@ class TestLazyRows:
     def test_golden_tables_never_build_a_circle(self, monkeypatch, grid):
         self._forbid_circles(monkeypatch)
         certs = list(fusion.full_table(grid))
-        assert all(c.verdict == fusion.expected_fusion(c.m, c.n, c.l) for c in certs)
+        assert all(c.verdict == expected_fusion(c.m, c.n, c.l) for c in certs)
 
     def test_circle_is_built_once_and_quoted_when_reached(self, monkeypatch):
         # the star row of M(s=1/3) vanishes at both arrangements below

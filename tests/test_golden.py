@@ -83,9 +83,9 @@ def test_ladder_certificates(capsys):
 def test_relation_polys():
     """The star, circle and second circle relations of a charged module,
     recorded from the formal-charge (Q(lam)) contraction."""
-    from voaf import fusion
+    from voaf import fusion, step3
 
-    pairs = fusion.generic_relation_polys() + fusion.second_circle_relation_polys()
+    pairs = fusion.generic_relation_polys() + step3.second_circle_relation_polys()
     names = ("f_num", "f_den", "g_num", "g_den", "h_num", "h_den")
     out = "".join("%s = %s\n" % (n, p) for n, p in zip(names, pairs))
     assert out == (GOLDEN_DIR / "relation_polys.txt").read_text(encoding="utf-8")

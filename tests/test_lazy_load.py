@@ -1,11 +1,12 @@
 """What each command loads, and what the benchmark's tracer still sees.
 
-The verify suites (`voaf.suites`) and the generic-charge identity suite
-(`voaf.step3`) are imported inside the functions that first need them, so
-a cold `voaf` process that does not verify never compiles them.  Each
-command runs in a fresh interpreter as `__main__`, as `python -m voaf.cli`
-runs it: the modules this test process has already imported would hide
-what the command loads.
+The verify suites (`voaf.suites`), the generic-charge identity suite
+(`voaf.step3`) and the state grammar of `reduce` (`voaf.reduce`) are
+imported inside the functions that first need them, and `json` only where
+JSON is read or written, so a cold `voaf` process compiles and imports
+only what its command runs.  Each command runs in a fresh interpreter as
+`__main__`, as `python -m voaf.cli` runs it: the modules this test process
+has already imported would hide what the command loads.
 """
 
 import json
@@ -21,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _RUN = textwrap.dedent(
     """
-    import io, json, runpy, sys
+    import io, runpy, sys
     from contextlib import redirect_stdout
     sys.argv = ["voaf"] + sys.argv[1:]
     with redirect_stdout(io.StringIO()):
@@ -29,7 +30,10 @@ _RUN = textwrap.dedent(
             runpy.run_module("voaf.cli", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             code = exc.code
-    print(json.dumps({"code": code, "modules": sorted(n for n in sys.modules if n.startswith("voaf"))}))
+    # listed before this script imports json itself
+    modules = sorted(n for n in sys.modules if n.startswith("voaf") or n == "json")
+    import json
+    print(json.dumps({"code": code, "modules": modules}))
     """
 )
 
@@ -84,6 +88,49 @@ def test_suites_load_on_first_use(argv, wanted, unwanted):
     # a module that imported voaf.cli would compile and run it a second
     # time beside __main__
     assert "voaf.cli" not in loaded
+
+
+# every command loads the engine: `import voaf.cli` must load each module
+# that bench/tracer.py wraps (tests/test_tracer_targets.py)
+_ENGINE = {
+    "voaf", "voaf.characters", "voaf.fock", "voaf.fusion", "voaf.labels", "voaf.linalg",
+    "voaf.multipoly", "voaf.scalars", "voaf.vertexops", "voaf.virasoro", "voaf.zhu",
+}
+
+# each subcommand, and the modules it loads beyond the engine
+_BEYOND_ENGINE = {
+    "help": (["--help"], set()),
+    "table41": (["table41", "--json"], {"voaf.suites"}),
+    "char": (["char", "--module", "Mtheta+", "--cutoff", "12", "--json"], set()),
+    "fusion": (
+        ["fusion", "--m", "M(s=3)", "--n", "M(s=5/4)", "--l", "M(s=22/9)", "--certificate"],
+        set(),
+    ),
+    "fusion-table": (["fusion-table", "--lambda-squares", "1/3,1/2,2", "--format", "json"], set()),
+    "reduce": (["reduce", "--module", "M(s=2)", "--expr", "h(-2)e^lam"], {"voaf.reduce"}),
+    "verify-zhu": (["verify", "--suite", "zhu"], {"voaf.suites"}),
+    "verify-step3": (["verify", "--suite", "step3"], {"voaf.suites", "voaf.step3"}),
+}
+
+
+@pytest.mark.parametrize("argv, extra", _BEYOND_ENGINE.values(), ids=_BEYOND_ENGINE.keys())
+def test_each_command_loads_exactly_its_modules(argv, extra):
+    loaded = {n for n in _loaded(argv) if n.startswith("voaf")}
+    assert loaded == _ENGINE | extra
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["verify", "--suite", "zhu"], ["char", "--module", "M+", "--cutoff", "12"]],
+    ids=["help", "verify-zhu", "char"],
+)
+def test_commands_that_neither_read_nor_write_json_do_not_import_it(argv):
+    assert "json" not in _loaded(argv)
+
+
+def test_a_command_that_writes_json_imports_it():
+    # the check above would pass vacuously if the runner never saw json
+    assert "json" in _loaded(["char", "--module", "M+", "--cutoff", "12", "--json"])
 
 
 # bench/tracer.py wraps cli.suite_step3 and fusion.verify_step3_generic,

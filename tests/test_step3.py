@@ -12,17 +12,16 @@ import importlib.util
 import inspect
 import re
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
 
-from voaf import fusion, step3, step3_cofactors
+from voaf import fusion, step3
 from voaf.multipoly import VARS
 
 ROOT = Path(__file__).resolve().parents[1]
-NAMES = list(step3_cofactors.CLOSURES)
+NAMES = list(step3._certificates())
 
 
 def _to_sympy(poly):
@@ -118,17 +117,19 @@ def test_engine_closure_has_groebner_basis_one(closures, name):
 def test_stored_certificate_holds(closures, name):
     _, _, by_name = closures
     _, _, variables, gens, dist = by_name[name]
-    assert step3._certifies(step3_cofactors.CLOSURES[name], variables, gens, dist)
+    assert step3._certifies(step3._certificates()[name], variables, gens, dist)
 
 
 def _first_cofactor(cert):
-    i = min(cert["cofactors"])
-    return i, min(cert["cofactors"][i])
+    i = min(cert["cofactors"], key=int)
+    return i, min(m for m, _ in cert["cofactors"][i][1])
 
 
 def _perturb(cert, gens):
+    # adds 1/7 to the coefficient of the first monomial of the first cofactor
     i, m = _first_cofactor(cert)
-    cert["cofactors"][i][m] = str(Fraction(cert["cofactors"][i][m]) + Fraction(1, 7))
+    den, terms = cert["cofactors"][i]
+    cert["cofactors"][i] = [7 * den, [[e, 7 * n + den * (e == m)] for e, n in terms]]
     return cert, gens
 
 
@@ -159,7 +160,7 @@ MUTATIONS = {
 def test_mutated_certificate_is_rejected(closures, name, mutation):
     _, _, by_name = closures
     _, _, variables, gens, dist = by_name[name]
-    cert, gens = MUTATIONS[mutation](copy.deepcopy(step3_cofactors.CLOSURES[name]), list(gens))
+    cert, gens = MUTATIONS[mutation](copy.deepcopy(step3._certificates()[name]), list(gens))
     assert not step3._certifies(cert, variables, gens, dist)
 
 
@@ -173,7 +174,7 @@ def test_mutated_certificate_is_rejected(closures, name, mutation):
     ],
 )
 def test_verify_names_the_mutated_closure(monkeypatch, mutation, name):
-    data = copy.deepcopy(step3_cofactors.CLOSURES)
+    data = copy.deepcopy(step3._certificates())
     real_closures = step3.step3_closures
 
     def mutated_closures(pt, q2):
@@ -185,16 +186,16 @@ def test_verify_names_the_mutated_closure(monkeypatch, mutation, name):
             out.append(c)
         return out
 
-    monkeypatch.setattr(step3_cofactors, "CLOSURES", data)
+    monkeypatch.setattr(step3, "_certificates", lambda: data)
     monkeypatch.setattr(step3, "step3_closures", mutated_closures)
     with pytest.raises(fusion.VerificationError, match="^%s failed" % re.escape(name)):
         fusion.verify_step3_generic()
 
 
 def test_missing_certificate_is_rejected(monkeypatch):
-    data = dict(step3_cofactors.CLOSURES)
+    data = dict(step3._certificates())
     del data["groebner-special-t-9/2"]
-    monkeypatch.setattr(step3_cofactors, "CLOSURES", data)
+    monkeypatch.setattr(step3, "_certificates", lambda: data)
     with pytest.raises(fusion.VerificationError, match="^groebner-special-t-9/2 failed"):
         fusion.verify_step3_generic()
 
@@ -205,7 +206,7 @@ def test_certificate_module_regenerates_byte_for_byte():
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    committed = Path(step3_cofactors.__file__).read_bytes()
+    committed = (ROOT / "src" / "voaf" / "step3_cofactors.json").read_bytes()
     assert tool.render().encode("utf-8") == committed
     assert len(committed) < 10_000
 

@@ -14,9 +14,9 @@ from voaf.virasoro import (
     L_word,
     NotInSpan,
     express_in_descendants,
-    reconstruct,
     words_at_level,
 )
+from voaf.suites import reconstruct
 from voaf.scalars import Scalar
 
 UNT = Sector.untwisted(None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voaf import virasoro, zhu
-from voaf.suites import relation_element
+from voaf.suites import e_L1, phi, relation_element, star_right
 from voaf.fock import FockVector, Sector
 from voaf.labels import mminus, mplus, mtheta_plus
 from voaf.multipoly import MultiPoly
@@ -22,7 +22,7 @@ class TestStarProducts:
         v = mminus().top_vector()
         one = FockVector.basis(UNT)
         assert zhu.star_left(one, v) == v
-        assert zhu.star_right(v, one) == v
+        assert star_right(v, one) == v
 
     def test_eight_term_quartic_expansion(self):
         """h(-3)h(-1)|0> * v on the odd module equals the known Virasoro
@@ -79,7 +79,7 @@ def _rewrite_elements():
     for n in range(1, 5):
         rewrite = (
             zhu.star_left(omega(), v)
-            + zhu.star_right(v, omega()).scale(Fraction(-n))
+            + star_right(v, omega()).scale(Fraction(-n))
             + v.scale(Fraction(-1))
         ).scale(Fraction((-1) ** (n - 1)))
         elems.append(virasoro.L(-n, v) - rewrite)
@@ -141,14 +141,14 @@ class TestSharedColumns:
 class TestPhi:
     def test_involution_up_to_phase(self):
         v = mtheta_plus().top_vector()
-        img = zhu.phi(v)
+        img = phi(v)
         assert img.phase == Fraction(1, 16) and type(img.phase) is Fraction
-        again = zhu.phi(img.vector)
+        again = phi(img.vector)
         assert (again.vector - v).is_zero()
 
     def test_e_l1_on_lowest_weight_is_identity(self):
         v = mminus().top_vector()
-        assert zhu.e_L1(v) == v
+        assert e_L1(v) == v
 
 
 class TestContractionPolynomials:

@@ -1,5 +1,5 @@
-"""Generate src/voaf/relation_polys.py, the star, circle and second circle
-relations of a charged module as polynomials in x, y, z and s = lam^2.
+"""Generate src/voaf/relation_polys.json, the star, circle and second
+circle relations of a charged module as polynomials in x, y, z and s = lam^2.
 
     python tools/relation_polys.py
 
@@ -46,12 +46,19 @@ The pair sum_w M_D c_w * descendant_to_poly(w, s/2) over M_D(s) is then
 reduced: each factor s - k^2/2 of M_D is cancelled while the numerator is
 divisible by it (MultiPoly.try_divide), which leaves a monic denominator.
 The star relation is stored as (head * den + 9 * num, den), with head the
-contraction z - 4x^2 - 17x of J - 4 omega*omega - 17 omega.  The output is
-deterministic: running the script again rewrites the module byte for byte.
+contraction z - 4x^2 - 17x of J - 4 omega*omega - 17 omega.
+
+The file maps each relation's name to its pair [numerator, denominator],
+one relation a line.  Each polynomial is in MultiPoly's canonical form
+[den, [[exponents, num], ...]]: a positive int denominator prime to the
+int numerators, one exponent per variable of `voaf.multipoly.VARS`, terms
+sorted by exponents.  The output is deterministic: running the script
+again rewrites the file byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -66,7 +73,7 @@ from voaf.fock import FockVector, Sector  # noqa: E402
 from voaf.multipoly import MultiPoly  # noqa: E402
 from voaf.scalars import interpolate, rational_sqrt  # noqa: E402
 
-TARGET = ROOT / "src" / "voaf" / "relation_polys.py"
+TARGET = ROOT / "src" / "voaf" / "relation_polys.json"
 
 _S = MultiPoly.var("s")
 _H22 = FockVector.basis(Sector.untwisted(None), (2, 2))
@@ -140,34 +147,21 @@ def contraction(rel: Relation) -> Tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
-def _terms(p: MultiPoly) -> list:
-    return ['            %r: "%s",' % (e, Fraction(n, p.den)) for e, n in sorted(p.num.items())]
+def canonical(p: MultiPoly) -> list:
+    """MultiPoly's canonical form [den, [[exponents, num], ...]] of p."""
+    return [p.den, [[list(e), n] for e, n in sorted(p.num.items())]]
 
 
 def render() -> str:
-    """The text of the data module."""
-    lines = [
-        '"""The star, circle and second circle relations of a charged module.',
-        "",
-        "Generated by tools/relation_polys.py; do not edit.  Each entry is a pair",
-        "(numerator, denominator) of polynomials in x, y, z and the squared charge",
-        "s, given as {exponents: coefficient} with one exponent per variable of",
-        "`voaf.multipoly.VARS`.  The denominator is monic and prime to the",
-        "numerator.",
-        '"""',
-        "",
-        "RELATIONS = {",
-    ]
+    """The text of the data file."""
+    lines = []
     for name, rel in RELATIONS:
         num, den = contraction(rel)
         if name == "star":
             num = fusion._relation_head() * den + num * 9
-        lines.append('    "%s": (' % name)
-        for p in (num, den):
-            lines += ["        {"] + _terms(p) + ["        },"]
-        lines.append("    ),")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        pair = json.dumps([canonical(num), canonical(den)], separators=(",", ":"))
+        lines.append("%s: %s" % (json.dumps(name), pair))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def main() -> int:

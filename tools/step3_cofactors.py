@@ -1,5 +1,5 @@
-"""Generate src/voaf/step3_cofactors.py, the ideal-membership certificates
-of the step-3 infeasibility closures.
+"""Generate src/voaf/step3_cofactors.json, the ideal-membership
+certificates of the step-3 infeasibility closures.
 
     python tools/step3_cofactors.py
 
@@ -8,12 +8,20 @@ distinctness factor D, it finds cofactors c_i of total degree at most
 `degree` with sum(c_i * g_i) == D**k.  The coefficients of the c_i are the
 unknowns of one exact linear system over Q, one equation per monomial,
 solved by `voaf.linalg.solve`; free unknowns are set to zero, so the
-certificate is sparse.  The output is deterministic: running the script
-again rewrites the module byte for byte.
+certificate is sparse.
+
+The file maps each closure's name to {"k": k, "generators": the number of
+g_i the certificate was made for, "cofactors": {i: c_i}}, one closure a
+line, with only the nonzero c_i.  Each c_i is in MultiPoly's canonical form
+[den, [[[a, b], num], ...]]: the coefficient of v1^a v2^b in the closure's
+two variables (v1, v2) is num/den.  The output is deterministic: running
+the script again rewrites the file byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from voaf import linalg, step3  # noqa: E402
 from voaf.multipoly import VARS, MultiPoly  # noqa: E402
 
-TARGET = ROOT / "src" / "voaf" / "step3_cofactors.py"
+TARGET = ROOT / "src" / "voaf" / "step3_cofactors.json"
 
 # closure name: (k, cofactor degree).  k is the smallest exponent with a
 # certificate of degree <= 7, and the degree the smallest at that k.
@@ -76,37 +84,28 @@ def solve_closure(
     return out
 
 
+def canonical(terms: Dict[Expo2, Fraction]) -> list:
+    """The canonical form [den, [[[a, b], num], ...]] of a cofactor: den is
+    the lcm of the denominators, so it is prime to the numerators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    terms = sorted(terms.items())
+    return [den, [[list(m), c.numerator * (den // c.denominator)] for m, c in terms]]
+
+
 def render() -> str:
-    """The text of the data module."""
+    """The text of the data file."""
     pt, q2 = step3.charged_triple_relations()
-    lines = [
-        '"""Ideal-membership certificates of the step-3 infeasibility closures.',
-        "",
-        "Generated by tools/step3_cofactors.py; do not edit.  For each closure of",
-        "`voaf.step3.step3_closures`, with generators g_i and distinctness factor",
-        "D, the entry proves sum(c_i * g_i) == D**k.  `generators` is the number of",
-        "g_i the certificate was made for; `cofactors` maps i to the nonzero c_i,",
-        "given as {(a, b): coefficient}, the coefficient of v1^a v2^b in the",
-        "closure's two variables (v1, v2).",
-        '"""',
-        "",
-        "CLOSURES = {",
-    ]
+    lines = []
     for name, _, variables, gens, dist in step3.step3_closures(pt, q2):
         k, degree = DEGREES[name]
         cofactors = solve_closure(variables, gens, dist, k, degree)
-        lines += [
-            '    "%s": {' % name,
-            '        "k": %d,' % k,
-            '        "generators": %d,' % len(gens),
-            '        "cofactors": {',
-        ]
-        for i in sorted(cofactors):
-            terms = ", ".join('%r: "%s"' % (m, c) for m, c in sorted(cofactors[i].items()))
-            lines.append("            %d: {%s}," % (i, terms))
-        lines += ["        },", "    },"]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        entry = {
+            "k": k,
+            "generators": len(gens),
+            "cofactors": {str(i): canonical(cofactors[i]) for i in sorted(cofactors)},
+        }
+        lines.append("%s: %s" % (json.dumps(name), json.dumps(entry, separators=(",", ":"))))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def main() -> int:

@@ -363,7 +363,7 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
 @functools.cache
 def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Point, Point]:
     """The evaluation points of the ordinary and the mirror rows, computed
-    once per label pair, so the power tables that evaluate builds from a
+    once per label pair, so the monomial values that evaluate builds at a
     point serve every first slot; callers must not mutate them."""
     aN, aL = n.a_M(), l.a_M()
     return Point({"x": aL, "y": aN, "z": l.b_M()}), Point({"x": aN, "y": aL, "z": n.b_M()})
@@ -402,7 +402,7 @@ def _matched_charges(s: Fraction, t: Fraction) -> Tuple[Fraction, ...]:
 @functools.cache
 def _pair_matched_charges(m: ModuleLabel, n: ModuleLabel) -> Tuple[Fraction, ...]:
     """_matched_charges of two charged labels, cached per label pair: a
-    label keeps its hash, a Fraction computes it at every lookup."""
+    label hashes by identity, a Fraction computes its hash at every lookup."""
     return _matched_charges(m.s, n.s)
 
 
@@ -656,14 +656,7 @@ def full_table(lambda_squares: Sequence[Fraction]) -> Iterator[FusionCertificate
     closure, in the order (m, n, l); each triple is decided when the
     iterator reaches it, and the table keeps none of them."""
     base = base_labels(lambda_squares)
-    # the targets reuse the base labels, so each label is one object and
-    # the label-keyed caches hit by identity
-    charged = {lab.s: lab for lab in base if lab.kind == "Mlam"}
-    targets = (
-        base[:2]
-        + [charged.get(s) or mlam(s) for s in charge_closure(lambda_squares)]
-        + base[-2:]
-    )
+    targets = base[:2] + [mlam(s) for s in charge_closure(lambda_squares)] + base[-2:]
     for m in base:
         for n in base:
             for l in targets:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .fock import FockVector, Partition, Sector, basis_at_degree
 from .scalars import parse_rational
@@ -27,16 +27,19 @@ _TOP_INVARIANTS = {
     "Mtheta-": (Fraction(9, 16), Fraction(-45, 128)),
 }
 
+_INTERNED: Dict[Tuple[str, Optional[Fraction]], "ModuleLabel"] = {}
+
 
 class ModuleLabel:
-    """A label is an immutable value: labels are equal exactly when their
-    kind and s are, and never equal any other type.  The hash, the text and
-    the top-level invariants are computed once, when the label is made,
-    because labels key the engine's caches and name every certificate."""
+    """A label is an immutable value, interned: the constructor checks its
+    input and returns the one label of each (kind, s), so equal labels are
+    one object, never equal any other type, and hash by identity.  The text
+    and the top-level invariants are computed once, when the label is first
+    made, because labels key the engine's caches and name every certificate."""
 
-    __slots__ = ("kind", "s", "_hash", "_str", "_invariants")
+    __slots__ = ("kind", "s", "_str", "_invariants")
 
-    def __init__(self, kind: str, s=None):
+    def __new__(cls, kind: str, s=None):
         if kind not in KINDS:
             raise ValueError("unknown module kind %r" % kind)
         if kind == "Mlam":
@@ -45,32 +48,28 @@ class ModuleLabel:
             s = Fraction(s)
             if s <= 0:
                 raise ValueError("Mlam requires positive s = lam^2, got %s" % s)
-            text = "M(s=%s)" % s
-            invariants = (s / 2, s * s - s / 2)
         elif s is not None:
             raise ValueError("s only applies to Mlam")
-        else:
-            text = kind
-            invariants = _TOP_INVARIANTS[kind]
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "_hash", hash((kind, s)))
-        object.__setattr__(self, "_str", text)
-        object.__setattr__(self, "_invariants", invariants)
+        label = _INTERNED.get((kind, s))
+        if label is None:
+            charged = s is not None
+            label = _INTERNED[kind, s] = object.__new__(cls)
+            object.__setattr__(label, "kind", kind)
+            object.__setattr__(label, "s", s)
+            object.__setattr__(label, "_str", "M(s=%s)" % s if charged else kind)
+            invariants = (s / 2, s * s - s / 2) if charged else _TOP_INVARIANTS[kind]
+            object.__setattr__(label, "_invariants", invariants)
+        return label
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle make the label again, so get the interned one
+        return ModuleLabel, (self.kind, self.s)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleLabel is immutable")
 
     def __delattr__(self, name):
         raise AttributeError("ModuleLabel is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ModuleLabel:
-            return NotImplemented
-        return self.kind == other.kind and self.s == other.s
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self._str
@@ -83,9 +82,7 @@ class ModuleLabel:
     @staticmethod
     def parse(text: str) -> "ModuleLabel":
         text = text.strip()
-        if text in ("M+", "M-"):
-            return ModuleLabel(text)
-        if text in ("Mtheta+", "Mtheta-"):
+        if text in ("M+", "M-", "Mtheta+", "Mtheta-"):
             return ModuleLabel(text)
         m = re.fullmatch(r"M\(\s*s\s*=\s*(-?\d+(?:/\d+)?)\s*\)", text)
         if m:

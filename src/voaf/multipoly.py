@@ -6,8 +6,9 @@ sum(num[e] * x^e) / den, in canonical form (den prime to the gcd of the
 numerators), so equal polynomials have equal num and den.  A MultiPoly is
 an immutable value: every operation works on the ints, normalises its
 result once and returns a new one; callers must not mutate `num`.  That
-lets a polynomial keep the rows `evaluate` reads.  Coefficients enter as
-ints, Fractions or "p/q" strings; a float raises TypeError.
+lets a polynomial keep the form `evaluate` reads and its powers.
+Coefficients enter as ints, Fractions or "p/q" strings; a float raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, getitem, mul, neg, sub
+from itertools import accumulate
+from operator import add, mul, neg, sub
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -49,6 +51,21 @@ def _times(a: Nums, b: Nums) -> Nums:
     return out
 
 
+class _Support:
+    """The monomials of a polynomial: its exponent tuples (rows), sorted, and
+    its degree in each variable.  Supports are interned (_SUPPORTS), so a Point
+    keys the values of their monomials on identity and hashes no exponents."""
+
+    __slots__ = ("rows", "degrees")
+
+    def __init__(self, rows: Tuple[Expo, ...]):
+        self.rows = rows
+        self.degrees = tuple(map(max, zip(*rows))) if rows else _ZERO_EXPO
+
+
+_SUPPORTS: Dict[Tuple[Expo, ...], _Support] = {}
+
+
 def _heap_entry(e: Expo):
     """A min-heap entry that pops the term of largest degree, then largest
     exponents, first."""
@@ -56,7 +73,7 @@ def _heap_entry(e: Expo):
 
 
 class MultiPoly:
-    __slots__ = ("num", "den", "_cleared")
+    __slots__ = ("num", "den", "_cleared", "_powers")
 
     def __new__(cls, terms=None):
         """The polynomial sum(terms[e] * x^e)."""
@@ -75,6 +92,7 @@ class MultiPoly:
         object.__setattr__(p, "num", num)
         object.__setattr__(p, "den", den)
         object.__setattr__(p, "_cleared", None)
+        object.__setattr__(p, "_powers", None)
         return p
 
     def __setattr__(self, name, value):
@@ -164,43 +182,30 @@ class MultiPoly:
         return hash((self.den, frozenset(self.num.items())))
 
     def _clear(self):
-        """The form that evaluate reads: the (name, degree) of each variable
-        the polynomial uses, the denominator, and one row (numerator,
-        exponents of the used variables) per term."""
-        num = self.num
-        degs = list(map(max, zip(*num))) if num else []
-        used = [i for i, d in enumerate(degs) if d]
-        rows = tuple((n,) + tuple(e[i] for i in used) for e, n in num.items())
-        return tuple((VARS[i], degs[i]) for i in used), self.den, rows
+        """Build and keep the form that evaluate reads: the interned support,
+        the numerators in the order of its rows, and the denominator.  Sorted
+        rows let the polynomials with one set of monomials share a support."""
+        rows = sorted(self.num.items())
+        key = tuple(e for e, _ in rows)
+        support = _SUPPORTS.get(key) or _SUPPORTS.setdefault(key, _Support(key))
+        form = support, [n for _, n in rows], self.den
+        object.__setattr__(self, "_cleared", form)
+        return form
 
     def evaluate(self, assign: Dict[str, object]):
         """Evaluate exactly, on integers where the point is rational.
 
-        The first call builds the rows (_clear) and keeps them.  With v = n/m
-        the value of a variable of degree d, the term (N/D) * v^k becomes the
-        int N * n^k * m^(d-k), and the sum is divided by D * prod(m^d) once;
-        a Scalar value in Q(sqrt(s)) enters as n = v, m = 1.  The power tables
-        come from the point (Point.tables), shared by the polynomials
-        evaluated at one Point.  Every variable the polynomial uses must be
+        The first call builds the form (_clear).  The numerators times the
+        monomial values that the point keeps for the support
+        (Point.build_vector) are summed and divided by the denominator times
+        the point's scale once.  Every variable the polynomial uses must be
         assigned.  The result is a Fraction unless a non-rational value
         occurs with positive degree.
         """
-        form = self._cleared
-        if form is None:
-            form = self._clear()
-            object.__setattr__(self, "_cleared", form)
-        variables, den, rows = form
-        if not rows:
-            return Fraction(0)
+        support, coeffs, den = self._cleared or self._clear()
         point = assign if type(assign) is Point else Point(assign)
-        tables, scale = point.tables(variables)
-        # fusion rows use x, y and z (99.5% of the calls on a table of
-        # twelve generic charges): one unpacking per term, no call per term
-        if len(tables) == 3:
-            t0, t1, t2 = tables
-            acc = sum([c * t0[i] * t1[j] * t2[k] for c, i, j, k in rows])
-        else:
-            acc = sum([c * math.prod(map(getitem, tables, e)) for c, *e in rows])
+        monos, scale = point._vectors.get(support) or point.build_vector(support)
+        acc = sum(map(mul, coeffs, monos))
         den *= scale
         if type(acc) is int:
             return Fraction(acc, den)
@@ -211,8 +216,8 @@ class MultiPoly:
 
         A value N/D of a variable of degree d enters on the ints: at power
         k the term takes the int factor D^(d-k), times c^k for a constant
-        N = c or times the product with N^k (built once) for any other N,
-        and the denominator takes D^d once.
+        N = c or times the product with N^k (built once and kept on N) for
+        any other N, and the denominator takes D^d once.
         """
         num, den = self.num, self.den
         scales, powers = {}, {}
@@ -226,9 +231,11 @@ class MultiPoly:
                 if p.num.keys() <= {_ZERO_EXPO}:
                     c = p.num.get(_ZERO_EXPO, 0)
                 else:
-                    powers[i] = [None, p.num]
-                    while len(powers[i]) <= d:
-                        powers[i].append(_times(powers[i][-1], p.num))
+                    # the numerators of p^k at index k, kept on p for the next subs
+                    powers[i] = kept = p._powers or [None, p.num]
+                    while len(kept) <= d:
+                        kept.append(_times(kept[-1], p.num))
+                    object.__setattr__(p, "_powers", kept)
                 scales[i] = [c**k * p.den ** (d - k) for k in range(d + 1)]
         keep = tuple(int(i not in scales) for i in range(NVARS))
         scales, powers = list(scales.items()), list(powers.items())
@@ -307,31 +314,32 @@ class MultiPoly:
 
 class Point(dict):
     """The values of the variables, to evaluate polynomials at.  A point
-    keeps the power tables that evaluate reads, one set per signature of
-    used variables and degrees; its values must not change afterwards."""
+    keeps the monomial values of each support evaluated at it, shared by the
+    polynomials with that support; its values must not change afterwards."""
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_vectors",)
 
     def __init__(self, values: Dict[str, object]):
         super().__init__(values)
-        self._tables = {}
+        self._vectors = {}
 
-    def tables(self, variables: Tuple[Tuple[str, int], ...]):
-        """For each (name, degree d) of `variables`, the table of
-        n^k * m^(d-k), k = 0..d, where the value is n/m (n = v, m = 1 for a
-        value that is not rational), and the product of the m^d."""
-        got = self._tables.get(variables)
-        if got is not None:
-            return got
+    def build_vector(self, support: _Support):
+        """Build and keep the value of each monomial of the support, and the
+        scale, the product of the m^d: with n/m the value of a variable of
+        degree d (n = v, m = 1 for a Scalar in Q(sqrt(s))), its power k
+        enters as the int n^k * m^(d-k), and a variable of degree 0 as 1."""
         tables, scale = [], 1
-        for name, d in variables:
+        for name, d in zip(VARS, support.degrees):
+            if not d:
+                tables.append((1,))
+                continue
             try:
                 v = self[name]
             except KeyError:
-                missing = [u for u, _ in variables if u not in self]
+                missing = [u for u, k in zip(VARS, support.degrees) if k and u not in self]
                 raise ValueError("unassigned variables %s" % missing) from None
             if isinstance(v, (int, Fraction)):
-                n, m = v.numerator, v.denominator
+                n, m = v.as_integer_ratio()
                 table = [m**d]
                 for _ in range(d):
                     table.append(table[-1] // m * n)
@@ -339,9 +347,10 @@ class Point(dict):
             elif isinstance(v, float):
                 raise TypeError("the value %r of %s is a float" % (v, name))
             else:
-                table = [1]
-                for _ in range(d):
-                    table.append(table[-1] * v)
+                table = list(accumulate([v] * d, mul, initial=1))
             tables.append(table)
-        got = self._tables[variables] = (tuple(tables), scale)
+        # one factor per variable of VARS, in one pass with no call per term
+        t0, t1, t2, t3, t4, t5 = tables
+        monos = [t0[a] * t1[b] * t2[c] * t3[d] * t4[e] * t5[f] for a, b, c, d, e, f in support.rows]
+        got = self._vectors[support] = (monos, scale)
         return got

@@ -654,6 +654,18 @@ class TestMultiPoly:
         rational, substituted at once."""
         assert _same_poly(p.subs(assign), _dict_subs(_fractions(p), assign))
 
+    def test_subs_keeps_the_powers_of_an_image(self):
+        """An image's powers are built once, kept on it, and extended only
+        when a later polynomial has a higher degree."""
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        image = y * Fraction(1, 2) + 1
+        assert (x * x).subs({"x": image}) == image * image
+        kept = image._powers
+        assert len(kept) == 3
+        assert (x * x * x - x).subs({"x": image}) == image**3 - image
+        assert image._powers is kept and len(kept) == 4
+        assert (x * y).subs({"x": image}) == image * y and len(kept) == 4
+
     def test_subs_accepts_constants(self):
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
         assert (x * x * y).subs({"x": Fraction(1, 2)}) == y * Fraction(1, 4)
@@ -708,29 +720,58 @@ class TestMultiPoly:
     @given(_kernel_case())
     @settings(max_examples=150, deadline=None)
     def test_row_kernel_matches_reference(self, case):
-        """Both loops of the row kernel (three variables, and the general
-        loop for 1, 2 and 6) at a rational point, and at a point with values in
-        Q(sqrt(2)), as a plain dict and as a Point that keeps its tables."""
+        """The monomial vector of a support in 1, 2, 3 or 6 variables at a
+        rational point, and at a point with values in Q(sqrt(2)), as a plain
+        dict and as a Point that keeps its vectors."""
         k, p, rational, mixed = case
-        assert len(p._clear()[0]) == k
+        assert sum(map(bool, p._clear()[0].degrees)) == k
         for point in (rational, mixed):
             want = _evaluate_reference(p, point)
             kept = Point(point)
             assert p.evaluate(point) == want
             assert p.evaluate(kept) == want
-            assert p.evaluate(kept) == want  # from the kept tables
+            assert p.evaluate(kept) == want  # from the kept vector
 
-    def test_point_builds_each_table_once(self):
-        """Two polynomials with one signature share the Point's tables."""
+    def test_point_builds_each_table_once(self, monkeypatch):
+        """Two polynomials with one set of monomials, built in different
+        orders, share one interned support and one vector at a Point, which
+        is built once; a polynomial with another set gets its own."""
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
-        p, q = x * x * y * y - x + 1, x * y * y * 3 + x * x
+        p, q = x * x * y * y - x + 1, 7 - x * Fraction(2, 3) + x * x * y * y * 3
+        r = x * y * y * 3 + x * x
+        built = []
+        real = Point.build_vector
+        monkeypatch.setattr(Point, "build_vector", lambda pt, sup: built.append(sup) or real(pt, sup))
         point = Point({"x": Fraction(2, 3), "y": Fraction(-5, 7)})
-        assert p.evaluate(point) == _evaluate_reference(p, point)
-        assert q.evaluate(point) == _evaluate_reference(q, point)
-        (variables, _, _), (same, _, _) = p._cleared, q._cleared
-        assert variables == same == (("x", 2), ("y", 2))
-        assert len(point._tables) == 1
-        assert point.tables(variables) is point.tables(same)
+        for poly in (p, q, r, p, q):
+            assert poly.evaluate(point) == _evaluate_reference(poly, point)
+        (support, _, _), (same, _, _) = p._cleared, q._cleared
+        assert support is same and support.degrees == (2, 2, 0, 0, 0, 0)
+        assert r._cleared[0] is not support
+        assert built == [support, r._cleared[0]]
+        assert len(point._vectors) == 2
+
+    def test_supports_in_other_variables_do_not_collide(self):
+        """x^2 y and x^2 z have one shape of exponents in different
+        variables: two supports, and at one Point two vectors."""
+        x, y, z = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("z")
+        p, q = x * x * y, x * x * z
+        point = Point({"x": Fraction(3), "y": Fraction(5), "z": Fraction(7)})
+        assert (p.evaluate(point), q.evaluate(point)) == (45, 63)
+        assert p._cleared[0] is not q._cleared[0]
+        assert len(point._vectors) == 2
+
+    @given(_multipoly(2, 3, rationals).filter(bool), _scalar(Fraction(2)), rationals)
+    @settings(max_examples=40, deadline=None)
+    def test_shared_vector_at_a_scalar_point_matches_reference(self, p, xv, yv):
+        """p and -2/5 p share a support; at a Point with x in Q(sqrt(2)) they
+        share its vector, and both match the term-by-term value."""
+        q = p * Fraction(-2, 5)
+        point = Point({"x": xv, "y": yv})
+        for poly in (p, q):
+            assert poly.evaluate(point) == _evaluate_reference(poly, point)
+        assert p._cleared[0] is q._cleared[0]
+        assert len(point._vectors) == 1
 
     def test_values_are_immutable(self):
         p = MultiPoly.var("x") + 1

@@ -1,8 +1,10 @@
 """Fusion decision procedure: constraint systems, witnesses, certificates."""
 
 import ast
+import copy
 import inspect
 import json
+import pickle
 import textwrap
 import weakref
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from voaf import fusion, linalg, virasoro, zhu
+from voaf import fusion, labels, linalg, virasoro, zhu
 from voaf.step3 import second_circle_relation_polys
 from voaf.suites import expected_fusion, phi, verify_generator_hypothesis
 from voaf.fock import FockVector, Sector
@@ -399,6 +401,37 @@ class TestDecide:
         assert ModuleLabel.parse("M(s=4/2)") == labels[0]
         assert mlam(F(3)) != labels[0] and ModuleLabel("M+") != ModuleLabel("M-")
 
+    def test_labels_are_interned(self):
+        """Every way of making a label returns the one object of its
+        (kind, s), copies and pickles included."""
+        label = ModuleLabel("Mlam", 2)
+        for same in (mlam(2), mlam(F(2)), ModuleLabel("Mlam", F(4, 2)),
+                     ModuleLabel.parse("M(s=2)"), ModuleLabel.parse("M(s=4/2)"),
+                     copy.copy(label), copy.deepcopy(label),
+                     pickle.loads(pickle.dumps(label)), copy.deepcopy([label])[0]):
+            assert same is label
+        for make, parsed in ((mplus, "M+"), (mminus, "M-"), (mtheta_plus, "Mtheta+"),
+                             (mtheta_minus, "Mtheta-")):
+            assert make() is ModuleLabel(parsed) is ModuleLabel.parse(parsed)
+            assert copy.deepcopy(make()) is make() is pickle.loads(pickle.dumps(make()))
+        assert mplus() != "M+" and "M+" != mplus()
+        assert label != (label.kind, label.s) and label != F(2)
+        before = len(labels._INTERNED)
+        assert ModuleLabel("Mlam", F(123457, 3)) is mlam(F(123457, 3))
+        assert len(labels._INTERNED) == before + 1
+
+    @pytest.mark.parametrize(
+        "kind, s",
+        [("Mlam", F(0)), ("Mlam", -3), ("Mlam", "2"), ("Mlam", 2.0), ("Mlam", None),
+         ("M+", 2), ("M+", F(1)), ("Mother", None)],
+        ids=str,
+    )
+    def test_bad_label_interns_nothing(self, kind, s):
+        before = dict(labels._INTERNED)
+        with pytest.raises(ValueError):
+            ModuleLabel(kind, s)
+        assert labels._INTERNED == before
+
     def test_table_uses_one_object_per_label(self):
         certs = list(fusion.full_table(STD_GRID))
         by_name = {}
@@ -527,7 +560,7 @@ class TestValueTypes:
         for a in labels:
             for b in labels:
                 assert (a == b) == ((a.kind, a.s) == (b.kind, b.s))
-            assert hash(a) == hash((a.kind, a.s))
+            assert a is ModuleLabel(a.kind, a.s)
             assert a == ModuleLabel(a.kind, a.s) and not a != ModuleLabel(a.kind, a.s)
             assert a != (a.kind, a.s) and (a.kind, a.s) != a
             assert str(a) == ("M(s=%s)" % a.s if a.kind == "Mlam" else a.kind)

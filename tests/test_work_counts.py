@@ -1,0 +1,69 @@
+"""Deterministic work counts of the engine, pinned as data.
+
+A wall-clock time on a shared host drifts by tens of percent; an
+algorithmic regression (an evaluation repeated, a cache that stops
+sharing) shows first as a count.  Each request runs in a fresh
+interpreter, so no cache of this test process hides work, under two hash
+seeds, so no count may depend on the iteration order of a set or dict.
+The counters wrap the engine's functions with a plain closure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_COUNT = textwrap.dedent(
+    """
+    import io, json, sys
+    from contextlib import redirect_stdout
+    import voaf.cli
+    from voaf.multipoly import MultiPoly, Point
+
+    counts = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        setattr(owner, name, wrapper)
+
+    counted(MultiPoly, "evaluate")
+    counted(Point, "build_vector")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert voaf.cli.main(sys.argv[1:]) == 0
+    counts["output_lines"] = out.getvalue().count("\\n")
+    print(json.dumps(counts, sort_keys=True))
+    """
+)
+
+# fusion-table on four generic charges: 6 base labels by 6 by 8 targets
+# (the closure adds 4s for each s), 768 triples
+TABLE = ["fusion-table", "--lambda-squares", "3,5/4,22/9,13/7"]
+TABLE_COUNTS = {"build_vector": 149, "evaluate": 481, "output_lines": 769}
+
+
+def _counts(argv, seed):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+    env.pop("VOAF_CUTOFF", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT] + argv, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_table_work_counts(seed):
+    """Evaluations and monomial vectors built while deciding the table."""
+    assert _counts(TABLE, seed) == TABLE_COUNTS

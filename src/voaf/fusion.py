@@ -591,41 +591,40 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
     return None
 
 
+def _bound_one(witness: dict, M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict]:
+    """A bound-1 reason for the witnessed arrangement: one bimodule generator
+    in the first slot, or two and a constraint system of rank >= 1."""
+    if _generators(M)[1] == 1:
+        return {"witness": witness, "bound": 1}
+    matrix, _ = _evaluate_system(constraint_system(M), N, L)
+    rk = _rank(matrix)
+    if rk >= 1:
+        argument = "constraint system has rank %d" % rk
+        return {"witness": witness, "bound": 2, "rank_argument": argument}
+    return None
+
+
 def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
-    """Decide the fusion rule for the ordered triple and certify it."""
+    """Decide the fusion rule for the ordered triple and certify it: one
+    attempt per arrangement, until one gives a reason."""
     labs = (m, n, l)
     witness = find_witness(m, n, l)
     order = _arrangement_order((_slot_priority(m), _slot_priority(n), _slot_priority(l)))
-    if witness is not None:
-        for _, arrange, names in order:
-            if _generators(arrange(labs)[0])[1] == 1:
-                return FusionCertificate(
-                    m, n, l, 1,
-                    {"witness": witness, "bound": 1},
-                    list(names),
-                )
-        # every arrangement has a two-generator first slot; a rank-one
-        # constraint system brings the bound from two down to one
-        for _, arrange, names in order:
-            M, N, L = arrange(labs)
-            matrix, _ = _evaluate_system(constraint_system(M), N, L)
-            rk = _rank(matrix)
-            if rk >= 1:
-                return FusionCertificate(
-                    m, n, l, 1,
-                    {
-                        "witness": witness,
-                        "bound": 2,
-                        "rank_argument": "constraint system has rank %d" % rk,
-                    },
-                    list(names),
-                )
-        raise Inconclusive("witness found but no bound-1 argument for (%s,%s,%s)" % (m, n, l))
+    if witness is None:
+        verdict, attempt = 0, _prove_zero
+    else:
+        verdict, attempt = 1, functools.partial(_bound_one, witness)
+        # a stable sort would put one-generator first slots first; the first
+        # decides at bound 1 alone, and the slots after it build no generators
+        first = next((a for a in order if _generators(labs[a[0]])[1] == 1), None)
+        order = order if first is None else (first,)
     for _, arrange, names in order:
-        proof = _prove_zero(*arrange(labs))
-        if proof is not None:
-            return FusionCertificate(m, n, l, 0, proof, list(names))
-    raise Inconclusive("no arrangement decides (%s, %s, %s)" % (m, n, l))
+        reason = attempt(*arrange(labs))
+        if reason is not None:
+            return FusionCertificate(m, n, l, verdict, reason, list(names))
+    if witness is None:
+        raise Inconclusive("no arrangement decides (%s, %s, %s)" % (m, n, l))
+    raise Inconclusive("witness found but no bound-1 argument for (%s,%s,%s)" % (m, n, l))
 
 
 # ---------------------------------------------------------------------------
@@ -670,41 +669,6 @@ def table_to_csv(certs: Iterable[FusionCertificate]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_block(items: List[str], level: int, brackets: str) -> str:
-    """A container holding the texts `items`, laid out as the standard
-    library's encoder lays it out `level` containers deep at indent 1."""
-    if not items:
-        return brackets
-    inner = "\n" + " " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
-
-
-def _json_text(value, level: int, esc=None) -> str:
-    """The standard library's JSON text of a value `level` containers deep,
-    with sorted keys and an indent of 1, for what a certificate holds: str,
-    int, None, and lists and str-keyed dicts of them.  Any other type
-    raises TypeError.  `esc` is the string escaper that table_to_json binds;
-    without it the function imports it."""
-    if esc is None:
-        from json.encoder import encode_basestring_ascii as esc
-    kind = type(value)
-    if kind is str:
-        return esc(value)
-    if kind is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if kind is list:
-        return _json_block([_json_text(v, level + 1, esc) for v in value], level, "[]")
-    if kind is dict:
-        return _json_block(
-            [esc(k) + ": " + _json_text(value[k], level + 1, esc) for k in sorted(value)],
-            level,
-            "{}",
-        )
-    raise TypeError("%s is not a certificate value" % kind.__name__)
-
-
 # The standard library's layout of a certificate one container deep and of
 # the reasons that tables quote most, two deep, with the JSON texts of their
 # strings left as %s.
@@ -734,7 +698,8 @@ def _reason_text(reason: dict, esc) -> str:
     fill their templates when they have exactly the keys that decide()
     gives them; their other values must be str, as decide() makes them
     (the escaper raises TypeError on any other type).  Every other reason
-    goes through _json_text.  `esc` is the string escaper."""
+    is the standard library's text, indented to its depth.  `esc` is the
+    string escaper."""
     kind = reason.get("type")
     if kind == "nonzero-constraint" and reason.keys() == _NONZERO_KEYS:
         return _NONZERO_CONSTRAINT % (esc(reason["row"]), esc(reason["value"]))
@@ -749,7 +714,10 @@ def _reason_text(reason: dict, esc) -> str:
         w = reason["witness"]
         if type(w) is dict and w.keys() == _WITNESS_FIELDS:
             return _WITNESS % (esc(w["detail"]), esc(w["tag"]))
-    return _json_text(reason, 2, esc)
+    import json
+
+    # moved two containers deep: JSON text holds no raw newline
+    return json.dumps(reason, sort_keys=True, indent=1).replace("\n", "\n  ")
 
 
 def table_to_json(certs: Iterable[FusionCertificate]) -> str:
@@ -764,10 +732,11 @@ def table_to_json(certs: Iterable[FusionCertificate]) -> str:
     # the standard library's C string escaper, bound once per table:
     # json.dumps with an indent runs the pure-Python encoder, which is
     # slower than deciding the table
+    import json
     from json.encoder import encode_basestring_ascii as esc
 
     label_text = functools.cache(lambda label: esc(str(label)))
-    perm_text = functools.cache(lambda perm: _json_text(list(perm), 2, esc))
+    perm_text = functools.cache(lambda perm: json.dumps(list(perm), indent=1).replace("\n", "\n  "))
 
     def render(cert: FusionCertificate) -> str:
         return _CERTIFICATE % (
@@ -775,7 +744,8 @@ def table_to_json(certs: Iterable[FusionCertificate]) -> str:
             perm_text(tuple(cert.permutation)), _reason_text(cert.reason, esc), cert.verdict,
         )
 
-    return _json_block(list(map(render, certs)), 0, "[]")
+    texts = list(map(render, certs))
+    return "[\n " + ",\n ".join(texts) + "\n]" if texts else "[]"
 
 
 # ---------------------------------------------------------------------------

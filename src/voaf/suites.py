@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import Check, _cutoff, characters, fusion, virasoro, zhu
+from . import Check, _cutoff, characters, fusion, vertexops, virasoro, zhu
 from .characters import QSeries, _floor, _series
 from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
@@ -212,15 +212,12 @@ class PhiImage(NamedTuple):
 
 
 def e_L1(v: FockVector) -> FockVector:
-    """e^{L(1)} v (finite because L(1) lowers degree)."""
-    acc = FockVector.zero(v.sector)
-    term = v
-    k = 0
-    while not term.is_zero():
-        acc = acc + term
-        k += 1
-        term = virasoro.L(1, term).scale(Fraction(1, k))
-    return acc
+    """e^{L(1)} v, the graded exponential of X_1 = L(1): finite, because
+    L(1) lowers the degree by one."""
+    grades = vertexops._exp_grades(
+        [v], int(v.max_degree()), lambda g, w: virasoro.L(1, w) if g == 1 else None
+    )
+    return sum(grades, FockVector.zero(v.sector))
 
 
 def phi(v: FockVector) -> PhiImage:
@@ -323,7 +320,7 @@ def _zhu_ideal_checks() -> List[Check]:
 
 def relation_element() -> FockVector:
     """J - 4 omega*omega - 17 omega + 9 h(-3)h(-1)|0>."""
-    h3h1 = FockVector.basis(Sector.untwisted(None), (3, 1))
+    h3h1 = fusion._h3h1()
     return (
         J_state()
         + zhu.star_left(omega(), omega()).scale(Fraction(-4))
@@ -355,7 +352,7 @@ def suite_zhu() -> List[Check]:
     # anti-map samples: phi(a*u) = phi(u)*phi(a), phi(a o u) = -phi(a) o phi(u)
     samples = [
         (omega(), mminus().top_vector()),
-        (FockVector.basis(Sector.untwisted(None), (3, 1)), mminus().top_vector()),
+        (fusion._h3h1(), mminus().top_vector()),
         (omega(), mtheta_minus().top_vector()),
     ]
     def _per_component(binary, a, u):
@@ -492,9 +489,7 @@ def suite_virasoro() -> List[Check]:
         checks.append(
             ("singular-vector image vanishes at %s" % name, img.is_zero(), "")
         )
-    rel = zhu.star_left(
-        FockVector.basis(Sector.untwisted(None), (3, 1)), mminus().top_vector()
-    )
+    rel = zhu.star_left(fusion._h3h1(), mminus().top_vector())
     coords = virasoro.express_in_descendants(rel, [mminus().top_vector()])
     back = reconstruct(coords, [mminus().top_vector()])
     checks.append(

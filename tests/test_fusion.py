@@ -3,6 +3,7 @@
 import ast
 import copy
 import inspect
+import itertools
 import json
 import pickle
 import textwrap
@@ -449,6 +450,23 @@ class TestDecide:
             with pytest.raises(ValueError):
                 ModuleLabel("Mlam", s)
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=str)
+    def test_witnessed_bounds_in_every_order(self, order):
+        """A one-generator first slot bounds a witnessed rule by one before any
+        constraint system is evaluated; with two generators in every slot a
+        constraint system of rank >= 1 does."""
+        for triple, bound in (((mlam(F(1, 2)), mtheta_plus(), mtheta_plus()), 1),
+                              ((mlam(F(1, 2)), mtheta_minus(), mtheta_minus()), 2)):
+            m, n, l = (triple[i] for i in order)
+            cert = fusion.decide(m, n, l)
+            assert cert.verdict == 1 and cert.reason["bound"] == bound
+            first = {"m": m, "n": n, "l": l}[cert.permutation[0]]
+            if bound == 1:
+                assert first is mtheta_plus() and set(cert.reason) == {"witness", "bound"}
+            else:
+                rank = cert.reason["rank_argument"].removeprefix("constraint system has rank ")
+                assert int(rank) >= 1
+
     def test_symmetry_samples(self):
         triples = [
             (mminus(), mtheta_plus(), mtheta_minus()),
@@ -513,6 +531,9 @@ class TestTable:
         certs = fusion.full_table(GENERIC_GRID)
         assert text == json.dumps([c.as_dict() for c in certs], sort_keys=True, indent=1)
 
+
+    def test_empty_table_json(self):
+        assert fusion.table_to_json(iter([])) == json.dumps([], indent=1) == "[]"
 
     def test_standard_grid_json_matches_the_standard_library(self):
         """The skeleton, the label and permutation texts and the reason
@@ -612,32 +633,6 @@ class TestValueTypes:
         assert "verdict=1" in repr(cert)
         cert.verdict = 0
         assert cert != same
-
-
-# certificate values, with the strings and ints that JSON escapes or spells
-# out specially
-_JSON_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é∑ 😀", ""]))
-_JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.integers(), st.integers(-(2**200), 2**200), _JSON_TEXT),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)
-    ),
-    max_leaves=20,
-)
-
-
-class TestJsonWriter:
-    @given(_JSON_VALUES)
-    def test_matches_the_standard_library(self, value):
-        assert fusion._json_text(value, 0) == json.dumps(value, sort_keys=True, indent=1)
-        # a certificate sits one level deep, inside the table's list
-        nested = json.dumps([value], sort_keys=True, indent=1)
-        assert "[\n " + fusion._json_text(value, 1) + "\n]" == nested
-
-    @pytest.mark.parametrize("value", [True, False, 1.0, [1, 0.5], {"a": None, "b": [True]}, (1,)])
-    def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            fusion._json_text(value, 0)
 
 
 def _ladder_level(label):

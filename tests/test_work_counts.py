@@ -24,21 +24,26 @@ _COUNT = textwrap.dedent(
     import io, json, sys
     from contextlib import redirect_stdout
     import voaf.cli
+    from voaf import linalg
+    from voaf.fusion import ConstraintSystem
     from voaf.multipoly import MultiPoly, Point
 
     counts = {}
 
-    def counted(owner, name):
+    def counted(owner, name, key):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
             return real(*args, **kwargs)
 
         setattr(owner, name, wrapper)
 
-    counted(MultiPoly, "evaluate")
-    counted(Point, "build_vector")
+    counted(MultiPoly, "evaluate", "evaluate")
+    counted(Point, "build_vector", "build_vector")
+    counted(linalg, "rank", "rank")
+    # one construction per constraint-system cache miss
+    counted(ConstraintSystem, "__init__", "systems")
     out = io.StringIO()
     with redirect_stdout(out):
         assert voaf.cli.main(sys.argv[1:]) == 0
@@ -50,7 +55,16 @@ _COUNT = textwrap.dedent(
 # fusion-table on four generic charges: 6 base labels by 6 by 8 targets
 # (the closure adds 4s for each s), 768 triples
 TABLE = ["fusion-table", "--lambda-squares", "3,5/4,22/9,13/7"]
-TABLE_COUNTS = {"build_vector": 149, "evaluate": 481, "output_lines": 769}
+TABLE_COUNTS = {
+    "build_vector": 149, "evaluate": 481, "output_lines": 769, "rank": 15, "systems": 7,
+}
+
+# the standard grid, the one that reaches every reason type: 1 600 triples,
+# so the counts pin which arrangements decide() tries before one decides
+STANDARD = ["fusion-table", "--lambda-squares", "1/3,1/2,2,9/2,8,5"]
+STANDARD_COUNTS = {
+    "build_vector": 542, "evaluate": 1461, "output_lines": 1601, "rank": 105, "systems": 15,
+}
 
 
 def _counts(argv, seed):
@@ -65,5 +79,11 @@ def _counts(argv, seed):
 
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_table_work_counts(seed):
-    """Evaluations and monomial vectors built while deciding the table."""
+    """Evaluations, monomial vectors, ranks and constraint systems built
+    while deciding the table."""
     assert _counts(TABLE, seed) == TABLE_COUNTS
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_standard_grid_work_counts(seed):
+    assert _counts(STANDARD, seed) == STANDARD_COUNTS

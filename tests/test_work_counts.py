@@ -24,9 +24,10 @@ _COUNT = textwrap.dedent(
     import io, json, sys
     from contextlib import redirect_stdout
     import voaf.cli
-    from voaf import linalg
+    from voaf import linalg, virasoro
     from voaf.fusion import ConstraintSystem
     from voaf.multipoly import MultiPoly, Point
+    from voaf.scalars import Scalar
 
     counts = {}
 
@@ -42,6 +43,12 @@ _COUNT = textwrap.dedent(
     counted(MultiPoly, "evaluate", "evaluate")
     counted(Point, "build_vector", "build_vector")
     counted(linalg, "rank", "rank")
+    counted(linalg, "_rref", "rref")
+    counted(virasoro, "L", "L")
+    counted(virasoro, "express_in_descendants", "express")
+    counted(MultiPoly, "subs", "subs")
+    counted(MultiPoly, "try_divide", "try_divide")
+    counted(Scalar, "__init__", "scalars")
     # one construction per constraint-system cache miss
     counted(ConstraintSystem, "__init__", "systems")
     out = io.StringIO()
@@ -56,14 +63,32 @@ _COUNT = textwrap.dedent(
 # (the closure adds 4s for each s), 768 triples
 TABLE = ["fusion-table", "--lambda-squares", "3,5/4,22/9,13/7"]
 TABLE_COUNTS = {
-    "build_vector": 149, "evaluate": 481, "output_lines": 769, "rank": 15, "systems": 7,
+    "L": 94, "build_vector": 149, "evaluate": 481, "express": 6, "output_lines": 769,
+    "rank": 15, "rref": 35, "scalars": 2905, "subs": 4, "systems": 7,
 }
 
 # the standard grid, the one that reaches every reason type: 1 600 triples,
 # so the counts pin which arrangements decide() tries before one decides
 STANDARD = ["fusion-table", "--lambda-squares", "1/3,1/2,2,9/2,8,5"]
 STANDARD_COUNTS = {
-    "build_vector": 542, "evaluate": 1461, "output_lines": 1601, "rank": 105, "systems": 15,
+    "L": 197, "build_vector": 542, "evaluate": 1461, "express": 12, "output_lines": 1601,
+    "rank": 105, "rref": 143, "scalars": 4675, "subs": 9, "systems": 15,
+}
+
+# every verify suite; the t_12 ladder query, whose first slot has a singular
+# vector at level 13; and the descendant coordinates of h(-12)|0> in M-
+REQUESTS = {
+    "verify": (["verify", "--suite", "all"], {
+        "L": 5659, "build_vector": 568, "evaluate": 1498, "express": 43, "output_lines": 46,
+        "rank": 105, "rref": 175, "scalars": 61156, "subs": 90, "systems": 15, "try_divide": 9,
+    }),
+    "t12": (["fusion", "--m", "M(s=72)", "--n", "M(s=7/38)", "--l", "M(s=7/38)"], {
+        "L": 91, "build_vector": 10, "evaluate": 16, "output_lines": 1, "scalars": 5769,
+        "subs": 3, "systems": 2,
+    }),
+    "reduce": (["reduce", "--module", "M-", "--expr", "h(-12)|0>"], {
+        "L": 275, "express": 1, "output_lines": 37, "rref": 1, "scalars": 89105,
+    }),
 }
 
 
@@ -87,3 +112,12 @@ def test_table_work_counts(seed):
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_standard_grid_work_counts(seed):
     assert _counts(STANDARD, seed) == STANDARD_COUNTS
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+@pytest.mark.parametrize("request_name", sorted(REQUESTS))
+def test_request_work_counts(request_name, seed):
+    """Scalars built, Virasoro modes applied, eliminations, descendant
+    solves, substitutions and divisions of one request."""
+    argv, counts = REQUESTS[request_name]
+    assert _counts(argv, seed) == counts

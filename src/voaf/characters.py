@@ -15,14 +15,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .labels import ModuleLabel
-from .scalars import rational_sqrt
+from .scalars import rational, rational_sqrt
 
 _new = object.__new__
 
 
 def _num(c):
     """A coefficient as an int when it is integral, else as a Fraction."""
-    c = Fraction(c)
+    c = rational(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -54,8 +54,8 @@ class QSeries:
     __slots__ = ("terms", "den", "cutoff")
 
     def __init__(self, coeffs: Optional[Dict[Fraction, Fraction]] = None, cutoff=Fraction(20)):
-        self.cutoff = Fraction(cutoff)
-        pairs = [(Fraction(e), _num(c)) for e, c in (coeffs or {}).items()]
+        self.cutoff = rational(cutoff)
+        pairs = [(rational(e), _num(c)) for e, c in (coeffs or {}).items()]
         self.den = math.lcm(*(e.denominator for e, _ in pairs))
         self.terms: Dict[int, object] = {
             e.numerator * (self.den // e.denominator): c for e, c in pairs if c and e <= self.cutoff
@@ -121,14 +121,14 @@ class QSeries:
     __rmul__ = __mul__
 
     def shift(self, e) -> "QSeries":
-        e = Fraction(e)
+        e = rational(e)
         den = math.lcm(self.den, e.denominator)
         f = den // self.den
         off = e.numerator * (den // e.denominator)
         return _series({k * f + off: c for k, c in self.terms.items()}, den, self.cutoff + e)
 
     def truncate(self, cutoff) -> "QSeries":
-        cutoff = Fraction(cutoff)
+        cutoff = rational(cutoff)
         top = _floor(cutoff, self.den)
         return _series({k: c for k, c in self.terms.items() if k <= top}, self.den, cutoff)
 
@@ -184,7 +184,7 @@ def _counts_series(counts: Sequence[int], den: int, cutoff: Fraction) -> QSeries
 
 def eta_inverse(cutoff=Fraction(20)) -> QSeries:
     """1/eta(q) = q^{-1/24} * sum_n p(n) q^n, to the cutoff."""
-    cutoff = Fraction(cutoff)
+    cutoff = rational(cutoff)
     n_max = int(cutoff + 1)
     counts = _partition_counts(False, 2 * n_max, None)
     series = _counts_series(counts[::2], 1, cutoff + 1)
@@ -202,7 +202,7 @@ def _degenerate_index(h: Fraction) -> Optional[int]:
 def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
     """Character of the irreducible central-charge-one module of lowest
     weight h, including the q^{-c/24} normalization."""
-    h = Fraction(h)
+    h = rational(h)
     if h < 0:
         raise ValueError("weight must be nonnegative")
     inv = eta_inverse(cutoff + 1)
@@ -218,7 +218,7 @@ def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
 def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QSeries:
     """Character tr q^{L(0)-1/24}, counting the partition basis of each
     degree by a parity-tracking partition recursion."""
-    cutoff = Fraction(cutoff)
+    cutoff = rational(cutoff)
     if isinstance(module, str) and module == "Mtheta":
         twisted, parity, offset = True, None, Fraction(1, 16)
     else:
@@ -248,7 +248,7 @@ def decomposition_weights(module: Union[ModuleLabel, str], hmax) -> List[Tuple[F
     s/2 alone for a generic M(s)."""
     if isinstance(module, str):
         module = ModuleLabel.parse(module)
-    hmax = Fraction(hmax)
+    hmax = rational(hmax)
     if module.kind in _PROGRESSIONS:
         starts, step = _PROGRESSIONS[module.kind]
     else:

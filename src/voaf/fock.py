@@ -13,8 +13,8 @@ Fractions) are converted only where they enter or leave: FockVector(...),
 basis, apply_mode's mode index, degrees, printing, and the
 partitions returned by partitions_of and basis_at_degree.  Coefficients are
 Scalars: in a charged sector, lam**2 = s for a rational s, they lie in
-Q(sqrt(s)) and carry modulus s; in the vacuum and twisted sectors they are
-rational.
+Q(sqrt(s)), and those with a lam part carry modulus s; in the vacuum and
+twisted sectors they are rational.
 
 The Heisenberg rule `mode_term` gives one mode's integer factor on one
 monomial.  apply_mode scales each coefficient's ints by it, and virasoro.L
@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .scalars import Scalar
+from .scalars import Scalar, rational
 
 Partition = Tuple[Fraction, ...]  # natural depths, decreasing
 Key = Tuple[int, ...]  # doubled depths, decreasing
@@ -39,7 +39,7 @@ def double(x) -> int:
     if type(x) is int:
         return 2 * x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = rational(x)
     k, r = divmod(2 * x.numerator, x.denominator)
     if r:
         raise ValueError("%s is not a multiple of 1/2" % x)
@@ -60,9 +60,7 @@ class Sector(NamedTuple):
 
     @staticmethod
     def untwisted(s: SValue = None) -> "Sector":
-        if isinstance(s, int):
-            s = Fraction(s)
-        return Sector(False, s)
+        return Sector(False, None if s is None else rational(s))
 
     @staticmethod
     def twisted_sector() -> "Sector":
@@ -74,7 +72,7 @@ class Sector(NamedTuple):
 
     def lam_scalar(self) -> Scalar:
         """h(0) eigenvalue on the top vector."""
-        return Scalar.lam(self.s) if self.charged() else Scalar.zero(self.s)
+        return Scalar.lam(self.s) if self.charged() else Scalar.zero()
 
     def depth_parity(self) -> int:
         """Parity of every doubled depth and nonzero mode index: 1 in the
@@ -95,11 +93,6 @@ class Sector(NamedTuple):
         if self.s is None:
             return Fraction(0)
         return self.s / 2
-
-    def coeff(self, value) -> Scalar:
-        if isinstance(value, Scalar):
-            return value
-        return Scalar.of(value, mod=self.s)
 
     def __str__(self):
         if self.twisted:
@@ -131,7 +124,7 @@ class FockVector:
         self.terms: Dict[Key, Scalar] = {}
         if terms:
             for part, c in terms.items():
-                c = sector.coeff(c)
+                c = Scalar.of(c)
                 if not c.is_zero():
                     self.terms[_key(sector, part)] = c
 
@@ -174,7 +167,7 @@ class FockVector:
         return self + (-other)
 
     def scale(self, c) -> "FockVector":
-        c = self.sector.coeff(c)
+        c = Scalar.of(c)
         res = FockVector(self.sector)
         if not c.a1:
             f, g = c.a0, c.d
@@ -339,8 +332,7 @@ def basis_at_degree(sector: Sector, degree, parity: Optional[int] = None) -> Lis
 def contravariant_form(v: FockVector, w: FockVector) -> Scalar:
     """Diagonal pairing with (h(-m1)^p1 ... top, itself) = prod m_i^{p_i} p_i!."""
     v._require_same(w)
-    mod = v.sector.s
-    acc = Scalar.zero(mod)
+    acc = Scalar.zero()
     for part, c in v.terms.items():
         d = w.terms.get(part)
         if d is None:

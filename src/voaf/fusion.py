@@ -26,7 +26,7 @@ from . import characters, linalg, virasoro, zhu
 from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import MultiPoly, Point
-from .scalars import Scalar, rational_sqrt
+from .scalars import Scalar, rational, rational_sqrt
 from .vertexops import J_state, modes
 
 
@@ -63,8 +63,7 @@ def _relation_head() -> MultiPoly:
 def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
     """Basis of vectors of the given degree killed by L(1) and L(2)."""
     parts = basis_at_degree(sector, degree, parity)
-    mod = sector.s
-    zero, one = Scalar.zero(mod), Scalar.one(mod)
+    zero, one = Scalar.zero(), Scalar.one()
     images = []
     for p in parts:
         v = FockVector.basis(sector, p)
@@ -135,14 +134,13 @@ def generator_set(label: ModuleLabel) -> List[FockVector]:
 class ConstraintRow(NamedTuple):
     """One polynomial condition on (x, y, z) = (a_L, a_N, b_L).
 
-    Mirror rows are evaluated at (a_N, a_L, b_N) instead, with per-column
-    signs given by the anti-involution phases of the generators.
+    Mirror rows are evaluated at (a_N, a_L, b_N) instead, with the system's
+    per-column signs, the anti-involution phases of the generators.
     """
 
     name: str
     polys: Tuple[MultiPoly, ...]
     mirror: bool
-    signs: Tuple[int, ...]
 
 
 class ConstraintSystem:
@@ -170,11 +168,11 @@ class ConstraintSystem:
 
     @functools.cached_property
     def circle(self) -> List[ConstraintRow]:
-        return _circle_rows(self.label, self.signs) if self.generated else []
+        return _circle_rows(self.label) if self.generated else []
 
     @functools.cached_property
     def singular(self) -> List[ConstraintRow]:
-        return _singular_rows(self.label, self.ncols, self.signs)
+        return _singular_rows(self.label, self.ncols)
 
     def walk(self) -> Iterator[ConstraintRow]:
         """The rows in order, building each stage when the walk reaches it."""
@@ -303,28 +301,26 @@ def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly
 _SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
 
 
-def _row_pair(name: str, polys: Sequence[MultiPoly], signs: Tuple[int, ...]) -> List[ConstraintRow]:
-    return [
-        ConstraintRow(name, tuple(polys), False, signs),
-        ConstraintRow(name + "-mirror", tuple(polys), True, signs),
-    ]
+def _row_pair(name: str, polys: Sequence[MultiPoly]) -> List[ConstraintRow]:
+    polys = tuple(polys)
+    return [ConstraintRow(name, polys, False), ConstraintRow(name + "-mirror", polys, True)]
 
 
-def _circle_rows(label: ModuleLabel, signs: Tuple[int, ...]) -> List[ConstraintRow]:
+def _circle_rows(label: ModuleLabel) -> List[ConstraintRow]:
     """The circle pair of a charged module from the generated circle
     relation, or none where its denominator g_den vanishes."""
     g_num, g_den = _relation("circle")
     if g_den.evaluate({"s": label.s}) == 0:
         return []
-    return _row_pair("circle", [g_num.subs({"s": MultiPoly.const(label.s)})], signs)
+    return _row_pair("circle", [g_num.subs({"s": MultiPoly.const(label.s)})])
 
 
-def _singular_rows(label: ModuleLabel, ncols: int, signs: Tuple[int, ...]) -> List[ConstraintRow]:
+def _singular_rows(label: ModuleLabel, ncols: int) -> List[ConstraintRow]:
     """The singular-vector pair, or none where the module has no such row."""
     sing = _singular_row_poly(label)
     if sing is None:
         return []
-    return _row_pair("singular-vector", [sing] + [MultiPoly()] * (ncols - 1), signs)
+    return _row_pair("singular-vector", [sing] + [MultiPoly()] * (ncols - 1))
 
 
 def constraint_system(label: ModuleLabel) -> ConstraintSystem:
@@ -349,10 +345,10 @@ def constraint_system(label: ModuleLabel) -> ConstraintSystem:
         f_num, f_den = _relation("star")
         if f_den.evaluate({"s": label.s}) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
-        star = _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})], signs)
+        star = _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})])
     else:
         try:
-            star = _row_pair("star", _star_row_polys(label), signs)
+            star = _row_pair("star", _star_row_polys(label))
         except virasoro.NotInSpan:
             star = []
     system = ConstraintSystem(label, ngens, signs, star, generated)
@@ -369,19 +365,19 @@ def _points(n: ModuleLabel, l: ModuleLabel) -> Tuple[Point, Point]:
     return Point({"x": aL, "y": aN, "z": l.b_M()}), Point({"x": aN, "y": aL, "z": n.b_M()})
 
 
-def _row_values(row: ConstraintRow, points) -> List[Fraction]:
-    if row.mirror:
-        return [p.evaluate(points[1]) * sign for p, sign in zip(row.polys, row.signs)]
-    return [p.evaluate(points[0]) for p in row.polys]
-
-
 def _evaluate_system(
     system: ConstraintSystem, n: ModuleLabel, l: ModuleLabel
 ) -> Tuple[List[List[Fraction]], List[str]]:
-    """Every row of the system at the triple's points, with the row names."""
-    points = _points(n, l)
-    rows = system.rows
-    return [_row_values(row, points) for row in rows], [row.name for row in rows]
+    """Every row of the system at the triple's points, a mirror row with the
+    system's signs, and the row names."""
+    at_l, at_n = _points(n, l)
+    signs, rows = system.signs, system.rows
+    matrix = [
+        [p.evaluate(at_n) * sign for p, sign in zip(row.polys, signs)] if row.mirror
+        else [p.evaluate(at_l) for p in row.polys]
+        for row in rows
+    ]
+    return matrix, [row.name for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +630,7 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
 def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
     """All squared charges reachable as (sqrt(s1) +- sqrt(s2))^2 inside the
     rationals, starting from the given list."""
-    base = sorted({Fraction(s) for s in lambda_squares})
+    base = sorted({rational(s) for s in lambda_squares})
     out = set(base)
     for s1 in base:
         for s2 in base:
@@ -645,7 +641,7 @@ def charge_closure(lambda_squares: Sequence[Fraction]) -> List[Fraction]:
 def base_labels(lambda_squares: Sequence[Fraction]) -> List[ModuleLabel]:
     return (
         [mplus(), mminus()]
-        + [mlam(s) for s in sorted(set(Fraction(s) for s in lambda_squares))]
+        + [mlam(s) for s in sorted(set(map(rational, lambda_squares)))]
         + [mtheta_plus(), mtheta_minus()]
     )
 

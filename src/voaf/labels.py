@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .fock import FockVector, Partition, Sector, basis_at_degree
-from .scalars import parse_rational
+from .scalars import parse_rational, rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
 
@@ -125,7 +125,7 @@ class ModuleLabel:
     def basis_at(self, degree) -> List[Partition]:
         """Partition basis of the degree-`degree` graded piece (degree is
         counted from the top vector of the ambient Fock sector)."""
-        return basis_at_degree(self.sector(), Fraction(degree), self.parity())
+        return basis_at_degree(self.sector(), rational(degree), self.parity())
 
     def contains(self, v: FockVector) -> bool:
         if v.sector != self.sector():

@@ -7,8 +7,8 @@ numerators), so equal polynomials have equal num and den.  A MultiPoly is
 an immutable value: every operation works on the ints, normalises its
 result once and returns a new one; callers must not mutate `num`.  That
 lets a polynomial keep the form `evaluate` reads and its powers.
-Coefficients enter as ints, Fractions or "p/q" strings; a float raises
-TypeError.
+Coefficients enter as ints or Fractions; anything else, a float above all,
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ _ZERO_EXPO: Expo = (0,) * NVARS
 
 
 def _ratio(c) -> Tuple[int, int]:
-    """(numerator, denominator > 0) of an int, a Fraction or a "p/q" string;
-    a TypeError for any other type, a float above all."""
-    if isinstance(c, str):
-        n, _, d = c.partition("/")
-        c = Fraction(int(n), int(d or 1))
-    elif not isinstance(c, (int, Fraction)):
-        raise TypeError("coefficient %r is not an int, Fraction or str" % (c,))
+    """(numerator, denominator > 0) of an int or a Fraction; a TypeError
+    for any other type, a float above all."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
     return c.numerator, c.denominator
 
 

@@ -41,7 +41,6 @@ def parse_state(text: str, sector: Sector) -> FockVector:
         tokens.append(("mode", depth) if depth else (_KINDS.get(tok, "rat"), tok))
     if not tokens:
         raise ValueError("empty state expression (the grammar needs at least one term)")
-    mod = sector.s
     want = "1theta" if sector.twisted else ("|0>" if sector.s is None else "e^lam")
     total = FockVector.zero(sector)
     i = 0
@@ -51,15 +50,15 @@ def parse_state(text: str, sector: Sector) -> FockVector:
             if tokens[i][1] == "-":
                 sign = -sign
             i += 1
-        coeff = Scalar.of(sign, mod)
+        coeff = Scalar.of(sign)
         parts: List[Fraction] = []
         terminal = None
         while i < len(tokens) and terminal is None:
             kind, val = tokens[i]
             if kind == "rat":
-                coeff = coeff * Scalar.of(parse_rational(val), mod)
+                coeff = coeff * Scalar.of(parse_rational(val))
             elif kind == "lam":
-                coeff = coeff * Scalar.lam(mod)
+                coeff = coeff * Scalar.lam(sector.s)
             elif kind == "mode":
                 parts.append(parse_rational(val))
             elif kind == "terminal":

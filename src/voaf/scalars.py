@@ -7,11 +7,15 @@ square).  There is no free symbol: a scalar without a modulus holds only Q.
 
 A Scalar is (a0 + a1*lam)/d for ints a0, a1 and d, with its modulus ``mod``
 (a Fraction, or None).  Every Scalar is in canonical form: d > 0,
-gcd(a0, a1, d) == 1 (so zero is 0/1), and a1 == 0 without a modulus.
+gcd(a0, a1, d) == 1 (so zero is 0/1), and a modulus exactly when a1 != 0,
+so a rational is one value whatever field it was computed in.
 ``Scalar.__init__`` is the one place that puts it there: the arithmetic
 computes integer numerators and a denominator and builds its result with
-the constructor.  Canonical forms are unique, so equality with a common
-modulus compares the ints.
+the constructor.  Canonical forms are unique, so equality compares the ints
+and the modulus.
+
+No float enters: `rational` admits ints and Fractions only, and every entry
+point that takes a number from outside the engine passes it through it.
 
 Univariate polynomials over Q (interpolation and printing) are tuples of
 Fractions in increasing degree order with no trailing zeros; the zero
@@ -49,11 +53,21 @@ def upoly_str(p: UPoly, var: str) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def rational(x) -> Fraction:
+    """An int or a Fraction as a Fraction; a TypeError for anything else, a
+    float above all."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError("expected an int or a Fraction, not %r" % (x,))
+
+
 def interpolate(xs, ys) -> UPoly:
     """The polynomial of least degree through the points (x, y), the x
     distinct, by Newton's divided differences over Q."""
-    xs = [Fraction(x) for x in xs]
-    cs = [Fraction(y) for y in ys]
+    xs = [rational(x) for x in xs]
+    cs = [rational(y) for y in ys]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
@@ -87,7 +101,7 @@ def parse_rational(text: str) -> Fraction:
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """The nonnegative rational square root of x, or None when x is negative
     or not the square of a rational."""
-    x = Fraction(x)
+    x = rational(x)
     if x < 0:
         return None
     pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
@@ -105,18 +119,20 @@ class Scalar:
 
     def __init__(self, a0: int, a1: int, d: int, mod: Optional[Fraction]):
         """(a0 + a1*lam)/d for ints a0, a1 and d != 0, put in canonical
-        form; a1 must be 0 without a modulus."""
+        form: a1 != 0 needs a modulus, and a rational drops it."""
         if d < 0:
             a0, a1, d = -a0, -a1, -d
         elif not d:
             raise ZeroDivisionError("scalar with zero denominator")
-        if a1 and mod is None:
+        if not a1:
+            mod = None
+        elif mod is None:
             raise ValueError("a scalar without a modulus is rational, not a polynomial in lam")
+        elif type(mod) is not Fraction:
+            mod = rational(mod)
         g = math.gcd(a0, a1, d)
         if g != 1:
             a0, a1, d = a0 // g, a1 // g, d // g
-        if mod is not None and type(mod) is not Fraction:
-            mod = Fraction(mod)
         self.a0 = a0
         self.a1 = a1
         self.d = d
@@ -131,18 +147,21 @@ class Scalar:
         return (Fraction(self.a0, self.d),) if self.a0 else ()
 
     @staticmethod
-    def of(value: int | Fraction, mod: Optional[Fraction] = None) -> "Scalar":
+    def of(value: int | Fraction | Scalar) -> "Scalar":
+        """A Scalar unchanged, an int or a Fraction as a rational Scalar."""
+        if type(value) is Scalar:
+            return value
         if not isinstance(value, (int, Fraction)):
-            raise TypeError("Scalar.of takes an int or a Fraction, not %r" % (value,))
-        return Scalar(value.numerator, 0, value.denominator, mod)
+            raise TypeError("Scalar.of takes an int, a Fraction or a Scalar, not %r" % (value,))
+        return Scalar(value.numerator, 0, value.denominator, None)
 
     @staticmethod
-    def zero(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar(0, 0, 1, mod)
+    def zero() -> "Scalar":
+        return Scalar(0, 0, 1, None)
 
     @staticmethod
-    def one(mod: Optional[Fraction] = None) -> "Scalar":
-        return Scalar(1, 0, 1, mod)
+    def one() -> "Scalar":
+        return Scalar(1, 0, 1, None)
 
     @staticmethod
     def lam(mod: Optional[Fraction]) -> "Scalar":
@@ -153,14 +172,13 @@ class Scalar:
 
     def _operand(self, other):
         """(b0, b1, e, mod): the ints of `other` (a Scalar, int or Fraction)
-        and the modulus of a result with it; None for any other type."""
+        and the one modulus of the two, if any; None for any other type."""
         if type(other) is Scalar:
             mod = self.mod
-            if not (mod is other.mod or mod == other.mod):
-                if not self.a1:
-                    mod = other.mod
-                elif other.a1:
-                    raise ValueError("scalar modulus mismatch: %r vs %r" % (mod, other.mod))
+            if mod is None:
+                mod = other.mod
+            elif not (other.mod is None or other.mod is mod or other.mod == mod):
+                raise ValueError("scalar modulus mismatch: %r vs %r" % (mod, other.mod))
             return other.a0, other.a1, other.d, mod
         if isinstance(other, (int, Fraction)):
             return other.numerator, 0, other.denominator, self.mod
@@ -223,12 +241,12 @@ class Scalar:
         return Scalar(x0 * e, x1 * e, d * norm, mod)
 
     def __rtruediv__(self, other):
-        return Scalar.of(other, self.mod) / self
+        return Scalar.of(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return (Scalar.one(self.mod) / self) ** (-k)
-        out = Scalar.one(self.mod)
+            return (Scalar.one() / self) ** (-k)
+        out = Scalar.one()
         for _ in range(k):
             out = out * self
         return out
@@ -241,9 +259,8 @@ class Scalar:
 
     def __eq__(self, other):
         if type(other) is Scalar:
-            if self.a0 != other.a0 or self.a1 != other.a1 or self.d != other.d:
-                return False
-            return not self.a1 or self.mod == other.mod  # a rational is one in every field
+            return (self.a0 == other.a0 and self.a1 == other.a1 and self.d == other.d
+                    and self.mod == other.mod)
         if isinstance(other, (int, Fraction)):
             return not self.a1 and self.a0 == other.numerator and self.d == other.denominator
         return NotImplemented

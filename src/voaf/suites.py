@@ -18,7 +18,7 @@ from .characters import QSeries, _floor, _series
 from .fock import FockVector, Sector, basis_at_degree, contravariant_form
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import NVARS, MultiPoly
-from .scalars import Scalar, interpolate, upoly_str
+from .scalars import Scalar, interpolate, rational, upoly_str
 from .vertexops import J_state, cmn_table, gen_binom, modes, o_apply, omega, vertex_op_coeff
 
 
@@ -32,7 +32,7 @@ def _eigenvalue(op: FockVector, v: FockVector):
     key = next(iter(v.terms))
     c = w.terms.get(key)
     if c is None:
-        return Scalar.zero(v.sector.s) if w.is_zero() else None
+        return Scalar.zero() if w.is_zero() else None
     if (w - v.scale(c)).is_zero():
         return c
     return None
@@ -90,7 +90,7 @@ def verify_decomposition(
     Returns (True, None) on coefficientwise agreement up to the cutoff, or
     (False, report) with the first mismatching exponent and both values.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = rational(cutoff)
     lhs = characters.graded_dimension(module, cutoff)
     rhs = QSeries.zero(cutoff)
     for h, mult in parts:
@@ -115,7 +115,7 @@ def _half_odd_factors(cutoff: Fraction) -> Iterator[QSeries]:
 
 def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
     """prod_k (1-q^k)/(1-q^{k-1/2}) = sum_{p>=0} q^{p(p+1)/4}."""
-    cutoff = Fraction(cutoff)
+    cutoff = rational(cutoff)
     lhs = QSeries.one(cutoff)
     # alternating the factors keeps the partial products sparse
     for k, geom in enumerate(_half_odd_factors(cutoff), 1):
@@ -129,7 +129,7 @@ def jacobi_triple_check(cutoff=Fraction(20)) -> bool:
 def twisted_character_identity(cutoff=Fraction(20)) -> bool:
     """The twisted-space character equals both closed forms:
     q^{1/16-1/24} prod 1/(1-q^{k-1/2}) and (1/eta) sum q^{(2p+1)^2/16}."""
-    cutoff = Fraction(cutoff)
+    cutoff = rational(cutoff)
     lhs = characters.graded_dimension("Mtheta", cutoff)
     mid = QSeries.one(cutoff + 1)
     for geom in _half_odd_factors(cutoff + 1):
@@ -594,7 +594,7 @@ def suite_twisted() -> List[Check]:
     checks.append(
         (
             "twisted intertwiner leading coefficient is the twisted vacuum",
-            is_single(lead0, (), Scalar.one(None)),
+            is_single(lead0, (), Scalar.one()),
             "",
         )
     )

@@ -27,13 +27,13 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .fock import FockVector, Key, Sector, double, halve, mode_term
-from .scalars import Scalar
+from .scalars import Scalar, rational
 
 
 def gen_binom(x, k: int) -> Fraction:
     """Generalized binomial coefficient C(x, k) for rational x = p/q: the
     product of the p - i*q over q^k k!, reduced once."""
-    x = Fraction(x)
+    x = rational(x)
     p, q = x.numerator, x.denominator
     num = 1
     for i in range(k):
@@ -149,7 +149,7 @@ def _exp_pair(lam_a: Scalar, E: int, part: Key, sector: Sector, memo: dict) -> F
     on each.  The grade lists live in the operator's memo under (part, None)
     and (part, A), so every E one operator call reaches extends the same lists."""
     base = FockVector(sector)
-    base.terms = {part: Scalar.one(lam_a.mod)}
+    base.terms = {part: Scalar.one()}
     if lam_a.is_zero():
         return base if E == 0 else FockVector.zero(sector)
     parity, two_lam = sector.depth_parity(), lam_a * 2
@@ -249,8 +249,8 @@ def J_state() -> FockVector:
     return FockVector(
         s,
         {
-            (Fraction(1),) * 4: Scalar.of(1),
-            (Fraction(3), Fraction(1)): Scalar.of(-2),
-            (Fraction(2), Fraction(2)): Scalar.of(Fraction(3, 2)),
+            (Fraction(1),) * 4: 1,
+            (Fraction(3), Fraction(1)): -2,
+            (Fraction(2), Fraction(2)): Fraction(3, 2),
         },
     )

@@ -118,10 +118,7 @@ def express_in_descendants(
     the lexicographically earliest words is returned.  Raises NotInSpan if
     some component is outside the descendant span.
     """
-    sector = v.sector
-    mod = sector.s
-    zero = Scalar.zero(mod)
-    one = Scalar.one(mod)
+    zero, one = Scalar.zero(), Scalar.one()
     gen_degs = []
     for g in generators:
         if not g.is_homogeneous():

@@ -91,7 +91,7 @@ def _membership_columns(
                         gens.append((a, u))
                         cols.append(col)
                 d += Fraction(1)
-    zero, one = Scalar.zero(mod_sec.s), Scalar.one(mod_sec.s)
+    zero, one = Scalar.zero(), Scalar.one()
     keys = sorted({p for c in cols for p in c.terms})
     rows = [[c.terms.get(p, zero) for c in cols] for p in keys]
     pivots, transform = linalg.row_reduction(rows, zero, one)
@@ -111,7 +111,7 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
     if any(p not in index for p in v.terms):
         return MembershipResult(False)
     coords = [(index[p], c) for p, c in v.terms.items()]
-    zero = Scalar.zero(module.sector().s)
+    zero = Scalar.zero()
     image = [sum((row[i] * c for i, c in coords), zero) for row in transform]
     if any(image[len(pivots):]):
         return MembershipResult(False)

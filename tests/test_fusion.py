@@ -280,7 +280,7 @@ class TestConstraintSystems:
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
         assert [r.name for r in system.rows] == ["singular-vector", "singular-vector-mirror"]
         assert [r.polys for r in system.rows] == [(x - y,)] * 2
-        assert [r.signs for r in system.rows] == [(1,)] * 2
+        assert system.signs == (1,)
         assert system.ngens == 1
 
     @pytest.mark.parametrize(
@@ -612,8 +612,8 @@ class TestValueTypes:
         assert str(Sector.untwisted(F(2))) == "untwisted(lam^2=2)"
         assert DescendantWord(1, (2, 1)) == DescendantWord(1, (2, 1))
         assert str(DescendantWord(1, (2, 1))) == "L(-2)L(-1)g1"
-        row = fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
-        assert row == fusion.ConstraintRow("star", (MultiPoly.var("x"),), False, (1,))
+        row = fusion.ConstraintRow("star", (MultiPoly.var("x"),), False)
+        assert row == fusion.ConstraintRow("star", (MultiPoly.var("x"),), False)
         assert zhu.o_membership(FockVector.zero(Sector.untwisted(None)), mplus(), 2).member
         image = phi(mplus().top_vector())
         assert image.phase == 0 and type(image.phase) is F
@@ -673,8 +673,7 @@ def _reference_singular_row_poly(label):
     """The singular-vector row by elimination over Scalar in Q(sqrt(s)) of
     the images of every PBW word at the singular level."""
     words, images = _word_images(label)
-    mod = label.sector().s
-    zero, one = Scalar.zero(mod), Scalar.one(mod)
+    zero, one = Scalar.zero(), Scalar.one()
     parts = sorted({p for img in images for p in img.terms})
     rows = [[img.terms.get(p, zero) for img in images] for p in parts]
     kernel = linalg.nullspace(rows, len(words), zero, one)
@@ -747,7 +746,7 @@ class TestSingularRow:
         def tainted(n, v):
             # scale every image by 1 + lam, or by 2 where there is no lam
             mod = v.sector.s
-            return real(n, v).scale(Scalar.of(2) if mod is None else Scalar.one(mod) + Scalar.lam(mod))
+            return real(n, v).scale(Scalar.of(2) if mod is None else Scalar.one() + Scalar.lam(mod))
 
         monkeypatch.setattr(virasoro, "L", tainted)
         assert fusion._singular_row_poly(label) is None
@@ -904,7 +903,7 @@ class TestLazyRows:
     def _forbid_circles(monkeypatch):
         monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
 
-        def unreachable(label, signs):
+        def unreachable(label):
             raise AssertionError("circle rows of %s built" % label)
 
         monkeypatch.setattr(fusion, "_circle_rows", unreachable)
@@ -929,7 +928,7 @@ class TestLazyRows:
         built = []
         real = fusion._circle_rows
         monkeypatch.setattr(
-            fusion, "_circle_rows", lambda lab, signs: built.append(lab) or real(lab, signs)
+            fusion, "_circle_rows", lambda lab: built.append(lab) or real(lab)
         )
         cert = fusion._prove_zero(label, mminus(), mlam(F(3)))
         assert built == [label]
@@ -950,7 +949,7 @@ class TestLazyRows:
         real = fusion._singular_rows
         monkeypatch.setattr(
             fusion, "_singular_rows",
-            lambda lab, ncols, signs: built.append(lab) or real(lab, ncols, signs),
+            lambda lab, ncols: built.append(lab) or real(lab, ncols),
         )
         cert = fusion.decide(ladder, mlam(t), mlam(t))
         assert cert.verdict == 0

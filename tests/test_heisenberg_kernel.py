@@ -139,7 +139,7 @@ def _canonical(v: FockVector) -> bool:
             return False
         if not all(type(x) is int for x in (c.a0, c.a1, c.d)):
             return False
-        if c.d <= 0 or math.gcd(c.a0, c.a1, c.d) != 1 or (c.mod is None and c.a1):
+        if c.d <= 0 or math.gcd(c.a0, c.a1, c.d) != 1 or (c.mod is None) != (c.a1 == 0):
             return False
     return True
 

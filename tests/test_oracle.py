@@ -89,12 +89,12 @@ def test_decide_agrees_with_the_oracle_in_every_ordering(texts):
         assert got == want == ORACLE.fusion_verdict(*(texts[i] for i in perm)), perm
 
 
-def _row_at(row, N, L):
+def _row_at(row, signs, N, L):
     """The row's values at the triple's top weights: an ordinary row at
-    (x, y, z) = (a_L, a_N, b_L), a mirror row at (a_N, a_L, b_N) with its
-    per-column signs."""
+    (x, y, z) = (a_L, a_N, b_L), a mirror row at (a_N, a_L, b_N) with the
+    system's per-column signs."""
     if row.mirror:
-        point, signs = {"x": N.a_M(), "y": L.a_M(), "z": N.b_M()}, row.signs
+        point = {"x": N.a_M(), "y": L.a_M(), "z": N.b_M()}
     else:
         point, signs = {"x": L.a_M(), "y": N.a_M(), "z": L.b_M()}, (1,) * len(row.polys)
     return [p.evaluate(point) * sign for p, sign in zip(row.polys, signs)]
@@ -129,11 +129,11 @@ def _check_zero_proof(cert):
     system = fusion.constraint_system(M)
     if reason["type"] == "nonzero-constraint":
         assert system.ngens == system.ncols == 1
-        (value,) = _row_at(next(r for r in system.walk() if r.name == reason["row"]), N, L)
+        (value,) = _row_at(next(r for r in system.walk() if r.name == reason["row"]), system.signs, N, L)
         assert value != 0 and str(value) == reason["value"]
         return
     rows = system.rows
-    matrix = [_row_at(r, N, L) for r in rows]
+    matrix = [_row_at(r, system.signs, N, L) for r in rows]
     assert reason["matrix"] == [[str(v) for v in row] for row in matrix]
     if reason["type"] == "generator-column-forced":
         assert system.ngens == 1 and reason["rows"] == [r.name for r in rows]
@@ -167,7 +167,7 @@ def _check_no_zero_proof(labels):
         if _beyond_ladder_bound(M):
             continue
         system = fusion.constraint_system(M)
-        matrix = [_row_at(r, N, L) for r in system.rows]
+        matrix = [_row_at(r, system.signs, N, L) for r in system.rows]
         rank = _rank(matrix)
         # rank 0 on one column: every row vanishes.  On more columns decide
         # accepts rank >= 1, so some rows may not vanish

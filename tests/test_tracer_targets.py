@@ -51,7 +51,9 @@ def test_target_resolves(modname, qual):
         (Scalar.of(Fraction(1, 3)), "FIELD_Q"),
         (Scalar.zero(), "FIELD_Q"),
         (Scalar.lam(Fraction(2)), "FIELD_QSQRT"),
-        (Scalar.of(5, Fraction(2)), "FIELD_QSQRT"),
+        # a rational carries no modulus, so it counts as Q in every sector
+        (Scalar(5, 0, 1, Fraction(2)), "FIELD_Q"),
+        (Scalar(5, 1, 1, Fraction(2)), "FIELD_QSQRT"),
     ],
     ids=str,
 )

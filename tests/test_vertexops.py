@@ -56,7 +56,7 @@ def _multinomial(parts, lam_a, negative):
     """Coefficient of the multiset `parts` of doubled depths in
     exp(+-sum_n lam_a h(-+n)/n z^{+-n}): the product over distinct depths d
     of (+-2 lam_a/d)^p / p! for multiplicity p."""
-    acc = Scalar.one(lam_a.mod)
+    acc = Scalar.one()
     for d in set(parts):
         p = parts.count(d)
         acc = acc * (lam_a * Fraction(-2 if negative else 2, d)) ** p / math.factorial(p)
@@ -329,7 +329,7 @@ def _state(sector, max_degree):
     else:
         lam = Scalar.lam(sector.s)
         coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
-            lambda c: Scalar.of(c[0], sector.s) + lam * c[1])
+            lambda c: Scalar.of(c[0]) + lam * c[1])
     term = st.tuples(st.sampled_from(_monomials(sector, max_degree)), coeffs)
     return st.lists(term, min_size=1, max_size=2).map(
         lambda ts: sum((FockVector.basis(sector, p, c) for p, c in ts), FockVector.zero(sector)))

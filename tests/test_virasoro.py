@@ -54,7 +54,7 @@ def _coefficient(sector):
     """Random nonzero coefficients in the sector's scalar field."""
     if sector.s is not None:
         c = st.tuples(_small, _small).map(
-            lambda ab: Scalar.of(ab[0], sector.s) + Scalar.lam(sector.s) * ab[1]
+            lambda ab: Scalar.of(ab[0]) + Scalar.lam(sector.s) * ab[1]
         )
     else:
         c = _small.map(Scalar.of)

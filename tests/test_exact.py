@@ -477,6 +477,9 @@ class TestScalarArithmetic:
             return
         assert not a == b and a != b
         assert not b == a and b != a
+        for op in _OPS.values():
+            with pytest.raises(ValueError):
+                op(a, b)
 
     @given(st.sampled_from(sorted(_FIELDS)).flatmap(lambda f: _FIELDS[f]),
            small.filter(bool))
@@ -508,6 +511,8 @@ class TestScalarArithmetic:
 class TestScalar:
     def test_rational_round_trip(self):
         assert Scalar.of(Fraction(3, 7)).as_rat() == Fraction(3, 7)
+        lam = Scalar.lam(Fraction(2))
+        assert Scalar.of(lam) is lam
 
     def test_lam_square_reduces(self):
         lam = Scalar.lam(Fraction(2))

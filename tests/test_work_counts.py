@@ -75,12 +75,17 @@ STANDARD_COUNTS = {
     "rank": 105, "rref": 143, "scalars": 4675, "subs": 9, "systems": 15,
 }
 
-# every verify suite; the t_12 ladder query, whose first slot has a singular
-# vector at level 13; and the descendant coordinates of h(-12)|0> in M-
+# every verify suite; the t_4 and t_12 ladder queries, whose first slots have
+# singular vectors at levels 5 and 13; and the descendant coordinates of
+# h(-12)|0> in M-
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5659, "build_vector": 568, "evaluate": 1498, "express": 43, "output_lines": 46,
         "rank": 105, "rref": 175, "scalars": 61156, "subs": 90, "systems": 15, "try_divide": 9,
+    }),
+    "t4": (["fusion", "--m", "M(s=8)", "--n", "M(s=9/58)", "--l", "M(s=9/58)"], {
+        "L": 15, "build_vector": 8, "evaluate": 12, "output_lines": 1, "scalars": 131,
+        "subs": 2, "systems": 2,
     }),
     "t12": (["fusion", "--m", "M(s=72)", "--n", "M(s=7/38)", "--l", "M(s=7/38)"], {
         "L": 91, "build_vector": 10, "evaluate": 16, "output_lines": 1, "scalars": 5769,

@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import Check, _cutoff, characters, fusion
+# loads zhu and vertexops, which bench/tracer.py wraps, until ROADMAP item 7
+from . import zhu  # noqa: F401
 from .labels import ModuleLabel
 from .scalars import parse_rational
 

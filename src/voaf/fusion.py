@@ -7,9 +7,10 @@ anti-involution, the degenerate (circle) relations and the Virasoro
 singular-vector relations each contract to a polynomial condition on the top
 weights (a_L, a_N, b_L) of the other two modules.  A fusion rule can be
 nonzero only when all conditions vanish; explicit intertwining operators
-supply the matching lower bounds.  This module assembles the polynomial
-systems from first principles, decides every triple of concrete labels and
-emits machine-checkable certificates.
+supply the matching lower bounds.  This module reads the polynomial systems
+from the data that tools/relation_polys.py derives on Fock vectors, adds the
+closed-form singular-vector row of a charged module, decides every triple of
+concrete labels and emits machine-checkable certificates.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import os
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import characters, linalg, virasoro, zhu
-from .fock import FockVector, Sector, basis_at_degree
+from . import characters, linalg, virasoro
+from .fock import FockVector
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import MultiPoly, Point
-from .scalars import Scalar, rational, rational_sqrt
-from .vertexops import J_state, modes
+from .scalars import rational, rational_sqrt
 
 
 class Inconclusive(RuntimeError):
@@ -36,95 +36,6 @@ class Inconclusive(RuntimeError):
 
 _X = MultiPoly.var("x")
 _Y = MultiPoly.var("y")
-_Z = MultiPoly.var("z")
-
-# degree of the relation element h(-3)h(-1)|0> above the vacuum
-_RELATION_DEGREE = 4
-
-
-def _h3h1() -> FockVector:
-    """The quartic generator h(-3)h(-1)|0> of the relation element."""
-    return FockVector.basis(Sector.untwisted(None), (Fraction(3), Fraction(1)))
-
-
-def _relation_head() -> MultiPoly:
-    """Contraction of J - 4*omega*omega - 17*omega on the generator column.
-
-    J and omega act on the generator class through the top-weight
-    coordinates z = b and x = a, giving z - 4x^2 - 17x.
-    """
-    return _Z - _X * _X * 4 - _X * 17
-
-
-# ---------------------------------------------------------------------------
-# generators
-
-
-def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
-    """Basis of vectors of the given degree killed by L(1) and L(2)."""
-    parts = basis_at_degree(sector, degree, parity)
-    zero, one = Scalar.zero(), Scalar.one()
-    images = []
-    for p in parts:
-        v = FockVector.basis(sector, p)
-        images.append((virasoro.L(1, v), virasoro.L(2, v)))
-    rows: List[List[Scalar]] = []
-    for k in (0, 1):
-        out_parts = sorted({q for img in images for q in img[k].terms})
-        rows.extend(
-            [img[k].terms.get(q, zero) for img in images] for q in out_parts
-        )
-    kernel = linalg.nullspace(rows, len(parts), zero, one)
-    return [FockVector(sector, dict(zip(parts, vec))) for vec in kernel]
-
-
-def _extra_weights(label: ModuleLabel) -> List[Fraction]:
-    """Lowest weights of the Virasoro primaries of the c = 1 decomposition
-    above the top, up to the top weight plus the relation degree."""
-    top = label.a_M()
-    parts = characters.decomposition_weights(label, top + _RELATION_DEGREE)
-    return [h for h, _ in parts if h > top]
-
-
-@functools.cache
-def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
-    """The expansion generators of the module and how many of them, as a
-    prefix, generate the bimodule.
-
-    The expansion generators are the top vector and the primaries at each
-    weight of the decomposition strictly below the top weight plus the
-    relation degree: the relation element multiplied onto the top vector
-    expands in their Virasoro descendants whenever it expands at all.  The
-    bimodule generators are the shortest prefix whose Virasoro span holds
-    J_n(top), n = 1, 2, 3; a prefix's words come first and take the pivots
-    first, so it ends at the last generator with a nonzero coordinate in
-    them.  Those images lie 2, 1 and 0 above the top, so J is applied only
-    when a primary lies at most 2 above it.
-    """
-    sector, parity = label.sector(), label.parity()
-    top = label.top_vector()
-    gens = [top]
-    for h in _extra_weights(label):
-        if h < label.a_M() + _RELATION_DEGREE:
-            degree = h - sector.weight_offset_rat()
-            gens.extend(_primary_vectors(sector, degree, parity))
-    ngens = 1
-    if any(g.max_degree() <= top.max_degree() + 2 for g in gens[1:]):
-        images = modes(J_state(), (1, 2, 3), top)
-        try:
-            coords = [virasoro.express_in_descendants(img, gens) for img in images]
-        except virasoro.NotInSpan:
-            raise RuntimeError("the generators of %s do not span J_n(top)" % label)
-        ngens = 1 + max((w.gen for c in coords for w in c), default=0)
-    return tuple(gens), ngens
-
-
-def generator_set(label: ModuleLabel) -> List[FockVector]:
-    """Generators of the bimodule attached to the module: the top vector,
-    followed by the primaries that J_n(top), n = 1, 2, 3, needs beyond its
-    Virasoro span (one at s = 1/2 and in the odd twisted module)."""
-    gens, ngens = _generators(label)
-    return list(gens[:ngens])
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +55,13 @@ class ConstraintRow(NamedTuple):
 
 
 class ConstraintSystem:
-    """The constraint rows of one module in the first slot, in three stages:
-    the star pair, built with the system, then the circle pair and the
-    singular-vector pair, each built the first time a walk reaches it.  So a
-    walk that stops at the first nonzero row builds nothing after it, and
-    `rows` is always the full list, in the same order.
+    """The constraint rows of one module in the first slot.  The rows of
+    `first` are built with the system: all of them for a module read from
+    systems.json, the star pair for a generated one.  A generated system
+    then has the circle pair and the singular-vector pair, each built the
+    first time a walk reaches it.  So a walk that stops at the first nonzero
+    row builds nothing after it, and `rows` is always the full list, in the
+    same order.
     """
 
     def __init__(
@@ -156,15 +69,15 @@ class ConstraintSystem:
         label: ModuleLabel,
         ngens: int,
         signs: Tuple[int, ...],
-        star: List[ConstraintRow],
+        first: List[ConstraintRow],
         generated: bool,
     ):
         self.label = label
         self.ngens = ngens  # bimodule generator count: fusion rule upper bound
         self.ncols = len(signs)  # expansion generator count: one column each
         self.signs = signs
-        self.star = star
-        self.generated = generated  # rows from relation_polys.json alone
+        self.first = first
+        self.generated = generated  # rows from relation_polys.json and a closed form
 
     @functools.cached_property
     def circle(self) -> List[ConstraintRow]:
@@ -172,55 +85,17 @@ class ConstraintSystem:
 
     @functools.cached_property
     def singular(self) -> List[ConstraintRow]:
-        return _singular_rows(self.label, self.ncols)
+        return _singular_rows(self.label) if self.generated else []
 
     def walk(self) -> Iterator[ConstraintRow]:
         """The rows in order, building each stage when the walk reaches it."""
-        yield from self.star
+        yield from self.first
         yield from self.circle
         yield from self.singular
 
     @property
     def rows(self) -> List[ConstraintRow]:
         return list(self.walk())
-
-
-def descendant_coordinates(
-    v: FockVector, gens: Sequence[FockVector]
-) -> Dict[virasoro.DescendantWord, Scalar]:
-    """Virasoro descendant coordinates of v over the generators, or over
-    [g0, lam*g1, ...] when only these are all rational.  Raises
-    virasoro.NotInSpan when v is not a descendant of the generators."""
-    coords = virasoro.express_in_descendants(v, gens)
-    if all(c.is_rational() for c in coords.values()):
-        return coords
-    # lam^2 = s != 0 makes lam a unit, and rescaling a column by a unit keeps
-    # _rref's pivots: over [g0, lam*g1, ...] the solution is this one with
-    # the coordinates of g1, g2, ... divided by lam
-    lam = v.sector.lam_scalar()
-    scaled = {w: c / lam if w.gen else c for w, c in coords.items()}
-    return scaled if all(c.is_rational() for c in scaled.values()) else coords
-
-
-def expand_in_generators(
-    v: FockVector, gens: Sequence[FockVector]
-) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[MultiPoly]]:
-    """The descendant_coordinates of v and their contraction polynomials,
-    one per generator; ValueError when a coordinate is irrational in lam."""
-    coords = descendant_coordinates(v, gens)
-    base_weights = [v.sector.weight_offset_rat() + g.max_degree() for g in gens]
-    return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
-
-
-def _star_row_polys(label: ModuleLabel) -> List[MultiPoly]:
-    """Contraction polynomials (one per expansion generator) of the quartic
-    relation element multiplied onto the top vector.  Raises
-    virasoro.NotInSpan when the relation is not in the generators' span."""
-    gens = _generators(label)[0]
-    _, polys = expand_in_generators(zhu.star_left(_h3h1(), gens[0]), gens)
-    cols = [p * 9 for p in polys]
-    cols[0] = cols[0] + _relation_head()
-    return cols
 
 
 def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
@@ -282,12 +157,9 @@ def _read_json(name: str):
 @functools.cache
 def _relation(name: str) -> Tuple[MultiPoly, MultiPoly]:
     """The (numerator, denominator) pair of a relation of a generic charged
-    module, from the generated relation_polys.json.  Each polynomial is
-    stored in MultiPoly's canonical form [den, [[exponents, num], ...]]."""
+    module, from the generated relation_polys.json."""
     relation_polys = _read_json("relation_polys.json")
-    return tuple(
-        MultiPoly._make({tuple(e): n for e, n in terms}, den) for den, terms in relation_polys[name]
-    )
+    return tuple(map(MultiPoly.from_data, relation_polys[name]))
 
 
 def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
@@ -298,12 +170,32 @@ def generic_relation_polys() -> Tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly
     return _relation("star") + _relation("circle")
 
 
-_SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
-
-
 def _row_pair(name: str, polys: Sequence[MultiPoly]) -> List[ConstraintRow]:
     polys = tuple(polys)
     return [ConstraintRow(name, polys, False), ConstraintRow(name + "-mirror", polys, True)]
+
+
+@functools.cache
+def _fixed(label: ModuleLabel) -> Optional[Tuple[int, Tuple[int, ...], List[ConstraintRow]]]:
+    """(ngens, signs, rows) of a module with an entry in the generated
+    systems.json, or None; each stored row gives a row and its mirror."""
+    entry = _read_json("systems.json").get(str(label))
+    if entry is None:
+        return None
+    rows = []
+    for name, polys in entry["rows"].items():
+        rows += _row_pair(name, map(MultiPoly.from_data, polys))
+    return entry["ngens"], tuple(entry["signs"]), rows
+
+
+def _ngens(label: ModuleLabel) -> int:
+    """The bimodule generator count of the module: from systems.json, and 1
+    for every module with no entry there."""
+    fixed = _fixed(label)
+    return 1 if fixed is None else fixed[0]
+
+
+_SYSTEM_CACHE: Dict[ModuleLabel, ConstraintSystem] = {}
 
 
 def _circle_rows(label: ModuleLabel) -> List[ConstraintRow]:
@@ -315,43 +207,35 @@ def _circle_rows(label: ModuleLabel) -> List[ConstraintRow]:
     return _row_pair("circle", [g_num.subs({"s": MultiPoly.const(label.s)})])
 
 
-def _singular_rows(label: ModuleLabel, ncols: int) -> List[ConstraintRow]:
+def _singular_rows(label: ModuleLabel) -> List[ConstraintRow]:
     """The singular-vector pair, or none where the module has no such row."""
     sing = _singular_row_poly(label)
-    if sing is None:
-        return []
-    return _row_pair("singular-vector", [sing] + [MultiPoly()] * (ncols - 1))
+    return [] if sing is None else _row_pair("singular-vector", [sing])
 
 
 def constraint_system(label: ModuleLabel) -> ConstraintSystem:
     """The cached polynomial constraint system for M in the first slot.
 
-    A charged module with no primary above its top up to the relation
-    degree takes its star row, and its circle row where g_den(s) != 0, from
-    the generated relation polynomials (relation_polys.json, written by
-    tools/relation_polys.py) at its charge; every other module takes its
-    star row from the expansion generators, when the relation lies in their
-    Virasoro span.  Every module gets the singular-vector row wherever it
-    has one.  The generated star row checks f_den(s) != 0.
+    A module with an entry in systems.json, written with relation_polys.json
+    by tools/relation_polys.py, takes its generator count, column signs and
+    rows from there.  Every other module is a charged M(s) with one
+    generator and one column: it takes its star row, and its circle row
+    where g_den(s) != 0, from the generated relations at its charge, and the
+    singular-vector row wherever it has one.  The star row checks
+    f_den(s) != 0.
     """
     system = _SYSTEM_CACHE.get(label)
     if system is not None:
         return system
-    gens, ngens = _generators(label)
-    degs = [g.max_degree() for g in gens]
-    signs = tuple((-1) ** int(d - degs[0]) for d in degs)
-    generated = label.kind == "Mlam" and not _extra_weights(label)
-    if generated:
+    fixed = _fixed(label)
+    if fixed is not None:
+        system = ConstraintSystem(label, *fixed, False)
+    else:
         f_num, f_den = _relation("star")
         if f_den.evaluate({"s": label.s}) == 0:
             raise RuntimeError("generic star relation degenerates at s=%s" % label.s)
         star = _row_pair("star", [f_num.subs({"s": MultiPoly.const(label.s)})])
-    else:
-        try:
-            star = _row_pair("star", _star_row_polys(label))
-        except virasoro.NotInSpan:
-            star = []
-    system = ConstraintSystem(label, ngens, signs, star, generated)
+        system = ConstraintSystem(label, 1, (1,), star, True)
     _SYSTEM_CACHE[label] = system
     return system
 
@@ -590,7 +474,7 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
 def _bound_one(witness: dict, M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict]:
     """A bound-1 reason for the witnessed arrangement: one bimodule generator
     in the first slot, or two and a constraint system of rank >= 1."""
-    if _generators(M)[1] == 1:
+    if _ngens(M) == 1:
         return {"witness": witness, "bound": 1}
     matrix, _ = _evaluate_system(constraint_system(M), N, L)
     rk = _rank(matrix)
@@ -612,7 +496,7 @@ def decide(m: ModuleLabel, n: ModuleLabel, l: ModuleLabel) -> FusionCertificate:
         verdict, attempt = 1, functools.partial(_bound_one, witness)
         # a stable sort would put one-generator first slots first; the first
         # decides at bound 1 alone, and the slots after it build no generators
-        first = next((a for a in order if _generators(labs[a[0]])[1] == 1), None)
+        first = next((a for a in order if _ngens(labs[a[0]]) == 1), None)
         order = order if first is None else (first,)
     for _, arrange, names in order:
         reason = attempt(*arrange(labs))

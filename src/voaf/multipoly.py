@@ -95,6 +95,26 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def to_data(self) -> list:
+        """The canonical form [den, [[exponents, num], ...]] that the data
+        files store: one exponent per variable of VARS, terms sorted by
+        exponents."""
+        return [self.den, [[list(e), n] for e, n in sorted(self.num.items())]]
+
+    @staticmethod
+    def from_data(data) -> "MultiPoly":
+        """The polynomial of a canonical form written by to_data; a
+        ValueError on a malformed one."""
+        den, terms = data
+        num = {tuple(e): n for e, n in terms}
+        if not (
+            type(den) is int and den > 0 and len(num) == len(terms)
+            and all(type(n) is int and n for n in num.values())
+            and all(len(e) == NVARS and all(type(k) is int and k >= 0 for k in e) for e in num)
+        ):
+            raise ValueError("malformed polynomial data %r" % (data,))
+        return MultiPoly._make(num, den)
+
     @staticmethod
     def const(c) -> "MultiPoly":
         n, d = _ratio(c)

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from . import fusion, virasoro, zhu
+from . import virasoro, zhu
 from .fock import FockVector, Sector
 from .labels import ModuleLabel
 from .scalars import Scalar, parse_rational
@@ -94,9 +94,9 @@ def report(module: str, expr: str) -> str:
     v = parse_state(expr, sector)
     if not label.contains(v):
         raise ValueError("state does not lie in module %s" % label)
-    gens = fusion.generator_set(label)
+    gens = zhu.generator_set(label)
     try:
-        coords = fusion.descendant_coordinates(v, gens)
+        coords = zhu.descendant_coordinates(v, gens)
     except virasoro.NotInSpan:
         raise ValueError("state is not a Virasoro descendant of the module generators")
     lines = ["coordinates:"]

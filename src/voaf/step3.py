@@ -124,27 +124,22 @@ def step3_closures(pt: MultiPoly, q2: MultiPoly) -> List[Closure]:
     return out
 
 
-def _certifies(cert, variables: Tuple[str, str], gens: List[MultiPoly], dist: MultiPoly) -> bool:
+def _certifies(cert, gens: List[MultiPoly], dist: MultiPoly) -> bool:
     """Whether a stored certificate proves its closure: it is made for
     exactly these generators, k >= 0, and sum(c_i g_i) == D^k exactly.
     `cofactors` maps each i (as a string) to c_i in MultiPoly's canonical
-    form [den, [[exponents, num], ...]], with one exponent per variable of
-    the closure."""
+    form (MultiPoly.to_data); a malformed one proves nothing."""
     if cert is None or cert["generators"] != len(gens) or cert["k"] < 0:
         return False
-    slots = [VARS.index(v) for v in variables]
     total = MultiPoly()
-    for i, (den, terms) in cert["cofactors"].items():
+    for i, data in cert["cofactors"].items():
         i = int(i)
         if not 0 <= i < len(gens):
             return False
-        cofactor = {}
-        for expo, n in terms:
-            e = [0] * len(VARS)
-            for slot, k in zip(slots, expo):
-                e[slot] = k
-            cofactor[tuple(e)] = n
-        total = total + MultiPoly._make(cofactor, den) * gens[i]
+        try:
+            total = total + MultiPoly.from_data(data) * gens[i]
+        except ValueError:
+            return False
     return total == dist ** cert["k"]
 
 
@@ -347,6 +342,6 @@ def verify_step3_generic() -> Dict[str, str]:
 
     # --- infeasibility closures: stored ideal-membership certificates ------
     certificates = _certificates()
-    for name, detail, variables, gens, dist in step3_closures(pt, q2):
-        check(name, _certifies(certificates.get(name), variables, gens, dist), detail)
+    for name, detail, _, gens, dist in step3_closures(pt, q2):
+        check(name, _certifies(certificates.get(name), gens, dist), detail)
     return report

@@ -8,6 +8,9 @@ For homogeneous a in the vacuum-charge sector acting on a module vector u:
 
 The quotient by O(M) is the bimodule controlling fusion; membership in
 O(M) is decided by an exact linear solve against circle-product columns.
+The generators of the bimodule are derived here on vectors, for
+tools/relation_polys.py, which stores the systems that the fusion engine
+reads, and for `voaf reduce`.
 The right product and the phi anti-map, which only `voaf verify` checks,
 live in `voaf.suites`.
 
@@ -24,12 +27,12 @@ import functools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import linalg, virasoro
+from . import characters, linalg, virasoro
 from .fock import FockVector, Sector, basis_at_degree
 from .labels import ModuleLabel
 from .multipoly import MultiPoly
 from .scalars import Scalar
-from .vertexops import gen_binom, modes, weight
+from .vertexops import J_state, gen_binom, modes, weight
 
 
 def _integral_weight(a: FockVector) -> int:
@@ -55,6 +58,102 @@ def star_left(a: FockVector, u: FockVector) -> FockVector:
 def circ(a: FockVector, u: FockVector) -> FockVector:
     wa = _integral_weight(a)
     return _mode_sum(a, u, wa, -2, wa + 1)
+
+
+# ----------------------------------------------------------------------
+# bimodule generators
+
+# degree of the relation element h(-3)h(-1)|0> above the vacuum
+_RELATION_DEGREE = 4
+
+
+def _h3h1() -> FockVector:
+    """The quartic generator h(-3)h(-1)|0> of the relation element."""
+    return FockVector.basis(Sector.untwisted(None), (Fraction(3), Fraction(1)))
+
+
+def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
+    """Basis of vectors of the given degree killed by L(1) and L(2)."""
+    parts = basis_at_degree(sector, degree, parity)
+    zero, one = Scalar.zero(), Scalar.one()
+    images = []
+    for p in parts:
+        v = FockVector.basis(sector, p)
+        images.append((virasoro.L(1, v), virasoro.L(2, v)))
+    rows: List[List[Scalar]] = []
+    for k in (0, 1):
+        out_parts = sorted({q for img in images for q in img[k].terms})
+        rows.extend(
+            [img[k].terms.get(q, zero) for img in images] for q in out_parts
+        )
+    kernel = linalg.nullspace(rows, len(parts), zero, one)
+    return [FockVector(sector, dict(zip(parts, vec))) for vec in kernel]
+
+
+def _extra_weights(label: ModuleLabel) -> List[Fraction]:
+    """Lowest weights of the Virasoro primaries of the c = 1 decomposition
+    above the top, up to the top weight plus the relation degree."""
+    top = label.a_M()
+    parts = characters.decomposition_weights(label, top + _RELATION_DEGREE)
+    return [h for h, _ in parts if h > top]
+
+
+@functools.cache
+def _generators(label: ModuleLabel) -> Tuple[Tuple[FockVector, ...], int]:
+    """The expansion generators of the module and how many of them, as a
+    prefix, generate the bimodule.
+
+    The expansion generators are the top vector and the primaries at each
+    weight of the decomposition strictly below the top weight plus the
+    relation degree: the relation element multiplied onto the top vector
+    expands in their Virasoro descendants whenever it expands at all.  The
+    bimodule generators are the shortest prefix whose Virasoro span holds
+    J_n(top), n = 1, 2, 3; a prefix's words come first and take the pivots
+    first, so it ends at the last generator with a nonzero coordinate in
+    them.  Those images lie 2, 1 and 0 above the top, so J is applied only
+    when a primary lies at most 2 above it.
+    """
+    sector, parity = label.sector(), label.parity()
+    top = label.top_vector()
+    gens = [top]
+    for h in _extra_weights(label):
+        if h < label.a_M() + _RELATION_DEGREE:
+            degree = h - sector.weight_offset_rat()
+            gens.extend(_primary_vectors(sector, degree, parity))
+    ngens = 1
+    if any(g.max_degree() <= top.max_degree() + 2 for g in gens[1:]):
+        images = modes(J_state(), (1, 2, 3), top)
+        try:
+            coords = [virasoro.express_in_descendants(img, gens) for img in images]
+        except virasoro.NotInSpan:
+            raise RuntimeError("the generators of %s do not span J_n(top)" % label)
+        ngens = 1 + max((w.gen for c in coords for w in c), default=0)
+    return tuple(gens), ngens
+
+
+def generator_set(label: ModuleLabel) -> List[FockVector]:
+    """Generators of the bimodule attached to the module: the top vector,
+    followed by the primaries that J_n(top), n = 1, 2, 3, needs beyond its
+    Virasoro span (one at s = 1/2 and in the odd twisted module)."""
+    gens, ngens = _generators(label)
+    return list(gens[:ngens])
+
+
+def descendant_coordinates(
+    v: FockVector, gens: Sequence[FockVector]
+) -> Dict[virasoro.DescendantWord, Scalar]:
+    """Virasoro descendant coordinates of v over the generators, or over
+    [g0, lam*g1, ...] when only these are all rational.  Raises
+    virasoro.NotInSpan when v is not a descendant of the generators."""
+    coords = virasoro.express_in_descendants(v, gens)
+    if all(c.is_rational() for c in coords.values()):
+        return coords
+    # lam^2 = s != 0 makes lam a unit, and rescaling a column by a unit keeps
+    # _rref's pivots: over [g0, lam*g1, ...] the solution is this one with
+    # the coordinates of g1, g2, ... divided by lam
+    lam = v.sector.lam_scalar()
+    scaled = {w: c / lam if w.gen else c for w, c in coords.items()}
+    return scaled if all(c.is_rational() for c in scaled.values()) else coords
 
 
 # ----------------------------------------------------------------------

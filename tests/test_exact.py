@@ -1,5 +1,6 @@
 """Exact scalar field, multivariate polynomials, and linear algebra."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -818,6 +819,31 @@ class TestMultiPolyReference:
     @settings(max_examples=60, deadline=None)
     def test_const_matches_reference(self, c):
         assert _same_poly(MultiPoly.const(c), {(0,) * len(VARS): Fraction(c)})
+
+    @given(_multipoly(len(VARS), 3))
+    @settings(max_examples=60, deadline=None)
+    def test_data_form_round_trips_through_json(self, p):
+        data = json.loads(json.dumps(p.to_data()))
+        assert data == [p.den, sorted([list(e), n] for e, n in p.num.items())]
+        assert MultiPoly.from_data(data) == p
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [0, [[[1, 0, 0, 0, 0, 0], 1]]],
+            [2.0, [[[1, 0, 0, 0, 0, 0], 1]]],
+            [1, [[[1, 0, 0], 1]]],
+            [1, [[[-1, 0, 0, 0, 0, 0], 1]]],
+            [1, [[[1, 0, 0, 0, 0, 0], 0]]],
+            [1, [[[1, 0, 0, 0, 0, 0], 1.5]]],
+            [1, [[[1, 0, 0, 0, 0, 0], 1], [[1, 0, 0, 0, 0, 0], 2]]],
+        ],
+        ids=["zero-den", "float-den", "short-exponents", "negative-exponent", "zero-term",
+             "float-term", "repeated-exponents"],
+    )
+    def test_malformed_data_form_is_refused(self, data):
+        with pytest.raises(ValueError):
+            MultiPoly.from_data(data)
 
     def test_zero_polynomial_is_canonical(self):
         x = MultiPoly.var("x")

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib.util
 import inspect
 import itertools
 import json
@@ -9,6 +10,7 @@ import pickle
 import textwrap
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +26,19 @@ from voaf.scalars import Scalar, rational_sqrt
 from voaf.vertexops import J_state, modes
 
 F = Fraction
+
+
+def _load_relation_tool():
+    """tools/relation_polys.py, which derives the generated systems on Fock
+    vectors."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "relation_polys.py"
+    spec = importlib.util.spec_from_file_location("relation_polys_tool", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+TOOL = _load_relation_tool()
 
 CONCRETE = [
     mplus(),
@@ -77,15 +92,15 @@ class TestGenerators:
     @pytest.mark.parametrize("label", GRID_LABELS, ids=str)
     def test_generator_counts(self, label):
         degrees, count = EXTRA_GENERATORS.get(str(label), ([], 1))
-        gens, ngens = fusion._generators(label)
+        gens, ngens = zhu._generators(label)
         assert gens[0] == label.top_vector()
         assert [g.max_degree() - label.top_degree() for g in gens[1:]] == degrees
         assert ngens == count
-        assert fusion.generator_set(label) == list(gens[:count])
+        assert zhu.generator_set(label) == list(gens[:count])
 
     @pytest.mark.parametrize(
         "fn",
-        [fusion.constraint_system, fusion.generator_set, fusion._generators, fusion.decide],
+        [fusion.constraint_system, zhu.generator_set, zhu._generators, fusion.decide],
         ids=lambda fn: fn.__name__,
     )
     def test_no_charge_literal(self, fn):
@@ -130,11 +145,11 @@ class TestContractions:
         f_num, f_den, g_num, g_den = fusion.generic_relation_polys()
         h_num, h_den = second_circle_relation_polys()
         at = {"s": MultiPoly.const(s)}
-        (star,) = fusion._star_row_polys(mlam(s))
+        (star,) = TOOL._star_row_polys(mlam(s))
         assert star * f_den.evaluate({"s": s}) == f_num.subs(at)
         v = mlam(s).top_vector()
-        for a, num, den in ((fusion._h3h1(), g_num, g_den), (_H22, h_num, h_den)):
-            _, (circle,) = fusion.expand_in_generators(zhu.circ(a, v), [v])
+        for a, num, den in ((zhu._h3h1(), g_num, g_den), (_H22, h_num, h_den)):
+            _, (circle,) = TOOL.expand_in_generators(zhu.circ(a, v), [v])
             assert circle * den.evaluate({"s": s}) == num.subs(at)
 
     def test_relation_accessors_compute_nothing(self):
@@ -166,8 +181,8 @@ class TestContractions:
     def test_concrete_contractions_match_the_lcm_reference(self, label):
         """Also where a coordinate is irrational and the expansion retries
         on rescaled generators (s = 1/2 and s = 2)."""
-        gens = fusion._generators(label)[0]
-        coords, polys = fusion.expand_in_generators(zhu.star_left(fusion._h3h1(), gens[0]), gens)
+        gens = zhu._generators(label)[0]
+        coords, polys = TOOL.expand_in_generators(zhu.star_left(zhu._h3h1(), gens[0]), gens)
         base_weights = [label.sector().weight_offset_rat() + g.max_degree() for g in gens]
         pairs = _reference_coords_to_polys(coords, base_weights, len(gens))
         assert polys == [num for num, _ in pairs]
@@ -177,7 +192,7 @@ class TestContractions:
 def _searched_prefix(label):
     """The shortest prefix of the expansion generators whose Virasoro span
     holds J_n(top), n = 1, 2, 3, found by trying each length in turn."""
-    gens = fusion._generators(label)[0]
+    gens = zhu._generators(label)[0]
     images = modes(J_state(), (1, 2, 3), label.top_vector())
     for k in range(1, len(gens) + 1):
         try:
@@ -194,7 +209,7 @@ def _m_half_states():
     with its g1 word: two whose coordinate on that word over [g0, g1] is
     lam-odd, and two with no g1 component (word None)."""
     label = mlam(F(1, 2))
-    g0, g1 = fusion.generator_set(label)
+    g0, g1 = zhu.generator_set(label)
     lam = label.sector().lam_scalar()
     return [
         (virasoro.L_word((2,), g0).scale(Scalar.of(F(2, 3))) - g1.scale(lam * F(2, 3)), ()),
@@ -215,24 +230,24 @@ class TestOneExpansion:
         ids=str,
     )
     def test_prefix_is_the_searched_prefix(self, label):
-        assert fusion._generators(label)[1] == _searched_prefix(label)
+        assert zhu._generators(label)[1] == _searched_prefix(label)
 
     @staticmethod
     def _assert_scaled_solve(label, v):
-        gens = fusion._generators(label)[0]
+        gens = zhu._generators(label)[0]
         scaled = [gens[0]] + [g.scale(label.sector().lam_scalar()) for g in gens[1:]]
-        coords, _ = fusion.expand_in_generators(v, gens)
+        coords, _ = TOOL.expand_in_generators(v, gens)
         assert coords == virasoro.express_in_descendants(v, scaled)
 
     @pytest.mark.parametrize("s", [F(1, 2), F(2)], ids=str)
     def test_star_relation_rescale_is_a_solve_over_scaled_generators(self, s):
         label = mlam(s)
-        self._assert_scaled_solve(label, zhu.star_left(fusion._h3h1(), label.top_vector()))
+        self._assert_scaled_solve(label, zhu.star_left(zhu._h3h1(), label.top_vector()))
 
     @pytest.mark.parametrize("i", range(4), ids=["odd g1", "odd g1 word", "top", "g0 words"])
     def test_state_rescale_is_a_solve_over_scaled_generators(self, i):
         v, g1_word = _m_half_states()[i]
-        first = virasoro.express_in_descendants(v, fusion.generator_set(mlam(F(1, 2))))
+        first = virasoro.express_in_descendants(v, zhu.generator_set(mlam(F(1, 2))))
         g1_coords = {w.ms: c for w, c in first.items() if w.gen == 1}
         if g1_word is None:
             assert g1_coords == {}
@@ -244,13 +259,93 @@ class TestOneExpansion:
         # h(-2)e^lam has the coordinates 4/3*lam on L(-2)g0 and 1/3 on g1
         label = mlam(F(1, 2))
         v = FockVector.basis(label.sector(), (F(2),))
-        gens = fusion.generator_set(label)
-        assert fusion.descendant_coordinates(v, gens) == virasoro.express_in_descendants(v, gens)
+        gens = zhu.generator_set(label)
+        assert zhu.descendant_coordinates(v, gens) == virasoro.express_in_descendants(v, gens)
         with pytest.raises(ValueError):
-            fusion.expand_in_generators(v, gens)
+            TOOL.expand_in_generators(v, gens)
+
+
+def _derived_system(label):
+    """The module's system derived on Fock vectors with zhu, as (ngens,
+    ncols, signs, rows): the expansion generators and the signs of their
+    columns; the quartic relation on the top vector, expanded in their
+    descendants where it lies in their span; for a charged module with no
+    primary above the top within the relation degree, the circle relation
+    the same way; and the singular-vector row by a rational elimination of
+    the word images.  Such a charged module's generated rows are these
+    times the relations' denominators at s, and it has no circle row where
+    that denominator vanishes."""
+    gens, ngens = zhu._generators(label)
+    degs = [g.max_degree() for g in gens]
+    weights = [label.sector().weight_offset_rat() + d for d in degs]
+    _, f_den, _, g_den = fusion.generic_relation_polys()
+    generic = label.kind == "Mlam" and not zhu._extra_weights(label)
+    x = MultiPoly.var("x")
+
+    def expanded(a, product):
+        coords = zhu.descendant_coordinates(product(a, gens[0]), gens)
+        return zhu.coords_to_polys(coords, weights, len(gens))
+
+    rows = []
+    try:
+        star = [p * 9 for p in expanded(zhu._h3h1(), zhu.star_left)]
+    except virasoro.NotInSpan:
+        star = None
+    if star is not None:
+        star[0] = star[0] + MultiPoly.var("z") - x * x * 4 - x * 17
+        if generic:
+            star = [star[0] * f_den.evaluate({"s": label.s})]
+        rows.append(("star", star))
+    if generic and g_den.evaluate({"s": label.s}) != 0:
+        (circle,) = expanded(zhu._h3h1(), zhu.circ)
+        rows.append(("circle", [circle * g_den.evaluate({"s": label.s})]))
+    if _ladder_level(label) is not None:
+        sing = _rational_reference_singular_row_poly(label)
+        rows.append(("singular-vector", [sing] + [MultiPoly()] * (len(gens) - 1)))
+    signs = tuple((-1) ** int(d - degs[0]) for d in degs)
+    pairs = [(name + end, tuple(polys)) for name, polys in rows for end in ("", "-mirror")]
+    return ngens, len(gens), signs, pairs
+
+
+def _assert_derived(label):
+    system = fusion.constraint_system(label)
+    rows = [(row.name, row.polys) for row in system.rows]
+    assert (system.ngens, system.ncols, system.signs, rows) == _derived_system(label)
+    assert [row.mirror for row in system.rows] == [False, True] * (len(rows) // 2)
+
+
+# the standard grid's closure with the uncharged modules, and the ladder
+# s = n^2/2 for n = 1..8
+REFERENCE_LABELS = [mplus(), mminus(), mtheta_plus(), mtheta_minus()] + [
+    mlam(s) for s in sorted(set(fusion.charge_closure(STD_GRID)) | {F(n * n, 2) for n in range(1, 9)})
+]
 
 
 class TestConstraintSystems:
+    @pytest.mark.parametrize("label", REFERENCE_LABELS, ids=str)
+    def test_system_is_the_derivation_on_vectors(self, label):
+        """Every system the engine reads, from systems.json or by the
+        generated relations' rule, is the one derived on vectors."""
+        _assert_derived(label)
+
+    @given(st.fractions(min_value=F(1, 12), max_value=32, max_denominator=12))
+    @settings(max_examples=12, deadline=None)
+    def test_sampled_system_is_the_derivation_on_vectors(self, s):
+        _assert_derived(mlam(s))
+
+    def test_engine_builds_no_system_on_vectors(self):
+        """fusion.py reads the systems as data and builds the singular row
+        on its closed form: it names no word image, elimination, vertex
+        operator, decomposition or Zhu product."""
+        tree = ast.parse(inspect.getsource(fusion))
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & {
+            "express_in_descendants", "basis_at_degree", "J_state", "modes", "nullspace",
+            "decomposition_weights", "star_left",
+        }
+
     @pytest.mark.parametrize("label", CONCRETE, ids=str)
     def test_systems_build(self, label):
         system = fusion.constraint_system(label)
@@ -270,7 +365,7 @@ class TestConstraintSystems:
         _, f_den, _, _ = fusion.generic_relation_polys()
         label = mlam(s)
         star = next(r for r in fusion.constraint_system(label).rows if r.name == "star")
-        (col,) = fusion._star_row_polys(label)
+        (col,) = TOOL._star_row_polys(label)
         assert star.polys == (col * f_den.evaluate({"s": s}),)
 
     def test_vacuum_system_is_the_level_one_singular_row(self):
@@ -800,23 +895,33 @@ class TestLazyRows:
         }
 
     def test_singular_row_is_built_and_quoted_when_reached(self, monkeypatch):
-        # M(s=9/2) has no star row, so its walk starts at the singular pair
-        label = mlam(F(9, 2))
+        # every row of the ladder charge M(s=8) vanishes at the t_4 point, so
+        # its walk reaches and builds the singular pair, and quotes nothing
+        label = mlam(F(8))
         monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
         built = []
         real = fusion._singular_row_poly
         monkeypatch.setattr(fusion, "_singular_row_poly", lambda lab: built.append(lab) or real(lab))
-        cert = fusion.decide(label, mlam(F(1, 2)), mlam(F(1, 2)))
+        assert fusion._prove_zero(label, mlam(F(9, 58)), mlam(F(9, 58))) is None
         assert built == [label]
+        assert [r.name for r in fusion.constraint_system(label).singular] == [
+            "singular-vector", "singular-vector-mirror",
+        ]
+        # a second walk reuses the cached row
+        fusion.decide(label, mlam(F(9, 58)), mlam(F(9, 58)))
+        assert built == [label]
+        # M(s=9/2) has no star row, so its walk starts at the singular pair,
+        # which systems.json holds: no vector is built for it
+        label = mlam(F(9, 2))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+        cert = fusion.decide(label, mlam(F(1, 2)), mlam(F(1, 2)))
+        assert built == [mlam(F(8))]
         assert cert.permutation == ["m", "n", "l"]
         assert cert.reason == {
             "type": "nonzero-constraint",
             "row": "singular-vector",
             "value": "-135/256",
         }
-        # a second walk reuses the cached row
-        fusion.decide(label, mlam(F(1, 2)), mlam(F(9, 2)))
-        assert built == [label]
 
     def test_ncols_does_not_force_the_rows(self, monkeypatch):
         label = mlam(F(8))
@@ -882,6 +987,7 @@ class TestLazyRows:
         serve the 481 evaluations of test_generic_table_evaluation_count."""
         monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
         fusion._relation.cache_clear()
+        fusion._fixed.cache_clear()
         evaluated, cleared = {}, []
         real_evaluate, real_clear = MultiPoly.evaluate, MultiPoly._clear
 
@@ -947,10 +1053,7 @@ class TestLazyRows:
         ladder = mlam(F(n * n, 2))
         built = []
         real = fusion._singular_rows
-        monkeypatch.setattr(
-            fusion, "_singular_rows",
-            lambda lab, ncols: built.append(lab) or real(lab, ncols),
-        )
+        monkeypatch.setattr(fusion, "_singular_rows", lambda lab: built.append(lab) or real(lab))
         cert = fusion.decide(ladder, mlam(t), mlam(t))
         assert cert.verdict == 0
         assert cert.permutation == ["n", "m", "l"]
@@ -958,10 +1061,11 @@ class TestLazyRows:
         assert built.count(ladder) == 1
 
     def test_cold_builds_solve_once_per_expansion(self, monkeypatch):
-        """The systems with extra expansion generators solve for each
-        J_n(top) and for the star relation once, and never again."""
+        """The derivation of the systems with extra expansion generators
+        solves for each J_n(top) and for the star relation once; the engine
+        reads those systems and solves nothing."""
         monkeypatch.setattr(fusion, "_SYSTEM_CACHE", {})
-        fusion._generators.cache_clear()
+        zhu._generators.cache_clear()
         calls = []
         real = virasoro.express_in_descendants
         monkeypatch.setattr(
@@ -970,6 +1074,7 @@ class TestLazyRows:
         counts = []
         for label in (mlam(F(1, 2)), mtheta_minus(), mtheta_plus(), mlam(F(2))):
             before = len(calls)
+            TOOL.system(label)
             fusion.constraint_system(label).rows
             counts.append(len(calls) - before)
         assert counts == [4, 4, 1, 1]

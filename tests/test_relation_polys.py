@@ -1,9 +1,11 @@
-"""The generated relation module and the tool that writes it.
+"""The generated data files and the tools that write them.
 
 tools/relation_polys.py derives the star, circle and second circle
 relations of a charged module by sampling concrete contractions in
-Q(sqrt(s)) and interpolating in s; src/voaf/relation_polys.json is its
-output.
+Q(sqrt(s)) and interpolating in s, and the constraint systems of the
+modules those relations do not cover on Fock vectors; src/voaf/
+relation_polys.json and src/voaf/systems.json are its output.
+tools/step3_cofactors.py writes src/voaf/step3_cofactors.json.
 """
 
 import ast
@@ -15,23 +17,35 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "relation_polys.py"
-DATA = ROOT / "src" / "voaf" / "relation_polys.json"
+
+# each generated data file, the tool that writes it and the tool's function
+# that renders its text
+DATA_FILES = [
+    ("relation_polys.json", TOOL, "render_relations"),
+    ("systems.json", TOOL, "render_systems"),
+    ("step3_cofactors.json", ROOT / "tools" / "step3_cofactors.py", "render"),
+]
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("relation_polys_tool", TOOL)
+def _load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem + "_tool", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
-def test_module_regenerates_byte_for_byte_in_under_two_seconds():
+@pytest.mark.parametrize("name, tool, render", DATA_FILES, ids=[d[0] for d in DATA_FILES])
+def test_data_file_regenerates_byte_for_byte_in_under_two_seconds(name, tool, render):
     start = time.perf_counter()
-    text = _load_tool().render()
+    text = getattr(_load_tool(tool), render)()
     elapsed = time.perf_counter() - start
-    assert text.encode("utf-8") == DATA.read_bytes()
+    committed = (ROOT / "src" / "voaf" / name).read_bytes()
+    assert text.encode("utf-8") == committed
+    assert len(committed) < 10_000
     assert elapsed < 2.0
 
 

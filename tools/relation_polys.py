@@ -1,5 +1,7 @@
 """Generate src/voaf/relation_polys.json, the star, circle and second
-circle relations of a charged module as polynomials in x, y, z and s = lam^2.
+circle relations of a charged module as polynomials in x, y, z and s = lam^2,
+and src/voaf/systems.json, the constraint systems of the modules that those
+relations do not cover.
 
     python tools/relation_polys.py
 
@@ -49,11 +51,24 @@ The star relation is stored as (head * den + 9 * num, den), with head the
 contraction z - 4x^2 - 17x of J - 4 omega*omega - 17 omega.
 
 The file maps each relation's name to its pair [numerator, denominator],
-one relation a line.  Each polynomial is in MultiPoly's canonical form
-[den, [[exponents, num], ...]]: a positive int denominator prime to the
-int numerators, one exponent per variable of `voaf.multipoly.VARS`, terms
-sorted by exponents.  The output is deterministic: running the script
-again rewrites the file byte for byte.
+one relation a line.
+
+The relations hold for every charge whose decomposition has no Virasoro
+primary above the top within the relation degree; a charged module there
+has one generator and one column.  The other modules are the four
+uncharged ones and the charges s = n^2/2 whose first primary, n + 1 above
+the top, lies within it: n = 1, 2, 3.  For each of these systems.json holds
+one line: the bimodule generator count `ngens` (zhu._generators), the sign
+of each expansion generator's column under the anti-involution, and the
+rows by name, one contraction polynomial per column, each standing for
+itself and its mirror.  The star row is the quartic relation multiplied
+onto the top vector, expanded in the generators' descendants, where it lies
+in their span; the singular-vector row is fusion._singular_row_poly,
+checked on the module's vectors, where the top weight is a quarter-square.
+
+Each polynomial is in MultiPoly's canonical form (MultiPoly.to_data).  The
+output is deterministic: running the script again rewrites both files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -63,27 +78,38 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from voaf import fusion, virasoro, zhu  # noqa: E402
 from voaf.fock import FockVector, Sector  # noqa: E402
+from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus  # noqa: E402
 from voaf.multipoly import MultiPoly  # noqa: E402
-from voaf.scalars import interpolate, rational_sqrt  # noqa: E402
+from voaf.scalars import Scalar, interpolate, rational_sqrt  # noqa: E402
 
-TARGET = ROOT / "src" / "voaf" / "relation_polys.json"
+DATA = ROOT / "src" / "voaf"
 
 _S = MultiPoly.var("s")
 _H22 = FockVector.basis(Sector.untwisted(None), (2, 2))
 
 Relation = Callable[[FockVector], FockVector]
 RELATIONS: Tuple[Tuple[str, Relation], ...] = (
-    ("star", lambda v: zhu.star_left(fusion._h3h1(), v)),
-    ("circle", lambda v: zhu.circ(fusion._h3h1(), v)),
+    ("star", lambda v: zhu.star_left(zhu._h3h1(), v)),
+    ("circle", lambda v: zhu.circ(zhu._h3h1(), v)),
     ("second-circle", lambda v: zhu.circ(_H22, v)),
 )
+
+
+def _relation_head() -> MultiPoly:
+    """Contraction of J - 4*omega*omega - 17*omega on the generator column.
+
+    J and omega act on the generator class through the top-weight
+    coordinates z = b and x = a, giving z - 4x^2 - 17x.
+    """
+    x, z = MultiPoly.var("x"), MultiPoly.var("z")
+    return z - x * x * 4 - x * 17
 
 
 def kac_roots(level: int) -> Dict[Fraction, int]:
@@ -147,26 +173,92 @@ def contraction(rel: Relation) -> Tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
-def canonical(p: MultiPoly) -> list:
-    """MultiPoly's canonical form [den, [[exponents, num], ...]] of p."""
-    return [p.den, [[list(e), n] for e, n in sorted(p.num.items())]]
+def expand_in_generators(
+    v: FockVector, gens: Sequence[FockVector]
+) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[MultiPoly]]:
+    """The zhu.descendant_coordinates of v and their contraction
+    polynomials, one per generator; ValueError when a coordinate is
+    irrational in lam."""
+    coords = zhu.descendant_coordinates(v, gens)
+    base_weights = [v.sector.weight_offset_rat() + g.max_degree() for g in gens]
+    return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
 
 
-def render() -> str:
-    """The text of the data file."""
-    lines = []
-    for name, rel in RELATIONS:
-        num, den = contraction(rel)
-        if name == "star":
-            num = fusion._relation_head() * den + num * 9
-        pair = json.dumps([canonical(num), canonical(den)], separators=(",", ":"))
-        lines.append("%s: %s" % (json.dumps(name), pair))
+def _star_row_polys(label: ModuleLabel) -> List[MultiPoly]:
+    """Contraction polynomials (one per expansion generator) of the quartic
+    relation element multiplied onto the top vector.  Raises
+    virasoro.NotInSpan when the relation is not in the generators' span."""
+    gens = zhu._generators(label)[0]
+    _, polys = expand_in_generators(zhu.star_left(zhu._h3h1(), gens[0]), gens)
+    cols = [p * 9 for p in polys]
+    cols[0] = cols[0] + _relation_head()
+    return cols
+
+
+def fixed_labels() -> List[ModuleLabel]:
+    """The modules that systems.json holds: the uncharged ones, then
+    M(n^2/2) for n = 1, 2, ... while its decomposition has a primary above
+    the top within the relation degree (the first lies n + 1 above it)."""
+    out = [mplus(), mminus(), mtheta_plus(), mtheta_minus()]
+    n = 1
+    while zhu._extra_weights(mlam(Fraction(n * n, 2))):
+        out.append(mlam(Fraction(n * n, 2)))
+        n += 1
+    return out
+
+
+def system(label: ModuleLabel) -> dict:
+    """The systems.json entry of the module: ngens, signs and rows."""
+    gens, ngens = zhu._generators(label)
+    degs = [g.max_degree() for g in gens]
+    rows = {}
+    try:
+        rows["star"] = _star_row_polys(label)
+    except virasoro.NotInSpan:
+        pass
+    sing = fusion._singular_row_poly(label)
+    if sing is not None:
+        rows["singular-vector"] = [sing] + [MultiPoly()] * (len(gens) - 1)
+    return {
+        "ngens": ngens,
+        "signs": [(-1) ** int(d - degs[0]) for d in degs],
+        "rows": {name: [p.to_data() for p in polys] for name, polys in rows.items()},
+    }
+
+
+def _lines(entries) -> str:
+    """A JSON object with one (name, value) entry a line."""
+    lines = [
+        "%s: %s" % (json.dumps(name), json.dumps(value, separators=(",", ":")))
+        for name, value in entries
+    ]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def render_relations() -> str:
+    """The text of relation_polys.json."""
+    pairs = []
+    for name, rel in RELATIONS:
+        num, den = contraction(rel)
+        if name == "star":
+            num = _relation_head() * den + num * 9
+        pairs.append((name, [num.to_data(), den.to_data()]))
+    return _lines(pairs)
+
+
+def render_systems() -> str:
+    """The text of systems.json."""
+    return _lines((str(label), system(label)) for label in fixed_labels())
+
+
+RENDERS = {"relation_polys.json": render_relations, "systems.json": render_systems}
+
+
 def main() -> int:
-    TARGET.write_text(render(), encoding="utf-8")
-    print("wrote %s" % TARGET.relative_to(ROOT))
+    for name, render in RENDERS.items():
+        target = DATA / name
+        target.write_text(render(), encoding="utf-8")
+        print("wrote %s" % target.relative_to(ROOT))
     return 0
 
 

@@ -13,15 +13,14 @@ certificate is sparse.
 The file maps each closure's name to {"k": k, "generators": the number of
 g_i the certificate was made for, "cofactors": {i: c_i}}, one closure a
 line, with only the nonzero c_i.  Each c_i is in MultiPoly's canonical form
-[den, [[[a, b], num], ...]]: the coefficient of v1^a v2^b in the closure's
-two variables (v1, v2) is num/den.  The output is deterministic: running
-the script again rewrites the file byte for byte.
+(MultiPoly.to_data), a polynomial in the closure's two variables.  The
+output is deterministic: running the script again rewrites the file byte
+for byte.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +46,6 @@ DEGREES = {
 }
 
 Expo2 = Tuple[int, int]
-Cofactors = Dict[int, Dict[Expo2, Fraction]]
 
 
 def _in_variables(p: MultiPoly, variables: Tuple[str, str]) -> Dict[Expo2, Fraction]:
@@ -62,7 +60,7 @@ def _in_variables(p: MultiPoly, variables: Tuple[str, str]) -> Dict[Expo2, Fract
 
 def solve_closure(
     variables: Tuple[str, str], gens: List[MultiPoly], dist: MultiPoly, k: int, degree: int
-) -> Cofactors:
+) -> Dict[int, MultiPoly]:
     """Cofactors c_i of degree <= `degree` with sum(c_i g_i) == dist**k;
     raises linalg.InconsistentSystem when there are none."""
     monos = [(a, total - a) for total in range(degree + 1) for a in range(total, -1, -1)]
@@ -77,19 +75,12 @@ def solve_closure(
     zero = Fraction(0)
     rows = [[equations[e].get(col, zero) for col in range(len(columns))] for e in keys]
     x = linalg.solve(rows, [target.get(e, zero) for e in keys], zero, Fraction(1))
-    out: Cofactors = {}
-    for (i, m), c in zip(columns, x):
+    v1, v2 = map(MultiPoly.var, variables)
+    out: Dict[int, MultiPoly] = {}
+    for (i, (a, b)), c in zip(columns, x):
         if c:
-            out.setdefault(i, {})[m] = c
+            out[i] = out.get(i, MultiPoly()) + v1**a * v2**b * c
     return out
-
-
-def canonical(terms: Dict[Expo2, Fraction]) -> list:
-    """The canonical form [den, [[[a, b], num], ...]] of a cofactor: den is
-    the lcm of the denominators, so it is prime to the numerators."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    terms = sorted(terms.items())
-    return [den, [[list(m), c.numerator * (den // c.denominator)] for m, c in terms]]
 
 
 def render() -> str:
@@ -102,7 +93,7 @@ def render() -> str:
         entry = {
             "k": k,
             "generators": len(gens),
-            "cofactors": {str(i): canonical(cofactors[i]) for i in sorted(cofactors)},
+            "cofactors": {str(i): cofactors[i].to_data() for i in sorted(cofactors)},
         }
         lines.append("%s: %s" % (json.dumps(name), json.dumps(entry, separators=(",", ":"))))
     return "{\n" + ",\n".join(lines) + "\n}\n"

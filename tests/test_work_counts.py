@@ -31,11 +31,11 @@ _COUNT = textwrap.dedent(
 
     counts = {}
 
-    def counted(owner, name, key):
+    def counted(owner, name, key, weight=lambda *args: 1):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + weight(*args)
             return real(*args, **kwargs)
 
         setattr(owner, name, wrapper)
@@ -44,6 +44,8 @@ _COUNT = textwrap.dedent(
     counted(Point, "build_vector", "build_vector")
     counted(linalg, "rank", "rank")
     counted(linalg, "_rref", "rref")
+    # the rows x columns that each elimination reduces
+    counted(linalg, "_rref", "rref_cells", lambda a, ncols, *rest: len(a) * ncols)
     counted(virasoro, "L", "L")
     counted(virasoro, "express_in_descendants", "express")
     counted(MultiPoly, "subs", "subs")
@@ -66,7 +68,7 @@ _COUNT = textwrap.dedent(
 TABLE = ["fusion-table", "--lambda-squares", "3,5/4,22/9,13/7"]
 TABLE_COUNTS = {
     "build_vector": 149, "evaluate": 481, "output_lines": 769,
-    "rank": 15, "rref": 15, "subs": 4, "systems": 7,
+    "rank": 15, "rref": 15, "rref_cells": 46, "subs": 4, "systems": 7,
 }
 
 # the standard grid, the one that reaches every reason type: 1 600 triples,
@@ -74,7 +76,7 @@ TABLE_COUNTS = {
 STANDARD = ["fusion-table", "--lambda-squares", "1/3,1/2,2,9/2,8,5"]
 STANDARD_COUNTS = {
     "build_vector": 542, "evaluate": 1461, "output_lines": 1601,
-    "rank": 105, "rref": 105, "subs": 9, "systems": 15,
+    "rank": 105, "rref": 105, "rref_cells": 606, "subs": 9, "systems": 15,
 }
 
 # every verify suite; the t_4 and t_12 ladder queries, whose first slots have
@@ -83,7 +85,8 @@ STANDARD_COUNTS = {
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5486, "build_vector": 568, "evaluate": 1498, "express": 37, "output_lines": 46,
-        "rank": 105, "rref": 145, "scalars": 57186, "subs": 90, "systems": 15, "try_divide": 9,
+        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 57186, "subs": 90, "systems": 15,
+        "try_divide": 9,
     }),
     "t4": (["fusion", "--m", "M(s=8)", "--n", "M(s=9/58)", "--l", "M(s=9/58)"], {
         "L": 15, "build_vector": 8, "evaluate": 12, "output_lines": 1, "scalars": 129,
@@ -94,7 +97,8 @@ REQUESTS = {
         "subs": 3, "systems": 2,
     }),
     "reduce": (["reduce", "--module", "M-", "--expr", "h(-12)|0>"], {
-        "L": 275, "express": 1, "output_lines": 37, "rref": 1, "scalars": 89105,
+        "L": 275, "express": 1, "output_lines": 37, "rref": 1, "rref_cells": 2072,
+        "scalars": 89105,
     }),
 }
 

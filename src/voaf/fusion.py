@@ -410,10 +410,6 @@ def _arrangement_order(priority: Tuple[int, int, int]) -> tuple:
     return tuple(sorted(_ARRANGEMENTS, key=lambda a: priority[a[0]]))
 
 
-def _rank(matrix: List[List[Fraction]]) -> int:
-    return linalg.rank(matrix, Fraction(1))
-
-
 def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict]:
     """A certificate that the fusion rule for the arrangement is zero."""
     if M.kind == "M+":
@@ -446,8 +442,8 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
         return None
     matrix, names = _evaluate_system(system, N, L)
     if system.ngens == 1:
-        full = _rank(matrix)
-        rest = _rank([row[1:] for row in matrix])
+        full = linalg.rank(matrix)
+        rest = linalg.rank([row[1:] for row in matrix])
         if full == rest + 1:
             return {
                 "type": "generator-column-forced",
@@ -456,7 +452,7 @@ def _prove_zero(M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) -> Optional[dict
                 "matrix": [[str(v) for v in row] for row in matrix],
             }
         return None
-    if _rank(matrix) == ncols:
+    if linalg.rank(matrix) == ncols:
         # full column rank >= 2 leaves a nonzero minor on the first two columns
         for (i, ri), (j, rj) in itertools.combinations(enumerate(matrix), 2):
             d = ri[0] * rj[1] - ri[1] * rj[0]
@@ -477,7 +473,7 @@ def _bound_one(witness: dict, M: ModuleLabel, N: ModuleLabel, L: ModuleLabel) ->
     if _ngens(M) == 1:
         return {"witness": witness, "bound": 1}
     matrix, _ = _evaluate_system(constraint_system(M), N, L)
-    rk = _rank(matrix)
+    rk = linalg.rank(matrix)
     if rk >= 1:
         argument = "constraint system has rank %d" % rk
         return {"witness": witness, "bound": 2, "rank_argument": argument}

@@ -118,7 +118,6 @@ def express_in_descendants(
     the lexicographically earliest words is returned.  Raises NotInSpan if
     some component is outside the descendant span.
     """
-    zero, one = Scalar.zero(), Scalar.one()
     gen_degs = []
     for g in generators:
         if not g.is_homogeneous():
@@ -139,20 +138,18 @@ def express_in_descendants(
         basis_parts = sorted(
             {p for img in images for p in img.terms} | set(comp.terms)
         )
-        rows = [
-            [img.terms.get(p, zero) for img in images] for p in basis_parts
-        ]
-        rhs = [comp.terms.get(p, zero) for p in basis_parts]
+        rows = [[img.terms.get(p, 0) for img in images] for p in basis_parts]
+        rhs = [comp.terms.get(p, 0) for p in basis_parts]
         if not words:
             if comp.terms:
                 raise NotInSpan("degree %s component has no candidate words" % deg)
             continue
         try:
-            sol = linalg.solve(rows, rhs, zero, one)
+            sol = linalg.solve(rows, rhs)
         except linalg.InconsistentSystem:
             raise NotInSpan("degree %s component not in descendant span" % deg)
         for w, c in zip(words, sol):
-            if not c.is_zero():
+            if c:
                 coords[w] = c
     return coords
 

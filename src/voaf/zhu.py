@@ -75,18 +75,17 @@ def _h3h1() -> FockVector:
 def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
     """Basis of vectors of the given degree killed by L(1) and L(2)."""
     parts = basis_at_degree(sector, degree, parity)
-    zero, one = Scalar.zero(), Scalar.one()
     images = []
     for p in parts:
         v = FockVector.basis(sector, p)
         images.append((virasoro.L(1, v), virasoro.L(2, v)))
-    rows: List[List[Scalar]] = []
+    rows: List[list] = []
     for k in (0, 1):
         out_parts = sorted({q for img in images for q in img[k].terms})
         rows.extend(
-            [img[k].terms.get(q, zero) for img in images] for q in out_parts
+            [img[k].terms.get(q, 0) for img in images] for q in out_parts
         )
-    kernel = linalg.nullspace(rows, len(parts), zero, one)
+    kernel = linalg.nullspace(rows, len(parts))
     return [FockVector(sector, dict(zip(parts, vec))) for vec in kernel]
 
 
@@ -190,10 +189,9 @@ def _membership_columns(
                         gens.append((a, u))
                         cols.append(col)
                 d += Fraction(1)
-    zero, one = Scalar.zero(), Scalar.one()
     keys = sorted({p for c in cols for p in c.terms})
-    rows = [[c.terms.get(p, zero) for c in cols] for p in keys]
-    pivots, transform = linalg.row_reduction(rows, zero, one)
+    rows = [[c.terms.get(p, 0) for c in cols] for p in keys]
+    pivots, transform = linalg.row_reduction(rows)
     return tuple(gens), pivots, transform, {p: i for i, p in enumerate(keys)}
 
 
@@ -210,13 +208,10 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
     if any(p not in index for p in v.terms):
         return MembershipResult(False)
     coords = [(index[p], c) for p, c in v.terms.items()]
-    zero = Scalar.zero()
-    image = [sum((row[i] * c for i, c in coords), zero) for row in transform]
+    image = [sum(row[i] * c for i, c in coords) for row in transform]
     if any(image[len(pivots):]):
         return MembershipResult(False)
-    combo = [
-        gens[col] + (c,) for col, c in zip(pivots, image) if not c.is_zero()
-    ]
+    combo = [gens[col] + (c,) for col, c in zip(pivots, image) if c]
     return MembershipResult(True, combo)
 
 

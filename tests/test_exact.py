@@ -937,55 +937,157 @@ class TestMultiPolyReference:
             MultiPoly.const(c)
 
 
+def _reference_rref(a, ncols, one):
+    """The elimination as it was written with its field's constants, before
+    it skipped zero cells: the reference the kernel is compared with."""
+    m = len(a)
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        sel = next((r for r in range(row, m) if a[r][col]), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = one / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(m):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots
+
+
+def _reference_solve(rows, rhs, n, zero, one):
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _reference_rref(a, n, one)
+    if any(a[r][n] for r in range(len(pivots), len(a))):
+        raise linalg.InconsistentSystem("no exact solution")
+    x = [zero] * n
+    for r, c in enumerate(pivots):
+        x[c] = a[r][n]
+    return x
+
+
+def _reference_row_reduction(rows, n, zero, one):
+    m = len(rows)
+    a = [list(r) + [one if i == j else zero for j in range(m)] for i, r in enumerate(rows)]
+    pivots = _reference_rref(a, n, one)
+    return pivots, [r[n:] for r in a]
+
+
+def _reference_nullspace(rows, n, zero, one):
+    a = [list(r) for r in rows]
+    pivots = _reference_rref(a, n, one)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [zero] * n
+        vec[free] = one
+        for r, c in enumerate(pivots):
+            vec[c] = zero - a[r][free]
+        basis.append(vec)
+    return basis
+
+
+# a field's nonzero entries, its zero and its one
+_LINALG_FIELDS = {
+    "Q": (rationals.filter(bool), Fraction(0), Fraction(1)),
+    "Q(sqrt 2)": (_scalar(Fraction(2)).filter(bool), Scalar.zero(), Scalar.one()),
+}
+
+
+@st.composite
+def _linear_system(draw):
+    """A matrix of 0-6 rows by 0-6 columns, about half its cells zero, and a
+    right-hand side, over Q or Q(sqrt 2); a zero is the int 0 or the field's
+    zero.  The last row may be a combination of the others (singular), and
+    the right-hand side is the image of a vector (consistent) or drawn
+    freely (inconsistent when the columns do not span it)."""
+    field = draw(st.sampled_from(sorted(_LINALG_FIELDS)))
+    nonzero, zero, one = _LINALG_FIELDS[field]
+    cell = st.one_of(nonzero, st.sampled_from([0, zero]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        cs = draw(st.lists(cell, min_size=m - 1, max_size=m - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(cs, rows)), zero) for j in range(n)]
+    if draw(st.booleans()):
+        x = draw(st.lists(cell, min_size=n, max_size=n))
+        rhs = [sum((v * c for v, c in zip(r, x)), zero) for r in rows]
+    else:
+        rhs = draw(st.lists(cell, min_size=m, max_size=m))
+    return rows, rhs, zero, one
+
+
 class TestLinalg:
     def _F(self, x):
         return Scalar.of(Fraction(x))
 
     def test_solve(self):
-        zero, one = Scalar.zero(), Scalar.one()
         rows = [[self._F(1), self._F(2)], [self._F(3), self._F(4)]]
         rhs = [self._F(5), self._F(11)]
-        sol = linalg.solve(rows, rhs, zero, one)
+        sol = linalg.solve(rows, rhs)
         assert [c.as_rat() for c in sol] == [1, 2]
 
     def test_solve_inconsistent(self):
-        zero, one = Scalar.zero(), Scalar.one()
         rows = [[self._F(1)], [self._F(2)]]
         rhs = [self._F(1), self._F(3)]
         with pytest.raises(linalg.InconsistentSystem):
-            linalg.solve(rows, rhs, zero, one)
+            linalg.solve(rows, rhs)
 
     def test_rank(self):
-        one = Scalar.one()
         rows = [
             [self._F(1), self._F(2), self._F(3)],
             [self._F(2), self._F(4), self._F(6)],
             [self._F(0), self._F(1), self._F(0)],
         ]
-        assert linalg.rank(rows, one) == 2
+        assert linalg.rank(rows) == 2
 
     def test_nullspace(self):
-        zero, one = Scalar.zero(), Scalar.one()
         rows = [[self._F(1), self._F(1), self._F(0)]]
-        basis = linalg.nullspace(rows, 3, zero, one)
+        basis = linalg.nullspace(rows, 3)
         assert len(basis) == 2
         for vec in basis:
-            dot = sum((rows[0][j] * vec[j] for j in range(3)), zero)
-            assert dot.is_zero()
+            dot = sum(rows[0][j] * vec[j] for j in range(3))
+            assert not dot
 
     def test_empty_matrix(self):
-        zero, one = Fraction(0), Fraction(1)
-        assert linalg.rank([], one) == 0
-        assert linalg.solve([], [], zero, one) == []
-        assert linalg.nullspace([], 2, zero, one) == [[one, zero], [zero, one]]
+        assert linalg.rank([]) == 0
+        assert linalg.solve([], []) == []
+        assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
 
     def test_more_columns_than_rows(self):
-        zero, one = Fraction(0), Fraction(1)
         rows = [[Fraction(v) for v in r] for r in ([1, 2, 3, 4], [2, 4, 7, 9])]
-        assert linalg.rank(rows, one) == 2
+        assert linalg.rank(rows) == 2
         # pivots in columns 0 and 2; free columns 1 and 3, in that order
-        assert linalg.nullspace(rows, 4, zero, one) == [[-2, 1, 0, 0], [-1, 0, -1, 1]]
-        assert linalg.solve(rows, [Fraction(1), Fraction(3)], zero, one) == [-2, 0, 1, 0]
+        assert linalg.nullspace(rows, 4) == [[-2, 1, 0, 0], [-1, 0, -1, 1]]
+        assert linalg.solve(rows, [Fraction(1), Fraction(3)]) == [-2, 0, 1, 0]
+
+    @given(_linear_system())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_the_reference(self, system):
+        """Pivots, rank, solve, nullspace and row_reduction agree with the
+        elimination over the field's constants on the matrix with every
+        zero made the field's zero."""
+        rows, rhs, zero, one = system
+        n = len(rows[0]) if rows else 0
+        filled = [[v if v else zero for v in r] for r in rows]
+        want = _reference_rref([list(r) for r in filled], n, one)
+        assert linalg._rref([list(r) for r in rows], n) == want
+        assert linalg.rank(rows) == len(want)
+        try:
+            solution = _reference_solve(filled, [b if b else zero for b in rhs], n, zero, one)
+        except linalg.InconsistentSystem:
+            with pytest.raises(linalg.InconsistentSystem):
+                linalg.solve(rows, rhs)
+        else:
+            assert linalg.solve(rows, rhs) == solution
+        assert linalg.nullspace(rows, n) == _reference_nullspace(filled, n, zero, one)
+        assert linalg.row_reduction(rows) == _reference_row_reduction(filled, n, zero, one)
 
 
 class TestRationalSqrt:

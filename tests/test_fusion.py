@@ -768,11 +768,10 @@ def _reference_singular_row_poly(label):
     """The singular-vector row by elimination over Scalar in Q(sqrt(s)) of
     the images of every PBW word at the singular level."""
     words, images = _word_images(label)
-    zero, one = Scalar.zero(), Scalar.one()
     parts = sorted({p for img in images for p in img.terms})
-    rows = [[img.terms.get(p, zero) for img in images] for p in parts]
-    kernel = linalg.nullspace(rows, len(words), zero, one)
-    return _row_from_kernel(label, words, images, kernel, Scalar.as_rat)
+    rows = [[img.terms.get(p, 0) for img in images] for p in parts]
+    kernel = linalg.nullspace(rows, len(words))
+    return _row_from_kernel(label, words, images, kernel, lambda c: Scalar.of(c).as_rat())
 
 
 def _lam_parts(c):
@@ -788,13 +787,12 @@ def _rational_reference_singular_row_poly(label):
     the singular vector is rational while lam = n/sqrt(2) is not, so the
     word images' lam^0 and lam^1 parts are stacked and eliminated over Q."""
     words, images = _word_images(label)
-    zero = F(0)
     split = [{p: _lam_parts(c) for p, c in img.terms.items()} for img in images]
     parts = sorted({p for img in images for p in img.terms})
     rows = [
-        [cs.get(p, (zero, zero))[i] for cs in split] for i in (0, 1) for p in parts
+        [cs.get(p, (0, 0))[i] for cs in split] for i in (0, 1) for p in parts
     ]
-    kernel = linalg.nullspace(rows, len(words), zero, F(1))
+    kernel = linalg.nullspace(rows, len(words))
     return _row_from_kernel(label, words, images, kernel, F)
 
 

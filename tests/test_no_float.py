@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import voaf
-from voaf import characters, fusion, suites
+from voaf import characters, fusion, linalg, suites
 from voaf.characters import QSeries
 from voaf.fock import FockVector, Sector, double
 from voaf.labels import mplus
@@ -99,3 +99,29 @@ def test_rational_keeps_ints_and_fractions():
     assert rational(half) is half
     assert rational(3) == Fraction(3) and type(rational(3)) is Fraction
     assert rational(True) == 1
+
+
+# an int matrix eliminates in Fractions: the kernel inverts a pivot as
+# Fraction(1) / pivot, never as 1 / pivot
+INT_MATRIX_CALLS = {
+    "solve": lambda: linalg.solve([[2, 1], [1, 3]], [1, 2]),
+    "nullspace": lambda: linalg.nullspace([[2, 4]], 2),
+    "rank": lambda: [linalg.rank([[2, 3]])],
+    "row_reduction": lambda: linalg.row_reduction([[2]]),
+}
+
+
+def _leaves(x):
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("name", sorted(INT_MATRIX_CALLS))
+def test_int_matrix_gives_ints_and_fractions(name):
+    from fractions import Fraction
+
+    values = list(_leaves(INT_MATRIX_CALLS[name]()))
+    assert values and all(type(v) in (int, Fraction) for v in values), values

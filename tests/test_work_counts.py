@@ -85,7 +85,7 @@ STANDARD_COUNTS = {
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5486, "build_vector": 568, "evaluate": 1498, "express": 37, "output_lines": 46,
-        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 57186, "subs": 90, "systems": 15,
+        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 46787, "subs": 90, "systems": 15,
         "try_divide": 9,
     }),
     "t4": (["fusion", "--m", "M(s=8)", "--n", "M(s=9/58)", "--l", "M(s=9/58)"], {
@@ -98,7 +98,7 @@ REQUESTS = {
     }),
     "reduce": (["reduce", "--module", "M-", "--expr", "h(-12)|0>"], {
         "L": 275, "express": 1, "output_lines": 37, "rref": 1, "rref_cells": 2072,
-        "scalars": 89105,
+        "scalars": 25872,
     }),
 }
 

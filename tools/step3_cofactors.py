@@ -7,8 +7,9 @@ For each closure of `voaf.step3.step3_closures`, with generators g_i and
 distinctness factor D, it finds cofactors c_i of total degree at most
 `degree` with sum(c_i * g_i) == D**k.  The coefficients of the c_i are the
 unknowns of one exact linear system over Q, one equation per monomial,
-solved by `voaf.linalg.solve`; free unknowns are set to zero, so the
-certificate is sparse.
+solved by `voaf.linalg.solve`.  Its rows are Fractions with the int 0 for
+a monomial a cofactor term does not reach; free unknowns are set to zero,
+so the certificate is sparse.
 
 The file maps each closure's name to {"k": k, "generators": the number of
 g_i the certificate was made for, "cofactors": {i: c_i}}, one closure a
@@ -72,9 +73,8 @@ def solve_closure(
         for e, c in gen_terms[i].items():
             equations.setdefault((e[0] + m[0], e[1] + m[1]), {})[col] = c
     keys = sorted(equations)
-    zero = Fraction(0)
-    rows = [[equations[e].get(col, zero) for col in range(len(columns))] for e in keys]
-    x = linalg.solve(rows, [target.get(e, zero) for e in keys], zero, Fraction(1))
+    rows = [[equations[e].get(col, 0) for col in range(len(columns))] for e in keys]
+    x = linalg.solve(rows, [target.get(e, 0) for e in keys])
     v1, v2 = map(MultiPoly.var, variables)
     out: Dict[int, MultiPoly] = {}
     for (i, (a, b)), c in zip(columns, x):

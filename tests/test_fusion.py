@@ -789,9 +789,7 @@ def _rational_reference_singular_row_poly(label):
     words, images = _word_images(label)
     split = [{p: _lam_parts(c) for p, c in img.terms.items()} for img in images]
     parts = sorted({p for img in images for p in img.terms})
-    rows = [
-        [cs.get(p, (0, 0))[i] for cs in split] for i in (0, 1) for p in parts
-    ]
+    rows = [[cs.get(p, (0, 0))[i] for cs in split] for i in (0, 1) for p in parts]
     kernel = linalg.nullspace(rows, len(words))
     return _row_from_kernel(label, words, images, kernel, F)
 

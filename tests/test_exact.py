@@ -1053,7 +1053,7 @@ class TestLinalg:
         assert len(basis) == 2
         for vec in basis:
             dot = sum(rows[0][j] * vec[j] for j in range(3))
-            assert not dot
+            assert dot.is_zero()
 
     def test_empty_matrix(self):
         assert linalg.rank([]) == 0

@@ -9,8 +9,9 @@ weights (a_L, a_N, b_L) of the other two modules.  A fusion rule can be
 nonzero only when all conditions vanish; explicit intertwining operators
 supply the matching lower bounds.  This module reads the polynomial systems
 from the data that tools/relation_polys.py derives on Fock vectors, adds the
-closed-form singular-vector row of a charged module, decides every triple of
-concrete labels and emits machine-checkable certificates.
+closed-form singular-vector row of a charged module (a theorem: the vector
+vanishes in a unitary module, so no Fock vector is built for it), decides
+every triple of concrete labels and emits machine-checkable certificates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import os
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import characters, linalg, virasoro
-from .fock import FockVector
+from . import linalg
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import MultiPoly, Point
 from .scalars import rational, rational_sqrt
@@ -112,36 +112,25 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     points, and S (r - S) is symmetric in S and r - S, so the sum is a path
     over the weight T = 0..r reached by the right-hand factors.  L(-k) at
     weight w contracts to (-1)^(k-1) (x - k y - w) (zhu.descendant_to_poly),
-    and these signs cancel (-1)^(r-m).  The same path on vectors checks
-    that the relation holds in this module: the row is returned only when
-    the combination annihilates the top vector.
+    and these signs cancel (-1)^(r-m).  So p_T, the polynomial at weight T,
+    is the cut factor times the sum over j < T of p_j (x - (T - j) y - h - j)
+    = (x - T y - h) S_0 + (y - 1) S_1, S_0 and S_1 the sums of p_j and j p_j.
+    The vector vanishes in every module here: each is unitary (Kac-Raina,
+    s > 0 for a charged one), so a singular vector of the Virasoro submodule
+    that the top generates is null for the positive definite contravariant
+    form, hence zero.
     """
-    sector = label.sector()
-    v = label.top_vector()
-    wt = sector.weight_offset_rat() + v.max_degree()
-    n = characters._degenerate_index(wt)
-    if n is None:
+    wt = label.a_M()
+    n = rational_sqrt(4 * wt)
+    if n is None or n.denominator != 1:
         return None
-    r = n + 1
-    polys = [MultiPoly.const(1)]
-    vecs = [v]
+    r = n.numerator + 1
+    s0, s1 = MultiPoly.const(1), MultiPoly()
     for t in range(1, r + 1):
-        if t < r:
-            cut = Fraction(1, t * (r - t))
-        else:
-            cut = Fraction(math.factorial(r - 1) ** 2)
-        poly = MultiPoly()
-        vec = FockVector.zero(sector)
-        for k in range(1, t + 1):
-            below = t - k
-            poly = poly + polys[below] * (_X - _Y * k - (wt + below))
-            img = virasoro.L(-k, vecs[below])
-            vec = vec + img if k % 2 else vec - img
-        polys.append(poly * cut)
-        vecs.append(vec.scale(cut))
-    if not vecs[r].is_zero():
-        return None
-    return polys[r]
+        cut = Fraction(1, t * (r - t)) if t < r else Fraction(math.factorial(r - 1) ** 2)
+        poly = (s0 * (_X - _Y * t - wt) + s1 * (_Y - 1)) * cut
+        s0, s1 = s0 + poly, s1 + poly * t
+    return poly
 
 
 @functools.cache

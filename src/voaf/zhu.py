@@ -208,7 +208,7 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
     if any(p not in index for p in v.terms):
         return MembershipResult(False)
     coords = [(index[p], c) for p, c in v.terms.items()]
-    image = [sum(row[i] * c for i, c in coords) for row in transform]
+    image = [sum(row[i] * c for i, c in coords if row[i]) for row in transform]
     if any(image[len(pivots):]):
         return MembershipResult(False)
     combo = [gens[col] + (c,) for col, c in zip(pivots, image) if c]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from voaf import fusion, labels, linalg, virasoro, zhu
 from voaf.step3 import second_circle_relation_polys
-from voaf.suites import expected_fusion, phi, verify_generator_hypothesis
+from voaf.suites import expected_fusion, phi, suite_virasoro, verify_generator_hypothesis
 from voaf.fock import FockVector, Sector
 from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from voaf.multipoly import MultiPoly
@@ -831,7 +831,11 @@ class TestSingularRow:
 
     @pytest.mark.parametrize("label", [mminus(), mlam(F(2)), mlam(F(8))], ids=str)
     def test_tainted_action_fails_annihilation_check(self, label, monkeypatch):
-        assert fusion._singular_row_poly(label) is not None
+        # the closed form applies no L, so a tainted L leaves it as it is; the
+        # checks that apply L, the word-image elimination and the verify
+        # suite's singular-vector images, catch the taint
+        row = fusion._singular_row_poly(label)
+        assert row is not None
         real = virasoro.L
 
         def tainted(n, v):
@@ -840,13 +844,54 @@ class TestSingularRow:
             return real(n, v).scale(Scalar.of(2) if mod is None else Scalar.one() + Scalar.lam(mod))
 
         monkeypatch.setattr(virasoro, "L", tainted)
-        assert fusion._singular_row_poly(label) is None
+        assert fusion._singular_row_poly(label) == row
+        assert _rational_reference_singular_row_poly(label) != row
+        failed = {name for name, ok, _ in suite_virasoro() if not ok}
+        assert {n for n in failed if n.startswith("singular-vector image vanishes")} == {
+            "singular-vector image vanishes at weight %s" % w for w in ("1", "1/4", "9/4")
+        }
 
     def test_closed_form_uses_no_word_images_or_nullspace(self):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fusion._singular_row_poly)))
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        assert not names & {"nullspace", "L_word", "words_at_level"}
+        assert not names & {
+            "nullspace", "L_word", "words_at_level", "L", "FockVector", "top_vector", "sector",
+        }
+
+    def test_fusion_imports_only_the_decision_modules(self):
+        # a function-level import (the verify_step3_generic forwarder's) is
+        # not a module-level one
+        tree = ast.parse(Path(fusion.__file__).read_text(encoding="utf-8"))
+        package = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                package |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the package is imported relatively
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert all(name.split(".")[0] != "voaf" for name in names)
+        assert package <= {"labels", "linalg", "multipoly", "scalars"}
+
+    def test_t40_ladder_query_applies_no_l(self, monkeypatch):
+        # every row of M(s=800) vanishes at the t_40 point, the singular row
+        # at level 41 included, so the walk builds that row; it applies no L
+        label = mlam(F(800))
+        monkeypatch.delitem(fusion._SYSTEM_CACHE, label, raising=False)
+
+        def unreachable(n, v):
+            raise AssertionError("L(%s) applied" % n)
+
+        monkeypatch.setattr(virasoro, "L", unreachable)
+        t = mlam(F(1197, 6394))
+        cert = fusion.decide(label, t, t)
+        assert cert.verdict == 0
+        assert cert.permutation == ["n", "m", "l"]
+        assert cert.reason["type"] == "nonzero-constraint"
+        assert cert.reason["row"] == "star"
+        assert [row.name for row in fusion.constraint_system(label).singular] == [
+            "singular-vector", "singular-vector-mirror",
+        ]
 
 
 # first slots for the lazy-row properties: every label kind but M+, whose

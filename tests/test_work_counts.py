@@ -79,23 +79,27 @@ STANDARD_COUNTS = {
     "rank": 105, "rref": 105, "rref_cells": 606, "subs": 9, "systems": 15,
 }
 
-# every verify suite; the t_4 and t_12 ladder queries, whose first slots have
-# singular vectors at levels 5 and 13; and the descendant coordinates of
-# h(-12)|0> in M-
+# every verify suite; the t_4, t_12 and t_24 ladder queries, whose first
+# slots have singular vectors at levels 5, 13 and 25 (a closed form, which
+# applies no L and builds no Scalar); the characters of M+ and Mtheta+ to
+# q^40; and the descendant coordinates of h(-12)|0> in M-
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5486, "build_vector": 568, "evaluate": 1498, "express": 37, "output_lines": 46,
-        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 46787, "subs": 90, "systems": 15,
+        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 46679, "subs": 90, "systems": 15,
         "try_divide": 9,
     }),
     "t4": (["fusion", "--m", "M(s=8)", "--n", "M(s=9/58)", "--l", "M(s=9/58)"], {
-        "L": 15, "build_vector": 8, "evaluate": 12, "output_lines": 1, "scalars": 129,
-        "subs": 2, "systems": 2,
+        "build_vector": 8, "evaluate": 12, "output_lines": 1, "subs": 2, "systems": 2,
     }),
     "t12": (["fusion", "--m", "M(s=72)", "--n", "M(s=7/38)", "--l", "M(s=7/38)"], {
-        "L": 91, "build_vector": 10, "evaluate": 16, "output_lines": 1, "scalars": 5767,
-        "subs": 3, "systems": 2,
+        "build_vector": 10, "evaluate": 16, "output_lines": 1, "subs": 3, "systems": 2,
     }),
+    "t24": (["fusion", "--m", "M(s=288)", "--n", "M(s=143/766)", "--l", "M(s=143/766)"], {
+        "build_vector": 10, "evaluate": 16, "output_lines": 1, "subs": 3, "systems": 2,
+    }),
+    "char-plus": (["char", "--module", "M+", "--cutoff", "40"], {"output_lines": 1}),
+    "char-theta-plus": (["char", "--module", "Mtheta+", "--cutoff", "40"], {"output_lines": 1}),
     "reduce": (["reduce", "--module", "M-", "--expr", "h(-12)|0>"], {
         "L": 275, "express": 1, "output_lines": 37, "rref": 1, "rref_cells": 2072,
         "scalars": 25872,

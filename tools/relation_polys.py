@@ -63,8 +63,8 @@ of each expansion generator's column under the anti-involution, and the
 rows by name, one contraction polynomial per column, each standing for
 itself and its mirror.  The star row is the quartic relation multiplied
 onto the top vector, expanded in the generators' descendants, where it lies
-in their span; the singular-vector row is fusion._singular_row_poly,
-checked on the module's vectors, where the top weight is a quarter-square.
+in their span; the singular-vector row is fusion._singular_row_poly, the
+Benoit-Saint-Aubin closed form, where the top weight is a quarter-square.
 
 Each polynomial is in MultiPoly's canonical form (MultiPoly.to_data).  The
 output is deterministic: running the script again rewrites both files byte

@@ -8,29 +8,6 @@ square root of the squared charge); there is no floating point anywhere.
 import os
 from typing import Optional, Tuple
 
-from .labels import (
-    ModuleLabel,
-    mlam,
-    mminus,
-    mplus,
-    mtheta_minus,
-    mtheta_plus,
-)
-from .fock import FockVector, Sector
-from .scalars import Scalar
-
-__all__ = [
-    "FockVector",
-    "ModuleLabel",
-    "Scalar",
-    "Sector",
-    "mlam",
-    "mminus",
-    "mplus",
-    "mtheta_minus",
-    "mtheta_plus",
-]
-
 __version__ = "0.1.0"
 
 # shared by the command line and its verify suites (voaf.suites), which

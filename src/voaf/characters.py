@@ -14,8 +14,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .labels import ModuleLabel
-from .scalars import rational, rational_sqrt
+from .scalars import quarter_square_index, rational
 
 _new = object.__new__
 
@@ -191,14 +190,6 @@ def eta_inverse(cutoff=Fraction(20)) -> QSeries:
     return series.shift(Fraction(-1, 24)).truncate(cutoff)
 
 
-def _degenerate_index(h: Fraction) -> Optional[int]:
-    """The integer n >= 0 with h = n^2/4, or None when h is not of that form."""
-    root = rational_sqrt(4 * h)
-    if root is None or root.denominator != 1:
-        return None
-    return root.numerator
-
-
 def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
     """Character of the irreducible central-charge-one module of lowest
     weight h, including the q^{-c/24} normalization."""
@@ -206,7 +197,7 @@ def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
     if h < 0:
         raise ValueError("weight must be nonnegative")
     inv = eta_inverse(cutoff + 1)
-    n = _degenerate_index(h)
+    n = quarter_square_index(h)
     if n is None:
         out = inv.shift(h)
     else:
@@ -216,14 +207,13 @@ def char_virasoro_c1(h, cutoff=Fraction(20)) -> QSeries:
 
 
 def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QSeries:
-    """Character tr q^{L(0)-1/24}, counting the partition basis of each
-    degree by a parity-tracking partition recursion."""
+    """Character tr q^{L(0)-1/24} of a module label, or of the whole twisted
+    space for "Mtheta", counting the partition basis of each degree by a
+    parity-tracking partition recursion."""
     cutoff = rational(cutoff)
-    if isinstance(module, str) and module == "Mtheta":
+    if module == "Mtheta":
         twisted, parity, offset = True, None, Fraction(1, 16)
     else:
-        if isinstance(module, str):
-            module = ModuleLabel.parse(module)
         sector = module.sector()
         twisted, parity, offset = sector.twisted, module.parity(), sector.weight_offset_rat()
     counts = _partition_counts(twisted, math.floor(2 * (cutoff + 1)), parity)
@@ -241,19 +231,17 @@ _PROGRESSIONS: Dict[str, Tuple[Tuple[Fraction, ...], int]] = {
 }
 
 
-def decomposition_weights(module: Union[ModuleLabel, str], hmax) -> List[Tuple[Fraction, int]]:
+def decomposition_weights(module: ModuleLabel, hmax) -> List[Tuple[Fraction, int]]:
     """Lowest weights (with multiplicity one) of the irreducible Virasoro
     decomposition of the module, up to hmax: m^2/4 over the progressions of
     _PROGRESSIONS, over n + 2p for a degenerate M(s) with s/2 = n^2/4, and
     s/2 alone for a generic M(s)."""
-    if isinstance(module, str):
-        module = ModuleLabel.parse(module)
     hmax = rational(hmax)
     if module.kind in _PROGRESSIONS:
         starts, step = _PROGRESSIONS[module.kind]
     else:
         h = module.s / 2
-        n = _degenerate_index(h)
+        n = quarter_square_index(h)
         if n is None:
             return [(h, 1)] if h <= hmax else []
         starts, step = (Fraction(n),), 2

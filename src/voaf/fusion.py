@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from . import linalg
 from .labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from .multipoly import MultiPoly, Point
-from .scalars import rational, rational_sqrt
+from .scalars import quarter_square_index, rational, rational_sqrt
 
 
 class Inconclusive(RuntimeError):
@@ -121,10 +121,10 @@ def _singular_row_poly(label: ModuleLabel) -> Optional[MultiPoly]:
     form, hence zero.
     """
     wt = label.a_M()
-    n = rational_sqrt(4 * wt)
-    if n is None or n.denominator != 1:
+    n = quarter_square_index(wt)
+    if n is None:
         return None
-    r = n.numerator + 1
+    r = n + 1
     s0, s1 = MultiPoly.const(1), MultiPoly()
     for t in range(1, r + 1):
         cut = Fraction(1, t * (r - t)) if t < r else Fraction(math.factorial(r - 1) ** 2)

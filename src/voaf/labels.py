@@ -5,7 +5,8 @@ space), Mlam(s) (the charged Fock space with s = lam^2 > 0, noting the
 lam <-> -lam isomorphism), and Mtheta+/Mtheta- (eigenspaces of the twisted
 space).  Each label knows its sector, its parity filter on partition
 length, its lowest-weight vector, and the two numerical invariants
-(a_M, b_M) = (o(omega), o(J)) on the top level.
+(a_M, b_M) = (o(omega), o(J)) on the top level.  A label needs only
+voaf.scalars: the methods that build Fock objects import voaf.fock.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .fock import FockVector, Partition, Sector, basis_at_degree
 from .scalars import parse_rational, rational
 
 KINDS = ("M+", "M-", "Mlam", "Mtheta+", "Mtheta-")
@@ -92,6 +92,8 @@ class ModuleLabel:
     # ------------------------------------------------------------------
 
     def sector(self) -> Sector:
+        from .fock import Sector
+
         if self.kind in ("M+", "M-"):
             return Sector.untwisted(None)
         if self.kind == "Mlam":
@@ -103,6 +105,8 @@ class ModuleLabel:
         return {"M+": 0, "M-": 1, "Mlam": None, "Mtheta+": 0, "Mtheta-": 1}[self.kind]
 
     def top_vector(self) -> FockVector:
+        from .fock import FockVector
+
         sec = self.sector()
         if self.kind == "M-":
             return FockVector.basis(sec, (1,))
@@ -125,6 +129,8 @@ class ModuleLabel:
     def basis_at(self, degree) -> List[Partition]:
         """Partition basis of the degree-`degree` graded piece (degree is
         counted from the top vector of the ambient Fock sector)."""
+        from .fock import basis_at_degree
+
         return basis_at_degree(self.sector(), rational(degree), self.parity())
 
     def contains(self, v: FockVector) -> bool:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import Dict, Optional, Tuple
 
 VARS: Tuple[str, ...] = ("x", "y", "z", "s", "t", "u")
@@ -63,10 +62,9 @@ class _Support:
 _SUPPORTS: Dict[Tuple[Expo, ...], _Support] = {}
 
 
-def _heap_entry(e: Expo):
-    """A min-heap entry that pops the term of largest degree, then largest
-    exponents, first."""
-    return -sum(e), tuple(map(neg, e)), e
+def _order(e: Expo):
+    """The term order of division: largest degree, then largest exponents."""
+    return sum(e), e
 
 
 class MultiPoly:
@@ -273,22 +271,16 @@ class MultiPoly:
     def try_divide(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
         """Return self/divisor if the division is exact, else None.  The
         numerators are divided by the divisor's primitive part, and by
-        Gauss's lemma an exact quotient by it has int coefficients.  The
-        leading terms of the remainder come off a heap, which skips a term
-        that has cancelled since it was pushed."""
+        Gauss's lemma an exact quotient by it has int coefficients."""
         if divisor.is_zero():
             raise ZeroDivisionError
         g = math.gcd(*divisor.num.values())
-        lead_e = min(divisor.num, key=_heap_entry)
+        lead_e = max(divisor.num, key=_order)
         lead = divisor.num[lead_e] // g
         rest = [(be, bn // g) for be, bn in divisor.num.items() if be != lead_e]
         rem, quot = dict(self.num), {}
-        heap = [_heap_entry(e) for e in rem]
-        heapify(heap)
         while rem:
-            e = heappop(heap)[-1]
-            if e not in rem:
-                continue
+            e = max(rem, key=_order)
             q, r = divmod(rem.pop(e), lead)
             diff = tuple(map(sub, e, lead_e))
             if r or min(diff) < 0:
@@ -297,12 +289,10 @@ class MultiPoly:
             for be, bn in rest:
                 te = tuple(map(add, diff, be))
                 n = rem.get(te, 0) - q * bn
-                if not n:
+                if n:
+                    rem[te] = n
+                else:
                     del rem[te]
-                    continue
-                if te not in rem:  # new, or back after it cancelled
-                    heappush(heap, _heap_entry(te))
-                rem[te] = n
         return MultiPoly._make({e: q * divisor.den for e, q in quot.items()}, self.den * g)
 
     def proportionality(self, other: "MultiPoly") -> Optional[Fraction]:

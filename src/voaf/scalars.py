@@ -110,6 +110,15 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+def quarter_square_index(h: Fraction) -> Optional[int]:
+    """The integer n >= 0 with h = n^2/4, or None when h is not of that form:
+    at c = 1 the weights where a Verma module is degenerate."""
+    root = rational_sqrt(4 * h)
+    if root is None or root.denominator != 1:
+        return None
+    return root.numerator
+
+
 class Scalar:
     """(a0 + a1*lam)/d in canonical form, lam**2 == mod.  A Scalar is a
     value: no operation changes one."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import Check, _cutoff, characters, fusion, vertexops, virasoro, zhu
 from .characters import QSeries, _floor, _series
@@ -81,7 +81,7 @@ def table41_rows() -> Tuple[List[Tuple[str, str, str]], bool]:
 
 
 def verify_decomposition(
-    module: Union[ModuleLabel, str],
+    module: ModuleLabel,
     parts: Sequence[Tuple[Fraction, int]],
     cutoff=Fraction(20),
 ) -> Tuple[bool, Optional[dict]]:
@@ -269,7 +269,8 @@ def suite_characters() -> List[Check]:
     checks.append(
         ("twisted character double identity", twisted_character_identity(cut), "cutoff %s" % cut)
     )
-    for mod in ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)", "M(s=2)"]:
+    mods = [ModuleLabel.parse(m) for m in ("M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)", "M(s=2)")]
+    for mod in mods:
         parts = characters.decomposition_weights(mod, cut + 1)
         ok, rep = verify_decomposition(mod, parts, cut)
         if ok:
@@ -280,7 +281,7 @@ def suite_characters() -> List[Check]:
             detail = json.dumps(rep, sort_keys=True)
         checks.append(("irreducible decomposition of %s" % mod, ok, detail))
     small = min(cut, Fraction(10))
-    names = ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)"]
+    names = mods[:5]  # M(s=2) left out
     chars = {m: characters.graded_dimension(m, small) for m in names}
     distinct = all(
         not chars[a].agrees_with(chars[b])[0]

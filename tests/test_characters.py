@@ -7,7 +7,6 @@ import pytest
 
 from voaf.characters import (
     QSeries,
-    _degenerate_index,
     _partition_counts,
     char_virasoro_c1,
     decomposition_weights,
@@ -20,15 +19,17 @@ from hypothesis import strategies as st
 
 from voaf.fock import Sector, basis_at_degree
 from voaf.labels import ModuleLabel
+from voaf.scalars import quarter_square_index
 
 F = Fraction
+M = ModuleLabel.parse
 
 
 class TestQSeries:
     @pytest.mark.parametrize("s", [F(1, 5), F(3, 7), F(13, 11)])
     def test_any_rational_charge(self, s):
         # exponents s/2 - 1/24 + n leave every fixed grid as s varies
-        assert graded_dimension("M(s=%s)" % s, 6) == char_virasoro_c1(s / 2, 6)
+        assert graded_dimension(M("M(s=%s)" % s), 6) == char_virasoro_c1(s / 2, 6)
 
     def test_arithmetic_min_cutoff(self):
         a = QSeries({F(0): F(1)}, cutoff=5)
@@ -149,7 +150,7 @@ class TestQSeriesAgainstFractions:
         assert (a + b).agrees_with(b + a) == (True, None)
 
     def test_character_arithmetic_stays_on_ints(self):
-        series = [graded_dimension(m, 8) for m in ("M+", "Mtheta", "M(s=7/3)")]
+        series = [graded_dimension(m, 8) for m in (M("M+"), "Mtheta", M("M(s=7/3)"))]
         series += [char_virasoro_c1(F(1), 8) * F(2), eta_inverse(8).shift(F(1, 16))]
         for s in series + [series[0] * series[1] - series[2]]:
             assert s.terms and all(type(c) is int for c in s.terms.values())
@@ -205,7 +206,7 @@ class TestVirasoroCharacters:
 
 class TestModuleCharacters:
     def test_even_module_dims(self):
-        gd = graded_dimension("M+", 6)
+        gd = graded_dimension(M("M+"), 6)
         off = -F(1, 24)
         assert [gd.coeffs.get(off + n, 0) for n in range(5)] == [1, 0, 1, 1, 3]
 
@@ -215,24 +216,24 @@ class TestModuleCharacters:
         assert [gd.coeffs.get(off + F(k, 2), 0) for k in range(4)] == [1, 1, 1, 2]
 
     def test_decompositions(self):
-        for mod in ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)", "M(s=2)"]:
+        for mod in map(M, ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)", "M(s=2)"]):
             parts = decomposition_weights(mod, 21)
             ok, report = verify_decomposition(mod, parts, 20)
             assert ok, (mod, report)
 
     def test_decomposition_weights_forms(self):
-        assert decomposition_weights("M+", 20) == [(F(0), 1), (F(4), 1), (F(16), 1)]
-        assert decomposition_weights("M-", 10) == [(F(1), 1), (F(9), 1)]
-        assert decomposition_weights("Mtheta+", 4)[:2] == [
+        assert decomposition_weights(M("M+"), 20) == [(F(0), 1), (F(4), 1), (F(16), 1)]
+        assert decomposition_weights(M("M-"), 10) == [(F(1), 1), (F(9), 1)]
+        assert decomposition_weights(M("Mtheta+"), 4)[:2] == [
             (F(1, 16), 1),
             (F(49, 16), 1),
         ]
-        assert decomposition_weights("Mtheta-", 4)[:2] == [
+        assert decomposition_weights(M("Mtheta-"), 4)[:2] == [
             (F(9, 16), 1),
             (F(25, 16), 1),
         ]
-        assert decomposition_weights("M(s=1/3)", 10) == [(F(1, 6), 1)]
-        assert decomposition_weights("M(s=2)", 10) == [
+        assert decomposition_weights(M("M(s=1/3)"), 10) == [(F(1, 6), 1)]
+        assert decomposition_weights(M("M(s=2)"), 10) == [
             (F(1), 1),
             (F(4), 1),
             (F(9), 1),
@@ -261,12 +262,12 @@ class TestModuleCharacters:
                 assert c == len(basis_at_degree(sector, F(j, 2), parity)), (mod, j)
 
     def test_mismatch_reported(self):
-        ok, report = verify_decomposition("M+", [(F(0), 1)], 6)
+        ok, report = verify_decomposition(M("M+"), [(F(0), 1)], 6)
         assert not ok
         assert "exponent" in report
 
     def test_characters_distinct(self):
-        names = ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)"]
+        names = [M(m) for m in ["M+", "M-", "Mtheta+", "Mtheta-", "M(s=1/3)"]]
         chars = {m: graded_dimension(m, 10) for m in names}
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
@@ -305,7 +306,7 @@ def _reference_decomposition_weights(module, hmax):
             p += 1
     else:
         h = module.s / 2
-        n = _degenerate_index(h)
+        n = quarter_square_index(h)
         if n is None:
             emit(h)
         else:

@@ -133,6 +133,42 @@ def test_a_command_that_writes_json_imports_it():
     assert "json" in _loaded(["char", "--module", "M+", "--cutoff", "12", "--json"])
 
 
+# the value layers import only what they compute with: a label, a character
+# or a fusion decision loads no Fock code, the package loads no submodule,
+# and polynomial division needs no heapq
+_CLOSURES = {
+    "voaf": {"voaf"},
+    "voaf.multipoly": {"voaf", "voaf.multipoly"},
+    "voaf.labels": {"voaf", "voaf.labels", "voaf.scalars"},
+    "voaf.characters": {"voaf", "voaf.characters", "voaf.scalars"},
+    "voaf.fusion": {
+        "voaf", "voaf.fusion", "voaf.labels", "voaf.linalg", "voaf.multipoly", "voaf.scalars",
+    },
+}
+
+_IMPORT = textwrap.dedent(
+    """
+    import importlib, json, sys
+    importlib.import_module(sys.argv[1])
+    print(json.dumps(sorted(n for n in sys.modules if n.startswith("voaf") or n == "heapq")))
+    """
+)
+
+
+def _import_closure(module):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT, module],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("module", _CLOSURES)
+def test_each_value_layer_loads_exactly_its_imports(module):
+    assert _import_closure(module) == _CLOSURES[module]
+
+
 # bench/tracer.py wraps cli.suite_step3 and fusion.verify_step3_generic,
 # which forward to the lazily loaded suites; both must still record a span
 _TRACE = textwrap.dedent(

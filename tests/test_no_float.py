@@ -73,12 +73,12 @@ FLOAT_ENTRY_POINTS = {
     "truncate": lambda: QSeries.one(3).truncate(2.5),
     "eta_inverse": lambda: characters.eta_inverse(3.0),
     "char_virasoro_c1": lambda: characters.char_virasoro_c1(0.25, 3),
-    "graded_dimension": lambda: characters.graded_dimension("M+", 3.0),
-    "decomposition_weights": lambda: characters.decomposition_weights("M+", 3.0),
+    "graded_dimension": lambda: characters.graded_dimension(mplus(), 3.0),
+    "decomposition_weights": lambda: characters.decomposition_weights(mplus(), 3.0),
     "basis_at": lambda: mplus().basis_at(2.0),
     "charge_closure": lambda: fusion.charge_closure([0.5]),
     "base_labels": lambda: fusion.base_labels([0.5]),
-    "verify_decomposition": lambda: suites.verify_decomposition("M+", [(0, 1)], 3.0),
+    "verify_decomposition": lambda: suites.verify_decomposition(mplus(), [(0, 1)], 3.0),
     "jacobi_triple_check": lambda: suites.jacobi_triple_check(3.0),
     "twisted_character_identity": lambda: suites.twisted_character_identity(3.0),
 }

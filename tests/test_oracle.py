@@ -21,7 +21,6 @@ verdict-1 triple leaves every arrangement's rows short of a zero proof.
 
 import importlib.util
 import itertools
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,26 +145,13 @@ def _check_zero_proof(cert):
     assert det != 0 and str(det) == reason["determinant"]["value"]
 
 
-def _beyond_ladder_bound(label):
-    """Whether the label is a ladder charge n^2/2 with n > LADDER_N.  Its
-    singular-vector row sits at level n + 1 and takes seconds to minutes to
-    build; matched draws reach such charges, e.g. 72 * 7^2 = 84^2/2."""
-    if label.kind != "Mlam" or (2 * label.s).denominator != 1:
-        return False
-    n = math.isqrt(int(2 * label.s))
-    return n * n == 2 * label.s and n > LADDER_N
-
-
 def _check_no_zero_proof(labels):
     """No arrangement of a verdict-1 triple proves the rule zero: the vacuum
     slot sees equal invariants, every row of a one-column system vanishes,
-    and no system forces every generator coordinate to zero.  A first slot
-    beyond the ladder bound is left out: its singular row is too costly."""
+    and no system forces every generator coordinate to zero."""
     for M, N, L in itertools.permutations(labels):
         if M.kind == "M+":
             assert (N.a_M(), N.b_M()) == (L.a_M(), L.b_M())
-        if _beyond_ladder_bound(M):
-            continue
         system = fusion.constraint_system(M)
         matrix = [_row_at(r, system.signs, N, L) for r in system.rows]
         rank = _rank(matrix)

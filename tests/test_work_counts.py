@@ -82,7 +82,8 @@ STANDARD_COUNTS = {
 # every verify suite; the t_4, t_12 and t_24 ladder queries, whose first
 # slots have singular vectors at levels 5, 13 and 25 (a closed form, which
 # applies no L and builds no Scalar); the characters of M+ and Mtheta+ to
-# q^40; and the descendant coordinates of h(-12)|0> in M-
+# q^40; and the descendant coordinates of h(-12)|0> in M- and of
+# h(-10)e^lam in the charged M(s=3)
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5486, "build_vector": 568, "evaluate": 1498, "express": 37, "output_lines": 46,
@@ -103,6 +104,10 @@ REQUESTS = {
     "reduce": (["reduce", "--module", "M-", "--expr", "h(-12)|0>"], {
         "L": 275, "express": 1, "output_lines": 37, "rref": 1, "rref_cells": 2072,
         "scalars": 25872,
+    }),
+    "reduce-charged": (["reduce", "--module", "M(s=3)", "--expr", "h(-10)e^lam"], {
+        "L": 192, "express": 1, "output_lines": 45, "rref": 1, "rref_cells": 1764,
+        "scalars": 42886,
     }),
 }
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import Scalar, rational
 
@@ -288,6 +288,25 @@ def numerators(v: FockVector) -> Tuple[int, SValue, List[Tuple[Key, int, int]]]:
 
 # ----------------------------------------------------------------------
 # bases and forms
+
+
+def parity_rows(vectors: Sequence[FockVector], keys: Sequence[Key]) -> List[list]:
+    """The coefficients of the vectors (columns) at the keys (rows) in the
+    theta-parity basis lam^(k mod 2) h(-parts)e^lam of the k-part keys.
+
+    theta (h(n) -> -h(n), e^lam -> e^(-lam)) with lam -> -lam fixes every
+    L(n), so a theta-even vector of a charged sector has a rational times
+    lam^(k mod 2) on each k-part monomial.  There each odd-part row is
+    divided by lam, a unit as lam^2 = s != 0, which keeps linalg's pivots
+    and solutions and makes a theta-even column rational.  Elsewhere the
+    rows are the plain coefficients."""
+    rows = [[v.terms.get(p, 0) for v in vectors] for p in keys]
+    if vectors and vectors[0].sector.charged():
+        lam = vectors[0].sector.lam_scalar()
+        for p, row in zip(keys, rows):
+            if len(p) % 2:
+                row[:] = [c / lam if c else c for c in row]
+    return rows
 
 
 def partition_keys(total: int, sector: Sector) -> List[Key]:

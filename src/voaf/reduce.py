@@ -96,7 +96,7 @@ def report(module: str, expr: str) -> str:
         raise ValueError("state does not lie in module %s" % label)
     gens = zhu.generator_set(label)
     try:
-        coords = zhu.descendant_coordinates(v, gens)
+        coords = virasoro.express_in_descendants(v, gens)
     except virasoro.NotInSpan:
         raise ValueError("state is not a Virasoro descendant of the module generators")
     lines = ["coordinates:"]

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
-from .fock import FockVector, Key, Sector, mode_term, numerators, partition_keys
+from .fock import FockVector, Key, Sector, mode_term, numerators, parity_rows, partition_keys
 from .scalars import Scalar
 
 
@@ -114,9 +114,10 @@ def express_in_descendants(
 ) -> Dict[DescendantWord, Scalar]:
     """Write v as a combination of Virasoro words applied to the generators.
 
-    Works degree by degree; within each degree the solution with pivots on
-    the lexicographically earliest words is returned.  Raises NotInSpan if
-    some component is outside the descendant span.
+    Works degree by degree, on the rows of fock.parity_rows; within each
+    degree the solution with pivots on the lexicographically earliest words
+    is returned.  Raises NotInSpan if some component is outside the
+    descendant span.
     """
     gen_degs = []
     for g in generators:
@@ -135,17 +136,15 @@ def express_in_descendants(
             for w in words_at_level(gi, int(lvl)):
                 words.append(w)
                 images.append(L_word(w.ms, g))
-        basis_parts = sorted(
-            {p for img in images for p in img.terms} | set(comp.terms)
-        )
-        rows = [[img.terms.get(p, 0) for img in images] for p in basis_parts]
-        rhs = [comp.terms.get(p, 0) for p in basis_parts]
         if not words:
             if comp.terms:
                 raise NotInSpan("degree %s component has no candidate words" % deg)
             continue
+        basis_parts = sorted({p for img in images for p in img.terms} | set(comp.terms))
+        # the component rides along in the augmented column
+        rows = parity_rows(images + [comp], basis_parts)
         try:
-            sol = linalg.solve(rows, rhs)
+            sol = linalg.solve([r[:-1] for r in rows], [r[-1] for r in rows])
         except linalg.InconsistentSystem:
             raise NotInSpan("degree %s component not in descendant span" % deg)
         for w, c in zip(words, sol):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import characters, linalg, virasoro
-from .fock import FockVector, Sector, basis_at_degree
+from .fock import FockVector, Sector, basis_at_degree, parity_rows
 from .labels import ModuleLabel
 from .multipoly import MultiPoly
 from .scalars import Scalar
@@ -73,20 +73,18 @@ def _h3h1() -> FockVector:
 
 
 def _primary_vectors(sector: Sector, degree: Fraction, parity: Optional[int]) -> List[FockVector]:
-    """Basis of vectors of the given degree killed by L(1) and L(2)."""
+    """Basis of vectors of the given degree killed by L(1) and L(2), found
+    over the theta-parity basis of fock.parity_rows: theta-even in a charged
+    sector, and eliminated on rational rows."""
     parts = basis_at_degree(sector, degree, parity)
-    images = []
-    for p in parts:
-        v = FockVector.basis(sector, p)
-        images.append((virasoro.L(1, v), virasoro.L(2, v)))
+    lam = sector.lam_scalar() if sector.charged() else 1
+    units = [lam if len(p) % 2 else 1 for p in parts]
     rows: List[list] = []
-    for k in (0, 1):
-        out_parts = sorted({q for img in images for q in img[k].terms})
-        rows.extend(
-            [img[k].terms.get(q, 0) for img in images] for q in out_parts
-        )
+    for n in (1, 2):
+        images = [virasoro.L(n, FockVector.basis(sector, p, u)) for p, u in zip(parts, units)]
+        rows += parity_rows(images, sorted({q for img in images for q in img.terms}))
     kernel = linalg.nullspace(rows, len(parts))
-    return [FockVector(sector, dict(zip(parts, vec))) for vec in kernel]
+    return [FockVector(sector, {p: c * u for p, c, u in zip(parts, vec, units)}) for vec in kernel]
 
 
 def _extra_weights(label: ModuleLabel) -> List[Fraction]:
@@ -138,23 +136,6 @@ def generator_set(label: ModuleLabel) -> List[FockVector]:
     return list(gens[:ngens])
 
 
-def descendant_coordinates(
-    v: FockVector, gens: Sequence[FockVector]
-) -> Dict[virasoro.DescendantWord, Scalar]:
-    """Virasoro descendant coordinates of v over the generators, or over
-    [g0, lam*g1, ...] when only these are all rational.  Raises
-    virasoro.NotInSpan when v is not a descendant of the generators."""
-    coords = virasoro.express_in_descendants(v, gens)
-    if all(c.is_rational() for c in coords.values()):
-        return coords
-    # lam^2 = s != 0 makes lam a unit, and rescaling a column by a unit keeps
-    # _rref's pivots: over [g0, lam*g1, ...] the solution is this one with
-    # the coordinates of g1, g2, ... divided by lam
-    lam = v.sector.lam_scalar()
-    scaled = {w: c / lam if w.gen else c for w, c in coords.items()}
-    return scaled if all(c.is_rational() for c in scaled.values()) else coords
-
-
 # ----------------------------------------------------------------------
 # O(M) membership
 
@@ -190,8 +171,7 @@ def _membership_columns(
                         cols.append(col)
                 d += Fraction(1)
     keys = sorted({p for c in cols for p in c.terms})
-    rows = [[c.terms.get(p, 0) for c in cols] for p in keys]
-    pivots, transform = linalg.row_reduction(rows)
+    pivots, transform = linalg.row_reduction(parity_rows(cols, keys))
     return tuple(gens), pivots, transform, {p: i for i, p in enumerate(keys)}
 
 
@@ -200,14 +180,14 @@ def o_membership(v: FockVector, module: ModuleLabel, cutoff: int = 6) -> Members
     invariant vacuum-sector basis of weight <= cutoff and u over the module
     basis with wt(a) + deg(u) + 1 <= cutoff.
 
-    The coordinates of v are multiplied by the stored transform; a member's
+    v's parity_rows are multiplied by the stored transform; a member's
     combination is the solution with free variables zero (linalg.solve)."""
     if not module.contains(v):
         raise ValueError("vector does not lie in module %s" % module)
     gens, pivots, transform, index = _membership_columns(module, cutoff)
     if any(p not in index for p in v.terms):
         return MembershipResult(False)
-    coords = [(index[p], c) for p, c in v.terms.items()]
+    coords = [(index[p], c) for p, (c,) in zip(v.terms, parity_rows([v], list(v.terms)))]
     image = [sum(row[i] * c for i, c in coords if row[i]) for row in transform]
     if any(image[len(pivots):]):
         return MembershipResult(False)

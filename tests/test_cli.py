@@ -384,15 +384,15 @@ class TestReduce:
              "contraction polynomials:\n"
              "  gen0: 2/3 x^2 - 4/3 x y + 2/3 y^2 - 4/3 x + 2/3 y + 2/3"
              " + lam*(-1/6 x^2 + 1/3 x y - 1/6 y^2 - 1/6 x + 5/6 y + 1/3)\n"),
-            # rescaling gen1 by lam leaves gen0's lam part, so the coordinates
-            # are over the unscaled generators
+            # a theta-odd state over the theta-even generators: every
+            # coordinate is lam times a rational, gen1's too
             ("M(s=1/2)", "h(-2)e^lam",
              "coordinates:\n"
              "  gen0 L(-2): 4/3*lam\n"
-             "  gen1 1: 1/3\n"
+             "  gen1 1: 2/3*lam\n"
              "contraction polynomials:\n"
              "  gen0: lam*(-4/3 x + 8/3 y + 1/3)\n"
-             "  gen1: 1/3\n"),
+             "  gen1: lam*(2/3)\n"),
         ],
     )
     def test_lam_coordinates_give_lam_contractions(self, capsys, module, expr, expected):
@@ -400,8 +400,9 @@ class TestReduce:
         assert (code, out, err) == (0, expected, "")
 
     def test_irrational_coordinate_rescales_the_extra_generator(self, capsys):
-        # over the unscaled primary of M(s=1/2) the coordinate is -2/3*lam;
-        # over lam times that primary it is rational
+        # over the plain-basis primary of M(s=1/2) the coordinate is
+        # -2/3*lam; over the theta-even generator, lam times that primary, it
+        # is rational
         code, out, err = run(capsys, "reduce", "--module", "M(s=1/2)",
                              "--expr", "h(-1)h(-1)e^lam")
         assert (code, err) == (0, "")

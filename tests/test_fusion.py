@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from voaf import fusion, labels, linalg, virasoro, zhu
 from voaf.step3 import second_circle_relation_polys
 from voaf.suites import expected_fusion, phi, suite_virasoro, verify_generator_hypothesis
-from voaf.fock import FockVector, Sector
+from voaf.fock import FockVector, Sector, basis_at_degree
 from voaf.labels import ModuleLabel, mlam, mminus, mplus, mtheta_minus, mtheta_plus
 from voaf.multipoly import MultiPoly
 from voaf.scalars import Scalar, rational_sqrt
@@ -179,8 +179,8 @@ class TestContractions:
         ids=str,
     )
     def test_concrete_contractions_match_the_lcm_reference(self, label):
-        """Also where a coordinate is irrational and the expansion retries
-        on rescaled generators (s = 1/2 and s = 2)."""
+        """Also where a charged module has a theta-even generator beyond
+        its top vector (s = 1/2 and s = 2)."""
         gens = zhu._generators(label)[0]
         coords, polys = TOOL.expand_in_generators(zhu.star_left(zhu._h3h1(), gens[0]), gens)
         base_weights = [label.sector().weight_offset_rat() + g.max_degree() for g in gens]
@@ -204,24 +204,57 @@ def _searched_prefix(label):
     return None
 
 
+def _plain_primary_vectors(sector, degree):
+    """The kernel of L(1) and L(2) at the degree over the plain monomial
+    basis h(-parts)e^lam, free variables one: the elimination of
+    zhu._primary_vectors without its theta-parity basis, whose rows keep
+    lam parts in a charged sector."""
+    parts = basis_at_degree(sector, degree)
+    images = [(virasoro.L(1, v), virasoro.L(2, v)) for v in (FockVector.basis(sector, p) for p in parts)]
+    rows = []
+    for k in (0, 1):
+        keys = sorted({q for img in images for q in img[k].terms})
+        rows += [[img[k].terms.get(q, 0) for img in images] for q in keys]
+    return [FockVector(sector, dict(zip(parts, vec))) for vec in linalg.nullspace(rows, len(parts))]
+
+
+def _plain_generators(label):
+    """The expansion generators with each primary taken over the plain basis."""
+    gens = zhu._generators(label)[0]
+    degrees = dict.fromkeys(g.max_degree() for g in gens[1:])
+    return [gens[0]] + [g for d in degrees for g in _plain_primary_vectors(label.sector(), d)]
+
+
+def _theta_parity(v):
+    """0 for a theta-even charged vector, 1 for a theta-odd one, None for a
+    mixed one: theta sends h(-n) to -h(-n) and e^lam to e^(-lam), which on
+    coefficients is lam -> -lam."""
+    conj = FockVector(v.sector)
+    conj.terms = {p: Scalar(c.a0, -c.a1, c.d, c.mod) for p, c in v.terms.items()}
+    if v.theta() == conj:
+        return 0
+    return 1 if v.theta() == -conj else None
+
+
 def _m_half_states():
-    """States of M(s=1/2) with rational coordinates over [g0, lam*g1], each
-    with its g1 word: two whose coordinate on that word over [g0, g1] is
-    lam-odd, and two with no g1 component (word None)."""
+    """States of M(s=1/2) with rational coordinates over its theta-even
+    generators [g0, g1], each with its g1 word: two whose coordinate on that
+    word over [g0, g1/lam], the plain-basis primary, is lam-odd, and two
+    with no g1 component (word None)."""
     label = mlam(F(1, 2))
     g0, g1 = zhu.generator_set(label)
-    lam = label.sector().lam_scalar()
     return [
-        (virasoro.L_word((2,), g0).scale(Scalar.of(F(2, 3))) - g1.scale(lam * F(2, 3)), ()),
-        (virasoro.L_word((2, 1), g0) + virasoro.L_word((1,), g1).scale(lam * 5), (1,)),
+        (virasoro.L_word((2,), g0).scale(Scalar.of(F(2, 3))) - g1.scale(Scalar.of(F(2, 3))), ()),
+        (virasoro.L_word((2, 1), g0) + virasoro.L_word((1,), g1).scale(Scalar.of(5)), (1,)),
         (g0, None),
         (virasoro.L_word((2, 1), g0) - virasoro.L_word((3,), g0).scale(Scalar.of(2)), None),
     ]
 
 
 class TestOneExpansion:
-    """The bimodule prefix and the lam-rescale are read off one solve; these
-    compare both reads with the searches and solves that they replace."""
+    """The bimodule prefix is read off one solve, and a charged module's
+    extra generators are found theta-even; these compare both with the
+    searches and the plain-basis eliminations that they replace."""
 
     @pytest.mark.parametrize(
         "label",
@@ -234,8 +267,14 @@ class TestOneExpansion:
 
     @staticmethod
     def _assert_scaled_solve(label, v):
+        """The generators are [g0, lam*g1, ...] for the plain-basis primaries
+        g1, ..., and the tool's coordinates over them, rational, are the
+        solve over those."""
         gens = zhu._generators(label)[0]
-        scaled = [gens[0]] + [g.scale(label.sector().lam_scalar()) for g in gens[1:]]
+        lam = label.sector().lam_scalar()
+        plain = _plain_generators(label)
+        scaled = [plain[0]] + [g.scale(lam) for g in plain[1:]]
+        assert gens == tuple(scaled)
         coords, _ = TOOL.expand_in_generators(v, gens)
         assert coords == virasoro.express_in_descendants(v, scaled)
 
@@ -247,7 +286,7 @@ class TestOneExpansion:
     @pytest.mark.parametrize("i", range(4), ids=["odd g1", "odd g1 word", "top", "g0 words"])
     def test_state_rescale_is_a_solve_over_scaled_generators(self, i):
         v, g1_word = _m_half_states()[i]
-        first = virasoro.express_in_descendants(v, zhu.generator_set(mlam(F(1, 2))))
+        first = virasoro.express_in_descendants(v, _plain_generators(mlam(F(1, 2)))[:2])
         g1_coords = {w.ms: c for w, c in first.items() if w.gen == 1}
         if g1_word is None:
             assert g1_coords == {}
@@ -255,12 +294,33 @@ class TestOneExpansion:
             assert list(g1_coords) == [g1_word] and not g1_coords[g1_word].is_rational()
         self._assert_scaled_solve(mlam(F(1, 2)), v)
 
+    def test_generators_are_theta_even_and_coordinates_follow_parity(self):
+        """Each generator is theta-even; over them a theta-even state's
+        coordinates are rational and a theta-odd state's lam times
+        rationals."""
+        for s in (F(1, 2), F(2), F(9, 2)):
+            assert all(_theta_parity(g) == 0 for g in zhu._generators(mlam(s))[0])
+        gens = zhu.generator_set(mlam(F(1, 2)))
+        lam = gens[0].sector.lam_scalar()
+        for v, _ in _m_half_states():
+            for state, parity in ((v, 0), (v.scale(lam), 1)):
+                assert _theta_parity(state) == parity
+                coords = virasoro.express_in_descendants(state, gens)
+                assert coords and all(
+                    (c if parity == 0 else c / lam).is_rational() for c in coords.values()
+                )
+
     def test_a_lam_part_that_no_rescale_removes_is_refused(self):
-        # h(-2)e^lam has the coordinates 4/3*lam on L(-2)g0 and 1/3 on g1
+        # h(-2)e^lam is theta-odd: its coordinates are 4/3*lam on L(-2)g0
+        # and 2/3*lam on g1
         label = mlam(F(1, 2))
         v = FockVector.basis(label.sector(), (F(2),))
         gens = zhu.generator_set(label)
-        assert zhu.descendant_coordinates(v, gens) == virasoro.express_in_descendants(v, gens)
+        lam = label.sector().lam_scalar()
+        assert virasoro.express_in_descendants(v, gens) == {
+            virasoro.DescendantWord(0, (2,)): lam * F(4, 3),
+            virasoro.DescendantWord(1, ()): lam * F(2, 3),
+        }
         with pytest.raises(ValueError):
             TOOL.expand_in_generators(v, gens)
 
@@ -283,7 +343,7 @@ def _derived_system(label):
     x = MultiPoly.var("x")
 
     def expanded(a, product):
-        coords = zhu.descendant_coordinates(product(a, gens[0]), gens)
+        coords = virasoro.express_in_descendants(product(a, gens[0]), gens)
         return zhu.coords_to_polys(coords, weights, len(gens))
 
     rows = []

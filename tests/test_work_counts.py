@@ -87,7 +87,7 @@ STANDARD_COUNTS = {
 REQUESTS = {
     "verify": (["verify", "--suite", "all"], {
         "L": 5486, "build_vector": 568, "evaluate": 1498, "express": 37, "output_lines": 46,
-        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 46679, "subs": 90, "systems": 15,
+        "rank": 105, "rref": 145, "rref_cells": 1368, "scalars": 46769, "subs": 90, "systems": 15,
         "try_divide": 9,
     }),
     "t4": (["fusion", "--m", "M(s=8)", "--n", "M(s=9/58)", "--l", "M(s=9/58)"], {
@@ -107,7 +107,7 @@ REQUESTS = {
     }),
     "reduce-charged": (["reduce", "--module", "M(s=3)", "--expr", "h(-10)e^lam"], {
         "L": 192, "express": 1, "output_lines": 45, "rref": 1, "rref_cells": 1764,
-        "scalars": 42886,
+        "scalars": 43468,
     }),
 }
 

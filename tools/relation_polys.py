@@ -27,8 +27,8 @@ the Fock coordinates of the relation's level-d component, so A c = b.
   N(d) = sum_{mu |- d} len(mu).  For k >= 1 the pairs (r, q) and (q, r)
   make e_k even, and s - k^2/2 = lam^2 - k^2/2 is irreducible over Q, so
   det(A) = c lam^e_0 prod_{k >= 1} (s - k^2/2)^(e_k/2) with c rational.
-- The automorphism h(n) -> -h(n), e^lam -> e^(-lam) fixes the L(n) and
-  Y(a, z) for theta-even a, so c_w is even in lam.
+- The automorphism theta with lam -> -lam fixes the L(n) and Y(a, z) for
+  theta-even a, so c_w is even in lam (the rule of fock.parity_rows).
 - By Cramer, c_w = det(A_w) / det(A), with column w replaced by b, and
   det(A_w) has lam-degree <= N(d) - m(w) + 2.  Let M_d(s) = s^ceil(e_0/2)
   prod_{k >= 1} (s - k^2/2)^(e_k/2), of degree H(d) = (N(d) + e)/2 with
@@ -176,10 +176,10 @@ def contraction(rel: Relation) -> Tuple[MultiPoly, MultiPoly]:
 def expand_in_generators(
     v: FockVector, gens: Sequence[FockVector]
 ) -> Tuple[Dict[virasoro.DescendantWord, Scalar], List[MultiPoly]]:
-    """The zhu.descendant_coordinates of v and their contraction
-    polynomials, one per generator; ValueError when a coordinate is
-    irrational in lam."""
-    coords = zhu.descendant_coordinates(v, gens)
+    """v's descendant coordinates over the generators and their contraction
+    polynomials, one per generator; ValueError on a coordinate with a lam
+    part, which a theta-even v's never has (fock.parity_rows)."""
+    coords = virasoro.express_in_descendants(v, gens)
     base_weights = [v.sector.weight_offset_rat() + g.max_degree() for g in gens]
     return coords, zhu.coords_to_polys(coords, base_weights, len(gens))
 

@@ -211,11 +211,10 @@ def graded_dimension(module: Union[ModuleLabel, str], cutoff=Fraction(20)) -> QS
     space for "Mtheta", counting the partition basis of each degree by a
     parity-tracking partition recursion."""
     cutoff = rational(cutoff)
-    if module == "Mtheta":
-        twisted, parity, offset = True, None, Fraction(1, 16)
-    else:
-        sector = module.sector()
-        twisted, parity, offset = sector.twisted, module.parity(), sector.weight_offset_rat()
+    twisted = module == "Mtheta" or module.kind.startswith("Mtheta")
+    parity = None if module == "Mtheta" else module.parity()
+    # the weight of the sector's top vector: 1/16 twisted, s/2 charged
+    offset = Fraction(1, 16) if twisted else Fraction(module.s or 0, 2)
     counts = _partition_counts(twisted, math.floor(2 * (cutoff + 1)), parity)
     series = _counts_series(counts, 2, cutoff + 1)
     return series.shift(offset - Fraction(1, 24)).truncate(cutoff)

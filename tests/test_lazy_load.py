@@ -211,3 +211,26 @@ def test_tracer_still_records_the_forwarded_suites():
         env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+_CHARACTERS = textwrap.dedent(
+    """
+    import json, sys
+    from voaf.characters import graded_dimension
+    from voaf.labels import mlam, mplus, mtheta_minus
+    from fractions import Fraction
+    for label in (mplus(), mlam(Fraction(7, 3)), mtheta_minus()):
+        graded_dimension(label, Fraction(12))
+    print(json.dumps(sorted(n for n in sys.modules if n.startswith("voaf"))))
+    """
+)
+
+
+def test_characters_of_labels_load_no_fock_code():
+    """A label's character reads its twist and top weight off the label,
+    not off a Fock sector."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHARACTERS], env=_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == _CLOSURES["voaf.characters"] | {"voaf.labels"}

@@ -210,7 +210,8 @@ def _plain_primary_vectors(sector, degree):
     zhu._primary_vectors without its theta-parity basis, whose rows keep
     lam parts in a charged sector."""
     parts = basis_at_degree(sector, degree)
-    images = [(virasoro.L(1, v), virasoro.L(2, v)) for v in (FockVector.basis(sector, p) for p in parts)]
+    basis = [FockVector.basis(sector, p) for p in parts]
+    images = [(virasoro.L(1, v), virasoro.L(2, v)) for v in basis]
     rows = []
     for k in (0, 1):
         keys = sorted({q for img in images for q in img[k].terms})
